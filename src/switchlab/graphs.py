@@ -356,6 +356,10 @@ def graph_from_json(data) -> ColoredBipartiteGraph:
         m, n, colors = data["m"], data["n"], data["colors"]
     except (KeyError, TypeError):
         raise ValueError('graph JSON needs keys "m", "n", "colors"') from None
-    if not isinstance(m, int) or not isinstance(n, int) or not isinstance(colors, list):
+    # type(), not isinstance(): JSON true/false load as bool, a subclass of int
+    if type(m) is not int or type(n) is not int or not isinstance(colors, list):
         raise ValueError("malformed graph JSON")
+    for row in colors:
+        if not isinstance(row, list) or any(type(c) is not int for c in row):
+            raise ValueError(f"graph JSON colors must be rows of integers, got {row!r}")
     return new_graph(m, n, colors)

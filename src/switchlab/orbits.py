@@ -1,12 +1,12 @@
 """Candidate groups realized as permutation actions on the coloring space.
 
 The colorings of K_{m,n} are indexed by base-3 integers (row-major, first
-edge most significant).  A candidate group is realized by a finite generator
-list acting on that id space: adjacent vertex transpositions, single-vertex
-switches driven by subgroup generators, and optionally the side swap.  Orbit
-partitions are computed by min-label propagation to a fixpoint, which yields
-the same components as a closure BFS and numbers orbits by least member id,
-so results are bit-identical regardless of evaluation order.
+edge most significant), so labels over all colorings form a cube with one
+length-3 axis per edge.  A candidate group is a generator list of moves on
+that cube: vertex transpositions and the side swap permute axes, switches
+recolor them.  Orbit partitions come from min-label propagation to a
+fixpoint, which yields the same components as a closure BFS and numbers
+orbits by least member id, so results are bit-identical in any order.
 
 Equality of orbit partitions is the finite surrogate for two candidate
 groups having the same invariant structure: the groups differ exactly in
@@ -15,6 +15,7 @@ which colorings they can interconvert.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -34,6 +35,7 @@ from .s3 import (
 
 __all__ = [
     "DEFAULT_ORBIT_BUDGET",
+    "ORBIT_MEMORY_CAP",
     "BudgetExceededError",
     "GroupSpec",
     "Action",
@@ -60,15 +62,24 @@ __all__ = [
 #: Default cap on m*n; 3^12 = 531441 colorings is still desk-scale.
 DEFAULT_ORBIT_BUDGET = 12
 
+#: Byte cap on the orbit engine's working set, the label array plus its
+#: temporaries (about 4 * 3^(m*n) * 8 bytes), whatever the m*n budget.
+ORBIT_MEMORY_CAP = 2**29
+
 
 class BudgetExceededError(Exception):
-    """The coloring space 3^(m*n) exceeds the configured budget."""
+    """The coloring space 3^(m*n) exceeds the m*n budget or the memory cap."""
 
 
 def _check_budget(m: int, n: int, budget: int) -> None:
     if m * n > budget:
         raise BudgetExceededError(
             f"coloring space 3^{m * n} exceeds budget m*n <= {budget}"
+        )
+    # min(): any exponent past 64 is over the cap, and 3^(m*n) could be huge
+    if 4 * 8 * 3 ** min(m * n, 64) > ORBIT_MEMORY_CAP:
+        raise BudgetExceededError(
+            f"coloring space 3^{m * n} exceeds the {ORBIT_MEMORY_CAP >> 20} MiB orbit memory cap"
         )
 
 
@@ -97,107 +108,97 @@ def id_to_coloring(m: int, n: int, cid: int) -> ColoredBipartiteGraph:
     return ColoredBipartiteGraph(m, n, rows)
 
 
-def _digit_matrix(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(N, m*n) base-3 digit matrix for all ids, plus the place-value vector."""
-    k = m * n
-    count = 3**k
-    places = 3 ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    ids = np.arange(count, dtype=np.int64)
-    digits = ((ids[:, None] // places[None, :]) % 3).astype(np.int8)
-    return digits, places
-
-
-def _encode(digits: np.ndarray, places: np.ndarray) -> np.ndarray:
-    return digits.astype(np.int64) @ places
+@functools.cache
+def _lookups(recolor: tuple[int, ...], lut: tuple[int, ...]) -> tuple:
+    """``(first axis, 3^run, lookup)`` per run of adjacent recolored axes,
+    cached read-only because every partition at a shape reuses them."""
+    moves = []
+    for _, run in itertools.groupby(enumerate(recolor), lambda qp: qp[1] - qp[0]):
+        axes = [p for _, p in run]
+        shape = (3,) * len(axes)
+        lookup = np.ravel_multi_index(tuple(np.array(lut)[np.indices(shape)]), shape).ravel()
+        lookup.flags.writeable = False
+        moves.append((axes[0], lookup.size, lookup))
+    return tuple(moves)
 
 
 @dataclass(frozen=True, eq=False)
 class Action:
-    """A bijection of the coloring id space, tabulated as ``table[i] -> image``."""
+    """A bijection of the coloring id space, as a move on the label cube
+    ``labels.reshape((3,) * k)`` whose axis p is edge p.  The image of a
+    coloring has its digit q at position ``axes[q]``, then the digits at
+    ``recolor`` mapped through ``lut``.  Vertex swaps and the side swap only
+    permute axes; switches and edge recolorings only look colors up."""
 
     name: str
-    table: np.ndarray
+    axes: tuple[int, ...]
+    recolor: tuple[int, ...] = ()
+    lut: tuple[int, int, int] = (0, 1, 2)
 
     def __call__(self, cid: int) -> int:
-        return int(self.table[cid])
+        shape = (3,) * len(self.axes)
+        image = np.empty(len(shape), dtype=np.intp)
+        image[list(self.axes)] = np.unravel_index(cid, shape)
+        image[list(self.recolor)] = np.take(self.lut, image[list(self.recolor)])
+        return int(np.ravel_multi_index(tuple(image), shape))
+
+    def pull(self, labels: np.ndarray) -> np.ndarray:
+        """``labels[table]``, computed on the cube without the table."""
+        cube = labels
+        for start, size, lookup in _lookups(self.recolor, self.lut):
+            cube = np.take(cube.reshape(3**start, size, -1), lookup, axis=1)
+        return cube.reshape((3,) * len(self.axes)).transpose(self.axes).reshape(-1)
+
+    @property
+    def table(self) -> np.ndarray:
+        """``table[i]`` is the image of id i."""
+        return self.pull(np.arange(3 ** len(self.axes), dtype=np.int64))
 
 
-def _position_action(name: str, m: int, n: int, posmap) -> Action:
-    digits, places = _digit_matrix(m, n)
-    gathered = digits[:, posmap] if m * n else digits
-    return Action(name, _encode(gathered, places))
-
-
-def _sigma_lut(sigma: S3Perm) -> np.ndarray:
-    return np.array([sigma(c) - 1 for c in (1, 2, 3)], dtype=np.int8)
-
-
-def _columns_action(name: str, m: int, n: int, positions, sigma: S3Perm) -> Action:
-    digits, places = _digit_matrix(m, n)
-    out = digits.copy()
-    lut = _sigma_lut(sigma)
-    if positions:
-        out[:, positions] = lut[out[:, positions]]
-    return Action(name, _encode(out, places))
+def _recolor_action(name: str, m: int, n: int, positions, sigma: S3Perm) -> Action:
+    return Action(name, tuple(range(m * n)), tuple(positions), tuple(sigma(c) - 1 for c in (1, 2, 3)))
 
 
 def vertex_perm_actions(m: int, n: int) -> list[Action]:
     """Adjacent transpositions on each side; they generate all side-preserving
-    vertex permutations."""
+    vertex permutations.  Each is its own inverse, so the permuted edge grid
+    is also the move's ``axes``."""
+    edges = np.arange(m * n).reshape(m, n)
     actions = []
     for t in range(m - 1):
-        posmap = list(range(m * n))
-        for j in range(n):
-            posmap[t * n + j], posmap[(t + 1) * n + j] = (
-                posmap[(t + 1) * n + j],
-                posmap[t * n + j],
-            )
-        actions.append(_position_action(f"swapL({t},{t + 1})", m, n, posmap))
+        moved = edges.copy()
+        moved[[t, t + 1]] = edges[[t + 1, t]]
+        actions.append(Action(f"swapL({t},{t + 1})", tuple(moved.ravel().tolist())))
     for t in range(n - 1):
-        posmap = list(range(m * n))
-        for i in range(m):
-            posmap[i * n + t], posmap[i * n + t + 1] = (
-                posmap[i * n + t + 1],
-                posmap[i * n + t],
-            )
-        actions.append(_position_action(f"swapR({t},{t + 1})", m, n, posmap))
+        moved = edges.copy()
+        moved[:, [t, t + 1]] = edges[:, [t + 1, t]]
+        actions.append(Action(f"swapR({t},{t + 1})", tuple(moved.ravel().tolist())))
     return actions
 
 
 def switch_actions(side_left: bool, sigmas, m: int, n: int) -> list[Action]:
     """One single-vertex switch action per (vertex, sigma)."""
-    actions = []
+    edges = np.arange(m * n).reshape(m, n)
     tag = "L" if side_left else "R"
-    count = m if side_left else n
-    for v in range(count):
-        if side_left:
-            positions = [v * n + j for j in range(n)]
-        else:
-            positions = [i * n + v for i in range(m)]
-        for sigma in sigmas:
-            actions.append(
-                _columns_action(
-                    f"switch{tag}({v},{sigma.cycle_string()})", m, n, positions, sigma
-                )
-            )
-    return actions
+    return [
+        _recolor_action(f"switch{tag}({v},{sigma.cycle_string()})", m, n, row.tolist(), sigma)
+        for v, row in enumerate(edges if side_left else edges.T)
+        for sigma in sigmas
+    ]
 
 
 def transpose_action(m: int, n: int) -> Action:
     """The side swap; defined only on square dimensions."""
     if m != n:
         raise ValueError("side swap needs square dimensions")
-    posmap = [j * n + i for i in range(m) for j in range(n)]
-    return _position_action("swapSides", m, n, posmap)
+    return Action("swapSides", tuple(np.arange(m * n).reshape(m, n).T.ravel().tolist()))
 
 
 def single_edge_action(m: int, n: int, i: int, j: int, sigma: S3Perm) -> Action:
     """Recolor exactly edge (i, j) by sigma."""
     if not (0 <= i < m and 0 <= j < n):
         raise ValueError(f"edge ({i}, {j}) out of range")
-    return _columns_action(
-        f"edge({i},{j},{sigma.cycle_string()})", m, n, [i * n + j], sigma
-    )
+    return _recolor_action(f"edge({i},{j},{sigma.cycle_string()})", m, n, [i * n + j], sigma)
 
 
 @dataclass(frozen=True)
@@ -240,17 +241,14 @@ class OrbitPartition:
 def partition_from_actions(actions, m: int, n: int, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitPartition:
     """Connected components of the id space under the generator actions."""
     _check_budget(m, n, budget)
-    count = 3 ** (m * n)
-    labels = np.arange(count, dtype=np.int64)
-    tables = [a.table for a in actions]
-    for table in tables:
-        if table.shape != (count,):
-            raise ValueError("action table does not match the coloring space")
+    if any(len(a.axes) != m * n for a in actions):
+        raise ValueError("action does not match the coloring space")
+    labels = np.arange(3 ** (m * n), dtype=np.int64)
     while True:
         before = labels
         labels = labels.copy()
-        for table in tables:
-            np.minimum(labels, labels[table], out=labels)
+        for a in actions:
+            np.minimum(labels, a.pull(labels), out=labels)
         while True:
             jumped = labels[labels]
             if np.array_equal(jumped, labels):
@@ -258,8 +256,9 @@ def partition_from_actions(actions, m: int, n: int, budget: int = DEFAULT_ORBIT_
             labels = jumped
         if np.array_equal(labels, before):
             break
-    uniq, dense = np.unique(labels, return_inverse=True)
-    return OrbitPartition(m, n, dense.astype(np.int64), len(uniq))
+    # each orbit is now labelled by its least member, so no sort is needed
+    roots = labels == np.arange(labels.size)
+    return OrbitPartition(m, n, (np.cumsum(roots) - 1)[labels], int(roots.sum()))
 
 
 def orbit_partition(spec: GroupSpec, m: int, n: int, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitPartition:

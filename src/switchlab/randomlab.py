@@ -321,7 +321,8 @@ def check_theta_sampled(g: ColoredBipartiteGraph, k: int, trials: int, seed: int
 class BoundEval:
     """Evaluated failure-probability bound; ``value`` may exceed 1 and is
     +inf when the formula's binomials leave their range (total size below
-    6k), in which case only the clamped trivial bound 1 remains."""
+    6k) or the bound exceeds the float range, in which case only the clamped
+    trivial bound 1 remains."""
 
     k: int
     n: int
@@ -344,15 +345,21 @@ def sfsp_bound(k: int, n: int) -> BoundEval:
     m = n // 2
     top = m if n % 2 == 0 else m + 1
     if top < 3 * k:
+        return BoundEval(k, n, math.inf, 1.0)
+    binomials = (math.comb(top, k), math.comb(top - k, k), math.comb(top - 2 * k, k))
+    try:
+        value = 2.0 * binomials[0] * binomials[1] * binomials[2] * q ** (m - 3 * k)
+    except OverflowError:  # a binomial beyond the float range
         value = math.inf
-    else:
-        value = (
-            2.0
-            * math.comb(top, k)
-            * math.comb(top - k, k)
-            * math.comb(top - 2 * k, k)
-            * q ** (m - 3 * k)
-        )
+    if not math.isfinite(value):
+        # The float product left its range; redo it in logs, where the
+        # binomials stay exact integers and q^(m-3k) cannot underflow.
+        log_q = math.log1p(-((1.0 / 3.0) ** (3 * k)))
+        log_value = math.log(2.0) + sum(map(math.log, binomials)) + (m - 3 * k) * log_q
+        try:
+            value = math.exp(log_value)
+        except OverflowError:
+            value = math.inf
     return BoundEval(k, n, value, min(1.0, value))
 
 

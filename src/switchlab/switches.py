@@ -217,10 +217,12 @@ def word_from_json(data) -> SwitchWord:
     ops = []
     for entry in data:
         try:
-            raw_support = entry["support"]
-            sigma = S3Perm.from_cycle_string(entry["sigma"])
+            raw_support, raw_sigma = entry["support"], entry["sigma"]
         except (KeyError, TypeError):
             raise ValueError('each switch needs keys "support" and "sigma"') from None
+        if not isinstance(raw_support, list) or not isinstance(raw_sigma, str):
+            raise ValueError(f"malformed switch entry: {entry!r}")
+        sigma = S3Perm.from_cycle_string(raw_sigma)
         support = set()
         for item in raw_support:
             try:
@@ -228,7 +230,7 @@ def word_from_json(data) -> SwitchWord:
                 index = item["i"]
             except (KeyError, TypeError, ValueError):
                 raise ValueError(f"malformed support entry: {item!r}") from None
-            if not isinstance(index, int):
+            if type(index) is not int:  # bool is a subclass of int
                 raise ValueError(f"malformed support entry: {item!r}")
             support.add(VertexRef(side, index))
         ops.append(SwitchOp(frozenset(support), sigma))

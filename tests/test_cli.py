@@ -147,6 +147,17 @@ def test_orbits_budget(capsys):
     assert "budget" in data["error"]
 
 
+def test_orbits_memory_cap(capsys):
+    # within the m*n budget, above the byte cap: an error, not a 5 GiB allocation
+    code, out = run_cli(
+        capsys, "orbits", "--group", "Aut", "--m", "4", "--n", "4", "--budget", "16"
+    )
+    assert code == 1
+    assert out.count("\n") == 1
+    data = json.loads(out)
+    assert list(data) == ["error"] and "memory cap" in data["error"]
+
+
 def test_distinguish(capsys):
     code, data = run_json(capsys, "distinguish", "--m", "2", "--n", "2")
     assert code == 0
@@ -162,6 +173,10 @@ def test_sfsp_bound(capsys):
     code, data = run_json(capsys, "sfsp-bound", "--k", "1", "--n", "4")
     assert code == 0
     assert data["value"] is None and data["clamped"] == 1.0
+    # the binomial product leaves the float range: the bound is above 1
+    code, data = run_json(capsys, "sfsp-bound", "--k", "100", "--n", "1000000")
+    assert code == 0
+    assert data == {"k": 100, "n": 1000000, "value": None, "clamped": 1.0}
 
 
 def test_sfsp_estimate(capsys):

@@ -222,3 +222,13 @@ def test_json_validation():
         graph_from_json([1, 2, 3])
     with pytest.raises(ValueError):
         graph_from_json({"m": 1, "n": 1, "colors": [[4]]})
+    # JSON booleans are not integers, and colors are not floats or bare numbers
+    for bad in (
+        {"m": True, "n": 1, "colors": [[1]]},
+        {"m": 1, "n": False, "colors": [[1]]},
+        {"m": 1, "n": 1, "colors": [[True]]},
+        {"m": 1, "n": 1, "colors": [[1.0]]},
+        {"m": 1, "n": 1, "colors": [1]},
+    ):
+        with pytest.raises(ValueError):
+            graph_from_json(bad)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from switchlab.orbits import (
     vertex_perm_actions,
 )
 from switchlab.s3 import (
+    ALL_PERMS,
     FULL_SUBGROUP,
     TRIVIAL_SUBGROUP,
     enumerate_subgroups,
@@ -224,6 +226,117 @@ def test_budget_guard():
 
 
 def test_action_table_shape_validated():
-    bogus = Action("bogus", np.arange(5))
+    built_for_k23 = vertex_perm_actions(2, 3)[0]
     with pytest.raises(ValueError):
-        partition_from_actions([bogus], 2, 2)
+        partition_from_actions([built_for_k23], 2, 2)
+
+
+def test_action_moves_digits_as_documented():
+    # a 3-cycle of axes plus a recoloring: neither an involution nor one kind
+    action = Action("rot", (1, 2, 0), (0,), (1, 2, 0))
+    assert action(9) == 12  # digits (1,0,0) -> (0,1,0) -> recolor axis 0 -> (1,1,0)
+    assert action.table.tolist() == [action(cid) for cid in range(27)]
+    assert sorted(action.table.tolist()) == list(range(27))
+
+
+# Oracle: the tabulated construction the label-cube moves replaced.  Each
+# generator is rebuilt from its name as a (3^(mn), mn) digit matrix, moved
+# digit-wise, and re-encoded into an id table.
+
+
+def _digit_matrix(m, n):
+    k = m * n
+    places = 3 ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    ids = np.arange(3**k, dtype=np.int64)
+    digits = ((ids[:, None] // places[None, :]) % 3).astype(np.int8)
+    return digits, places
+
+
+def _encode(digits, places):
+    return digits.astype(np.int64) @ places
+
+
+def oracle_table(name, m, n):
+    digits, places = _digit_matrix(m, n)
+    kind, args = re.fullmatch(r"(\w+)(?:\((.*)\))?", name).groups()
+    posmap = list(range(m * n))
+    if kind == "swapL":
+        t = int(args.split(",")[0])
+        for j in range(n):
+            posmap[t * n + j], posmap[(t + 1) * n + j] = (t + 1) * n + j, t * n + j
+        return _encode(digits[:, posmap], places)
+    if kind == "swapR":
+        t = int(args.split(",")[0])
+        for i in range(m):
+            posmap[i * n + t], posmap[i * n + t + 1] = i * n + t + 1, i * n + t
+        return _encode(digits[:, posmap], places)
+    if kind == "swapSides":
+        posmap = [j * n + i for i in range(m) for j in range(n)]
+        return _encode(digits[:, posmap], places)
+    if kind == "edge":
+        i, j, cycle = args.split(",", 2)
+        positions = [int(i) * n + int(j)]
+    else:
+        v, cycle = args.split(",", 1)
+        v = int(v)
+        positions = {
+            "switchL": [v * n + j for j in range(n)],
+            "switchR": [i * n + v for i in range(m)],
+        }[kind]
+    sigma = c(cycle)
+    lut = np.array([sigma(col) - 1 for col in (1, 2, 3)], dtype=np.int8)
+    out = digits.copy()
+    out[:, positions] = lut[out[:, positions]]
+    return _encode(out, places)
+
+
+def oracle_partition(tables, count):
+    labels = np.arange(count, dtype=np.int64)
+    while True:
+        before = labels
+        labels = labels.copy()
+        for table in tables:
+            np.minimum(labels, labels[table], out=labels)
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+        if np.array_equal(labels, before):
+            return np.unique(labels, return_inverse=True)[1]
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_cube_moves_match_table_oracle(m, n):
+    rng = np.random.default_rng(m * 10 + n)
+    actions = {}
+    for cand in enumerate_candidate_groups(with_swap=(m == n)):
+        for action in generators_for(cand.spec, m, n):
+            actions[action.name] = action
+    for i, j, sigma in itertools.product(range(m), range(n), ALL_PERMS):
+        action = single_edge_action(m, n, i, j, sigma)
+        actions[action.name] = action
+    kinds = {re.match(r"\w+", name).group() for name in actions}
+    assert kinds == {"swapL", "swapR", "switchL", "switchR", "edge"} | (
+        {"swapSides"} if m == n else set()
+    )
+    count = 3 ** (m * n)
+    for action in actions.values():
+        expected = oracle_table(action.name, m, n)
+        assert np.array_equal(action.table, expected), action.name
+        x = rng.integers(0, 1 << 40, size=count)
+        assert np.array_equal(action.pull(x), x[expected]), action.name
+        for cid in rng.integers(0, count, size=20).tolist():
+            assert action(cid) == expected[cid], action.name
+        with pytest.raises(ValueError):
+            action(count)
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 3)])
+def test_orbit_partition_matches_oracle_fixpoint(m, n):
+    for cand in enumerate_candidate_groups(with_swap=True):
+        tables = [oracle_table(a.name, m, n) for a in generators_for(cand.spec, m, n)]
+        expected = oracle_partition(tables, 3 ** (m * n))
+        part = orbit_partition(cand.spec, m, n)
+        assert np.array_equal(part.labels, expected), cand.name
+        assert part.orbit_count == expected.max() + 1

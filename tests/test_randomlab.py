@@ -221,6 +221,11 @@ def test_sfsp_bound_values():
     assert math.isinf(sfsp_bound(2, 10).value)  # even case needs m >= 3k
     odd_edge = sfsp_bound(2, 11)  # odd case borrows one vertex: finite, > 1
     assert math.isfinite(odd_edge.value) and odd_edge.clamped == 1.0
+    # beyond the float range the bound is redone in logs, where q^(m-3k)
+    # can win over binomials too large for a float
+    for k, n in ((7, 2 * 10**45), (1, 10**103)):
+        tiny = sfsp_bound(k, n)
+        assert tiny.value == tiny.clamped == 0.0
     with pytest.raises(ValueError):
         sfsp_bound(0, 8)
 

@@ -220,3 +220,11 @@ def test_word_json_round_trip():
         word_from_json({"not": "a list"})
     with pytest.raises(ValueError):
         word_from_json([{"support": [{"side": "X", "i": 0}], "sigma": "(12)"}])
+    for bad in (
+        [{"support": [{"side": "L", "i": True}], "sigma": "(12)"}],
+        [{"support": [{"side": "L", "i": 1.0}], "sigma": "(12)"}],
+        [{"support": 5, "sigma": "(12)"}],
+        [{"support": [], "sigma": 5}],
+    ):
+        with pytest.raises(ValueError):
+            word_from_json(bad)
