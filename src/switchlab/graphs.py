@@ -174,9 +174,9 @@ def _side_preserving_iso(g1: ColoredBipartiteGraph, g2: ColoredBipartiteGraph) -
     prof2 = sorted(_row_profile(r) for r in g2.colors)
     if prof1 != prof2:
         return None
+    cols1 = [tuple(g1.colors[i][j] for i in range(g1.m)) for j in range(g1.n)]
     for perm in itertools.permutations(range(g1.m)):
         # columns of g1 vs columns of g2 reindexed through the row map
-        cols1 = [tuple(g1.colors[i][j] for i in range(g1.m)) for j in range(g1.n)]
         cols2 = [tuple(g2.colors[perm[i]][j] for i in range(g1.m)) for j in range(g1.n)]
         by_vec: dict[tuple, list[int]] = {}
         for j, vec in enumerate(cols2):

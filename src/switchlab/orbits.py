@@ -72,6 +72,8 @@ class BudgetExceededError(Exception):
 
 
 def _check_budget(m: int, n: int, budget: int) -> None:
+    if m < 0 or n < 0:
+        raise ValueError(f"side sizes must be nonnegative, got m={m}, n={n}")
     if m * n > budget:
         raise BudgetExceededError(
             f"coloring space 3^{m * n} exceeds budget m*n <= {budget}"

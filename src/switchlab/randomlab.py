@@ -8,7 +8,10 @@ reduction bias is on the order of 2^-64.
 The extension property of order k asks, for every three pairwise disjoint
 vertex sets of size at most k on one side, for a single vertex on the other
 side joined to the first set by color 1, the second by color 2 and the third
-by color 3, and symmetrically for the other side.
+by color 3, and symmetrically for the other side.  Both checks read one
+array of packed witness masks per side: the exact check scans every
+configuration in a fixed order, one array operation per choice of the first
+two sets, and the sampled check ANDs the masks of blocks of drawn ones.
 """
 
 from __future__ import annotations
@@ -48,6 +51,9 @@ _MULT_J = 0x9FB21C651E98DF25
 
 #: Cap on the number of set triples enumerated per side in exact mode.
 DEFAULT_THETA_BUDGET = 200_000
+
+#: Mask words gathered at once by the sampled check (8 MiB).
+_SAMPLED_BLOCK_WORDS = 1 << 20
 
 
 class ThetaBudgetError(Exception):
@@ -106,107 +112,80 @@ class ExtensionReport:
     checked_right: int
 
 
-def _config_count(size: int, k: int) -> int:
-    total = 0
-    for s1, s2, s3 in itertools.product(range(k + 1), repeat=3):
-        if s1 + s2 + s3 > size:
-            continue
-        total += (
-            math.comb(size, s1)
-            * math.comb(size - s1, s2)
-            * math.comb(size - s1 - s2, s3)
-        )
-    return total
-
-
-def _witness_masks(g: ColoredBipartiteGraph, side: Side):
-    """Per set-side vertex x and color c, the bitmask of witnesses w on the
-    other side with edge color c toward x."""
-    if side is Side.LEFT:
-        size, witnesses = g.m, g.n
-        color = lambda x, w: g.colors[x][w]
-    else:
-        size, witnesses = g.n, g.m
-        color = lambda x, w: g.colors[w][x]
-    masks = [[0] * size for _ in range(4)]
-    for x in range(size):
-        for w in range(witnesses):
-            masks[color(x, w)][x] |= 1 << w
-    return size, witnesses, masks
-
-
 def _size_triples(k: int):
-    triples = list(itertools.product(range(k + 1), repeat=3))
-    triples.sort(key=lambda t: (sum(t), t))
-    return triples
+    return sorted(itertools.product(range(k + 1), repeat=3), key=lambda t: (sum(t), t))
 
 
-def _pack_masks(masks, size: int, witnesses: int) -> np.ndarray:
-    words = max(1, (witnesses + 63) // 64)
-    packed = np.zeros((3, size, words), dtype=np.uint64)
-    for c in (1, 2, 3):
-        for x in range(size):
-            v = masks[c][x]
-            for w in range(words):
-                packed[c - 1, x, w] = (v >> (64 * w)) & _MASK
-    return packed
+def _cell_count(size: int, sizes) -> int:
+    """Ordered triples of pairwise disjoint sets with the given sizes."""
+    s1, s2, s3 = sizes
+    if s1 + s2 + s3 > size:
+        return 0
+    return math.comb(size, s1) * math.comb(size - s1, s2) * math.comb(size - s1 - s2, s3)
+
+
+def _config_count(size: int, k: int) -> int:
+    return sum(_cell_count(size, sizes) for sizes in _size_triples(min(k, size)))
+
+
+def _witness_bits(g: ColoredBipartiteGraph, side: Side) -> np.ndarray:
+    """Witness masks for sets on ``side``, packed into uint64 words of shape
+    (3, size + 1, words): bit w of row [c - 1, x] is set when the edge between
+    x and witness w on the other side has color c.  Row ``size`` is a
+    sentinel that every witness serves in every color; padding bits are
+    clear."""
+    colors = np.array(g.colors, dtype=np.uint8).reshape(g.m, g.n)
+    if side is Side.RIGHT:
+        colors = colors.T
+    size, witnesses = colors.shape
+    words = max(1, -(-witnesses // 64))
+    padded = np.zeros((size + 1, 64 * words), dtype=np.uint8)
+    padded[:size, :witnesses] = colors
+    planes = padded == np.arange(1, 4, dtype=np.uint8)[:, None, None]
+    planes[:, size, :witnesses] = True
+    return np.packbits(planes, axis=2, bitorder="little").view(np.uint64)
 
 
 def _check_side(g: ColoredBipartiteGraph, side: Side, k: int):
     """First failing configuration on ``side`` in deterministic order
     (total size, then sizes, then lexicographic sets), plus the count of
-    configurations evaluated."""
-    size, witnesses, masks = _witness_masks(g, side)
-    full = (1 << witnesses) - 1
+    configurations evaluated.
+
+    A set's mask is the AND of its members' masks in its color.  A third set
+    meeting x1 or x2 is never served, since no edge has two colors, so every
+    third set disjoint from x1 and x2 is served exactly when the served
+    count reaches C(size - s1 - s2, s3)."""
+    bits = _witness_bits(g, side)
+    size = bits.shape[1] - 1
+    combos, ands = [], []
+    for s in range(min(k, size) + 1):
+        sets = list(itertools.combinations(range(size), s))
+        # the sentinel member makes the empty set's AND every witness
+        members = np.array([x + (size,) for x in sets], dtype=np.intp)
+        combos.append(sets)
+        ands.append(np.bitwise_and.reduce(bits[:, members], axis=2))
     checked = 0
-    packed = _pack_masks(masks, size, witnesses) if k == 1 and size >= 3 else None
-    for s1, s2, s3 in _size_triples(k):
+    for s1, s2, s3 in _size_triples(min(k, size)):
         if s1 + s2 + s3 > size:
             continue
-        if (s1, s2, s3) == (1, 1, 1) and packed is not None:
-            result = _scan_unit_triples(packed, size, checked)
-            checked = result[1]
-            if result[0] is not None:
-                return ThetaCounterexample(side, result[0]), checked
-            continue
-        for x1 in itertools.combinations(range(size), s1):
-            m1 = full
-            for x in x1:
-                m1 &= masks[1][x]
-            rest1 = [v for v in range(size) if v not in x1]
-            for x2 in itertools.combinations(rest1, s2):
-                m2 = m1
-                for x in x2:
-                    m2 &= masks[2][x]
-                rest2 = [v for v in rest1 if v not in x2]
-                for x3 in itertools.combinations(rest2, s3):
-                    m3 = m2
-                    for x in x3:
-                        m3 &= masks[3][x]
-                    checked += 1
-                    if m3 == 0:
-                        return ThetaCounterexample(side, (x1, x2, x3)), checked
-    return None, checked
-
-
-def _scan_unit_triples(packed: np.ndarray, size: int, checked: int):
-    """Vectorized scan of all ordered triples of distinct singletons."""
-    ok1, ok2, ok3 = packed[0], packed[1], packed[2]
-    per_pair = size - 2
-    for x1 in range(size):
-        for x2 in range(size):
-            if x2 == x1:
-                continue
-            joint = ok1[x1] & ok2[x2]
-            some = np.bitwise_and(ok3, joint[None, :]).any(axis=1)
-            some[x1] = True
-            some[x2] = True
-            if not some.all():
-                x3 = int(np.flatnonzero(~some)[0])
-                rank = x3 - (x1 < x3) - (x2 < x3)
-                checked += rank + 1
-                return ((x1,), (x2,), (x3,)), checked
-            checked += per_pair
+        free = math.comb(size - s1 - s2, s3)
+        ok3 = ands[s3][2]
+        for x1, m1 in zip(combos[s1], ands[s1][0]):
+            used1 = set(x1)
+            for x2, m12 in zip(combos[s2], ands[s2][1] & m1):
+                if not used1.isdisjoint(x2):
+                    continue
+                served = (ok3 & m12).any(axis=1)
+                if np.count_nonzero(served) == free:
+                    checked += free
+                    continue
+                used = used1.union(x2)
+                c = next(
+                    c for c, x3 in enumerate(combos[s3])
+                    if not served[c] and used.isdisjoint(x3)
+                )
+                checked += int(np.count_nonzero(served[:c])) + 1
+                return ThetaCounterexample(side, (x1, x2, combos[s3][c])), checked
     return None, checked
 
 
@@ -239,7 +218,7 @@ def verify_counterexample(g: ColoredBipartiteGraph, k: int, cex: ThetaCounterexa
     if sets[0] & sets[1] or sets[0] & sets[2] or sets[1] & sets[2]:
         return False
     size = g.side_size(cex.side)
-    if any(v >= size for s in sets for v in s):
+    if any(not 0 <= v < size for s in sets for v in s):
         return False
     witnesses = g.side_size(cex.side.other())
     for w in range(witnesses):
@@ -270,50 +249,49 @@ class SampledCheck:
 
 def check_theta_sampled(g: ColoredBipartiteGraph, k: int, trials: int, seed: int) -> SampledCheck:
     """Monte Carlo surrogate: configurations drawn uniformly from the same
-    space the exact check enumerates (both sides, sizes up to k)."""
+    space the exact check enumerates (both sides, sizes up to k).
+
+    Each drawn set is padded to a common width with the sentinel row of
+    ``_witness_bits``; a block of draws is then one gather-and-AND per side."""
     if k < 1:
         raise ValueError("extension order k must be at least 1")
     if trials < 1:
         raise ValueError("need at least one trial")
+    bits = {side: _witness_bits(g, side) for side in (Side.LEFT, Side.RIGHT)}
     cells = []
-    mask_cache = {}
-    for side in (Side.LEFT, Side.RIGHT):
-        size = g.side_size(side)
-        mask_cache[side] = _witness_masks(g, side)
-        for s1, s2, s3 in _size_triples(k):
-            if s1 + s2 + s3 > size:
-                continue
-            count = (
-                math.comb(size, s1)
-                * math.comb(size - s1, s2)
-                * math.comb(size - s1 - s2, s3)
-            )
+    for side in bits:
+        for sizes in _size_triples(min(k, g.side_size(side))):
+            count = _cell_count(g.side_size(side), sizes)
             if count:
-                cells.append((side, (s1, s2, s3), count))
-    total = sum(c for _, _, c in cells)
-    if total == 0:
-        raise ValueError("no configurations exist for this graph")
+                cells.append((side, sizes, count))
+    total = sum(count for _, _, count in cells)
+    # a set has at most min(k, side size) members; bound the words per block
+    width = max(1, min(k, max(g.m, g.n)))
+    block = max(1, _SAMPLED_BLOCK_WORDS // (3 * width * max(b.shape[2] for b in bits.values())))
     rng = random.Random(seed)
     violations = 0
-    for _ in range(trials):
-        r = rng.randrange(total)
-        for side, sizes, count in cells:
-            if r < count:
-                break
-            r -= count
-        size, _, masks = mask_cache[side]
-        pool = list(range(size))
-        chosen = []
-        for s in sizes:
-            picked = sorted(rng.sample(pool, s))
-            chosen.append(picked)
-            pool = [v for v in pool if v not in picked]
-        joint = (1 << g.side_size(side.other())) - 1
-        for c, picked in zip((1, 2, 3), chosen):
-            for x in picked:
-                joint &= masks[c][x]
-        if joint == 0:
-            violations += 1
+    for start in range(0, trials, block):
+        picks = {side: [] for side in bits}
+        for _ in range(min(block, trials - start)):
+            r = rng.randrange(total)
+            for side, sizes, count in cells:
+                if r < count:
+                    break
+                r -= count
+            size = g.side_size(side)
+            pool = list(range(size))
+            row = []
+            for s in sizes:
+                picked = rng.sample(pool, s)
+                row += picked + [size] * (width - s)
+                pool = [v for v in pool if v not in picked]
+            picks[side].append(row)
+        for side, rows in picks.items():
+            if rows:
+                members = np.array(rows, dtype=np.intp).reshape(len(rows), 3, width)
+                gathered = bits[side][np.arange(3)[:, None], members]
+                joint = np.bitwise_and.reduce(gathered, axis=(1, 2))
+                violations += len(rows) - int(np.count_nonzero(joint.any(axis=1)))
     return SampledCheck(k, trials, violations)
 
 
@@ -384,20 +362,11 @@ def bound_ratio_check(k: int, m_max: int) -> BoundRatioReport:
     if m_max <= 3 * k:
         raise ValueError("m_max must exceed 3k")
     q = 1.0 - (1.0 / 3.0) ** (3 * k)
-    ratios = []
-    for m in range(3 * k, m_max):
-        num = (
-            math.comb(m + 2, k)
-            * math.comb(m + 2 - k, k)
-            * math.comb(m + 2 - 2 * k, k)
-        )
-        den = (
-            math.comb(m + 1, k)
-            * math.comb(m + 1 - k, k)
-            * math.comb(m + 1 - 2 * k, k)
-        )
-        ratios.append(q * num / den)
-    return BoundRatioReport(k, m_max, q, tuple(ratios))
+    ratios = tuple(
+        q * _cell_count(m + 2, (k, k, k)) / _cell_count(m + 1, (k, k, k))
+        for m in range(3 * k, m_max)
+    )
+    return BoundRatioReport(k, m_max, q, ratios)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ from switchlab.cli import main
 from switchlab.graphs import graph_from_json, graph_to_json, new_graph
 from switchlab.randomlab import random_graph
 
+from conftest import shifted_cubic_graph
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -158,6 +160,23 @@ def test_orbits_memory_cap(capsys):
     assert list(data) == ["error"] and "memory cap" in data["error"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("orbits", "--m", "-2", "--n", "-2", "--group", "Aut"),
+        ("orbits", "--m", "-1", "--n", "2", "--group", "Aut"),
+        ("orbits", "--m", "2", "--n", "-3", "--group", "Sym_lr"),
+        ("distinguish", "--m", "-2", "--n", "-2"),
+    ],
+)
+def test_orbits_negative_sides(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert out.count("\n") == 1
+    data = json.loads(out)
+    assert list(data) == ["error"] and "nonnegative" in data["error"]
+
+
 def test_distinguish(capsys):
     code, data = run_json(capsys, "distinguish", "--m", "2", "--n", "2")
     assert code == 0
@@ -204,3 +223,71 @@ def test_verify_lemmas_unknown_check(capsys):
     code, data = run_json(capsys, "verify-lemmas", "--only", "bogus")
     assert code == 1
     assert "unknown check" in data["error"]
+
+
+def _cubic_with_first_column(q, color):
+    rows = shifted_cubic_graph(q).colors
+    return new_graph(q, q, [[color] + list(row[1:]) for row in rows])
+
+
+GOLDEN_GRAPHS = {
+    "cubic97": lambda: shifted_cubic_graph(97),
+    "cubic97c1": lambda: _cubic_with_first_column(97, 1),
+    "cubic109c3": lambda: _cubic_with_first_column(109, 3),
+    "rand40": lambda: random_graph(40, 40, 3),
+    "rand60x55": lambda: random_graph(60, 55, 8),
+    "rand70": lambda: random_graph(70, 70, 25),
+    "rand9x8": lambda: random_graph(9, 8, 11),
+    "rand13": lambda: random_graph(13, 13, 55),
+    "rand7x6": lambda: random_graph(7, 6, 2),
+    "empty0x5": lambda: random_graph(0, 5, 1),
+}
+
+# stdout and exit code of each invocation, recorded before the extension
+# check moved to packed witness masks; {name} is a GOLDEN_GRAPHS file
+GOLDEN = [
+    ("check-theta --input {cubic97} --k 1 --budget 2000000", 0,
+     '{"checked_left": 912868, "checked_right": 912868, "counterexample": null, "holds": true, "k": 1, "mode": "exact"}\n'),
+    ("check-theta --input {cubic97} --k 2", 1,
+     '{"error": "94926337396 set triples exceed budget 200000; use sampled mode"}\n'),
+    ("check-theta --input {rand40} --k 1", 0,
+     '{"checked_left": 142, "checked_right": 0, "counterexample": {"sets": [[], [0], [21]], "side": "L"}, "holds": false, "k": 1, "mode": "exact"}\n'),
+    ("check-theta --input {rand60x55} --k 1", 1,
+     '{"error": "216121 set triples exceed budget 200000; use sampled mode"}\n'),
+    ("check-theta --input {rand9x8} --k 2", 0,
+     '{"checked_left": 18, "checked_right": 0, "counterexample": {"sets": [[], [7], []], "side": "L"}, "holds": false, "k": 2, "mode": "exact"}\n'),
+    ("check-theta --input {rand70} --k 1 --budget 400000", 0,
+     '{"checked_left": 14722, "checked_right": 0, "counterexample": {"sets": [[0], [1], [22]], "side": "L"}, "holds": false, "k": 1, "mode": "exact"}\n'),
+    ("check-theta --input {rand13} --k 2 --budget 1000000", 0,
+     '{"checked_left": 80, "checked_right": 0, "counterexample": {"sets": [[], [], [3, 10]], "side": "L"}, "holds": false, "k": 2, "mode": "exact"}\n'),
+    ("check-theta --input {cubic97c1} --k 1 --budget 2000000", 0,
+     '{"checked_left": 37451, "checked_right": 0, "counterexample": {"sets": [[1], [2], [9]], "side": "L"}, "holds": false, "k": 1, "mode": "exact"}\n'),
+    ("check-theta --input {cubic109c3} --k 1 --budget 2000000", 0,
+     '{"checked_left": 1295248, "checked_right": 111, "counterexample": {"sets": [[], [0], []], "side": "R"}, "holds": false, "k": 1, "mode": "exact"}\n'),
+    ("check-theta --input {rand7x6} --k 3", 0,
+     '{"checked_left": 14, "checked_right": 0, "counterexample": {"sets": [[], [5], []], "side": "L"}, "holds": false, "k": 3, "mode": "exact"}\n'),
+    ("check-theta --input {empty0x5} --k 2", 0,
+     '{"checked_left": 1, "checked_right": 1, "counterexample": {"sets": [[], [], []], "side": "R"}, "holds": false, "k": 2, "mode": "exact"}\n'),
+    ("check-theta --input {rand40} --k 1 --sampled --trials 500 --seed 3", 0,
+     '{"k": 1, "mode": "sampled", "trials": 500, "violation_rate": 0.226, "violations": 113}\n'),
+    ("check-theta --input {cubic97} --k 1 --sampled --trials 500 --seed 3", 0,
+     '{"k": 1, "mode": "sampled", "trials": 500, "violation_rate": 0.0, "violations": 0}\n'),
+    ("check-theta --input {rand9x8} --k 2 --sampled --trials 500 --seed 3", 0,
+     '{"k": 2, "mode": "sampled", "trials": 500, "violation_rate": 0.92, "violations": 460}\n'),
+    ("check-theta --input {empty0x5} --k 3 --sampled --trials 200 --seed 1", 0,
+     '{"k": 3, "mode": "sampled", "trials": 200, "violation_rate": 1.0, "violations": 200}\n'),
+    ("sfsp-estimate --n 24 --k 1 --trials 200 --seed 5", 0,
+     '{"bound": 1879.7070971444125, "clamped_bound": 1.0, "failure_rate": 1.0, "half_width": 0.0, "k": 1, "mode": "exact", "n": 24}\n'),
+    ("sfsp-estimate --n 120 --k 2 --trials 3 --seed 1", 0,
+     '{"bound": 8367674735.810743, "clamped_bound": 1.0, "failure_rate": 1.0, "half_width": 0.0, "k": 2, "mode": "sampled", "n": 120}\n'),
+]
+
+
+@pytest.mark.parametrize("command, code, stdout", GOLDEN, ids=[c for c, _, _ in GOLDEN])
+def test_golden_stdout(tmp_path, capsys, command, code, stdout):
+    paths = {}
+    for name in GOLDEN_GRAPHS:
+        if "{" + name + "}" in command:
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(graph_to_json(GOLDEN_GRAPHS[name]())))
+    assert run_cli(capsys, *command.format(**paths).split()) == (code, stdout)

@@ -1,13 +1,17 @@
 import itertools
 import math
+import random
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
+from switchlab import randomlab
 from switchlab.graphs import Side, constant_graph, induced_subgraph, new_graph
 from switchlab.randomlab import (
+    ExtensionReport,
+    SampledCheck,
     ThetaBudgetError,
     ThetaCounterexample,
     bound_ratio_check,
@@ -21,7 +25,7 @@ from switchlab.randomlab import (
     verify_counterexample,
 )
 
-from conftest import graphs
+from conftest import graphs, shifted_cubic_graph
 
 
 def test_random_graph_deterministic():
@@ -111,23 +115,14 @@ def test_verify_counterexample_rejects_junk():
     assert verify_counterexample(g, 1, ok_sets)  # no witness with colors 1, 2
     witnessed = ThetaCounterexample(Side.LEFT, ((0,), (), ()))
     assert not verify_counterexample(g, 1, witnessed)  # color 1 is served
-
-
-def _shifted_cubic_graph(q: int):
-    """K_{q,q} colored by the cubic-residue class of i+j mod q; for q = 97
-    every ordered triple pattern is realized on both sides."""
-    cubes = {pow(x, 3, q) for x in range(1, q)}
-    seed_noncube = next(x for x in range(2, q) if x not in cubes)
-    label = {0: 1}
-    for a in cubes:
-        label[a] = 1
-        label[seed_noncube * a % q] = 2
-        label[seed_noncube * seed_noncube % q * a % q] = 3
-    return new_graph(q, q, [[label[(i + j) % q] for j in range(q)] for i in range(q)])
+    negative = ThetaCounterexample(Side.LEFT, ((-1,), (0,), ()))
+    assert not verify_counterexample(g, 1, negative)  # no vertex -1
+    beyond = ThetaCounterexample(Side.RIGHT, ((), (2,), ()))
+    assert not verify_counterexample(g, 1, beyond)  # no right vertex 2
 
 
 def test_exact_checker_accepts_structured_graph():
-    g = _shifted_cubic_graph(97)
+    g = shifted_cubic_graph(97)
     report = check_theta(g, 1, budget=2_000_000)
     assert report.holds
     assert report.counterexample is None
@@ -210,6 +205,172 @@ def test_sampled_determinism_and_validation():
         check_theta_sampled(g, 1, 0, seed=4)
     with pytest.raises(ValueError):
         check_theta_sampled(g, 0, 10, seed=4)
+
+
+# Reference extension check: Python-int witness masks and one nested loop
+# per set, the implementation the packed scan replaced.
+
+
+def _reference_masks(g, side):
+    """Per color c and set-side vertex x, the bitmask of witnesses w on the
+    other side with edge color c toward x."""
+    size, witnesses = g.side_size(side), g.side_size(side.other())
+    masks = [[0] * size for _ in range(4)]
+    for x in range(size):
+        for w in range(witnesses):
+            color = g.colors[x][w] if side is Side.LEFT else g.colors[w][x]
+            masks[color][x] |= 1 << w
+    return masks
+
+
+def _reference_size_triples(k):
+    return sorted(itertools.product(range(k + 1), repeat=3), key=lambda t: (sum(t), t))
+
+
+def _reference_check_side(g, side, k):
+    size = g.side_size(side)
+    masks = _reference_masks(g, side)
+    full = (1 << g.side_size(side.other())) - 1
+    checked = 0
+    for s1, s2, s3 in _reference_size_triples(k):
+        if s1 + s2 + s3 > size:
+            continue
+        for x1 in itertools.combinations(range(size), s1):
+            m1 = full
+            for x in x1:
+                m1 &= masks[1][x]
+            rest1 = [v for v in range(size) if v not in x1]
+            for x2 in itertools.combinations(rest1, s2):
+                m2 = m1
+                for x in x2:
+                    m2 &= masks[2][x]
+                rest2 = [v for v in rest1 if v not in x2]
+                for x3 in itertools.combinations(rest2, s3):
+                    m3 = m2
+                    for x in x3:
+                        m3 &= masks[3][x]
+                    checked += 1
+                    if m3 == 0:
+                        return ThetaCounterexample(side, (x1, x2, x3)), checked
+    return None, checked
+
+
+def _reference_check_theta(g, k):
+    cex, checked_left = _reference_check_side(g, Side.LEFT, k)
+    if cex is not None:
+        return ExtensionReport(k, False, cex, checked_left, 0)
+    cex, checked_right = _reference_check_side(g, Side.RIGHT, k)
+    return ExtensionReport(k, cex is None, cex, checked_left, checked_right)
+
+
+def _reference_sampled(g, k, trials, seed):
+    """One Python-int AND per trial over the same draws."""
+    masks = {side: _reference_masks(g, side) for side in (Side.LEFT, Side.RIGHT)}
+    cells = []
+    for side in (Side.LEFT, Side.RIGHT):
+        size = g.side_size(side)
+        for s1, s2, s3 in _reference_size_triples(k):
+            if s1 + s2 + s3 <= size:
+                count = math.comb(size, s1) * math.comb(size - s1, s2) * math.comb(size - s1 - s2, s3)
+                cells.append((side, (s1, s2, s3), count))
+    total = sum(count for _, _, count in cells)
+    rng = random.Random(seed)
+    violations = 0
+    for _ in range(trials):
+        r = rng.randrange(total)
+        for side, sizes, count in cells:
+            if r < count:
+                break
+            r -= count
+        pool = list(range(g.side_size(side)))
+        joint = (1 << g.side_size(side.other())) - 1
+        for color, s in zip((1, 2, 3), sizes):
+            picked = sorted(rng.sample(pool, s))
+            for x in picked:
+                joint &= masks[side][color][x]
+            pool = [v for v in pool if v not in picked]
+        violations += joint == 0
+    return SampledCheck(k, trials, violations)
+
+
+def test_witness_bits_match_reference_masks():
+    for m, n, seed in ((0, 3, 1), (3, 0, 1), (5, 64, 2), (70, 130, 3)):
+        g = random_graph(m, n, seed)
+        for side in (Side.LEFT, Side.RIGHT):
+            bits = randomlab._witness_bits(g, side)
+            masks = _reference_masks(g, side)
+            size, witnesses = g.side_size(side), g.side_size(side.other())
+            assert bits.shape == (3, size + 1, max(1, -(-witnesses // 64)))
+            as_int = lambda row: int.from_bytes(row.tobytes(), "little")
+            for c in (1, 2, 3):
+                assert [as_int(bits[c - 1, x]) for x in range(size)] == masks[c]
+                assert as_int(bits[c - 1, size]) == (1 << witnesses) - 1  # sentinel
+
+
+@given(graphs(max_m=6, max_n=6), st.integers(1, 3))
+@example(new_graph(1, 3, [[1, 2, 3]]), 2)  # left holds, right fails
+@example(new_graph(0, 0, []), 1)
+@example(random_graph(4, 0, 5), 3)
+@example(random_graph(2, 9, 4), 3)
+def test_check_theta_matches_reference(g, k):
+    assert check_theta(g, k, budget=10**6) == _reference_check_theta(g, k)
+
+
+def test_check_theta_k1_matches_reference_deep_failures():
+    # failures in every k=1 cell with a nonempty set, down to (1, 1, 1)
+    # thousands of configurations into the scan
+    cubic = shifted_cubic_graph(97)
+    cases = [
+        random_graph(40, 40, 0),
+        random_graph(56, 56, 16),
+        random_graph(56, 56, 28),
+        random_graph(70, 70, 17),
+        random_graph(70, 70, 25),
+        random_graph(45, 67, 3),
+        new_graph(97, 97, [[1] + list(row[1:]) for row in cubic.colors]),
+    ]
+    for g in cases:
+        report = check_theta(g, 1, budget=10**6)
+        assert not report.holds
+        assert report == _reference_check_theta(g, 1)
+    assert {tuple(map(len, check_theta(g, 1, 10**6).counterexample.sets)) for g in cases} >= {
+        (0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1),
+    }
+
+
+@given(graphs(max_m=6, max_n=6), st.integers(1, 3), st.integers(0, 2**32))
+def test_sampled_matches_reference(g, k, seed):
+    assert check_theta_sampled(g, k, 60, seed) == _reference_sampled(g, k, 60, seed)
+
+
+def test_sampled_matches_reference_across_blocks(monkeypatch):
+    # a tiny block size splits the trials into many ragged blocks
+    monkeypatch.setattr(randomlab, "_SAMPLED_BLOCK_WORDS", 20)
+    for g, k in ((random_graph(9, 70, 1), 2), (random_graph(12, 12, 6), 1), (random_graph(0, 5, 2), 3)):
+        for seed in (0, 11):
+            assert check_theta_sampled(g, k, 301, seed) == _reference_sampled(g, k, 301, seed)
+
+
+def test_order_beyond_side_sizes_changes_only_k():
+    # no set outgrows its side, so k = 10**9 scans and draws exactly what
+    # k = max(m, n) does, without enumerating size triples up to k
+    for g in (random_graph(3, 4, 1), random_graph(0, 2, 1), constant_graph(2, 2, 1)):
+        big, small = check_theta(g, 10**9), check_theta(g, max(g.m, g.n, 1))
+        assert (big.holds, big.counterexample, big.checked_left, big.checked_right) == (
+            small.holds, small.counterexample, small.checked_left, small.checked_right,
+        )
+        sampled = check_theta_sampled(g, 10**9, 200, 3)
+        assert sampled.violations == check_theta_sampled(g, max(g.m, g.n, 1), 200, 3).violations
+
+
+def test_sampled_matches_reference_larger_graphs():
+    for g, k, seed in (
+        (random_graph(40, 40, 3), 1, 3),
+        (random_graph(13, 13, 55), 2, 8),
+        (random_graph(9, 130, 4), 3, 1),
+        (shifted_cubic_graph(97), 1, 5),
+    ):
+        assert check_theta_sampled(g, k, 1000, seed) == _reference_sampled(g, k, 1000, seed)
 
 
 def test_sfsp_bound_values():
