@@ -10,8 +10,8 @@ vertex sets of size at most k on one side, for a single vertex on the other
 side joined to the first set by color 1, the second by color 2 and the third
 by color 3, and symmetrically for the other side.  Both checks read one
 array of packed witness masks per side: the exact check scans every
-configuration in a fixed order, one array operation per choice of the first
-two sets, and the sampled check ANDs the masks of blocks of drawn ones.
+configuration in a fixed order, one array operation per first set, and the
+sampled check ANDs the masks of blocks of drawn ones.
 """
 
 from __future__ import annotations
@@ -52,16 +52,22 @@ _MULT_J = 0x9FB21C651E98DF25
 #: Cap on the number of set triples enumerated per side in exact mode.
 DEFAULT_THETA_BUDGET = 200_000
 
-#: Mask words gathered at once by the sampled check (8 MiB).
-_SAMPLED_BLOCK_WORDS = 1 << 20
+#: Cap on the cells of the random graphs one call builds (an empty side
+#: counts as one, so its rows or columns count too).
+RANDOM_GRAPH_CELL_CAP = 1 << 22
+
+#: Words of a temporary the extension checks build at once (512 KiB; an
+#: 8 MiB block was no faster and raised peak memory by 15 MiB).
+_BLOCK_WORDS = 1 << 16
 
 
 class ThetaBudgetError(Exception):
     """Exact enumeration would exceed the configured budget; sample instead."""
 
 
-def _mix(x: int) -> int:
-    """SplitMix64 finalizer."""
+def _mix(x):
+    """SplitMix64 finalizer, on a Python int or elementwise on a uint64 array
+    (where the masks are no-ops and the arithmetic wraps)."""
     x = (x + 0x9E3779B97F4A7C15) & _MASK
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
@@ -74,9 +80,29 @@ def edge_color(seed: int, i: int, j: int) -> int:
     return 1 + h % 3
 
 
+def _check_cells(sizes) -> None:
+    """Refuse graphs with negative sides, or more cells in total than
+    ``RANDOM_GRAPH_CELL_CAP``, before anything is allocated."""
+    cells = 0
+    for m, n in sizes:
+        if m < 0 or n < 0:
+            raise ValueError("side cardinalities must be nonnegative")
+        cells += max(m, 1) * max(n, 1)
+        if cells > RANDOM_GRAPH_CELL_CAP:
+            raise ValueError(
+                f"random graphs of more than {RANDOM_GRAPH_CELL_CAP} cells exceed the cap"
+            )
+
+
 def random_graph(m: int, n: int, seed: int) -> ColoredBipartiteGraph:
-    rows = [[edge_color(seed, i, j) for j in range(n)] for i in range(m)]
-    return new_graph(m, n, rows)
+    """The graph whose edge (i, j) has color ``edge_color(seed, i, j)``,
+    computed for all edges in one uint64 pass."""
+    _check_cells([(m, n)])
+    with np.errstate(over="ignore"):
+        rows = np.arange(m, dtype=np.uint64) * np.uint64(_MULT_I)
+        cols = np.arange(n, dtype=np.uint64) * np.uint64(_MULT_J)
+        h = _mix(_mix(np.uint64(seed & _MASK) ^ rows)[:, None] ^ cols)
+    return new_graph(m, n, (h % 3 + 1).tolist())
 
 
 def _side_sizes(total: int) -> tuple[int, int]:
@@ -88,10 +114,12 @@ def chain(seed: int, count: int) -> list[ColoredBipartiteGraph]:
     """Increasing chain of induced subgraphs, one vertex added per step.
 
     Step i has i vertices total; odd steps add a left vertex, even steps a
-    right vertex.  Prefixes are stable when ``count`` grows.
+    right vertex.  Prefixes are stable when ``count`` grows.  The cell cap
+    counts the whole chain; the sum stops at the first step past the cap.
     """
     if count < 1:
         raise ValueError("chain length must be at least 1")
+    _check_cells(_side_sizes(i) for i in range(1, count + 1))
     return [random_graph(*_side_sizes(i), seed) for i in range(1, count + 1)]
 
 
@@ -128,15 +156,17 @@ def _config_count(size: int, k: int) -> int:
     return sum(_cell_count(size, sizes) for sizes in _size_triples(min(k, size)))
 
 
-def _witness_bits(g: ColoredBipartiteGraph, side: Side) -> np.ndarray:
-    """Witness masks for sets on ``side``, packed into uint64 words of shape
+def _color_array(g: ColoredBipartiteGraph) -> np.ndarray:
+    """The colors as an (m, n) uint8 array; its transpose serves the right side."""
+    return np.array(g.colors, dtype=np.uint8).reshape(g.m, g.n)
+
+
+def _witness_bits(colors: np.ndarray) -> np.ndarray:
+    """Witness masks for sets of rows of ``colors`` (one row per set-side
+    vertex, one column per witness), packed into uint64 words of shape
     (3, size + 1, words): bit w of row [c - 1, x] is set when the edge between
-    x and witness w on the other side has color c.  Row ``size`` is a
-    sentinel that every witness serves in every color; padding bits are
-    clear."""
-    colors = np.array(g.colors, dtype=np.uint8).reshape(g.m, g.n)
-    if side is Side.RIGHT:
-        colors = colors.T
+    x and witness w has color c.  Row ``size`` is a sentinel that every
+    witness serves in every color; padding bits are clear."""
     size, witnesses = colors.shape
     words = max(1, -(-witnesses // 64))
     padded = np.zeros((size + 1, 64 * words), dtype=np.uint8)
@@ -146,46 +176,76 @@ def _witness_bits(g: ColoredBipartiteGraph, side: Side) -> np.ndarray:
     return np.packbits(planes, axis=2, bitorder="little").view(np.uint64)
 
 
-def _check_side(g: ColoredBipartiteGraph, side: Side, k: int):
-    """First failing configuration on ``side`` in deterministic order
-    (total size, then sizes, then lexicographic sets), plus the count of
-    configurations evaluated.
+def _meets(masks: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """(len(masks), len(others)) bools: whether the two masks share a witness."""
+    return (masks[:, None] & others[None]).any(axis=2)
+
+
+def _check_side(colors: np.ndarray, side: Side, k: int):
+    """First failing configuration on ``side`` (whose vertices are the rows
+    of ``colors``) in deterministic order (total size, then sizes, then
+    lexicographic sets), plus the count of configurations evaluated.
 
     A set's mask is the AND of its members' masks in its color.  A third set
     meeting x1 or x2 is never served, since no edge has two colors, so every
     third set disjoint from x1 and x2 is served exactly when the served
-    count reaches C(size - s1 - s2, s3)."""
-    bits = _witness_bits(g, side)
-    size = bits.shape[1] - 1
-    combos, ands = [], []
+    count reaches C(size - s1 - s2, s3).  One array operation serves every
+    (x2, x3) pair of a block of first sets.  Blocks start at one first set
+    and double, so an early failure costs little and a full scan few
+    operations.  A block's AND spans at most ``_BLOCK_WORDS`` words (or one
+    mask, if that is wider), which splits the second sets, and the third
+    when one row alone is too wide, once a single first set outgrows it."""
+    bits = _witness_bits(colors)
+    size, words = bits.shape[1] - 1, bits.shape[2]
+    sets, ands, members = [], [], []
     for s in range(min(k, size) + 1):
-        sets = list(itertools.combinations(range(size), s))
         # the sentinel member makes the empty set's AND every witness
-        members = np.array([x + (size,) for x in sets], dtype=np.intp)
-        combos.append(sets)
-        ands.append(np.bitwise_and.reduce(bits[:, members], axis=2))
+        with_sentinel = np.array(
+            [x + (size,) for x in itertools.combinations(range(size), s)], dtype=np.intp
+        )
+        combos = with_sentinel[:, :s]
+        member = np.zeros((len(combos), size), dtype=bool)
+        member[np.arange(len(combos))[:, None], combos] = True
+        sets.append(combos)
+        ands.append(np.bitwise_and.reduce(bits[:, with_sentinel], axis=2))
+        members.append(member)
     checked = 0
     for s1, s2, s3 in _size_triples(min(k, size)):
         if s1 + s2 + s3 > size:
             continue
         free = math.comb(size - s1 - s2, s3)
         ok3 = ands[s3][2]
-        for x1, m1 in zip(combos[s1], ands[s1][0]):
-            used1 = set(x1)
-            for x2, m12 in zip(combos[s2], ands[s2][1] & m1):
-                if not used1.isdisjoint(x2):
-                    continue
-                served = (ok3 & m12).any(axis=1)
-                if np.count_nonzero(served) == free:
-                    checked += free
-                    continue
-                used = used1.union(x2)
-                c = next(
-                    c for c, x3 in enumerate(combos[s3])
-                    if not served[c] and used.isdisjoint(x3)
+        n1, n2, n3 = len(sets[s1]), len(sets[s2]), len(ok3)
+        # (x1, x2) rows per block; a row holds n3 masks and s1 clash bools
+        pairs = max(1, _BLOCK_WORDS // (n3 * words + s1))
+        step2, most1 = min(n2, pairs), max(1, pairs // n2)
+        cols = max(1, _BLOCK_WORDS // (pairs * words))
+        lo1, width = 0, 1
+        while lo1 < n1:
+            block1 = slice(lo1, lo1 + width)
+            for lo2 in range(0, n2, step2):
+                block2 = slice(lo2, lo2 + step2)
+                m12 = (ands[s1][0][block1, None] & ands[s2][1][None, block2]).reshape(-1, words)
+                served = np.concatenate(
+                    [_meets(m12, ok3[c:c + cols]) for c in range(0, n3, cols)], axis=1
                 )
-                checked += int(np.count_nonzero(served[:c])) + 1
-                return ThetaCounterexample(side, (x1, x2, combos[s3][c])), checked
+                clash = members[s2][block2][:, sets[s1][block1]].any(axis=2)
+                disjoint = ~clash.T.reshape(-1)
+                failing = disjoint & (np.count_nonzero(served, axis=1) != free)
+                if not failing.any():
+                    checked += free * int(np.count_nonzero(disjoint))
+                    continue
+                j = int(failing.argmax())
+                checked += free * int(np.count_nonzero(disjoint[:j]))
+                i1, i2 = divmod(j, clash.shape[0])
+                x1, x2 = sets[s1][lo1 + i1], sets[s2][lo2 + i2]
+                clear = ~members[s3][:, np.r_[x1, x2]].any(axis=1)
+                c = int((clear & ~served[j]).argmax())
+                checked += int(np.count_nonzero(served[j, :c])) + 1
+                found = tuple(tuple(x.tolist()) for x in (x1, x2, sets[s3][c]))
+                return ThetaCounterexample(side, found), checked
+            lo1 += width
+            width = min(2 * width, most1)
     return None, checked
 
 
@@ -202,10 +262,11 @@ def check_theta(
             raise ThetaBudgetError(
                 f"{count} set triples exceed budget {budget}; use sampled mode"
             )
-    cex, checked_left = _check_side(g, Side.LEFT, k)
+    colors = _color_array(g)
+    cex, checked_left = _check_side(colors, Side.LEFT, k)
     if cex is not None:
         return ExtensionReport(k, False, cex, checked_left, 0)
-    cex, checked_right = _check_side(g, Side.RIGHT, k)
+    cex, checked_right = _check_side(colors.T, Side.RIGHT, k)
     return ExtensionReport(k, cex is None, cex, checked_left, checked_right)
 
 
@@ -257,7 +318,8 @@ def check_theta_sampled(g: ColoredBipartiteGraph, k: int, trials: int, seed: int
         raise ValueError("extension order k must be at least 1")
     if trials < 1:
         raise ValueError("need at least one trial")
-    bits = {side: _witness_bits(g, side) for side in (Side.LEFT, Side.RIGHT)}
+    colors = _color_array(g)
+    bits = {Side.LEFT: _witness_bits(colors), Side.RIGHT: _witness_bits(colors.T)}
     cells = []
     for side in bits:
         for sizes in _size_triples(min(k, g.side_size(side))):
@@ -267,7 +329,7 @@ def check_theta_sampled(g: ColoredBipartiteGraph, k: int, trials: int, seed: int
     total = sum(count for _, _, count in cells)
     # a set has at most min(k, side size) members; bound the words per block
     width = max(1, min(k, max(g.m, g.n)))
-    block = max(1, _SAMPLED_BLOCK_WORDS // (3 * width * max(b.shape[2] for b in bits.values())))
+    block = max(1, _BLOCK_WORDS // (3 * width * max(b.shape[2] for b in bits.values())))
     rng = random.Random(seed)
     violations = 0
     for start in range(0, trials, block):
@@ -308,6 +370,14 @@ class BoundEval:
     clamped: float
 
 
+def _exp(x: float) -> float:
+    """exp, or +inf past the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def sfsp_bound(k: int, n: int) -> BoundEval:
     """Bound on the probability that a side-balanced random graph with n
     vertices fails the order-k extension property.
@@ -319,25 +389,31 @@ def sfsp_bound(k: int, n: int) -> BoundEval:
         raise ValueError("extension order k must be at least 1")
     if n < 0:
         raise ValueError("graph size must be nonnegative")
-    q = 1.0 - (1.0 / 3.0) ** (3 * k)
     m = n // 2
     top = m if n % 2 == 0 else m + 1
     if top < 3 * k:
         return BoundEval(k, n, math.inf, 1.0)
+    # C(a, k) >= (a/k)^k, so the binomials exceed 6^k; for k >= 400 the bound
+    # is past e^716 (so +inf) unless q^(m-3k) < 1/e, which needs
+    # (m - 3k + 1) e >= 3^(3k).  Skip the k-fold big-int binomials then.
+    if k >= 400 and (math.log(m - 3 * k + 1) + 1) / (3 * math.log(3.0)) < k:
+        return BoundEval(k, n, math.inf, 1.0)
+    q = 1.0 - (1.0 / 3.0) ** (3 * k)
     binomials = (math.comb(top, k), math.comb(top - k, k), math.comb(top - 2 * k, k))
     try:
         value = 2.0 * binomials[0] * binomials[1] * binomials[2] * q ** (m - 3 * k)
-    except OverflowError:  # a binomial beyond the float range
+    except OverflowError:  # a binomial or m - 3k beyond the float range
         value = math.inf
     if not math.isfinite(value):
         # The float product left its range; redo it in logs, where the
         # binomials stay exact integers and q^(m-3k) cannot underflow.
         log_q = math.log1p(-((1.0 / 3.0) ** (3 * k)))
-        log_value = math.log(2.0) + sum(map(math.log, binomials)) + (m - 3 * k) * log_q
         try:
-            value = math.exp(log_value)
-        except OverflowError:
-            value = math.inf
+            tail = (m - 3 * k) * log_q
+        except OverflowError:  # m - 3k beyond the float range: the product in logs too
+            log_rate = math.log(-log_q) if log_q else -3 * k * math.log(3.0)
+            tail = -_exp(math.log(m - 3 * k) + log_rate)
+        value = _exp(math.log(2.0) + sum(map(math.log, binomials)) + tail)
     return BoundEval(k, n, value, min(1.0, value))
 
 
@@ -399,6 +475,7 @@ def estimate_failure_prob(
     if graph_trials < 1:
         raise ValueError("need at least one trial")
     m_left, m_right = _side_sizes(n)
+    _check_cells([(m_left, m_right)])
     exact = all(
         _config_count(size, k) <= theta_budget for size in (m_left, m_right)
     )

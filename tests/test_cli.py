@@ -1,12 +1,14 @@
 import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, example, given, settings
 
 from switchlab.cli import main
 from switchlab.graphs import graph_from_json, graph_to_json, new_graph
 from switchlab.randomlab import random_graph
 
-from conftest import shifted_cubic_graph
+from conftest import graphs, shifted_cubic_graph
 
 
 def run_cli(capsys, *argv):
@@ -177,6 +179,23 @@ def test_orbits_negative_sides(capsys, argv):
     assert list(data) == ["error"] and "nonnegative" in data["error"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("generate", "--m", "200000", "--n", "200000", "--seed", "1"),
+        ("chain", "--seed", "1", "--count", "100000000"),
+        ("sfsp-estimate", "--n", "1000000000", "--k", "1", "--trials", "1", "--seed", "1"),
+    ],
+)
+def test_random_graph_cap_errors(capsys, argv):
+    # refused before any graph is built, not after minutes or a MemoryError
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert out.count("\n") == 1
+    data = json.loads(out)
+    assert list(data) == ["error"] and "cap" in data["error"]
+
+
 def test_distinguish(capsys):
     code, data = run_json(capsys, "distinguish", "--m", "2", "--n", "2")
     assert code == 0
@@ -291,3 +310,80 @@ def test_golden_stdout(tmp_path, capsys, command, code, stdout):
             paths[name] = tmp_path / f"{name}.json"
             paths[name].write_text(json.dumps(graph_to_json(GOLDEN_GRAPHS[name]())))
     assert run_cli(capsys, *command.format(**paths).split()) == (code, stdout)
+
+
+# Fuzzed argv: small sizes, negative values and values far past every cap or
+# the float range.  Trial counts stay small: their cost is linear in the work
+# asked for, which is not a defect.
+_NUMBERS = st.one_of(
+    st.integers(-3, 12),
+    st.sampled_from([-(10**30), -(2**63), 10**9, 2**63, 10**30, 10**400]),
+)
+_TRIALS = st.integers(-3, 5)
+_SIDES = st.one_of(st.integers(-3, 3), st.sampled_from([-(10**30), 10**9, 10**400]))
+_GRAPH_DOCS = st.one_of(
+    graphs().map(graph_to_json),
+    st.sampled_from([
+        {"m": 2, "n": 1, "colors": [[True], [4]]},
+        {"m": -1, "n": 0, "colors": []},
+        {"m": 1, "n": 2, "colors": [[1]]},
+        [1, 2, 3],
+    ]),
+)
+
+
+@st.composite
+def _cli_argv(draw):
+    num = lambda strategy=_NUMBERS: str(draw(strategy))
+    command = draw(st.sampled_from(
+        ["generate", "chain", "check-theta", "sfsp-bound", "sfsp-estimate", "orbits"]
+    ))
+    if command == "generate":
+        return ["generate", "--m", num(), "--n", num(), "--seed", num()]
+    if command == "chain":
+        return ["chain", "--seed", num(), "--count", num()]
+    if command == "check-theta":
+        argv = ["check-theta", "--input", "{graph}", "--k", num()]
+        if draw(st.booleans()):
+            argv += ["--sampled", "--trials", num(_TRIALS)]
+            if draw(st.booleans()):
+                argv += ["--seed", num()]
+        if draw(st.booleans()):
+            argv += ["--budget", num()]
+        return argv
+    if command == "sfsp-bound":
+        return ["sfsp-bound", "--k", num(), "--n", num()]
+    if command == "sfsp-estimate":
+        return ["sfsp-estimate", "--n", num(), "--k", num(), "--trials", num(_TRIALS),
+                "--seed", num()]
+    argv = ["orbits", "--m", num(_SIDES), "--n", num(_SIDES),
+            "--group", draw(st.sampled_from(["Aut", "Sym_lr", "S_l^(12)", "ol_Aut", "Nope"]))]
+    if draw(st.booleans()):
+        argv += ["--budget", num()]
+    return argv
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_cli_argv(), _GRAPH_DOCS)
+@example(["sfsp-bound", "--k", "1", "--n", str(10**400)], {})  # n past the float range
+@example(["sfsp-bound", "--k", "1000000", "--n", "100000000"], {})  # k-fold binomials
+@example(["sfsp-estimate", "--n", str(10**400), "--k", str(10**400), "--trials", "1",
+          "--seed", "1"], {})
+@example(["chain", "--seed", "1", "--count", str(10**400)], {})
+def test_cli_fuzz_single_json_document(tmp_path, capsys, argv, doc):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    argv = [arg.format(graph=path) for arg in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    out = capsys.readouterr().out
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+        return
+    assert out.count("\n") == 1 and out.endswith("\n")
+    data = json.loads(out)
+    assert isinstance(data, dict)
+    assert (list(data) == ["error"]) == (code == 1)

@@ -296,8 +296,9 @@ def _reference_sampled(g, k, trials, seed):
 def test_witness_bits_match_reference_masks():
     for m, n, seed in ((0, 3, 1), (3, 0, 1), (5, 64, 2), (70, 130, 3)):
         g = random_graph(m, n, seed)
+        colors = randomlab._color_array(g)
         for side in (Side.LEFT, Side.RIGHT):
-            bits = randomlab._witness_bits(g, side)
+            bits = randomlab._witness_bits(colors if side is Side.LEFT else colors.T)
             masks = _reference_masks(g, side)
             size, witnesses = g.side_size(side), g.side_size(side.other())
             assert bits.shape == (3, size + 1, max(1, -(-witnesses // 64)))
@@ -345,10 +346,115 @@ def test_sampled_matches_reference(g, k, seed):
 
 def test_sampled_matches_reference_across_blocks(monkeypatch):
     # a tiny block size splits the trials into many ragged blocks
-    monkeypatch.setattr(randomlab, "_SAMPLED_BLOCK_WORDS", 20)
+    monkeypatch.setattr(randomlab, "_BLOCK_WORDS", 20)
     for g, k in ((random_graph(9, 70, 1), 2), (random_graph(12, 12, 6), 1), (random_graph(0, 5, 2), 3)):
         for seed in (0, 11):
             assert check_theta_sampled(g, k, 301, seed) == _reference_sampled(g, k, 301, seed)
+
+
+def _few_color1_edges(q, row, keep):
+    """The cubic-residue graph on q with all but the first ``keep`` color-1
+    edges of left vertex ``row`` recolored 2: configurations with ``row`` as
+    the first set fail, the others mostly still hold."""
+    colors = [list(r) for r in shifted_cubic_graph(q).colors]
+    ones = [w for w, c in enumerate(colors[row]) if c == 1]
+    for w in ones[keep:]:
+        colors[row][w] = 2
+    return new_graph(q, q, colors)
+
+
+def _blocked_scan_cases():
+    # (graph, k, expected counterexample sizes, property of the sets)
+    first, last = lambda x1, x2: x1 == (0,), lambda x1, x2: x1 == (96,)
+    return [
+        (_few_color1_edges(97, 0, 2), 1, (1, 0, 1), first),
+        (_few_color1_edges(97, 0, 17), 1, (1, 1, 1), first),
+        (_few_color1_edges(97, 96, 5), 1, (1, 0, 1), last),
+        (_few_color1_edges(97, 96, 8), 1, (1, 1, 0), lambda x1, x2: x2 < x1 == (96,)),
+        (_few_color1_edges(97, 96, 11), 1, (1, 1, 1), lambda x1, x2: x2 < x1 == (96,)),
+        (random_graph(5, 8, 11), 2, (1, 0, 0), first),
+        (shifted_cubic_graph(31), 2, (0, 1, 2), lambda x1, x2: True),
+        (shifted_cubic_graph(31), 3, (0, 0, 3), lambda x1, x2: True),
+    ]
+
+
+@pytest.mark.parametrize("block_words", [150, 1000])
+def test_blocked_scan_matches_reference(monkeypatch, block_words):
+    # 150 words splits every (x1, x2) row's x3 masks into tiles; 1000 splits
+    # the x2 rows of one x1 into blocks and batches x1 where x2 is short
+    monkeypatch.setattr(randomlab, "_BLOCK_WORDS", block_words)
+    for g, k, sizes, shape in _blocked_scan_cases():
+        report = check_theta(g, k, budget=10**12)
+        assert report == _reference_check_theta(g, k)
+        x1, x2, _ = report.counterexample.sets
+        assert tuple(map(len, report.counterexample.sets)) == sizes and shape(x1, x2)
+    holds = check_theta(shifted_cubic_graph(97), 1, budget=10**7)
+    space = randomlab._config_count(97, 1)
+    assert (holds.holds, holds.checked_left, holds.checked_right) == (True, space, space)
+    # transposed, this graph holds on the left and fails on the right after
+    # a full left scan; the right scan is the untransposed left scan
+    g = _few_color1_edges(109, 108, 11)
+    left = _reference_check_theta(g, 1)
+    flipped = new_graph(109, 109, [list(col) for col in zip(*g.colors)])
+    report = check_theta(flipped, 1, budget=10**7)
+    assert report.counterexample == ThetaCounterexample(Side.RIGHT, left.counterexample.sets)
+    assert (report.checked_left, report.checked_right) == (
+        randomlab._config_count(109, 1), left.checked_left,
+    )
+
+
+@given(graphs(max_m=7, max_n=7), st.integers(1, 3), st.sampled_from([1, 2, 5, 40]))
+@example(new_graph(1, 3, [[1, 2, 3]]), 2, 1)
+@example(random_graph(4, 0, 5), 3, 1)
+def test_blocked_scan_matches_reference_small(g, k, block_words):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(randomlab, "_BLOCK_WORDS", block_words)
+        assert check_theta(g, k, budget=10**6) == _reference_check_theta(g, k)
+
+
+@pytest.mark.parametrize("block_words", [3, 150, 1000, 5000])
+def test_scan_temporaries_within_block_words(monkeypatch, block_words):
+    # every (x1, x2) x x3 AND the scan builds goes through _meets; the
+    # widest mask here has 3 words, the least block that can hold one
+    spans = []
+    meets = randomlab._meets
+
+    def spy(masks, others):
+        spans.append(masks.shape[0] * others.shape[0] * masks.shape[1])
+        return meets(masks, others)
+
+    monkeypatch.setattr(randomlab, "_meets", spy)
+    monkeypatch.setattr(randomlab, "_BLOCK_WORDS", block_words)
+    check_theta(_few_color1_edges(97, 0, 17), 1, budget=10**7)
+    check_theta(random_graph(9, 130, 4), 3, budget=10**20)
+    assert 0 < max(spans) <= block_words
+
+
+def test_random_graph_matches_edge_color():
+    for seed in (0, 7, 2**63 + 5, -3, 2**64 - 1, -2**70):
+        for m, n in ((0, 5), (5, 0), (1, 1), (3, 4), (17, 40), (128, 128)):
+            g = random_graph(m, n, seed)
+            assert (g.m, g.n) == (m, n)
+            assert g.colors == tuple(
+                tuple(edge_color(seed, i, j) for j in range(n)) for i in range(m)
+            )
+
+
+def test_random_graph_cell_cap():
+    cap = randomlab.RANDOM_GRAPH_CELL_CAP
+    for m, n in ((200_000, 200_000), (cap + 1, 1), (cap + 1, 0), (0, cap + 1)):
+        with pytest.raises(ValueError, match="cap"):
+            random_graph(m, n, 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        random_graph(-1, 10**12, 1)  # a negative side is reported as before
+    randomlab._check_cells([(2048, 2048)])  # the cap itself is allowed
+    with pytest.raises(ValueError, match="cap"):
+        chain(1, 100_000_000)
+    # the chain's last step, 1200 x 1200, is within the cap; its sum is not
+    with pytest.raises(ValueError, match="cap"):
+        chain(1, 2400)
+    with pytest.raises(ValueError, match="cap"):
+        estimate_failure_prob(10**9, 1, 1, seed=1)
 
 
 def test_order_beyond_side_sizes_changes_only_k():
@@ -384,9 +490,13 @@ def test_sfsp_bound_values():
     assert math.isfinite(odd_edge.value) and odd_edge.clamped == 1.0
     # beyond the float range the bound is redone in logs, where q^(m-3k)
     # can win over binomials too large for a float
-    for k, n in ((7, 2 * 10**45), (1, 10**103)):
+    for k, n in ((7, 2 * 10**45), (1, 10**103), (1, 10**400), (300, 10**700)):
         tiny = sfsp_bound(k, n)
         assert tiny.value == tiny.clamped == 0.0
+    # k >= 400 with q^(m-3k) near 1 is past the float range; this is decided
+    # without forming the k-fold binomials, which take minutes at k = 10**6
+    for k, n in ((400, 2400), (10**6, 10**8), (10**30, 10**400), (10**400, 10**401)):
+        assert math.isinf(sfsp_bound(k, n).value)
     with pytest.raises(ValueError):
         sfsp_bound(0, 8)
 
