@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 
@@ -42,6 +43,7 @@ __all__ = [
 ]
 
 COLORS = (1, 2, 3)
+_COLOR_SET = frozenset(COLORS)
 
 
 class Side(str, Enum):
@@ -84,6 +86,9 @@ class ColoredBipartiteGraph:
         for row in self.colors:
             if len(row) != self.n:
                 raise ValueError(f"expected rows of length {self.n}, got {len(row)}")
+            with suppress(TypeError):  # an unhashable cell: the scan below decides
+                if _COLOR_SET.issuperset(row):
+                    continue
             for c in row:
                 if c not in COLORS:
                     raise ValueError(f"color out of range: {c!r}")
@@ -149,12 +154,8 @@ class IsoWitness:
 
 def verify_iso_witness(g1: ColoredBipartiteGraph, g2: ColoredBipartiteGraph, w: IsoWitness) -> bool:
     lm, rm = w.left_map, w.right_map
-    if w.swapped:
-        if sorted(lm) != list(range(g2.n)) or sorted(rm) != list(range(g2.m)):
-            return False
-        if len(lm) != g1.m or len(rm) != g1.n:
-            return False
-        return all(g2.colors[rm[j]][lm[i]] == g1.colors[i][j] for i, j in g1.edges())
+    if w.swapped:  # a side-preserving witness onto the swapped graph
+        g2 = swap_sides(g2)
     if sorted(lm) != list(range(g2.m)) or sorted(rm) != list(range(g2.n)):
         return False
     if len(lm) != g1.m or len(rm) != g1.n:
@@ -167,33 +168,36 @@ def _row_profile(row) -> tuple[int, int, int]:
     return (c[1], c[2], c[3])
 
 
+def _profile_permutations(prof1: list, prof2: list, prefix: tuple = ()):
+    """Row maps (row i to row perm[i]) that keep every row profile, in
+    lexicographic order.  No other row map extends to an isomorphism: a
+    column bijection only permutes the colors within each row."""
+    if len(prefix) == len(prof1):
+        yield prefix
+        return
+    for r, p in enumerate(prof2):
+        if p == prof1[len(prefix)] and r not in prefix:
+            yield from _profile_permutations(prof1, prof2, prefix + (r,))
+
+
 def _side_preserving_iso(g1: ColoredBipartiteGraph, g2: ColoredBipartiteGraph) -> IsoWitness | None:
     if (g1.m, g1.n) != (g2.m, g2.n):
         return None
-    prof1 = sorted(_row_profile(r) for r in g1.colors)
-    prof2 = sorted(_row_profile(r) for r in g2.colors)
-    if prof1 != prof2:
+    prof1 = [_row_profile(r) for r in g1.colors]
+    prof2 = [_row_profile(r) for r in g2.colors]
+    if sorted(prof1) != sorted(prof2):
         return None
     cols1 = [tuple(g1.colors[i][j] for i in range(g1.m)) for j in range(g1.n)]
-    for perm in itertools.permutations(range(g1.m)):
-        # columns of g1 vs columns of g2 reindexed through the row map
-        cols2 = [tuple(g2.colors[perm[i]][j] for i in range(g1.m)) for j in range(g1.n)]
-        by_vec: dict[tuple, list[int]] = {}
-        for j, vec in enumerate(cols2):
-            by_vec.setdefault(vec, []).append(j)
-        rm = [0] * g1.n
-        taken: dict[tuple, int] = {}
-        ok = True
-        for j, vec in enumerate(cols1):
-            pos = taken.get(vec, 0)
-            slots = by_vec.get(vec, ())
-            if pos >= len(slots):
-                ok = False
-                break
-            rm[j] = slots[pos]
-            taken[vec] = pos + 1
-        if ok:
-            return IsoWitness(tuple(perm), tuple(rm), swapped=False)
+    for perm in _profile_permutations(prof1, prof2):
+        # columns of g1 vs columns of g2 reindexed through the row map; each
+        # column of g1 takes the first unused g2 column with its vector
+        slots: dict[tuple, list[int]] = {}
+        for j in range(g1.n):
+            slots.setdefault(tuple(g2.colors[perm[i]][j] for i in range(g1.m)), []).append(j)
+        try:
+            return IsoWitness(perm, tuple(slots[vec].pop(0) for vec in cols1), swapped=False)
+        except (KeyError, IndexError):  # some column of g1 has no partner left
+            continue
     return None
 
 
@@ -267,12 +271,7 @@ def link_coloring(g: ColoredBipartiteGraph, v: VertexRef) -> VertexColoring:
 
 def witnesses_all_colors(g: ColoredBipartiteGraph) -> bool:
     """True iff each of the three colors occurs on some cross edge."""
-    seen = set()
-    for i, j in g.edges():
-        seen.add(g.colors[i][j])
-        if len(seen) == 3:
-            return True
-    return False
+    return _COLOR_SET.issubset(c for row in g.colors for c in row)
 
 
 def _flat_values(c) -> tuple[tuple, tuple[int, ...]]:

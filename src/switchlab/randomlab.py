@@ -370,6 +370,10 @@ class BoundEval:
     clamped: float
 
 
+#: exp(x) is 0.0 below log(ulp(0.0) / 2) = -745.13; one nat lower covers rounding
+_LOG_ZERO = math.log(math.ulp(0.0)) - 1.0
+
+
 def _exp(x: float) -> float:
     """exp, or +inf past the float range."""
     try:
@@ -398,6 +402,16 @@ def sfsp_bound(k: int, n: int) -> BoundEval:
     # (m - 3k + 1) e >= 3^(3k).  Skip the k-fold big-int binomials then.
     if k >= 400 and (math.log(m - 3 * k + 1) + 1) / (3 * math.log(3.0)) < k:
         return BoundEval(k, n, math.inf, 1.0)
+    log_q = math.log1p(-((1.0 / 3.0) ** (3 * k)))
+    try:
+        tail = (m - 3 * k) * log_q
+    except OverflowError:  # m - 3k beyond the float range: the product in logs too
+        log_rate = math.log(-log_q) if log_q else -3 * k * math.log(3.0)
+        tail = -_exp(math.log(m - 3 * k) + log_rate)
+    # C(a, k) <= top^k bounds the value by 2 top^(3k) q^(m-3k): when that is
+    # below _LOG_ZERO both evaluations give 0.0, so skip the k-fold binomials.
+    if math.log(2.0) + 3 * k * math.log(top) + tail < _LOG_ZERO:
+        return BoundEval(k, n, 0.0, 0.0)
     q = 1.0 - (1.0 / 3.0) ** (3 * k)
     binomials = (math.comb(top, k), math.comb(top - k, k), math.comb(top - 2 * k, k))
     try:
@@ -405,14 +419,7 @@ def sfsp_bound(k: int, n: int) -> BoundEval:
     except OverflowError:  # a binomial or m - 3k beyond the float range
         value = math.inf
     if not math.isfinite(value):
-        # The float product left its range; redo it in logs, where the
-        # binomials stay exact integers and q^(m-3k) cannot underflow.
-        log_q = math.log1p(-((1.0 / 3.0) ** (3 * k)))
-        try:
-            tail = (m - 3 * k) * log_q
-        except OverflowError:  # m - 3k beyond the float range: the product in logs too
-            log_rate = math.log(-log_q) if log_q else -3 * k * math.log(3.0)
-            tail = -_exp(math.log(m - 3 * k) + log_rate)
+        # the float product left its range: redo it in logs
         value = _exp(math.log(2.0) + sum(map(math.log, binomials)) + tail)
     return BoundEval(k, n, value, min(1.0, value))
 

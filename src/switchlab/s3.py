@@ -3,7 +3,9 @@
 Composition is rightmost-first throughout: ``compose(p, q)`` applies ``q``
 first, then ``p``.  The six elements are enumerated in lexicographic order of
 their image tuples; that order fixes every deterministic scan used elsewhere
-in the package.
+in the package.  Products, inverses and cycle-string parsing are lookups in
+tables built once at import, and they return the six shared instances of
+``ALL_PERMS``.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ class S3Perm:
     @staticmethod
     def from_cycle_string(text: str) -> "S3Perm":
         try:
-            return S3Perm(_IMAGE_BY_CYCLE[text.strip()])
+            return _BY_CYCLE[text.strip()]
         except KeyError:
             raise ValueError(f"unknown cycle string: {text!r}") from None
 
@@ -72,26 +74,30 @@ _CYCLE_BY_IMAGE: dict[tuple[int, int, int], str] = {
     (2, 3, 1): "(123)",
     (3, 1, 2): "(132)",
 }
-_IMAGE_BY_CYCLE = {s: img for img, s in _CYCLE_BY_IMAGE.items()}
 
-IDENTITY = S3Perm((1, 2, 3))
+#: All six permutations in canonical (lexicographic image) order; the tables
+#: below return these instances.
+ALL_PERMS: tuple[S3Perm, ...] = tuple(S3Perm(img) for img in sorted(_CYCLE_BY_IMAGE))
+IDENTITY = ALL_PERMS[0]
 
-#: All six permutations in canonical (lexicographic image) order.
-ALL_PERMS: tuple[S3Perm, ...] = tuple(
-    S3Perm(img) for img in sorted(itertools.permutations((1, 2, 3)))
-)
+_BY_IMAGE = {p.image: p for p in ALL_PERMS}
+_BY_CYCLE = {p.cycle_string(): p for p in ALL_PERMS}
+#: _MUL[p.image, q.image] is compose(p, q); _INV[p.image] is inverse(p).
+_MUL = {
+    (p.image, q.image): _BY_IMAGE[tuple(p.image[c - 1] for c in q.image)]
+    for p in ALL_PERMS
+    for q in ALL_PERMS
+}
+_INV = {a: _BY_IMAGE[b] for (a, b), ab in _MUL.items() if ab is IDENTITY}
 
 
 def compose(p: S3Perm, q: S3Perm) -> S3Perm:
     """Rightmost-first product: ``compose(p, q)(x) == p(q(x))``."""
-    return S3Perm((p(q(1)), p(q(2)), p(q(3))))
+    return _MUL[p.image, q.image]
 
 
 def inverse(p: S3Perm) -> S3Perm:
-    img = [0, 0, 0]
-    for c in (1, 2, 3):
-        img[p(c) - 1] = c
-    return S3Perm((img[0], img[1], img[2]))
+    return _INV[p.image]
 
 
 def commutator(f: S3Perm, g: S3Perm) -> S3Perm:
@@ -103,7 +109,7 @@ def commutator(f: S3Perm, g: S3Perm) -> S3Perm:
 
 
 def commutes(f: S3Perm, g: S3Perm) -> bool:
-    return compose(f, g) == compose(g, f)
+    return _MUL[f.image, g.image] is _MUL[g.image, f.image]
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import ColoredBipartiteGraph, Side, VertexRef
-from .s3 import ALL_PERMS, S3Perm, commutator, commutes, compose, inverse
+from .graphs import ColoredBipartiteGraph, Side, VertexRef, swap_sides
+from .s3 import ALL_PERMS, S3Perm, commutator, commutes, inverse
 
 __all__ = [
     "SwitchOp",
@@ -64,37 +64,31 @@ def right_switch(index: int, sigma: S3Perm) -> SwitchOp:
 
 def apply_switch(g: ColoredBipartiteGraph, op: SwitchOp) -> ColoredBipartiteGraph:
     """Edge (i, j) gets sigma^t of its color, t = endpoints inside support."""
-    for v in op.support:
-        if not g.has_vertex(v):
-            raise ValueError(f"support vertex {v} not in K_{{{g.m},{g.n}}}")
-    left = {v.index for v in op.support if v.side is Side.LEFT}
-    right = {v.index for v in op.support if v.side is Side.RIGHT}
-    img = op.sigma.image
-    if not right:
-        rows = tuple(
-            tuple(img[c - 1] for c in row) if i in left else row
-            for i, row in enumerate(g.colors)
-        )
-    elif not left:
-        rows = tuple(
-            tuple(img[c - 1] if j in right else c for j, c in enumerate(row))
-            for row in g.colors
-        )
-    else:
-        tables = ((1, 2, 3), img, compose(op.sigma, op.sigma).image)
-        rows = tuple(
-            tuple(
-                tables[(i in left) + (j in right)][c - 1] for j, c in enumerate(row)
-            )
-            for i, row in enumerate(g.colors)
-        )
-    return ColoredBipartiteGraph(g.m, g.n, rows)
+    return apply_word(g, SwitchWord((op,)))
 
 
 def apply_word(g: ColoredBipartiteGraph, word: SwitchWord) -> ColoredBipartiteGraph:
+    """Apply the switches first to last on one working copy of the colors.
+
+    A switch recolors the rows of its left support and the columns of its
+    right support in place, so an edge with both endpoints inside gets sigma
+    twice.  Each switch's support is checked before it is applied.
+    """
+    if not word.ops:
+        return g
+    rows = [list(row) for row in g.colors]
     for op in word.ops:
-        g = apply_switch(g, op)
-    return g
+        for v in op.support:
+            if not g.has_vertex(v):
+                raise ValueError(f"support vertex {v} not in K_{{{g.m},{g.n}}}")
+        lut = (0, *op.sigma.image)  # lut[c] is sigma(c)
+        for v in op.support:
+            if v.side is Side.LEFT:
+                rows[v.index] = [lut[c] for c in rows[v.index]]
+            else:
+                for row in rows:
+                    row[v.index] = lut[row[v.index]]
+    return ColoredBipartiteGraph(g.m, g.n, tuple(map(tuple, rows)))
 
 
 def inverse_word(word: SwitchWord) -> SwitchWord:
@@ -166,24 +160,14 @@ def detect_vertex_switch(g1: ColoredBipartiteGraph, g2: ColoredBipartiteGraph):
         raise ValueError("dimension mismatch")
     if g1.colors == g2.colors:
         return IDENTICAL
-    bad_rows = [i for i in range(g1.m) if g1.colors[i] != g2.colors[i]]
-    if len(bad_rows) == 1:
-        v = bad_rows[0]
-        for sigma in ALL_PERMS:
-            if sigma.is_identity():
-                continue
-            if all(sigma(c) == g2.colors[v][j] for j, c in enumerate(g1.colors[v])):
-                return (VertexRef(Side.LEFT, v), sigma)
-    cols1 = [tuple(g1.colors[i][j] for i in range(g1.m)) for j in range(g1.n)]
-    cols2 = [tuple(g2.colors[i][j] for i in range(g1.m)) for j in range(g1.n)]
-    bad_cols = [j for j in range(g1.n) if cols1[j] != cols2[j]]
-    if len(bad_cols) == 1:
-        w = bad_cols[0]
-        for sigma in ALL_PERMS:
-            if sigma.is_identity():
-                continue
-            if all(sigma(c) == cols2[w][i] for i, c in enumerate(cols1[w])):
-                return (VertexRef(Side.RIGHT, w), sigma)
+    # a right-vertex switch is a left-vertex switch of the swapped graphs
+    for side, h1, h2 in ((Side.LEFT, g1, g2), (Side.RIGHT, swap_sides(g1), swap_sides(g2))):
+        bad_rows = [i for i in range(h1.m) if h1.colors[i] != h2.colors[i]]
+        if len(bad_rows) == 1:
+            v = bad_rows[0]
+            for sigma in ALL_PERMS[1:]:  # every sigma but the identity
+                if all(sigma(c) == d for c, d in zip(h1.colors[v], h2.colors[v])):
+                    return (VertexRef(side, v), sigma)
     return None
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import hypothesis.strategies as st
@@ -299,17 +300,80 @@ GOLDEN = [
      '{"bound": 1879.7070971444125, "clamped_bound": 1.0, "failure_rate": 1.0, "half_width": 0.0, "k": 1, "mode": "exact", "n": 24}\n'),
     ("sfsp-estimate --n 120 --k 2 --trials 3 --seed 1", 0,
      '{"bound": 8367674735.810743, "clamped_bound": 1.0, "failure_rate": 1.0, "half_width": 0.0, "k": 2, "mode": "sampled", "n": 120}\n'),
+    # recorded before switch words were applied in place on one copy and
+    # before sfsp_bound screened out bounds below the smallest float; long
+    # outputs are pinned by the SHA-256 of stdout
+    ("apply-word --input {rand7x6} --word {mixed_word}", 0,
+     '{"colors": [[1, 2, 2, 3, 1, 3], [1, 1, 3, 1, 1, 1], [1, 1, 2, 1, 3, 3], [2, 2, 2, 2, 3, 3], [1, 2, 1, 2, 1, 1], [1, 3, 3, 2, 2, 2], [3, 2, 3, 1, 1, 1]], "m": 7, "n": 6}\n'),
+    ("apply-word --input {rand7x6} --word {late_bad_word}", 1,
+     '{"error": "support vertex VertexRef(side=<Side.LEFT: \'L\'>, index=7) not in K_{7,6}"}\n'),
+    ("apply-word --input {rand7x6} --word {empty_word}", 0,
+     '{"colors": [[2, 2, 2, 1, 3, 3], [1, 2, 3, 1, 2, 3], [1, 2, 3, 1, 1, 2], [1, 3, 3, 1, 2, 1], [3, 3, 1, 1, 1, 2], [1, 1, 1, 3, 3, 3], [3, 1, 3, 1, 2, 3]], "m": 7, "n": 6}\n'),
+    ("apply-word --input {empty0x5} --word {right_word}", 0,
+     '{"colors": [], "m": 0, "n": 5}\n'),
+    ("edge-kill --x 2 --y 5 --f (123) --g (12) --input {rand7x6}", 0,
+     '{"result": {"colors": [[2, 2, 2, 1, 3, 3], [1, 2, 3, 1, 2, 3], [1, 2, 3, 1, 1, 1], [1, 3, 3, 1, 2, 1], [3, 3, 1, 1, 1, 2], [1, 1, 1, 3, 3, 3], [3, 1, 3, 1, 2, 3]], "m": 7, "n": 6}, "word": [{"sigma": "(123)", "support": [{"i": 2, "side": "L"}]}, {"sigma": "(12)", "support": [{"i": 5, "side": "R"}]}, {"sigma": "(132)", "support": [{"i": 2, "side": "L"}]}, {"sigma": "(12)", "support": [{"i": 5, "side": "R"}]}]}\n'),
+    ("edge-kill --x 0 --y 0 --f (13) --g (23)", 0,
+     '{"word": [{"sigma": "(13)", "support": [{"i": 0, "side": "L"}]}, {"sigma": "(23)", "support": [{"i": 0, "side": "R"}]}, {"sigma": "(13)", "support": [{"i": 0, "side": "L"}]}, {"sigma": "(23)", "support": [{"i": 0, "side": "R"}]}]}\n'),
+    ("edge-kill --x 7 --y 0 --f (123) --g (12) --input {rand7x6}", 1,
+     '{"error": "support vertex VertexRef(side=<Side.LEFT: \'L\'>, index=7) not in K_{7,6}"}\n'),
+    ("edge-kill --x 0 --y 0 --f (123) --g (132)", 1,
+     '{"error": "permutations commute; the word would recolor nothing"}\n'),
+    ("monochromatize --input {rand9x8} --target 2", 0,
+     "sha256:4b7baf8970a8cedfeafc2f9a5243c8ef9d33c821c76d16e6537bb3d86e5360ee"),
+    ("monochromatize --input {rand7x6} --target 3", 0,
+     "sha256:43a985702c0c83104ad28fbb7d34d3e1b62aa05d7dd1c0598db66c62c66a7360"),
+    ("monochromatize --input {empty0x5} --target 1", 0,
+     '{"result": {"colors": [], "m": 0, "n": 5}, "word": []}\n'),
+    ("sfsp-bound --k 300 --n {ten_to_4000}", 0,
+     '{"clamped": 0.0, "k": 300, "n": 1' + "0" * 4000 + ', "value": 0.0}\n'),
 ]
+
+
+def _left(i):
+    return {"side": "L", "i": i}
+
+
+def _right(j):
+    return {"side": "R", "i": j}
+
+
+# word JSON files for GOLDEN: supports that mix sides, hold both endpoints of
+# an edge, are empty, or (in a later switch) name a vertex outside K_{7,6}
+GOLDEN_WORDS = {
+    "mixed_word": [
+        {"support": [_left(0), _right(0), _right(3)], "sigma": "(123)"},
+        {"support": [_left(2), _left(5)], "sigma": "(12)"},
+        {"support": [], "sigma": "(13)"},
+        {"support": [_right(5), _left(1), _left(6)], "sigma": "(132)"},
+        {"support": [_right(1), _right(2), _right(4)], "sigma": "(23)"},
+    ],
+    "late_bad_word": [
+        {"support": [_left(0), _right(1)], "sigma": "(123)"},
+        {"support": [_right(2), _left(7)], "sigma": "(12)"},
+        {"support": [_left(9)], "sigma": "(13)"},
+    ],
+    "empty_word": [],
+    "right_word": [
+        {"support": [_right(4), _right(0)], "sigma": "(23)"},
+        {"support": [_right(0)], "sigma": "(123)"},
+    ],
+}
+GOLDEN_NUMBERS = {"ten_to_4000": str(10**4000)}
 
 
 @pytest.mark.parametrize("command, code, stdout", GOLDEN, ids=[c for c, _, _ in GOLDEN])
 def test_golden_stdout(tmp_path, capsys, command, code, stdout):
-    paths = {}
-    for name in GOLDEN_GRAPHS:
+    fields = dict(GOLDEN_NUMBERS)
+    for name in [*GOLDEN_GRAPHS, *GOLDEN_WORDS]:
         if "{" + name + "}" in command:
-            paths[name] = tmp_path / f"{name}.json"
-            paths[name].write_text(json.dumps(graph_to_json(GOLDEN_GRAPHS[name]())))
-    assert run_cli(capsys, *command.format(**paths).split()) == (code, stdout)
+            data = graph_to_json(GOLDEN_GRAPHS[name]()) if name in GOLDEN_GRAPHS else GOLDEN_WORDS[name]
+            fields[name] = tmp_path / f"{name}.json"
+            fields[name].write_text(json.dumps(data))
+    got_code, got = run_cli(capsys, *command.format(**fields).split())
+    if stdout.startswith("sha256:"):
+        got = "sha256:" + hashlib.sha256(got.encode()).hexdigest()
+    assert (got_code, got) == (code, stdout)
 
 
 # Fuzzed argv: small sizes, negative values and values far past every cap or

@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
 from switchlab.graphs import (
+    ColoredBipartiteGraph,
     EdgeColoring,
     IsoWitness,
     Side,
@@ -23,7 +25,9 @@ from switchlab.graphs import (
     verify_iso_witness,
     witnesses_all_colors,
 )
+from switchlab.graphs import _profile_permutations, _row_profile
 from switchlab.orbits import id_to_coloring
+from switchlab.randomlab import random_graph
 from switchlab.s3 import IDENTITY, S3Perm, inverse
 
 from conftest import graphs
@@ -45,6 +49,28 @@ def test_new_graph_validation():
         new_graph(2, 2, [[1, 2]])
     with pytest.raises(ValueError):
         new_graph(1, 2, [[1, 2, 3]])
+
+
+def test_color_validation_messages():
+    # the one-set test per row falls back to the cell scan, which reports the
+    # first bad cell of the first bad row, as the plain scan did
+    cases = [
+        ([[1, 4, 0]], "color out of range: 4"),
+        ([[1, 2, 3], [3, [1], 7]], "color out of range: [1]"),
+        ([[1, {}, 5]], "color out of range: {}"),
+        ([[False, 2, 3]], "color out of range: False"),
+        ([[2, 1.5, 3]], "color out of range: 1.5"),
+        (["123"], "color out of range: '1'"),
+    ]
+    for rows, message in cases:
+        with pytest.raises(ValueError) as exc:
+            ColoredBipartiteGraph(len(rows), 3, tuple(rows))
+        assert str(exc.value) == message
+    # cells equal to a color pass, unhashable or not; graph_from_json rejects
+    # booleans before they get here
+    assert ColoredBipartiteGraph(1, 2, ((True, 3),)) == new_graph(1, 2, [[1, 3]])
+    eq_one = type("EqOne", (), {"__eq__": lambda self, other: other == 1, "__hash__": None})
+    assert ColoredBipartiteGraph(1, 2, ((eq_one(), 3),)).n == 2
 
 
 def test_induced_subgraph():
@@ -101,6 +127,90 @@ def test_is_isomorphic_matches_oracle(g1, g2):
     assert (witness is None) == (oracle is None)
     if witness is not None:
         assert verify_iso_witness(g1, g2, witness)
+
+
+def _unpruned_side_preserving_iso(g1, g2):
+    # the search before row profiles pruned it: every row permutation in
+    # lexicographic order, each checked by matching column vectors
+    if (g1.m, g1.n) != (g2.m, g2.n):
+        return None
+    if sorted(map(_row_profile, g1.colors)) != sorted(map(_row_profile, g2.colors)):
+        return None
+    cols1 = [tuple(g1.colors[i][j] for i in range(g1.m)) for j in range(g1.n)]
+    for perm in itertools.permutations(range(g1.m)):
+        cols2 = [tuple(g2.colors[perm[i]][j] for i in range(g1.m)) for j in range(g1.n)]
+        by_vec = {}
+        for j, vec in enumerate(cols2):
+            by_vec.setdefault(vec, []).append(j)
+        rm = [0] * g1.n
+        taken = {}
+        ok = True
+        for j, vec in enumerate(cols1):
+            pos = taken.get(vec, 0)
+            slots = by_vec.get(vec, ())
+            if pos >= len(slots):
+                ok = False
+                break
+            rm[j] = slots[pos]
+            taken[vec] = pos + 1
+        if ok:
+            return IsoWitness(tuple(perm), tuple(rm), swapped=False)
+    return None
+
+
+def _unpruned_is_isomorphic(g1, g2, allow_swap=False):
+    witness = _unpruned_side_preserving_iso(g1, g2)
+    if witness is None and allow_swap:
+        w = _unpruned_side_preserving_iso(g1, swap_sides(g2))
+        if w is not None:
+            witness = IsoWitness(w.left_map, w.right_map, swapped=True)
+    return witness
+
+
+def _relabelled(g, rows, cols, swap):
+    h = new_graph(g.m, g.n, [[g.colors[rows[i]][cols[j]] for j in range(g.n)] for i in range(g.m)])
+    return swap_sides(h) if swap else h
+
+
+@given(graphs(max_m=5, max_n=5), st.data())
+def test_is_isomorphic_same_witness_as_unpruned(g, data):
+    rows = data.draw(st.permutations(range(g.m)))
+    cols = data.draw(st.permutations(range(g.n)))
+    h = _relabelled(g, rows, cols, data.draw(st.booleans()))
+    other = data.draw(graphs(min_m=h.m, max_m=h.m, min_n=h.n, max_n=h.n))
+    for target in (h, other):
+        for allow_swap in (False, True):
+            witness = is_isomorphic(g, target, allow_swap)
+            assert witness == _unpruned_is_isomorphic(g, target, allow_swap)
+    assert is_isomorphic(g, h, allow_swap=True) is not None
+
+
+def test_is_isomorphic_same_witness_on_relabelled_side_swaps():
+    for seed in range(40):
+        g = random_graph(5 + seed % 2, 5, seed)
+        rng = random.Random(seed)
+        rows, cols = rng.sample(range(g.m), g.m), rng.sample(range(g.n), g.n)
+        for swap in (False, True):
+            h = _relabelled(g, rows, cols, swap)
+            witness = is_isomorphic(g, h, allow_swap=True)
+            assert witness == _unpruned_is_isomorphic(g, h, allow_swap=True)
+            assert witness is not None and verify_iso_witness(g, h, witness)
+    # few profile classes: the pruned search still walks many permutations
+    g = new_graph(6, 3, [[1, 2, 3], [2, 3, 1], [3, 1, 2], [1, 3, 2], [2, 1, 3], [3, 2, 1]])
+    h = _relabelled(g, (5, 3, 1, 0, 2, 4), (2, 0, 1), False)
+    assert is_isomorphic(g, h) == _unpruned_is_isomorphic(g, h)
+
+
+@given(st.lists(st.integers(0, 2), max_size=6), st.data())
+def test_profile_permutations_are_the_filtered_permutations(classes, data):
+    prof1 = [(c, 0, 0) for c in classes]
+    prof2 = [(c, 0, 0) for c in data.draw(st.permutations(classes))]
+    want = [
+        perm
+        for perm in itertools.permutations(range(len(classes)))
+        if all(prof2[perm[i]] == prof1[i] for i in range(len(classes)))
+    ]
+    assert list(_profile_permutations(prof1, prof2)) == want
 
 
 @given(graphs(min_m=1, min_n=1))

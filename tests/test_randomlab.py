@@ -501,6 +501,35 @@ def test_sfsp_bound_values():
         sfsp_bound(0, 8)
 
 
+def test_sfsp_bound_zero_screen_matches_full_evaluation(monkeypatch):
+    # Find, per k, the side size where sfsp_bound starts answering 0.0
+    # without forming the binomials; around it the answer must equal the
+    # full evaluation's, which runs with the screen switched off.
+    calls = []
+    real_comb = math.comb
+    monkeypatch.setattr(math, "comb", lambda a, b: calls.append(a) or real_comb(a, b))
+
+    def screened(k, n):
+        calls.clear()
+        sfsp_bound(k, n)
+        return not calls
+
+    for k in (1, 2, 5, 7, 12, 30):  # the bisection gets slow past k = 30
+        lo = hi = 3 * k
+        while not screened(k, 2 * hi):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if screened(k, 2 * mid) else (mid, hi)
+        ns = [2 * hi + d for d in range(-8, 9)]
+        ns += [2 * hi * num // 1000 for num in (900, 990, 999, 1001, 1010, 1100)]
+        with_screen = [sfsp_bound(k, n) for n in ns]
+        assert screened(k, 2 * hi) and not screened(k, 2 * hi - 2)
+        monkeypatch.setattr(randomlab, "_LOG_ZERO", -math.inf)
+        assert [sfsp_bound(k, n) for n in ns] == with_screen
+        monkeypatch.setattr(randomlab, "_LOG_ZERO", math.log(math.ulp(0.0)) - 1.0)
+
+
 @given(st.integers(1, 3), st.integers(0, 60))
 def test_sfsp_bound_nonnegative(k, n):
     bound = sfsp_bound(k, n)

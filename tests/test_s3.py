@@ -38,6 +38,54 @@ def test_compose_matches_oracle_exhaustively():
         assert compose(p, q).image == brute_compose(p, q)
 
 
+# The definitions that the import-time tables replaced: products, inverses
+# and parsing built and validated a fresh S3Perm on every call.
+def _reference_compose(p, q):
+    return S3Perm((p(q(1)), p(q(2)), p(q(3))))
+
+
+def _reference_inverse(p):
+    img = [0, 0, 0]
+    for x in (1, 2, 3):
+        img[p(x) - 1] = x
+    return S3Perm((img[0], img[1], img[2]))
+
+
+def _reference_commutator(f, g):
+    fi, gi = _reference_inverse(f), _reference_inverse(g)
+    return _reference_compose(_reference_compose(gi, fi), _reference_compose(g, f))
+
+
+def _is_canonical(p):
+    return any(p is q for q in ALL_PERMS)
+
+
+def test_tables_match_reference_definitions():
+    # fresh, equal but non-canonical instances look up the same entries
+    fresh = [S3Perm(tuple(p.image)) for p in ALL_PERMS]
+    for p, q in itertools.product(ALL_PERMS + tuple(fresh), repeat=2):
+        assert compose(p, q) == _reference_compose(p, q)
+        assert commutator(p, q) == _reference_commutator(p, q)
+        assert commutes(p, q) == (_reference_compose(p, q) == _reference_compose(q, p))
+        assert _is_canonical(compose(p, q)) and _is_canonical(commutator(p, q))
+    for p in ALL_PERMS + tuple(fresh):
+        assert inverse(p) == _reference_inverse(p) and _is_canonical(inverse(p))
+    assert IDENTITY is ALL_PERMS[0]
+
+
+def test_shared_instances_keep_equality_order_and_repr():
+    for p in ALL_PERMS:
+        parsed = S3Perm.from_cycle_string(" " + p.cycle_string() + " ")
+        assert parsed is p
+        assert parsed == S3Perm(p.image) and hash(parsed) == hash(S3Perm(p.image))
+        assert repr(parsed) == f"S3Perm{p.cycle_string()!r}"
+    assert repr(c("(123)")) == "S3Perm'(123)'"
+    assert sorted(reversed(ALL_PERMS)) == list(ALL_PERMS)
+    assert [p.image for p in ALL_PERMS] == sorted(itertools.permutations((1, 2, 3)))
+    with pytest.raises(ValueError, match="unknown cycle string: '\\(21\\)'"):
+        S3Perm.from_cycle_string("(21)")
+
+
 # the twelve products displayed for the six non-commuting subgroup pairs
 DISPLAYED_PRODUCTS = [
     ("(12)", "(123)", "(23)"),

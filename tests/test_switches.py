@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from switchlab.graphs import Side, VertexRef, constant_graph, new_graph
+from switchlab.graphs import ColoredBipartiteGraph, Side, VertexRef, constant_graph, new_graph
 from switchlab.randomlab import random_graph
-from switchlab.s3 import ALL_PERMS, IDENTITY, S3Perm, commutator, commutes
+from switchlab.s3 import ALL_PERMS, IDENTITY, S3Perm, commutator, commutes, compose
 from switchlab.switches import (
     IDENTICAL,
     SwitchOp,
@@ -29,6 +29,97 @@ from conftest import graphs, perms
 
 def c(s):
     return S3Perm.from_cycle_string(s)
+
+
+def _reference_apply_switch(g, op):
+    # the three-branch rebuild that apply_word replaced: every switch builds
+    # and validates a whole new grid
+    for v in op.support:
+        if not g.has_vertex(v):
+            raise ValueError(f"support vertex {v} not in K_{{{g.m},{g.n}}}")
+    left = {v.index for v in op.support if v.side is Side.LEFT}
+    right = {v.index for v in op.support if v.side is Side.RIGHT}
+    img = op.sigma.image
+    if not right:
+        rows = tuple(
+            tuple(img[c - 1] for c in row) if i in left else row
+            for i, row in enumerate(g.colors)
+        )
+    elif not left:
+        rows = tuple(
+            tuple(img[c - 1] if j in right else c for j, c in enumerate(row))
+            for row in g.colors
+        )
+    else:
+        tables = ((1, 2, 3), img, compose(op.sigma, op.sigma).image)
+        rows = tuple(
+            tuple(
+                tables[(i in left) + (j in right)][c - 1] for j, c in enumerate(row)
+            )
+            for i, row in enumerate(g.colors)
+        )
+    return ColoredBipartiteGraph(g.m, g.n, rows)
+
+
+def _reference_apply_word(g, word):
+    for op in word.ops:
+        g = _reference_apply_switch(g, op)
+    return g
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@st.composite
+def words(draw, g, max_ops=5):
+    """Words whose supports mix sides, may hold both endpoints of an edge or
+    be empty; sometimes one switch, often not the first, names a vertex
+    outside the graph."""
+    ops = []
+    for _ in range(draw(st.integers(0, max_ops))):
+        left = draw(st.sets(st.integers(0, g.m - 1))) if g.m else set()
+        right = draw(st.sets(st.integers(0, g.n - 1))) if g.n else set()
+        support = {VertexRef(Side.LEFT, i) for i in left}
+        support |= {VertexRef(Side.RIGHT, j) for j in right}
+        ops.append(SwitchOp(frozenset(support), draw(perms)))
+    if ops and draw(st.booleans()):
+        side = draw(st.sampled_from([Side.LEFT, Side.RIGHT]))
+        limit = g.m if side is Side.LEFT else g.n
+        bad = VertexRef(side, draw(st.integers(limit, limit + 2)))
+        at = draw(st.integers(0, len(ops) - 1))
+        ops[at] = SwitchOp(ops[at].support | {bad}, ops[at].sigma)
+    return SwitchWord(tuple(ops))
+
+
+@given(graphs(max_m=6, max_n=6), st.data())
+def test_apply_word_matches_reference(g, data):
+    word = data.draw(words(g))
+    got = _outcome(apply_word, g, word)
+    assert got == _outcome(_reference_apply_word, g, word)
+    if isinstance(got, ColoredBipartiteGraph):
+        assert all(type(c) is int for row in got.colors for c in row)
+        assert type(got.colors) is tuple and all(type(r) is tuple for r in got.colors)
+    if word.ops:
+        op = word.ops[0]
+        assert _outcome(apply_switch, g, op) == _outcome(_reference_apply_switch, g, op)
+    else:
+        assert apply_word(g, word) is g
+
+
+def test_apply_word_reports_the_first_bad_switch():
+    g = random_graph(3, 4, 1)
+    bad_right = SwitchOp(frozenset({VertexRef(Side.RIGHT, 4)}), c("(12)"))
+    bad_left = left_switch(3, c("(13)"))
+    word = SwitchWord((left_switch(0, c("(123)")), bad_right, bad_left))
+    message = "support vertex VertexRef(side=<Side.RIGHT: 'R'>, index=4) not in K_{3,4}"
+    with pytest.raises(ValueError) as exc:
+        apply_word(g, word)
+    assert str(exc.value) == message
+    assert g == random_graph(3, 4, 1)  # the input is never mutated
 
 
 def test_apply_switch_basic():
