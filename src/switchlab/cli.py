@@ -3,7 +3,8 @@
 Every subcommand writes a single JSON document to stdout (sorted keys, so
 identical invocations are byte-identical).  Domain errors produce
 ``{"error": ...}`` and exit status 1; usage errors exit 2.  Subcommands that
-draw randomness require an explicit ``--seed``.
+draw randomness require an explicit ``--seed``.  Timings and work counters
+go to stderr, as one JSON document, only under ``--stats``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+import time
 
 from .graphs import graph_from_json, graph_to_json
 from .orbits import (
@@ -51,6 +53,12 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True, default=default))
 
 
+def _emit_stats(args, start: float, **counters) -> None:
+    if args.stats:
+        stats = {"seconds": time.perf_counter() - start, **counters}
+        print(json.dumps(stats, sort_keys=True), file=sys.stderr)
+
+
 def _read_json(path: str):
     if path == "-":
         return json.load(sys.stdin)
@@ -75,27 +83,21 @@ def _cmd_chain(args) -> int:
 
 def _cmd_check_theta(args) -> int:
     g = _load_graph(args.input)
+    start = time.perf_counter()
     if args.sampled:
         if args.seed is None:
             raise ValueError("--sampled requires --seed")
         res = check_theta_sampled(g, args.k, args.trials, args.seed)
-        _emit(
-            {
-                "k": res.k,
-                "mode": "sampled",
-                "trials": res.trials,
-                "violations": res.violations,
-                "violation_rate": res.violation_rate,
-            }
-        )
+        _emit_stats(args, start)
+        _emit({"k": res.k, "mode": "sampled", "trials": res.trials,
+               "violations": res.violations, "violation_rate": res.violation_rate})
         return 0
     report = check_theta(g, args.k, args.budget)
-    cex = None
-    if report.counterexample is not None:
-        cex = {
-            "side": report.counterexample.side.value,
-            "sets": [list(s) for s in report.counterexample.sets],
-        }
+    _emit_stats(args, start, blocks=report.blocks, kernel_calls=report.kernel_calls,
+                exit_cell=report.exit_cell)
+    cex = report.counterexample
+    if cex is not None:
+        cex = {"side": cex.side.value, "sets": [list(s) for s in cex.sets]}
     _emit(
         {
             "k": report.k,
@@ -149,17 +151,13 @@ def _cmd_distinguish(args) -> int:
 
 def _cmd_verify_lemmas(args) -> int:
     names = args.only.split(",") if args.only else None
+    start = time.perf_counter()
     results = verify_mod.run_all(names)
+    _emit_stats(args, start, checks=[{"name": r.name, "seconds": r.seconds} for r in results])
     _emit(
         {
             "checks": [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "detail": r.detail,
-                    "seconds": round(r.seconds, 3),
-                }
-                for r in results
+                {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
             ],
             "all_passed": all(r.passed for r in results),
         }
@@ -219,6 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--budget", type=int, default=DEFAULT_THETA_BUDGET)
+    p.add_argument("--stats", action="store_true", help="timing and scan counters on stderr")
     p.set_defaults(func=_cmd_check_theta)
 
     p = sub.add_parser("apply-word", help="apply a switch word to a graph")
@@ -255,6 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-lemmas", help="run the acceptance checks")
     p.add_argument("--only", default=None, help="comma-separated check names")
+    p.add_argument("--stats", action="store_true", help="per-check seconds on stderr")
     p.set_defaults(func=_cmd_verify_lemmas)
 
     p = sub.add_parser("sfsp-bound", help="evaluate the failure-probability bound")

@@ -9,9 +9,10 @@ The extension property of order k asks, for every three pairwise disjoint
 vertex sets of size at most k on one side, for a single vertex on the other
 side joined to the first set by color 1, the second by color 2 and the third
 by color 3, and symmetrically for the other side.  Both checks read one
-array of packed witness masks per side: the exact check scans every
-configuration in a fixed order, one array operation per first set, and the
-sampled check ANDs the masks of blocks of drawn ones.
+array of 0/1 witness planes per side: the exact check scans every
+configuration in a fixed order with one float32 GEMM per first set over
+that set's color-1 witnesses, and the sampled check takes the minimum of
+the planes of blocks of drawn ones.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,8 +57,8 @@ DEFAULT_THETA_BUDGET = 200_000
 #: counts as one, so its rows or columns count too).
 RANDOM_GRAPH_CELL_CAP = 1 << 22
 
-#: Words of a temporary the extension checks build at once (512 KiB; an
-#: 8 MiB block was no faster and raised peak memory by 15 MiB).
+#: 8-byte words of float32 entries in one GEMM product of the exact scan, or
+#: one block of gathered planes of the sampled check (512 KiB).
 _BLOCK_WORDS = 1 << 16
 
 
@@ -138,6 +139,10 @@ class ExtensionReport:
     counterexample: ThetaCounterexample | None
     checked_left: int
     checked_right: int
+    # counters outside equality: both sides' scan blocks and GEMMs, and the cell it stopped in
+    blocks: int = field(default=0, compare=False)
+    kernel_calls: int = field(default=0, compare=False)
+    exit_cell: tuple[int, int, int] | None = field(default=None, compare=False)
 
 
 def _size_triples(k: int):
@@ -157,93 +162,104 @@ def _config_count(size: int, k: int) -> int:
 
 
 def _color_array(g: ColoredBipartiteGraph) -> np.ndarray:
-    """The colors as an (m, n) uint8 array; its transpose serves the right side."""
-    return np.array(g.colors, dtype=np.uint8).reshape(g.m, g.n)
+    """The colors as an (m, n) uint8 array, via ``bytes`` (twice as fast as ``np.array``)."""
+    flat = bytes(itertools.chain.from_iterable(g.colors))
+    return np.frombuffer(flat, dtype=np.uint8).reshape(g.m, g.n)
 
 
-def _witness_bits(colors: np.ndarray) -> np.ndarray:
-    """Witness masks for sets of rows of ``colors`` (one row per set-side
-    vertex, one column per witness), packed into uint64 words of shape
-    (3, size + 1, words): bit w of row [c - 1, x] is set when the edge between
-    x and witness w has color c.  Row ``size`` is a sentinel that every
-    witness serves in every color; padding bits are clear."""
-    size, witnesses = colors.shape
-    words = max(1, -(-witnesses // 64))
-    padded = np.zeros((size + 1, 64 * words), dtype=np.uint8)
-    padded[:size, :witnesses] = colors
-    planes = padded == np.arange(1, 4, dtype=np.uint8)[:, None, None]
-    planes[:, size, :witnesses] = True
-    return np.packbits(planes, axis=2, bitorder="little").view(np.uint64)
+def _witness_planes(colors: np.ndarray) -> np.ndarray:
+    """Float32 0/1 planes of shape (3, size + 1, witnesses) for the rows of
+    ``colors`` (set-side vertices; columns are witnesses): [c - 1, x, w] is 1
+    when edge (x, w) has color c.  Row ``size`` is a sentinel served by every
+    witness in every color."""
+    planes = np.ones((3, colors.shape[0] + 1, colors.shape[1]), dtype=np.float32)
+    planes[:, :-1] = colors == np.arange(1, 4, dtype=np.uint8)[:, None, None]
+    return planes
 
 
-def _meets(masks: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """(len(masks), len(others)) bools: whether the two masks share a witness."""
-    return (masks[:, None] & others[None]).any(axis=2)
+def _served(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """(lhs columns, rhs columns) bools: whether the two sets share a witness.
+    Operands hold one 0/1 row per witness, so the GEMM sums nonnegative terms
+    and ``> 0`` is exact in any summation order and on any BLAS threads."""
+    return lhs.T @ rhs > 0
 
 
-def _check_side(colors: np.ndarray, side: Side, k: int):
+def _check_side(colors: np.ndarray, side: Side, k: int, work: list[int]):
     """First failing configuration on ``side`` (whose vertices are the rows
     of ``colors``) in deterministic order (total size, then sizes, then
-    lexicographic sets), plus the count of configurations evaluated.
+    lexicographic sets) and the count of configurations evaluated; the
+    blocks and GEMMs that evaluated them are added to ``work``.
 
-    A set's mask is the AND of its members' masks in its color.  A third set
-    meeting x1 or x2 is never served, since no edge has two colors, so every
-    third set disjoint from x1 and x2 is served exactly when the served
-    count reaches C(size - s1 - s2, s3).  One array operation serves every
-    (x2, x3) pair of a block of first sets.  Blocks start at one first set
-    and double, so an early failure costs little and a full scan few
-    operations.  A block's AND spans at most ``_BLOCK_WORDS`` words (or one
-    mask, if that is wider), which splits the second sets, and the third
-    when one row alone is too wide, once a single first set outgrows it."""
-    bits = _witness_bits(colors)
-    size, words = bits.shape[1] - 1, bits.shape[2]
-    sets, ands, members = [], [], []
-    for s in range(min(k, size) + 1):
-        # the sentinel member makes the empty set's AND every witness
-        with_sentinel = np.array(
-            [x + (size,) for x in itertools.combinations(range(size), s)], dtype=np.intp
-        )
-        combos = with_sentinel[:, :s]
-        member = np.zeros((len(combos), size), dtype=bool)
-        member[np.arange(len(combos))[:, None], combos] = True
-        sets.append(combos)
-        ands.append(np.bitwise_and.reduce(bits[:, with_sentinel], axis=2))
-        members.append(member)
+    A set's plane is the product of its members' planes in its color.  A
+    third set meeting x1 or x2 is never served, since no edge has two colors,
+    so the (x1, x2) pair passes when its served count is C(size - s1 - s2, s3).
+    A block of first sets and second sets is one GEMM (``_served``) over
+    witnesses W: (x1, x2) rows are color-1 times color-2 planes, x3 columns
+    color-3 planes.  Where no set is empty, a block is one first set and W
+    its color-1 witnesses, a 3^s1-th of them.  Elsewhere W is every witness,
+    and blocks start at one first set and double, so an early failure costs
+    little and a full scan few GEMMs.  Operands are gathers no larger than
+    the set planes.  A product holds at most ``_BLOCK_WORDS`` words of
+    float32 entries: that splits the x2 rows, and the x3 columns when one row
+    alone is too wide."""
+    size = colors.shape[0]
+    by_witness = np.ascontiguousarray(_witness_planes(colors).transpose(0, 2, 1))
+    sets, ands = {}, {}  # by size, and by (size, color): built when first needed
+    room = 2 * _BLOCK_WORDS  # float32 entries of one GEMM's product
     checked = 0
-    for s1, s2, s3 in _size_triples(min(k, size)):
-        if s1 + s2 + s3 > size:
+    for cell in _size_triples(min(k, size)):
+        if sum(cell) > size:
             continue
+        # with an empty third set the cell's order is the same with colors 2
+        # and 3 exchanged; the empty set then takes the rows, so a block of
+        # first sets stays one row per first set
+        r, c = (2, 1) if cell[2] == 0 else (1, 2)
+        s1, s2, s3 = cell[0], cell[r], cell[c]
         free = math.comb(size - s1 - s2, s3)
-        ok3 = ands[s3][2]
-        n1, n2, n3 = len(sets[s1]), len(sets[s2]), len(ok3)
-        # (x1, x2) rows per block; a row holds n3 masks and s1 clash bools
-        pairs = max(1, _BLOCK_WORDS // (n3 * words + s1))
-        step2, most1 = min(n2, pairs), max(1, pairs // n2)
-        cols = max(1, _BLOCK_WORDS // (pairs * words))
+        for s, color in {(s1, 0), (s2, r), (s3, c)} - set(ands):
+            if s not in sets:
+                sets[s] = np.array(list(itertools.combinations(range(size), s)), dtype=np.intp)
+            ands[s, color] = by_witness[color][:, sets[s]].prod(axis=2)
+        a1, a2, a3 = ands[s1, 0], ands[s2, r], ands[s3, c]
+        n1, n2, n3 = len(sets[s1]), len(sets[s2]), len(sets[s3])
+        cols = min(n3, room)
+        rows = room // cols
+        per_first = min(cell) > 0
+        most1 = 1 if per_first else max(1, rows // n2)  # several first sets take whole x2 rows
         lo1, width = 0, 1
         while lo1 < n1:
             block1 = slice(lo1, lo1 + width)
+            w = np.flatnonzero(a1[:, lo1]) if per_first else slice(None)
+            step2 = min(n2, max(1, rows // width))
             for lo2 in range(0, n2, step2):
                 block2 = slice(lo2, lo2 + step2)
-                m12 = (ands[s1][0][block1, None] & ands[s2][1][None, block2]).reshape(-1, words)
-                served = np.concatenate(
-                    [_meets(m12, ok3[c:c + cols]) for c in range(0, n3, cols)], axis=1
-                )
-                clash = members[s2][block2][:, sets[s1][block1]].any(axis=2)
+                lhs = a1[w, block1][:, :, None] * a2[w, block2][:, None]
+                lhs = lhs.reshape(lhs.shape[0], lhs.shape[1] * lhs.shape[2])
+                tiles = [_served(lhs, a3[w, lo3:lo3 + cols]) for lo3 in range(0, n3, cols)]
+                served = np.concatenate(tiles, axis=1)
+                work[0] += 1
+                work[1] += len(tiles)
+                x1s, x2s = sets[s1][block1], sets[s2][block2]
+                clash = (x2s[:, None, :, None] == x1s[None, :, None]).any(axis=(2, 3))
                 disjoint = ~clash.T.reshape(-1)
-                failing = disjoint & (np.count_nonzero(served, axis=1) != free)
-                if not failing.any():
-                    checked += free * int(np.count_nonzero(disjoint))
+                # a disjoint row serves at most `free` third sets and a
+                # clashing row none (its x1 and x2 planes share no witness),
+                # so one total decides a block that passes
+                passed = free * int(np.count_nonzero(disjoint))
+                if np.count_nonzero(served) == passed:
+                    checked += passed
                     continue
+                failing = disjoint & (np.count_nonzero(served, axis=1) != free)
                 j = int(failing.argmax())
                 checked += free * int(np.count_nonzero(disjoint[:j]))
                 i1, i2 = divmod(j, clash.shape[0])
-                x1, x2 = sets[s1][lo1 + i1], sets[s2][lo2 + i2]
-                clear = ~members[s3][:, np.r_[x1, x2]].any(axis=1)
-                c = int((clear & ~served[j]).argmax())
-                checked += int(np.count_nonzero(served[j, :c])) + 1
-                found = tuple(tuple(x.tolist()) for x in (x1, x2, sets[s3][c]))
-                return ThetaCounterexample(side, found), checked
+                x1, x2 = x1s[i1], x2s[i2]
+                clear = ~(sets[s3][:, :, None] == np.r_[x1, x2]).any(axis=(1, 2))
+                col = int((clear & ~served[j]).argmax())
+                checked += int(np.count_nonzero(served[j, :col])) + 1
+                x3 = sets[s3][col]
+                found = (x1, x3, x2) if r == 2 else (x1, x2, x3)
+                return ThetaCounterexample(side, tuple(tuple(x.tolist()) for x in found)), checked
             lo1 += width
             width = min(2 * width, most1)
     return None, checked
@@ -259,42 +275,29 @@ def check_theta(
     for size in (g.m, g.n):
         count = _config_count(size, k)
         if count > budget:
-            raise ThetaBudgetError(
-                f"{count} set triples exceed budget {budget}; use sampled mode"
-            )
-    colors = _color_array(g)
-    cex, checked_left = _check_side(colors, Side.LEFT, k)
-    if cex is not None:
-        return ExtensionReport(k, False, cex, checked_left, 0)
-    cex, checked_right = _check_side(colors.T, Side.RIGHT, k)
-    return ExtensionReport(k, cex is None, cex, checked_left, checked_right)
+            raise ThetaBudgetError(f"{count} set triples exceed budget {budget}; use sampled mode")
+    colors, work = _color_array(g), [0, 0]
+    cex, checked_left = _check_side(colors, Side.LEFT, k, work)
+    checked_right = 0
+    if cex is None:
+        cex, checked_right = _check_side(colors.T, Side.RIGHT, k, work)
+    cell = None if cex is None else tuple(map(len, cex.sets))
+    return ExtensionReport(k, cex is None, cex, checked_left, checked_right, *work, cell)
 
 
 def verify_counterexample(g: ColoredBipartiteGraph, k: int, cex: ThetaCounterexample) -> bool:
     """Direct scan confirming that no witness serves the reported sets."""
-    x1, x2, x3 = cex.sets
-    sets = (set(x1), set(x2), set(x3))
-    if any(len(s) > k for s in sets):
-        return False
-    if sets[0] & sets[1] or sets[0] & sets[2] or sets[1] & sets[2]:
-        return False
+    x1, x2, x3 = sets = tuple(map(set, cex.sets))
     size = g.side_size(cex.side)
-    if any(not 0 <= v < size for s in sets for v in s):
+    if any(len(s) > k or not all(0 <= v < size for v in s) for s in sets):
         return False
-    witnesses = g.side_size(cex.side.other())
-    for w in range(witnesses):
-        ok = True
-        for c, member_set in zip((1, 2, 3), sets):
-            for x in member_set:
-                color = g.colors[x][w] if cex.side is Side.LEFT else g.colors[w][x]
-                if color != c:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return False
-    return True
+    if x1 & x2 or x1 & x3 or x2 & x3:
+        return False
+    rows = g.colors if cex.side is Side.LEFT else tuple(zip(*g.colors))
+    return not any(
+        all(rows[x][w] == c for c, xs in zip((1, 2, 3), sets) for x in xs)
+        for w in range(g.side_size(cex.side.other()))
+    )
 
 
 @dataclass(frozen=True)
@@ -313,47 +316,43 @@ def check_theta_sampled(g: ColoredBipartiteGraph, k: int, trials: int, seed: int
     space the exact check enumerates (both sides, sizes up to k).
 
     Each drawn set is padded to a common width with the sentinel row of
-    ``_witness_bits``; a block of draws is then one gather-and-AND per side."""
+    ``_witness_planes``; a block of draws is then one gather-and-min per side."""
     if k < 1:
         raise ValueError("extension order k must be at least 1")
     if trials < 1:
         raise ValueError("need at least one trial")
     colors = _color_array(g)
-    bits = {Side.LEFT: _witness_bits(colors), Side.RIGHT: _witness_bits(colors.T)}
-    cells = []
-    for side in bits:
-        for sizes in _size_triples(min(k, g.side_size(side))):
-            count = _cell_count(g.side_size(side), sizes)
-            if count:
-                cells.append((side, sizes, count))
+    planes = {Side.LEFT: _witness_planes(colors), Side.RIGHT: _witness_planes(colors.T)}
+    # a cell with no configurations is never drawn
+    cells = [(side, sizes, _cell_count(g.side_size(side), sizes))
+             for side in planes for sizes in _size_triples(min(k, g.side_size(side)))]
     total = sum(count for _, _, count in cells)
-    # a set has at most min(k, side size) members; bound the words per block
+    # a set has at most min(k, side size) members; a block's gather holds at
+    # most _BLOCK_WORDS words of float32 entries
     width = max(1, min(k, max(g.m, g.n)))
-    block = max(1, _BLOCK_WORDS // (3 * width * max(b.shape[2] for b in bits.values())))
+    block = max(1, 2 * _BLOCK_WORDS // (3 * width * max(1, g.m, g.n)))
     rng = random.Random(seed)
     violations = 0
     for start in range(0, trials, block):
-        picks = {side: [] for side in bits}
+        picks = {side: [] for side in planes}
         for _ in range(min(block, trials - start)):
             r = rng.randrange(total)
             for side, sizes, count in cells:
                 if r < count:
                     break
                 r -= count
-            size = g.side_size(side)
+            size, row = g.side_size(side), []
             pool = list(range(size))
-            row = []
             for s in sizes:
                 picked = rng.sample(pool, s)
                 row += picked + [size] * (width - s)
-                pool = [v for v in pool if v not in picked]
+                for v in picked:
+                    pool.remove(v)
             picks[side].append(row)
         for side, rows in picks.items():
-            if rows:
-                members = np.array(rows, dtype=np.intp).reshape(len(rows), 3, width)
-                gathered = bits[side][np.arange(3)[:, None], members]
-                joint = np.bitwise_and.reduce(gathered, axis=(1, 2))
-                violations += len(rows) - int(np.count_nonzero(joint.any(axis=1)))
+            members = np.array(rows, dtype=np.intp).reshape(len(rows), 3, width)
+            joint = planes[side][np.arange(3)[:, None], members].min(axis=(1, 2))
+            violations += len(rows) - int(np.count_nonzero(joint.any(axis=1)))
     return SampledCheck(k, trials, violations)
 
 

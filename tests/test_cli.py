@@ -327,6 +327,9 @@ GOLDEN = [
      '{"result": {"colors": [], "m": 0, "n": 5}, "word": []}\n'),
     ("sfsp-bound --k 300 --n {ten_to_4000}", 0,
      '{"clamped": 0.0, "k": 300, "n": 1' + "0" * 4000 + ', "value": 0.0}\n'),
+    # recorded after per-check seconds moved from stdout to --stats
+    ("verify-lemmas --only s3-table-fidelity,collapse-trichotomy", 0,
+     '{"all_passed": true, "checks": [{"detail": "12 products, 6 subgroups, all distinct nontrivial pairs generate S3", "name": "s3-table-fidelity", "passed": true}, {"detail": "all 81x81 pairs consistent (882 collapse cases verified)", "name": "collapse-trichotomy", "passed": true}]}\n'),
 ]
 
 
@@ -362,18 +365,53 @@ GOLDEN_WORDS = {
 GOLDEN_NUMBERS = {"ten_to_4000": str(10**4000)}
 
 
-@pytest.mark.parametrize("command, code, stdout", GOLDEN, ids=[c for c, _, _ in GOLDEN])
-def test_golden_stdout(tmp_path, capsys, command, code, stdout):
+def _golden_argv(tmp_path, command):
     fields = dict(GOLDEN_NUMBERS)
     for name in [*GOLDEN_GRAPHS, *GOLDEN_WORDS]:
         if "{" + name + "}" in command:
             data = graph_to_json(GOLDEN_GRAPHS[name]()) if name in GOLDEN_GRAPHS else GOLDEN_WORDS[name]
             fields[name] = tmp_path / f"{name}.json"
             fields[name].write_text(json.dumps(data))
-    got_code, got = run_cli(capsys, *command.format(**fields).split())
+    return command.format(**fields).split()
+
+
+@pytest.mark.parametrize("command, code, stdout", GOLDEN, ids=[c for c, _, _ in GOLDEN])
+def test_golden_stdout(tmp_path, capsys, command, code, stdout):
+    got_code, got = run_cli(capsys, *_golden_argv(tmp_path, command))
     if stdout.startswith("sha256:"):
         got = "sha256:" + hashlib.sha256(got.encode()).hexdigest()
     assert (got_code, got) == (code, stdout)
+
+
+STATS_GOLDEN = [g for g in GOLDEN if g[0].split()[0] in ("check-theta", "verify-lemmas")]
+
+
+@pytest.mark.parametrize("command, code, stdout", STATS_GOLDEN, ids=[c for c, _, _ in STATS_GOLDEN])
+def test_golden_stdout_with_stats(tmp_path, capsys, command, code, stdout):
+    # --stats writes one JSON object to stderr and leaves stdout byte-identical
+    got_code = main(_golden_argv(tmp_path, command) + ["--stats"])
+    captured = capsys.readouterr()
+    assert (got_code, captured.out) == (code, stdout)
+    if code == 1:
+        assert captured.err == ""
+        return
+    assert captured.err.count("\n") == 1
+    stats = json.loads(captured.err)
+    assert stats["seconds"] >= 0
+    if command.startswith("verify-lemmas"):
+        names = [c["name"] for c in stats["checks"]]
+        assert names == ["s3-table-fidelity", "collapse-trichotomy"]
+        assert set(stats) == {"seconds", "checks"}
+        assert all(c["seconds"] >= 0 for c in stats["checks"])
+        return
+    if "--sampled" in command:
+        assert set(stats) == {"seconds"}
+        return
+    assert set(stats) == {"seconds", "blocks", "kernel_calls", "exit_cell"}
+    report = json.loads(stdout)
+    sizes = None if report["holds"] else [len(s) for s in report["counterexample"]["sets"]]
+    assert stats["exit_cell"] == sizes
+    assert 0 < stats["blocks"] <= stats["kernel_calls"]
 
 
 # Fuzzed argv: small sizes, negative values and values far past every cap or

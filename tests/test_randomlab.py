@@ -3,6 +3,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 import hypothesis.strategies as st
@@ -293,19 +294,20 @@ def _reference_sampled(g, k, trials, seed):
     return SampledCheck(k, trials, violations)
 
 
-def test_witness_bits_match_reference_masks():
+def test_witness_planes_match_reference_masks():
     for m, n, seed in ((0, 3, 1), (3, 0, 1), (5, 64, 2), (70, 130, 3)):
         g = random_graph(m, n, seed)
         colors = randomlab._color_array(g)
         for side in (Side.LEFT, Side.RIGHT):
-            bits = randomlab._witness_bits(colors if side is Side.LEFT else colors.T)
+            planes = randomlab._witness_planes(colors if side is Side.LEFT else colors.T)
             masks = _reference_masks(g, side)
             size, witnesses = g.side_size(side), g.side_size(side.other())
-            assert bits.shape == (3, size + 1, max(1, -(-witnesses // 64)))
-            as_int = lambda row: int.from_bytes(row.tobytes(), "little")
+            assert planes.shape == (3, size + 1, witnesses) and planes.dtype == np.float32
+            assert set(np.unique(planes).tolist()) <= {0.0, 1.0}
+            as_int = lambda row: sum(1 << int(w) for w in np.flatnonzero(row))
             for c in (1, 2, 3):
-                assert [as_int(bits[c - 1, x]) for x in range(size)] == masks[c]
-                assert as_int(bits[c - 1, size]) == (1 << witnesses) - 1  # sentinel
+                assert [as_int(planes[c - 1, x]) for x in range(size)] == masks[c]
+                assert as_int(planes[c - 1, size]) == (1 << witnesses) - 1  # sentinel
 
 
 @given(graphs(max_m=6, max_n=6), st.integers(1, 3))
@@ -414,20 +416,85 @@ def test_blocked_scan_matches_reference_small(g, k, block_words):
 
 @pytest.mark.parametrize("block_words", [3, 150, 1000, 5000])
 def test_scan_temporaries_within_block_words(monkeypatch, block_words):
-    # every (x1, x2) x x3 AND the scan builds goes through _meets; the
-    # widest mask here has 3 words, the least block that can hold one
+    # every GEMM the scan runs goes through _served; its float32 product
+    # must fit in block_words 8-byte words
     spans = []
-    meets = randomlab._meets
+    served = randomlab._served
 
-    def spy(masks, others):
-        spans.append(masks.shape[0] * others.shape[0] * masks.shape[1])
-        return meets(masks, others)
+    def spy(lhs, rhs):
+        spans.append(4 * lhs.shape[1] * rhs.shape[1])
+        return served(lhs, rhs)
 
-    monkeypatch.setattr(randomlab, "_meets", spy)
+    monkeypatch.setattr(randomlab, "_served", spy)
     monkeypatch.setattr(randomlab, "_BLOCK_WORDS", block_words)
     check_theta(_few_color1_edges(97, 0, 17), 1, budget=10**7)
     check_theta(random_graph(9, 130, 4), 3, budget=10**20)
-    assert 0 < max(spans) <= block_words
+    assert 0 < max(spans) <= 8 * block_words
+
+
+def test_gemm_over_no_witnesses_serves_nothing(monkeypatch):
+    # zero witnesses: a product of zero-height operands is all zero
+    served = randomlab._served(np.zeros((0, 3), np.float32), np.zeros((0, 2), np.float32))
+    assert served.shape == (3, 2) and not served.any()
+    # a first set without color-1 witnesses fails at (s1, 0, 0) first, so
+    # only a scan of cell (1, 1, 1) alone runs a GEMM over an empty W(x1);
+    # the oracle scans the same single cell
+    only = lambda k: [(1, 1, 1)]
+    monkeypatch.setattr(randomlab, "_size_triples", only)
+    monkeypatch.setitem(globals(), "_reference_size_triples", only)
+    colors = [list(row) for row in shifted_cubic_graph(97).colors]
+    colors[5] = [2 if c == 1 else c for c in colors[5]]
+    g = new_graph(97, 97, colors)
+    for block_words in (randomlab._BLOCK_WORDS, 150):
+        monkeypatch.setattr(randomlab, "_BLOCK_WORDS", block_words)
+        report = check_theta(g, 1, budget=10**7)
+        assert report == _reference_check_theta(g, 1)
+        assert report.counterexample.sets == ((5,), (0,), (1,))
+        assert report.checked_left == 5 * 96 * 95 + 1
+
+
+@pytest.mark.parametrize("m, n", [(4, 0), (0, 4), (1, 1), (1, 5), (1, 64), (1, 130), (130, 1)])
+def test_check_theta_thin_graphs_match_reference(m, n):
+    # an empty side has no witnesses, so every GEMM of the other side is
+    # over zero witnesses; one vertex on a side allows only its k=1 cells
+    for seed in (1, 2):
+        g = random_graph(m, n, seed)
+        for k in (1, 2, 3):
+            report = check_theta(g, k, budget=10**20)
+            assert report == _reference_check_theta(g, k)
+            cex = report.counterexample
+            assert report.exit_cell == (None if cex is None else tuple(map(len, cex.sets)))
+
+
+def test_extension_report_counters():
+    g = shifted_cubic_graph(97)
+    holds = check_theta(g, 1, budget=10**7)
+    assert holds.exit_cell is None
+    # one GEMM per first set in cell (1, 1, 1), on each side
+    assert holds.kernel_calls == holds.blocks >= 2 * 97
+    fails = check_theta(random_graph(40, 40, 3), 1)
+    assert fails.exit_cell == (0, 1, 1) == tuple(map(len, fails.counterexample.sets))
+    assert 0 < fails.blocks <= fails.kernel_calls < holds.blocks
+    # the counters stay out of equality
+    assert fails == ExtensionReport(1, False, fails.counterexample, 142, 0)
+
+
+def test_first_set_gemms_run_over_its_color1_witnesses(monkeypatch):
+    # in a cell with no empty set each GEMM contracts over exactly the first
+    # set's color-1 witnesses; elsewhere over every witness (97 here)
+    heights = []
+    served = randomlab._served
+
+    def spy(lhs, rhs):
+        heights.append(lhs.shape[0])
+        return served(lhs, rhs)
+
+    monkeypatch.setattr(randomlab, "_served", spy)
+    g = shifted_cubic_graph(97)
+    check_theta(g, 1, budget=10**7)
+    ones = [row.count(1) for row in g.colors] + [col.count(1) for col in zip(*g.colors)]
+    assert max(ones) < 97
+    assert sorted(h for h in heights if h < 97) == sorted(ones)
 
 
 def test_random_graph_matches_edge_color():
