@@ -88,7 +88,7 @@ def _cmd_check_theta(args) -> int:
         if args.seed is None:
             raise ValueError("--sampled requires --seed")
         res = check_theta_sampled(g, args.k, args.trials, args.seed)
-        _emit_stats(args, start)
+        _emit_stats(args, start, blocks=res.blocks)
         _emit({"k": res.k, "mode": "sampled", "trials": res.trials,
                "violations": res.violations, "violation_rate": res.violation_rate})
         return 0
@@ -173,8 +173,11 @@ def _cmd_sfsp_bound(args) -> int:
 
 
 def _cmd_sfsp_estimate(args) -> int:
+    start = time.perf_counter()
     est = estimate_failure_prob(args.n, args.k, args.trials, args.seed)
     bound = sfsp_bound(args.k, args.n)
+    _emit_stats(args, start, exact_checks=est.exact_checks, sampled_checks=est.sampled_checks,
+                blocks=est.blocks, kernel_calls=est.kernel_calls)
     _emit(
         {
             "n": est.n,
@@ -267,6 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--stats", action="store_true", help="timing and check counters on stderr")
     p.set_defaults(func=_cmd_sfsp_estimate)
 
     return parser

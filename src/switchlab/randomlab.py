@@ -9,14 +9,18 @@ The extension property of order k asks, for every three pairwise disjoint
 vertex sets of size at most k on one side, for a single vertex on the other
 side joined to the first set by color 1, the second by color 2 and the third
 by color 3, and symmetrically for the other side.  Both checks read one
-array of 0/1 witness planes per side: the exact check scans every
-configuration in a fixed order with one float32 GEMM per first set over
-that set's color-1 witnesses, and the sampled check takes the minimum of
+array of 0/1 witness planes per side.  The exact check scans every
+configuration in a fixed order, one block of first sets at a time: float32
+GEMMs fill the block's served matrix (one per first set, over that set's
+color-1 witnesses, where no set is empty) and one pass of bookkeeping
+decides it.  The sampled check draws configurations as indices into the
+vertices not yet taken, without building a pool, and takes the minimum of
 the planes of blocks of drawn ones.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -184,6 +188,22 @@ def _served(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return lhs.T @ rhs > 0
 
 
+def _set_planes(planes: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """(witnesses, len(sets)) product of the member rows of one color's
+    ``planes`` (the empty set takes the sentinel row), built a chunk of sets
+    at a time by multiplying member gathers of at most ``_BLOCK_WORDS``
+    words in place."""
+    members = sets.T if sets.shape[1] else np.full((1, 1), len(planes) - 1)
+    product = np.empty((planes.shape[1], members.shape[1]), dtype=np.float32)
+    chunk = max(1, 2 * _BLOCK_WORDS // max(1, planes.shape[1]))
+    for lo in range(0, members.shape[1], chunk):
+        part = planes[members[0, lo:lo + chunk]]
+        for member in members[1:, lo:lo + chunk]:
+            part *= planes[member]
+        product[:, lo:lo + chunk] = part.T
+    return product
+
+
 def _check_side(colors: np.ndarray, side: Side, k: int, work: list[int]):
     """First failing configuration on ``side`` (whose vertices are the rows
     of ``colors``) in deterministic order (total size, then sizes, then
@@ -193,17 +213,19 @@ def _check_side(colors: np.ndarray, side: Side, k: int, work: list[int]):
     A set's plane is the product of its members' planes in its color.  A
     third set meeting x1 or x2 is never served, since no edge has two colors,
     so the (x1, x2) pair passes when its served count is C(size - s1 - s2, s3).
-    A block of first sets and second sets is one GEMM (``_served``) over
-    witnesses W: (x1, x2) rows are color-1 times color-2 planes, x3 columns
-    color-3 planes.  Where no set is empty, a block is one first set and W
-    its color-1 witnesses, a 3^s1-th of them.  Elsewhere W is every witness,
-    and blocks start at one first set and double, so an early failure costs
-    little and a full scan few GEMMs.  Operands are gathers no larger than
-    the set planes.  A product holds at most ``_BLOCK_WORDS`` words of
-    float32 entries: that splits the x2 rows, and the x3 columns when one row
-    alone is too wide."""
+    A block of first sets and second sets is checked at once: GEMMs
+    (``_served``) over witnesses W, whose (x1, x2) rows are color-1 times
+    color-2 planes and x3 columns color-3 planes, fill the block's served
+    matrix, and one clash mask, one total and one ``argmax`` decide it.
+    Where no set is empty, each first set has its own GEMM over its color-1
+    witnesses, a 3^s1-th of them; elsewhere W is every witness and the
+    block's first sets share one GEMM.  Blocks start at one first set and
+    double up to as many whole x2 rows as one product holds, so an early
+    failure costs little and a full scan few blocks.  A product holds at
+    most ``_BLOCK_WORDS`` words of float32 entries: that splits the x2 rows,
+    and the x3 columns when one row alone is too wide."""
     size = colors.shape[0]
-    by_witness = np.ascontiguousarray(_witness_planes(colors).transpose(0, 2, 1))
+    planes = _witness_planes(colors)
     sets, ands = {}, {}  # by size, and by (size, color): built when first needed
     room = 2 * _BLOCK_WORDS  # float32 entries of one GEMM's product
     checked = 0
@@ -219,27 +241,40 @@ def _check_side(colors: np.ndarray, side: Side, k: int, work: list[int]):
         for s, color in {(s1, 0), (s2, r), (s3, c)} - set(ands):
             if s not in sets:
                 sets[s] = np.array(list(itertools.combinations(range(size), s)), dtype=np.intp)
-            ands[s, color] = by_witness[color][:, sets[s]].prod(axis=2)
+            ands[s, color] = _set_planes(planes[color], sets[s])
         a1, a2, a3 = ands[s1, 0], ands[s2, r], ands[s3, c]
         n1, n2, n3 = len(sets[s1]), len(sets[s2]), len(sets[s3])
         cols = min(n3, room)
         rows = room // cols
+        most1 = max(1, rows // n2)  # several first sets take whole x2 rows
         per_first = min(cell) > 0
-        most1 = 1 if per_first else max(1, rows // n2)  # several first sets take whole x2 rows
         lo1, width = 0, 1
         while lo1 < n1:
             block1 = slice(lo1, lo1 + width)
-            w = np.flatnonzero(a1[:, lo1]) if per_first else slice(None)
+            x1s = sets[s1][block1]
+            if per_first:
+                # a first set's plane is 1 on its color-1 witnesses and 0
+                # elsewhere: over those its rows are the color-2 planes
+                w = np.nonzero(a1[:, block1].T)[1]
+                ends = np.count_nonzero(a1[:, block1], axis=0).cumsum().tolist()
+                p2, p3 = a2.take(w, axis=0), a3.take(w, axis=0)
+                operands = [(p2[a:b], p3[a:b]) for a, b in zip([0] + ends, ends)]
             step2 = min(n2, max(1, rows // width))
             for lo2 in range(0, n2, step2):
                 block2 = slice(lo2, lo2 + step2)
-                lhs = a1[w, block1][:, :, None] * a2[w, block2][:, None]
-                lhs = lhs.reshape(lhs.shape[0], lhs.shape[1] * lhs.shape[2])
-                tiles = [_served(lhs, a3[w, lo3:lo3 + cols]) for lo3 in range(0, n3, cols)]
-                served = np.concatenate(tiles, axis=1)
+                x2s = sets[s2][block2]
+                if per_first:
+                    gemms = [(lhs[:, block2], rhs) for lhs, rhs in operands]
+                else:
+                    lhs = a1[:, block1, None] * a2[:, None, block2]
+                    gemms = [(lhs.reshape(lhs.shape[0], lhs.shape[1] * lhs.shape[2]), a3)]
+                served = np.empty((len(x1s) * len(x2s), n3), dtype=bool)
+                for at, (lhs, rhs) in zip(range(0, len(served), len(x2s)), gemms):
+                    for lo3 in range(0, n3, cols):
+                        tile = slice(lo3, lo3 + cols)
+                        served[at:at + lhs.shape[1], tile] = _served(lhs, rhs[:, tile])
+                        work[1] += 1
                 work[0] += 1
-                work[1] += len(tiles)
-                x1s, x2s = sets[s1][block1], sets[s2][block2]
                 clash = (x2s[:, None, :, None] == x1s[None, :, None]).any(axis=(2, 3))
                 disjoint = ~clash.T.reshape(-1)
                 # a disjoint row serves at most `free` third sets and a
@@ -305,6 +340,8 @@ class SampledCheck:
     k: int
     trials: int
     violations: int
+    # counter outside equality: the gather-and-min blocks of both sides
+    blocks: int = field(default=0, compare=False)
 
     @property
     def violation_rate(self) -> float:
@@ -315,45 +352,57 @@ def check_theta_sampled(g: ColoredBipartiteGraph, k: int, trials: int, seed: int
     """Monte Carlo surrogate: configurations drawn uniformly from the same
     space the exact check enumerates (both sides, sizes up to k).
 
+    A draw takes a cell by bisecting the cumulative cell counts, then each
+    nonempty set in turn as indices into the vertices not yet taken:
+    ``randrange(n)`` for one vertex and ``sample(range(n), s)`` for more.
+    In CPython these consume the random stream exactly as ``sample`` over a
+    list of those n vertices does, and pick the same positions, so no pool
+    is built; the tests' pool-sampling reference pins that equivalence.
     Each drawn set is padded to a common width with the sentinel row of
-    ``_witness_planes``; a block of draws is then one gather-and-min per side."""
+    ``_witness_planes``; a block of draws is then one gather-and-min per
+    side."""
     if k < 1:
         raise ValueError("extension order k must be at least 1")
     if trials < 1:
         raise ValueError("need at least one trial")
     colors = _color_array(g)
     planes = {Side.LEFT: _witness_planes(colors), Side.RIGHT: _witness_planes(colors.T)}
-    # a cell with no configurations is never drawn
-    cells = [(side, sizes, _cell_count(g.side_size(side), sizes))
+    cells = [(side, g.side_size(side), sizes)
              for side in planes for sizes in _size_triples(min(k, g.side_size(side)))]
-    total = sum(count for _, _, count in cells)
+    # a cell with no configurations ends where the one before it does, so
+    # bisect never lands in it
+    ends = list(itertools.accumulate(_cell_count(size, sizes) for _, size, sizes in cells))
     # a set has at most min(k, side size) members; a block's gather holds at
     # most _BLOCK_WORDS words of float32 entries
     width = max(1, min(k, max(g.m, g.n)))
     block = max(1, 2 * _BLOCK_WORDS // (3 * width * max(1, g.m, g.n)))
     rng = random.Random(seed)
-    violations = 0
+    violations = blocks = 0
     for start in range(0, trials, block):
-        picks = {side: [] for side in planes}
+        picks = {side: [] for side in planes}  # each side's draws, one flat list
         for _ in range(min(block, trials - start)):
-            r = rng.randrange(total)
-            for side, sizes, count in cells:
-                if r < count:
-                    break
-                r -= count
-            size, row = g.side_size(side), []
-            pool = list(range(size))
+            side, size, sizes = cells[bisect.bisect_right(ends, rng.randrange(ends[-1]))]
+            row, taken = picks[side], []  # taken: this draw's vertices so far, ascending
             for s in sizes:
-                picked = rng.sample(pool, s)
-                row += picked + [size] * (width - s)
-                for v in picked:
-                    pool.remove(v)
-            picks[side].append(row)
-        for side, rows in picks.items():
-            members = np.array(rows, dtype=np.intp).reshape(len(rows), 3, width)
-            joint = planes[side][np.arange(3)[:, None], members].min(axis=(1, 2))
-            violations += len(rows) - int(np.count_nonzero(joint.any(axis=1)))
-    return SampledCheck(k, trials, violations)
+                if s:  # sampling no vertex draws nothing from the stream
+                    left = size - len(taken)
+                    picked = [rng.randrange(left)] if s == 1 else rng.sample(range(left), s)
+                    for j, i in enumerate(picked):  # the i-th vertex not yet taken
+                        for t in taken:
+                            if t > i:
+                                break
+                            i += 1
+                        picked[j] = i
+                    taken = sorted(taken + picked)
+                    row += picked
+                row += [size] * (width - s)
+        for side, drawn in picks.items():
+            if drawn:
+                members = np.array(drawn, dtype=np.intp).reshape(-1, 3, width)
+                joint = planes[side][np.arange(3)[:, None], members].min(axis=(1, 2))
+                violations += len(members) - int(np.count_nonzero(joint.any(axis=1)))
+                blocks += 1
+    return SampledCheck(k, trials, violations, blocks)
 
 
 @dataclass(frozen=True)
@@ -460,6 +509,12 @@ class FailureEstimate:
     failure_rate: float
     half_width: float
     mode: str
+    # counters outside equality, summed over the graphs' checks: how many
+    # ran exact and sampled, their blocks, and the exact checks' GEMMs
+    exact_checks: int = field(default=0, compare=False)
+    sampled_checks: int = field(default=0, compare=False)
+    blocks: int = field(default=0, compare=False)
+    kernel_calls: int = field(default=0, compare=False)
 
 
 def estimate_failure_prob(
@@ -485,18 +540,23 @@ def estimate_failure_prob(
     exact = all(
         _config_count(size, k) <= theta_budget for size in (m_left, m_right)
     )
-    failures = 0
+    failures = blocks = kernel_calls = 0
     for t in range(graph_trials):
         trial_seed = _mix((seed & _MASK) ^ _mix(t + 1))
         g = random_graph(m_left, m_right, trial_seed)
         if exact:
-            failed = not check_theta(g, k, theta_budget).holds
+            report = check_theta(g, k, theta_budget)
+            failed = not report.holds
+            kernel_calls += report.kernel_calls
         else:
-            sampled = check_theta_sampled(g, k, sampled_trials, _mix(trial_seed))
-            failed = sampled.violations > 0
+            report = check_theta_sampled(g, k, sampled_trials, _mix(trial_seed))
+            failed = report.violations > 0
         failures += failed
+        blocks += report.blocks
     rate = failures / graph_trials
     half_width = 1.96 * math.sqrt(rate * (1.0 - rate) / graph_trials)
+    checks = (graph_trials, 0) if exact else (0, graph_trials)
     return FailureEstimate(
-        n, k, graph_trials, failures, rate, half_width, "exact" if exact else "sampled"
+        n, k, graph_trials, failures, rate, half_width, "exact" if exact else "sampled",
+        *checks, blocks, kernel_calls,
     )

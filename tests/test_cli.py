@@ -383,7 +383,7 @@ def test_golden_stdout(tmp_path, capsys, command, code, stdout):
     assert (got_code, got) == (code, stdout)
 
 
-STATS_GOLDEN = [g for g in GOLDEN if g[0].split()[0] in ("check-theta", "verify-lemmas")]
+STATS_GOLDEN = [g for g in GOLDEN if g[0].split()[0] in ("check-theta", "verify-lemmas", "sfsp-estimate")]
 
 
 @pytest.mark.parametrize("command, code, stdout", STATS_GOLDEN, ids=[c for c, _, _ in STATS_GOLDEN])
@@ -405,7 +405,17 @@ def test_golden_stdout_with_stats(tmp_path, capsys, command, code, stdout):
         assert all(c["seconds"] >= 0 for c in stats["checks"])
         return
     if "--sampled" in command:
-        assert set(stats) == {"seconds"}
+        # at these sizes a block holds 450 or more draws, split by side
+        assert set(stats) == {"seconds", "blocks"}
+        assert 1 <= stats["blocks"] <= 4
+        return
+    if command.startswith("sfsp-estimate"):
+        assert set(stats) == {"seconds", "exact_checks", "sampled_checks", "blocks", "kernel_calls"}
+        trials = int(command.split("--trials ")[1].split()[0])
+        exact = json.loads(stdout)["mode"] == "exact"
+        assert (stats["exact_checks"], stats["sampled_checks"]) == ((trials, 0) if exact else (0, trials))
+        assert stats["blocks"] >= trials
+        assert (stats["kernel_calls"] >= stats["blocks"]) if exact else (stats["kernel_calls"] == 0)
         return
     assert set(stats) == {"seconds", "blocks", "kernel_calls", "exit_cell"}
     report = json.loads(stdout)
@@ -444,6 +454,7 @@ def _cli_argv(draw):
         return ["generate", "--m", num(), "--n", num(), "--seed", num()]
     if command == "chain":
         return ["chain", "--seed", num(), "--count", num()]
+    stats = lambda: ["--stats"] if draw(st.booleans()) else []
     if command == "check-theta":
         argv = ["check-theta", "--input", "{graph}", "--k", num()]
         if draw(st.booleans()):
@@ -452,12 +463,12 @@ def _cli_argv(draw):
                 argv += ["--seed", num()]
         if draw(st.booleans()):
             argv += ["--budget", num()]
-        return argv
+        return argv + stats()
     if command == "sfsp-bound":
         return ["sfsp-bound", "--k", num(), "--n", num()]
     if command == "sfsp-estimate":
         return ["sfsp-estimate", "--n", num(), "--k", num(), "--trials", num(_TRIALS),
-                "--seed", num()]
+                "--seed", num()] + stats()
     argv = ["orbits", "--m", num(_SIDES), "--n", num(_SIDES),
             "--group", draw(st.sampled_from(["Aut", "Sym_lr", "S_l^(12)", "ol_Aut", "Nope"]))]
     if draw(st.booleans()):
@@ -472,6 +483,9 @@ def _cli_argv(draw):
 @example(["sfsp-estimate", "--n", str(10**400), "--k", str(10**400), "--trials", "1",
           "--seed", "1"], {})
 @example(["chain", "--seed", "1", "--count", str(10**400)], {})
+@example(["sfsp-estimate", "--n", "8", "--k", "1", "--trials", "2", "--seed", "1", "--stats"], {})
+@example(["check-theta", "--input", "{graph}", "--k", "2", "--sampled", "--trials", "3",
+          "--seed", "1", "--stats"], {"m": 2, "n": 3, "colors": [[1, 2, 3], [3, 2, 1]]})
 def test_cli_fuzz_single_json_document(tmp_path, capsys, argv, doc):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(doc))
@@ -480,7 +494,7 @@ def test_cli_fuzz_single_json_document(tmp_path, capsys, argv, doc):
         code = main(argv)
     except SystemExit as exc:  # argparse usage errors
         code = exc.code
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert code in (0, 1, 2)
     if code == 2:
         assert out == ""
@@ -489,3 +503,7 @@ def test_cli_fuzz_single_json_document(tmp_path, capsys, argv, doc):
     data = json.loads(out)
     assert isinstance(data, dict)
     assert (list(data) == ["error"]) == (code == 1)
+    if code == 0 and "--stats" in argv:
+        # --stats adds one JSON object on stderr and nothing to stdout
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert isinstance(json.loads(err), dict)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -341,9 +342,45 @@ def test_check_theta_k1_matches_reference_deep_failures():
     }
 
 
-@given(graphs(max_m=6, max_n=6), st.integers(1, 3), st.integers(0, 2**32))
+def _mostly_two_colors(m, n, seed):
+    """A random graph with three in four color-3 edges recolored 1: most
+    configurations with a third set fail, and which ones depends on exactly
+    which vertices were drawn."""
+    rows = random_graph(m, n, seed).colors
+    return new_graph(m, n, [[1 if c == 3 and (i + j) % 4 else c for j, c in enumerate(row)]
+                            for i, row in enumerate(rows)])
+
+
+# Up to 30 vertices a side: sample's pool branch (at most 21 left) and its
+# set branch both run, and a set of more than five raises the pool's limit.
+_WIDE_GRAPHS = st.one_of(
+    graphs(max_m=6, max_n=6),
+    st.builds(random_graph, st.integers(0, 30), st.integers(0, 30), st.integers(0, 2**32)),
+    st.builds(_mostly_two_colors, st.integers(0, 30), st.integers(0, 30), st.integers(0, 2**32)),
+)
+
+
+@given(_WIDE_GRAPHS, st.integers(1, 7), st.integers(0, 2**32))
+@example(_mostly_two_colors(30, 30, 4), 7, 1)
+@example(_mostly_two_colors(25, 3, 2), 2, 5)
 def test_sampled_matches_reference(g, k, seed):
     assert check_theta_sampled(g, k, 60, seed) == _reference_sampled(g, k, 60, seed)
+
+
+def test_sampled_draws_see_many_violations():
+    # 30 vertices a side, where violations and passes both number dozens
+    # in 2000 draws: a draw that takes a wrong vertex changes the count
+    cases = (
+        (random_graph(30, 30, 3), 1),
+        (_mostly_two_colors(30, 30, 3), 1),
+        (random_graph(30, 30, 3), 2),
+        (shifted_cubic_graph(37), 2),
+    )
+    for g, k in cases:
+        sampled = check_theta_sampled(g, k, 2000, 9)
+        assert 0.05 < sampled.violation_rate < 0.97
+        assert sampled == _reference_sampled(g, k, 2000, 9)
+        assert sampled.blocks >= 2  # both sides are drawn
 
 
 def test_sampled_matches_reference_across_blocks(monkeypatch):
@@ -405,6 +442,55 @@ def test_blocked_scan_matches_reference(monkeypatch, block_words):
     )
 
 
+def _first_set_blocks(n1, most):
+    """(first, last) first set of each block: widths 1, 2, 4, ... up to most."""
+    blocks, lo, width = [], 0, 1
+    while lo < n1:
+        blocks.append((lo, min(lo + width, n1) - 1))
+        lo += width
+        width = min(2 * width, most)
+    return blocks
+
+
+@pytest.mark.parametrize("block_words", [randomlab._BLOCK_WORDS, 17822])
+def test_batched_first_sets_fail_mid_block(monkeypatch, block_words):
+    # the default block words batch up to 13 first sets of cell (1, 1, 1)
+    # at 97 vertices (11 at 109), and 17822 up to 3; first set 10 fails
+    # there and sits inside a block, neither its first nor its last
+    monkeypatch.setattr(randomlab, "_BLOCK_WORDS", block_words)
+    most = 2 * block_words // 97 // 97
+    (lo, hi), = [b for b in _first_set_blocks(97, most) if b[0] <= 10 <= b[1]]
+    assert lo < 10 < hi
+    for keep in (14, 17, 20):
+        g = _few_color1_edges(97, 10, keep)
+        report = check_theta(g, 1, budget=10**7)
+        assert report == _reference_check_theta(g, 1)
+        assert report.exit_cell == (1, 1, 1) and report.counterexample.sets[0] == (10,)
+    # on 109 vertices, transposed: the right side fails after a full left scan
+    most = 2 * block_words // 109 // 109
+    (lo, hi), = [b for b in _first_set_blocks(109, most) if b[0] <= 10 <= b[1]]
+    assert lo < 10 < hi
+    g = _few_color1_edges(109, 10, 17)
+    flipped = new_graph(109, 109, [list(col) for col in zip(*g.colors)])
+    report = check_theta(flipped, 1, budget=10**7)
+    assert report == _reference_check_theta(flipped, 1)
+    assert report.counterexample.side is Side.RIGHT and report.counterexample.sets[0] == (10,)
+
+
+def test_set_planes_built_one_member_at_a_time():
+    # 9880 size-3 sets over 200 witnesses are 7.5 MiB of float32 planes; a
+    # gather of all three members at once would add 22.6 MiB
+    g = random_graph(40, 200, 2)
+    tracemalloc.start()
+    try:
+        report = check_theta(g, 3, budget=10**20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.exit_cell == (0, 0, 3)
+    assert peak <= 20 * 2**20
+
+
 @given(graphs(max_m=7, max_n=7), st.integers(1, 3), st.sampled_from([1, 2, 5, 40]))
 @example(new_graph(1, 3, [[1, 2, 3]]), 2, 1)
 @example(random_graph(4, 0, 5), 3, 1)
@@ -427,8 +513,12 @@ def test_scan_temporaries_within_block_words(monkeypatch, block_words):
 
     monkeypatch.setattr(randomlab, "_served", spy)
     monkeypatch.setattr(randomlab, "_BLOCK_WORDS", block_words)
-    check_theta(_few_color1_edges(97, 0, 17), 1, budget=10**7)
-    check_theta(random_graph(9, 130, 4), 3, budget=10**20)
+    reports = [
+        check_theta(_few_color1_edges(97, 0, 17), 1, budget=10**7),
+        check_theta(random_graph(9, 130, 4), 3, budget=10**20),
+        check_theta(shifted_cubic_graph(31), 2, budget=10**12),
+    ]
+    assert len(spans) == sum(r.kernel_calls for r in reports)
     assert 0 < max(spans) <= 8 * block_words
 
 
@@ -470,8 +560,13 @@ def test_extension_report_counters():
     g = shifted_cubic_graph(97)
     holds = check_theta(g, 1, budget=10**7)
     assert holds.exit_cell is None
-    # one GEMM per first set in cell (1, 1, 1), on each side
-    assert holds.kernel_calls == holds.blocks >= 2 * 97
+    # cell (1, 1, 1) runs one GEMM per first set, in blocks of up to
+    # room // 97 first sets; every other cell one GEMM per block
+    most = 2 * randomlab._BLOCK_WORDS // 97 // 97
+    batched = _first_set_blocks(97, most)
+    assert most == 13 and len(batched) == 11
+    assert holds.kernel_calls - holds.blocks == 2 * (97 - len(batched))
+    assert holds.blocks < 2 * 97 < holds.kernel_calls
     fails = check_theta(random_graph(40, 40, 3), 1)
     assert fails.exit_cell == (0, 1, 1) == tuple(map(len, fails.counterexample.sets))
     assert 0 < fails.blocks <= fails.kernel_calls < holds.blocks
@@ -481,20 +576,28 @@ def test_extension_report_counters():
 
 def test_first_set_gemms_run_over_its_color1_witnesses(monkeypatch):
     # in a cell with no empty set each GEMM contracts over exactly the first
-    # set's color-1 witnesses; elsewhere over every witness (97 here)
-    heights = []
+    # set's color-1 witnesses, one GEMM per first set in scan order even
+    # where a block holds several; elsewhere over every witness (97 here)
+    operands = []
     served = randomlab._served
 
     def spy(lhs, rhs):
-        heights.append(lhs.shape[0])
+        operands.append((lhs, rhs))
         return served(lhs, rhs)
 
     monkeypatch.setattr(randomlab, "_served", spy)
     g = shifted_cubic_graph(97)
     check_theta(g, 1, budget=10**7)
-    ones = [row.count(1) for row in g.colors] + [col.count(1) for col in zip(*g.colors)]
-    assert max(ones) < 97
-    assert sorted(h for h in heights if h < 97) == sorted(ones)
+    own = [(lhs, rhs) for lhs, rhs in operands if lhs.shape[0] < 97]
+    assert len(own) == 2 * 97
+    rows = np.array(g.colors)
+    scan = [(x1, rows) for x1 in range(97)] + [(x1, rows.T) for x1 in range(97)]
+    for (lhs, rhs), (x1, colors) in zip(own, scan):
+        w = np.flatnonzero(colors[x1] == 1)
+        # the color-2 planes of every second set and the color-3 planes of
+        # every third set on x1's witnesses, and no other (no padding) row
+        assert np.array_equal(lhs, (colors[:, w] == 2).T)
+        assert np.array_equal(rhs, (colors[:, w] == 3).T)
 
 
 def test_random_graph_matches_edge_color():
