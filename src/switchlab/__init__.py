@@ -2,81 +2,4 @@
 bipartite graphs: recoloring operators, orbit partitions of candidate
 groups, extension-property checking, and failure-probability bounds."""
 
-from .graphs import (
-    ColoredBipartiteGraph,
-    EdgeColoring,
-    IsoWitness,
-    Side,
-    VertexColoring,
-    VertexRef,
-    collapse_witness,
-    constant_graph,
-    graph_from_json,
-    graph_to_json,
-    induced_subgraph,
-    is_homogeneous,
-    is_isomorphic,
-    link_coloring,
-    new_graph,
-    pointwise_color_permutation,
-    swap_sides,
-    witnesses_all_colors,
-)
-from .orbits import (
-    Action,
-    BudgetExceededError,
-    CandidateGroup,
-    GroupSpec,
-    OrbitPartition,
-    closure_equals,
-    coloring_id,
-    distinguish_candidates,
-    enumerate_candidate_groups,
-    generators_for,
-    id_to_coloring,
-    orbit_partition,
-    partitions_equal,
-    redu_saturation_check,
-    refines,
-)
-from .randomlab import (
-    BoundEval,
-    ExtensionReport,
-    FailureEstimate,
-    bound_ratio_check,
-    chain,
-    check_theta,
-    check_theta_sampled,
-    estimate_failure_prob,
-    random_graph,
-    sfsp_bound,
-)
-from .s3 import (
-    ALL_PERMS,
-    IDENTITY,
-    S3Perm,
-    Subgroup,
-    commutator,
-    commutes,
-    compose,
-    elementwise_commute,
-    enumerate_subgroups,
-    inverse,
-    reducibility_table,
-    subgroup_generated,
-)
-from .switches import (
-    SwitchOp,
-    SwitchWord,
-    apply_switch,
-    apply_word,
-    detect_vertex_switch,
-    edge_kill_word,
-    inverse_word,
-    is_switch_on_set,
-    monochromatize,
-    word_from_json,
-    word_to_json,
-)
-
 __version__ = "0.1.0"

@@ -24,17 +24,12 @@ __all__ = [
     "Side",
     "VertexRef",
     "ColoredBipartiteGraph",
-    "EdgeColoring",
-    "VertexColoring",
     "IsoWitness",
     "new_graph",
     "constant_graph",
-    "induced_subgraph",
     "swap_sides",
     "is_isomorphic",
     "verify_iso_witness",
-    "link_coloring",
-    "witnesses_all_colors",
     "is_homogeneous",
     "pointwise_color_permutation",
     "collapse_witness",
@@ -93,11 +88,6 @@ class ColoredBipartiteGraph:
                 if c not in COLORS:
                     raise ValueError(f"color out of range: {c!r}")
 
-    def color(self, i: int, j: int) -> int:
-        if not (0 <= i < self.m and 0 <= j < self.n):
-            raise ValueError(f"edge ({i}, {j}) out of range for K_{{{self.m},{self.n}}}")
-        return self.colors[i][j]
-
     def side_size(self, side: Side) -> int:
         return self.m if side is Side.LEFT else self.n
 
@@ -116,18 +106,6 @@ def new_graph(m: int, n: int, colors) -> ColoredBipartiteGraph:
 
 def constant_graph(m: int, n: int, color: int) -> ColoredBipartiteGraph:
     return new_graph(m, n, [[color] * n for _ in range(m)])
-
-
-def induced_subgraph(g: ColoredBipartiteGraph, left_indices, right_indices) -> ColoredBipartiteGraph:
-    """Restriction to the given vertex sets, renumbered order-preservingly."""
-    left = sorted(set(left_indices))
-    right = sorted(set(right_indices))
-    if left and not (0 <= left[0] and left[-1] < g.m):
-        raise ValueError("left index out of range")
-    if right and not (0 <= right[0] and right[-1] < g.n):
-        raise ValueError("right index out of range")
-    rows = tuple(tuple(g.colors[i][j] for j in right) for i in left)
-    return ColoredBipartiteGraph(len(left), len(right), rows)
 
 
 def swap_sides(g: ColoredBipartiteGraph) -> ColoredBipartiteGraph:
@@ -221,82 +199,11 @@ def is_isomorphic(
     return None
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
-    """Total labeling of all vertex pairs: same-side pairs get the side tag
-    ("l" or "r"), cross pairs get their edge color."""
-
-    m: int
-    n: int
-    cross: tuple[tuple[int, ...], ...]
-
-    @staticmethod
-    def from_graph(g: ColoredBipartiteGraph) -> "EdgeColoring":
-        return EdgeColoring(g.m, g.n, g.colors)
-
-    def label(self, u: VertexRef, v: VertexRef):
-        for w in (u, v):
-            limit = self.m if w.side is Side.LEFT else self.n
-            if w.index >= limit:
-                raise ValueError(f"vertex {w} out of range")
-        if u.side == v.side:
-            return "l" if u.side is Side.LEFT else "r"
-        if u.side is Side.RIGHT:
-            u, v = v, u
-        return self.cross[u.index][v.index]
-
-
-@dataclass(frozen=True)
-class VertexColoring:
-    """Labels on one side's vertices; label i stands for edge color i seen
-    through a link vertex on the other side."""
-
-    side: Side
-    labels: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for c in self.labels:
-            if c not in COLORS:
-                raise ValueError(f"label out of range: {c!r}")
-
-
-def link_coloring(g: ColoredBipartiteGraph, v: VertexRef) -> VertexColoring:
-    """Coloring of the opposite side induced by the edges at ``v``."""
-    if not g.has_vertex(v):
-        raise ValueError(f"vertex {v} not in K_{{{g.m},{g.n}}}")
-    if v.side is Side.LEFT:
-        return VertexColoring(Side.RIGHT, g.colors[v.index])
-    return VertexColoring(Side.LEFT, tuple(g.colors[i][v.index] for i in range(g.m)))
-
-
-def witnesses_all_colors(g: ColoredBipartiteGraph) -> bool:
-    """True iff each of the three colors occurs on some cross edge."""
-    return _COLOR_SET.issubset(c for row in g.colors for c in row)
-
-
-def _flat_values(c) -> tuple[tuple, tuple[int, ...]]:
-    """Return (domain signature, color value sequence) for a coloring.
-
-    Colorings over the same domain are comparable: two edge colorings (graphs
-    or EdgeColoring wrappers) of equal dimensions, or two vertex colorings of
-    the same side and length.  Side tags of edge colorings agree by
-    construction whenever the dimensions agree, so only color values remain.
-    """
-    if isinstance(c, ColoredBipartiteGraph):
-        return (("edges", c.m, c.n), tuple(v for row in c.colors for v in row))
-    if isinstance(c, EdgeColoring):
-        return (("edges", c.m, c.n), tuple(v for row in c.cross for v in row))
-    if isinstance(c, VertexColoring):
-        return (("vertices", c.side, len(c.labels)), c.labels)
-    raise TypeError(f"not a coloring: {c!r}")
-
-
 def _aligned(c1, c2) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    sig1, v1 = _flat_values(c1)
-    sig2, v2 = _flat_values(c2)
-    if sig1 != sig2:
-        raise ValueError(f"domain mismatch: {sig1} vs {sig2}")
-    return v1, v2
+    """The row-major color values of two graphs of equal dimensions."""
+    if (c1.m, c1.n) != (c2.m, c2.n):
+        raise ValueError(f"domain mismatch: K_{{{c1.m},{c1.n}}} vs K_{{{c2.m},{c2.n}}}")
+    return tuple(v for row in c1.colors for v in row), tuple(v for row in c2.colors for v in row)
 
 
 def is_homogeneous(c1, c2) -> bool:

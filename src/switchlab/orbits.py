@@ -41,7 +41,6 @@ __all__ = [
     "Action",
     "OrbitPartition",
     "CandidateGroup",
-    "coloring_id",
     "id_to_coloring",
     "vertex_perm_actions",
     "switch_actions",
@@ -54,7 +53,6 @@ __all__ = [
     "refines",
     "enumerate_candidate_groups",
     "candidate_by_name",
-    "closure_equals",
     "distinguish_candidates",
     "redu_saturation_check",
 ]
@@ -83,16 +81,6 @@ def _check_budget(m: int, n: int, budget: int) -> None:
         raise BudgetExceededError(
             f"coloring space 3^{m * n} exceeds the {ORBIT_MEMORY_CAP >> 20} MiB orbit memory cap"
         )
-
-
-def coloring_id(g: ColoredBipartiteGraph) -> int:
-    """Base-3 row-major id in [0, 3^(m*n)); the first edge is the most
-    significant digit."""
-    value = 0
-    for i in range(g.m):
-        for j in range(g.n):
-            value = value * 3 + (g.colors[i][j] - 1)
-    return value
 
 
 def id_to_coloring(m: int, n: int, cid: int) -> ColoredBipartiteGraph:
@@ -136,13 +124,6 @@ class Action:
     axes: tuple[int, ...]
     recolor: tuple[int, ...] = ()
     lut: tuple[int, int, int] = (0, 1, 2)
-
-    def __call__(self, cid: int) -> int:
-        shape = (3,) * len(self.axes)
-        image = np.empty(len(shape), dtype=np.intp)
-        image[list(self.axes)] = np.unravel_index(cid, shape)
-        image[list(self.recolor)] = np.take(self.lut, image[list(self.recolor)])
-        return int(np.ravel_multi_index(tuple(image), shape))
 
     def pull(self, labels: np.ndarray) -> np.ndarray:
         """``labels[table]``, computed on the cube without the table."""
@@ -236,9 +217,6 @@ class OrbitPartition:
     labels: np.ndarray
     orbit_count: int
 
-    def orbit_of(self, cid: int) -> int:
-        return int(self.labels[cid])
-
 
 def partition_from_actions(actions, m: int, n: int, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitPartition:
     """Connected components of the id space under the generator actions."""
@@ -295,8 +273,9 @@ def enumerate_candidate_groups(with_swap: bool = False) -> list[CandidateGroup]:
     full-subgroup switches, and the full symmetric bookend.
 
     Pairs of distinct nontrivial subgroups on opposite sides are excluded;
-    their elementwise products disagree, which collapses the pair (see
-    ``reducibility_table``).  With ``with_swap``, side-symmetric candidates
+    their elementwise products disagree, which collapses the pair (the
+    ``redu-saturation`` check in ``verify`` asserts this for all six
+    non-commuting pairs).  With ``with_swap``, side-symmetric candidates
     get a variant with the side-swap generator appended; adjoining the swap
     to an asymmetric candidate would also adjoin the mirrored switches, which
     lands in a symmetric variant anyway.
@@ -324,14 +303,6 @@ def candidate_by_name(name: str) -> CandidateGroup:
             return cand
     known = ", ".join(c.name for c in enumerate_candidate_groups(with_swap=True))
     raise ValueError(f"unknown group {name!r}; known groups: {known}")
-
-
-def closure_equals(gen_a, gen_b, m: int, n: int, budget: int = DEFAULT_ORBIT_BUDGET) -> bool:
-    """True iff both generator lists induce the same orbit partition, the
-    finite proxy for equal group closures."""
-    pa = partition_from_actions(gen_a, m, n, budget)
-    pb = partition_from_actions(gen_b, m, n, budget)
-    return partitions_equal(pa, pb)
 
 
 def distinguish_candidates(
@@ -376,4 +347,7 @@ def redu_saturation_check(
         for i in range(m)
         for j in range(n)
     ]
-    return closure_equals(base, base + extra, m, n, budget)
+    return partitions_equal(
+        partition_from_actions(base, m, n, budget),
+        partition_from_actions(base + extra, m, n, budget),
+    )

@@ -39,7 +39,6 @@ __all__ = [
     "BoundEval",
     "BoundRatioReport",
     "FailureEstimate",
-    "edge_color",
     "random_graph",
     "chain",
     "check_theta",
@@ -61,6 +60,10 @@ DEFAULT_THETA_BUDGET = 200_000
 #: counts as one, so its rows or columns count too).
 RANDOM_GRAPH_CELL_CAP = 1 << 22
 
+#: Cap on the set-size cells (min(k, side) + 1)^3 of the larger side; a
+#: larger order k is refused before any cell is enumerated.
+SIZE_CELL_CAP = 1 << 15
+
 #: 8-byte words of float32 entries in one GEMM product of the exact scan, or
 #: one block of gathered planes of the sampled check (512 KiB).
 _BLOCK_WORDS = 1 << 16
@@ -79,12 +82,6 @@ def _mix(x):
     return x ^ (x >> 31)
 
 
-def edge_color(seed: int, i: int, j: int) -> int:
-    """Color of edge (i, j): uniform on {1, 2, 3}, independent across edges."""
-    h = _mix(_mix((seed & _MASK) ^ (i * _MULT_I & _MASK)) ^ (j * _MULT_J & _MASK))
-    return 1 + h % 3
-
-
 def _check_cells(sizes) -> None:
     """Refuse graphs with negative sides, or more cells in total than
     ``RANDOM_GRAPH_CELL_CAP``, before anything is allocated."""
@@ -99,9 +96,25 @@ def _check_cells(sizes) -> None:
             )
 
 
+def _check_order(k: int, size: int) -> None:
+    """Refuse an order k below 1, or one whose set-size cells on a side of
+    ``size`` vertices exceed ``SIZE_CELL_CAP``, before any graph is built or
+    any cell is enumerated or counted."""
+    if k < 1:
+        raise ValueError("extension order k must be at least 1")
+    cells = (min(k, size) + 1) ** 3
+    if cells > SIZE_CELL_CAP:
+        raise ValueError(
+            f"order k={k} on a side of {size} vertices gives {cells} set-size cells, "
+            f"above the cap {SIZE_CELL_CAP}"
+        )
+
+
 def random_graph(m: int, n: int, seed: int) -> ColoredBipartiteGraph:
-    """The graph whose edge (i, j) has color ``edge_color(seed, i, j)``,
-    computed for all edges in one uint64 pass."""
+    """The graph whose edge (i, j) has color 1 + h mod 3 with
+    h = mix(mix(seed ^ i * _MULT_I) ^ j * _MULT_J) in 64-bit arithmetic:
+    uniform on {1, 2, 3} and independent across edges, computed for all
+    edges in one uint64 pass."""
     _check_cells([(m, n)])
     with np.errstate(over="ignore"):
         rows = np.arange(m, dtype=np.uint64) * np.uint64(_MULT_I)
@@ -305,8 +318,7 @@ def check_theta(
 ) -> ExtensionReport:
     """Exact extension-property check; the left side's sets are scanned first,
     so counterexamples are deterministic."""
-    if k < 1:
-        raise ValueError("extension order k must be at least 1")
+    _check_order(k, max(g.m, g.n))
     for size in (g.m, g.n):
         count = _config_count(size, k)
         if count > budget:
@@ -361,8 +373,7 @@ def check_theta_sampled(g: ColoredBipartiteGraph, k: int, trials: int, seed: int
     Each drawn set is padded to a common width with the sentinel row of
     ``_witness_planes``; a block of draws is then one gather-and-min per
     side."""
-    if k < 1:
-        raise ValueError("extension order k must be at least 1")
+    _check_order(k, max(g.m, g.n))
     if trials < 1:
         raise ValueError("need at least one trial")
     colors = _color_array(g)
@@ -537,6 +548,7 @@ def estimate_failure_prob(
         raise ValueError("need at least one trial")
     m_left, m_right = _side_sizes(n)
     _check_cells([(m_left, m_right)])
+    _check_order(k, m_left)
     exact = all(
         _config_count(size, k) <= theta_budget for size in (m_left, m_right)
     )

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 __all__ = [
     "S3Perm",
     "Subgroup",
-    "ReducibilityRow",
     "IDENTITY",
     "ALL_PERMS",
     "TRIVIAL_SUBGROUP",
@@ -29,7 +28,6 @@ __all__ = [
     "noncommuting_witness",
     "subgroup_generated",
     "enumerate_subgroups",
-    "reducibility_table",
 ]
 
 
@@ -141,9 +139,6 @@ class Subgroup:
         gen = min(p for p in self.elements if not p.is_identity())
         return gen.cycle_string()
 
-    def __contains__(self, perm: S3Perm) -> bool:
-        return perm in self.elements
-
     def __iter__(self):
         return iter(self.sorted_elements())
 
@@ -209,30 +204,3 @@ def noncommuting_witness(h1: Subgroup, h2: Subgroup) -> tuple[S3Perm, S3Perm] | 
             if not commutes(f, g):
                 return (f, g)
     return None
-
-
-@dataclass(frozen=True)
-class ReducibilityRow:
-    """A pair of subgroups that cannot drive switches on opposite sides
-    simultaneously, with a non-commuting witness pair and both products."""
-
-    h1: Subgroup
-    h2: Subgroup
-    f: S3Perm
-    g: S3Perm
-    fg: S3Perm
-    gf: S3Perm
-
-
-def reducibility_table() -> tuple[ReducibilityRow, ...]:
-    """The six pairs of distinct nontrivial proper subgroups, each with a
-    witness (f, g), f in h1, g in h2, such that f.g != g.f."""
-    proper = [h for h in enumerate_subgroups() if h.order in (2, 3)]
-    rows = []
-    for h1, h2 in itertools.combinations(proper, 2):
-        witness = noncommuting_witness(h1, h2)
-        if witness is None:
-            continue
-        f, g = witness
-        rows.append(ReducibilityRow(h1, h2, f, g, compose(f, g), compose(g, f)))
-    return tuple(rows)

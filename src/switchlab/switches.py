@@ -13,24 +13,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import ColoredBipartiteGraph, Side, VertexRef, swap_sides
-from .s3 import ALL_PERMS, S3Perm, commutator, commutes, inverse
+from .graphs import ColoredBipartiteGraph, Side, VertexRef
+from .s3 import S3Perm, commutator, commutes, inverse
 
 __all__ = [
     "SwitchOp",
     "SwitchWord",
-    "IDENTICAL",
     "left_switch",
     "right_switch",
-    "apply_switch",
     "apply_word",
     "inverse_word",
     "edge_kill_word",
     "monochromatize",
     "MONO_F",
     "MONO_G",
-    "detect_vertex_switch",
-    "is_switch_on_set",
     "word_to_json",
     "word_from_json",
 ]
@@ -60,11 +56,6 @@ def left_switch(index: int, sigma: S3Perm) -> SwitchOp:
 
 def right_switch(index: int, sigma: S3Perm) -> SwitchOp:
     return SwitchOp(frozenset({VertexRef(Side.RIGHT, index)}), sigma)
-
-
-def apply_switch(g: ColoredBipartiteGraph, op: SwitchOp) -> ColoredBipartiteGraph:
-    """Edge (i, j) gets sigma^t of its color, t = endpoints inside support."""
-    return apply_word(g, SwitchWord((op,)))
 
 
 def apply_word(g: ColoredBipartiteGraph, word: SwitchWord) -> ColoredBipartiteGraph:
@@ -140,49 +131,8 @@ def monochromatize(g: ColoredBipartiteGraph, target: int) -> SwitchWord:
             if c == target:
                 continue
             hops = 1 if gamma(c) == target else 2
-            for _ in range(hops):
-                ops.extend(edge_kill_word(i, j, MONO_F, MONO_G).ops)
+            ops.extend(edge_kill_word(i, j, MONO_F, MONO_G).ops * hops)
     return SwitchWord(tuple(ops))
-
-
-#: Marker returned by detect_vertex_switch when the graphs are equal.
-IDENTICAL = "identical"
-
-
-def detect_vertex_switch(g1: ColoredBipartiteGraph, g2: ColoredBipartiteGraph):
-    """Find (v, sigma), sigma != identity, with g2 = that single-vertex switch
-    of g1; returns IDENTICAL for equal graphs, None when nothing fits.
-
-    Scan order is deterministic: left vertices by index, then right, trying
-    sigma in canonical order, so non-unique witnesses resolve stably.
-    """
-    if (g1.m, g1.n) != (g2.m, g2.n):
-        raise ValueError("dimension mismatch")
-    if g1.colors == g2.colors:
-        return IDENTICAL
-    # a right-vertex switch is a left-vertex switch of the swapped graphs
-    for side, h1, h2 in ((Side.LEFT, g1, g2), (Side.RIGHT, swap_sides(g1), swap_sides(g2))):
-        bad_rows = [i for i in range(h1.m) if h1.colors[i] != h2.colors[i]]
-        if len(bad_rows) == 1:
-            v = bad_rows[0]
-            for sigma in ALL_PERMS[1:]:  # every sigma but the identity
-                if all(sigma(c) == d for c, d in zip(h1.colors[v], h2.colors[v])):
-                    return (VertexRef(side, v), sigma)
-    return None
-
-
-def is_switch_on_set(
-    g1: ColoredBipartiteGraph, g2: ColoredBipartiteGraph, support
-) -> S3Perm | None:
-    """The sigma (first in canonical order) realizing g2 as a switch of g1 on
-    the given support set, if any."""
-    if (g1.m, g1.n) != (g2.m, g2.n):
-        raise ValueError("dimension mismatch")
-    support = frozenset(support)
-    for sigma in ALL_PERMS:
-        if apply_switch(g1, SwitchOp(support, sigma)) == g2:
-            return sigma
-    return None
 
 
 def word_to_json(word: SwitchWord) -> list:

@@ -442,13 +442,38 @@ _GRAPH_DOCS = st.one_of(
         [1, 2, 3],
     ]),
 )
+_CYCLES = ["()", "(12)", "(13)", "(23)", "(123)", "(132)"]
+_WORD_DOCS = st.one_of(
+    st.lists(
+        st.fixed_dictionaries({
+            "support": st.lists(st.fixed_dictionaries({
+                "side": st.sampled_from(["L", "R"]),
+                "i": st.one_of(st.integers(-1, 4), st.just(10**400)),
+            }), max_size=3),
+            "sigma": st.sampled_from(_CYCLES),
+        }),
+        max_size=4,
+    ),
+    st.sampled_from([
+        {"not": "a list"},
+        [5],
+        [{"support": [{"side": "X", "i": 0}], "sigma": "(12)"}],
+        [{"support": [{"side": "L", "i": True}], "sigma": "(12)"}],
+        [{"support": 5, "sigma": "(12)"}],
+        [{"support": [], "sigma": "(21)"}],
+    ]),
+)
+# verify-lemmas checks that run in well under a second, and a name that is none
+_CHEAP_CHECKS = ["s3-table-fidelity", "orbit-engine", "h12-closure", "redu-saturation",
+                 "collapse-trichotomy", "bogus"]
 
 
 @st.composite
 def _cli_argv(draw):
     num = lambda strategy=_NUMBERS: str(draw(strategy))
     command = draw(st.sampled_from(
-        ["generate", "chain", "check-theta", "sfsp-bound", "sfsp-estimate", "orbits"]
+        ["generate", "chain", "check-theta", "sfsp-bound", "sfsp-estimate", "orbits",
+         "apply-word", "edge-kill", "monochromatize", "distinguish", "verify-lemmas"]
     ))
     if command == "generate":
         return ["generate", "--m", num(), "--n", num(), "--seed", num()]
@@ -469,27 +494,50 @@ def _cli_argv(draw):
     if command == "sfsp-estimate":
         return ["sfsp-estimate", "--n", num(), "--k", num(), "--trials", num(_TRIALS),
                 "--seed", num()] + stats()
-    argv = ["orbits", "--m", num(_SIDES), "--n", num(_SIDES),
-            "--group", draw(st.sampled_from(["Aut", "Sym_lr", "S_l^(12)", "ol_Aut", "Nope"]))]
+    if command == "apply-word":
+        return ["apply-word", "--input", "{graph}", "--word", "{word}"]
+    if command == "edge-kill":
+        cycle = lambda: draw(st.sampled_from(_CYCLES + ["(21)"]))
+        argv = ["edge-kill", "--x", num(_SIDES), "--y", num(_SIDES), "--f", cycle(), "--g", cycle()]
+        return argv + (["--input", "{graph}"] if draw(st.booleans()) else [])
+    if command == "monochromatize":
+        return ["monochromatize", "--input", "{graph}", "--target", num()]
+    if command == "verify-lemmas":
+        names = draw(st.lists(st.sampled_from(_CHEAP_CHECKS), min_size=1, max_size=2))
+        return ["verify-lemmas", "--only", ",".join(names)] + stats()
+    argv = [command, "--m", num(_SIDES), "--n", num(_SIDES)]
+    if command == "orbits":
+        argv += ["--group", draw(st.sampled_from(["Aut", "Sym_lr", "S_l^(12)", "ol_Aut", "Nope"]))]
+    elif draw(st.booleans()):
+        argv += ["--with-swap"]
     if draw(st.booleans()):
         argv += ["--budget", num()]
     return argv
 
 
+_RAND150 = graph_to_json(random_graph(150, 150, 1))
+
+
 @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(_cli_argv(), _GRAPH_DOCS)
-@example(["sfsp-bound", "--k", "1", "--n", str(10**400)], {})  # n past the float range
-@example(["sfsp-bound", "--k", "1000000", "--n", "100000000"], {})  # k-fold binomials
+@given(_cli_argv(), _GRAPH_DOCS, _WORD_DOCS)
+@example(["sfsp-bound", "--k", "1", "--n", str(10**400)], {}, [])  # n past the float range
+@example(["sfsp-bound", "--k", "1000000", "--n", "100000000"], {}, [])  # k-fold binomials
 @example(["sfsp-estimate", "--n", str(10**400), "--k", str(10**400), "--trials", "1",
-          "--seed", "1"], {})
-@example(["chain", "--seed", "1", "--count", str(10**400)], {})
-@example(["sfsp-estimate", "--n", "8", "--k", "1", "--trials", "2", "--seed", "1", "--stats"], {})
+          "--seed", "1"], {}, [])
+@example(["chain", "--seed", "1", "--count", str(10**400)], {}, [])
+@example(["sfsp-estimate", "--n", "8", "--k", "1", "--trials", "2", "--seed", "1", "--stats"], {}, [])
 @example(["check-theta", "--input", "{graph}", "--k", "2", "--sampled", "--trials", "3",
-          "--seed", "1", "--stats"], {"m": 2, "n": 3, "colors": [[1, 2, 3], [3, 2, 1]]})
-def test_cli_fuzz_single_json_document(tmp_path, capsys, argv, doc):
-    path = tmp_path / "g.json"
+          "--seed", "1", "--stats"], {"m": 2, "n": 3, "colors": [[1, 2, 3], [3, 2, 1]]}, [])
+# an order past the set-size cell cap is refused before any cell is enumerated
+@example(["check-theta", "--input", "{graph}", "--k", "150"], _RAND150, [])
+@example(["check-theta", "--input", "{graph}", "--k", "150", "--sampled", "--trials", "10",
+          "--seed", "1"], _RAND150, [])
+@example(["sfsp-estimate", "--n", "2000", "--k", "1000", "--trials", "1", "--seed", "1"], {}, [])
+def test_cli_fuzz_single_json_document(tmp_path, capsys, argv, doc, word):
+    path, word_path = tmp_path / "g.json", tmp_path / "w.json"
     path.write_text(json.dumps(doc))
-    argv = [arg.format(graph=path) for arg in argv]
+    word_path.write_text(json.dumps(word))
+    argv = [arg.format(graph=path, word=word_path) for arg in argv]
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse usage errors

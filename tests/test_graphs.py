@@ -7,23 +7,16 @@ import hypothesis.strategies as st
 
 from switchlab.graphs import (
     ColoredBipartiteGraph,
-    EdgeColoring,
     IsoWitness,
-    Side,
-    VertexColoring,
-    VertexRef,
     collapse_witness,
     graph_from_json,
     graph_to_json,
-    induced_subgraph,
     is_homogeneous,
     is_isomorphic,
-    link_coloring,
     new_graph,
     pointwise_color_permutation,
     swap_sides,
     verify_iso_witness,
-    witnesses_all_colors,
 )
 from switchlab.graphs import _profile_permutations, _row_profile
 from switchlab.orbits import id_to_coloring
@@ -71,16 +64,6 @@ def test_color_validation_messages():
     assert ColoredBipartiteGraph(1, 2, ((True, 3),)) == new_graph(1, 2, [[1, 3]])
     eq_one = type("EqOne", (), {"__eq__": lambda self, other: other == 1, "__hash__": None})
     assert ColoredBipartiteGraph(1, 2, ((eq_one(), 3),)).n == 2
-
-
-def test_induced_subgraph():
-    assert induced_subgraph(G, {0}, {1}).colors == ((2,),)
-    assert induced_subgraph(G, {0, 1}, {0, 1}) == G
-    empty_left = induced_subgraph(G, set(), {0})
-    assert (empty_left.m, empty_left.n) == (0, 1)
-    assert empty_left.colors == ()
-    with pytest.raises(ValueError):
-        induced_subgraph(G, {5}, {0})
 
 
 def test_swap_sides():
@@ -219,39 +202,6 @@ def test_swap_isomorphism_always_found(g):
     assert w is not None and verify_iso_witness(g, swap_sides(g), w)
 
 
-def test_link_coloring():
-    assert link_coloring(G, VertexRef(Side.LEFT, 0)) == VertexColoring(Side.RIGHT, (1, 2))
-    assert link_coloring(G, VertexRef(Side.LEFT, 1)) == VertexColoring(Side.RIGHT, (3, 1))
-    assert link_coloring(G, VertexRef(Side.RIGHT, 0)) == VertexColoring(Side.LEFT, (1, 3))
-    with pytest.raises(ValueError):
-        link_coloring(G, VertexRef(Side.LEFT, 2))
-
-
-def test_witnesses_all_colors():
-    assert witnesses_all_colors(G)
-    assert not witnesses_all_colors(new_graph(2, 2, [[1, 1], [1, 1]]))
-    assert not witnesses_all_colors(new_graph(0, 3, []))
-
-
-@given(graphs(), st.data())
-def test_witnesses_monotone_under_extension(g, data):
-    left = data.draw(st.sets(st.integers(0, max(g.m - 1, 0)), max_size=g.m))
-    right = data.draw(st.sets(st.integers(0, max(g.n - 1, 0)), max_size=g.n))
-    left = {i for i in left if i < g.m}
-    right = {j for j in right if j < g.n}
-    sub = induced_subgraph(g, left, right)
-    if witnesses_all_colors(sub):
-        assert witnesses_all_colors(g)
-
-
-def test_edge_coloring_labels():
-    chi = EdgeColoring.from_graph(G)
-    assert chi.label(VertexRef(Side.LEFT, 0), VertexRef(Side.LEFT, 1)) == "l"
-    assert chi.label(VertexRef(Side.RIGHT, 0), VertexRef(Side.RIGHT, 1)) == "r"
-    assert chi.label(VertexRef(Side.LEFT, 0), VertexRef(Side.RIGHT, 1)) == 2
-    assert chi.label(VertexRef(Side.RIGHT, 0), VertexRef(Side.LEFT, 1)) == 3
-
-
 def test_is_homogeneous():
     assert is_homogeneous(G, G)
     constant = new_graph(2, 2, [[1, 1], [1, 1]])
@@ -261,8 +211,6 @@ def test_is_homogeneous():
     )
     with pytest.raises(ValueError, match="domain mismatch"):
         is_homogeneous(G, new_graph(1, 1, [[1]]))
-    with pytest.raises(ValueError, match="domain mismatch"):
-        is_homogeneous(G, VertexColoring(Side.LEFT, (1, 2)))
 
 
 def test_pointwise_color_permutation():
@@ -276,15 +224,10 @@ def test_pointwise_color_permutation():
         )
         is None
     )
-    # vertex colorings compare the same way
-    assert pointwise_color_permutation(
-        VertexColoring(Side.LEFT, (2, 1)), VertexColoring(Side.LEFT, (1, 2))
-    ) == c("(12)")
 
 
 def test_empty_domain_conventions():
     empty = new_graph(0, 2, [])
-    assert not witnesses_all_colors(empty)
     assert is_homogeneous(empty, empty)
     assert pointwise_color_permutation(empty, empty) == IDENTITY
     assert collapse_witness(empty, empty) is None

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from collections import Counter
 
@@ -10,7 +11,7 @@ from hypothesis import example, given
 import hypothesis.strategies as st
 
 from switchlab import randomlab
-from switchlab.graphs import Side, constant_graph, induced_subgraph, new_graph
+from switchlab.graphs import Side, constant_graph, new_graph
 from switchlab.randomlab import (
     ExtensionReport,
     SampledCheck,
@@ -20,7 +21,6 @@ from switchlab.randomlab import (
     chain,
     check_theta,
     check_theta_sampled,
-    edge_color,
     estimate_failure_prob,
     random_graph,
     sfsp_bound,
@@ -28,6 +28,14 @@ from switchlab.randomlab import (
 )
 
 from conftest import graphs, shifted_cubic_graph
+
+
+def edge_color(seed, i, j):
+    # the scalar oracle for random_graph's uint64 pass: one edge's color
+    # from (seed, i, j) alone, with the finalizer on Python ints
+    mix, mask = randomlab._mix, randomlab._MASK
+    h = mix(mix((seed & mask) ^ (i * randomlab._MULT_I & mask)) ^ (j * randomlab._MULT_J & mask))
+    return 1 + h % 3
 
 
 def test_random_graph_deterministic():
@@ -63,7 +71,7 @@ def test_chain_shape():
 def test_chain_prefix_stability():
     graphs_ = chain(3, 12)
     for small, big in zip(graphs_, graphs_[1:]):
-        assert induced_subgraph(big, range(small.m), range(small.n)) == small
+        assert tuple(row[:small.n] for row in big.colors[:small.m]) == small.colors
     longer = chain(3, 17)
     assert longer[:12] == graphs_
 
@@ -637,6 +645,57 @@ def test_order_beyond_side_sizes_changes_only_k():
         )
         sampled = check_theta_sampled(g, 10**9, 200, 3)
         assert sampled.violations == check_theta_sampled(g, max(g.m, g.n, 1), 200, 3).violations
+
+
+def test_order_screen_boundary():
+    # (min(k, side) + 1)^3 set-size cells on the larger side: at the cap the
+    # cells are enumerated as before, one past it the order is refused
+    cap = randomlab.SIZE_CELL_CAP
+    top = round(cap ** (1 / 3)) - 1
+    assert (top + 1) ** 3 <= cap < (top + 2) ** 3
+    g = random_graph(top + 1, top, 1)
+    with pytest.raises(ThetaBudgetError):
+        check_theta(g, top)
+    assert check_theta_sampled(g, top, 5, 1).trials == 5
+    assert estimate_failure_prob(2 * top + 1, top, 1, 1, sampled_trials=5).mode == "sampled"
+    # a side of `top` vertices stays at the cap whatever k is
+    thin = random_graph(top, 2, 1)
+    assert check_theta_sampled(thin, 10**9, 5, 1).trials == 5
+    for call in (
+        lambda: check_theta(g, top + 1),
+        lambda: check_theta_sampled(g, top + 1, 5, 1),
+        lambda: estimate_failure_prob(2 * top + 1, top + 1, 1, 1),
+    ):
+        with pytest.raises(ValueError, match="set-size cells, above the cap"):
+            call()
+
+
+def test_order_below_one_refused_before_any_graph(monkeypatch):
+    # the same screen refuses k < 1 in all three entry points, and
+    # estimate_failure_prob no longer builds a graph first
+    monkeypatch.setattr(randomlab, "random_graph", lambda *args: pytest.fail("graph built"))
+    g = constant_graph(2, 2, 1)
+    for call in (
+        lambda: check_theta(g, 0),
+        lambda: check_theta_sampled(g, -1, 0, 1),
+        lambda: estimate_failure_prob(4096, 0, 1, 1),
+    ):
+        with pytest.raises(ValueError, match="^extension order k must be at least 1$"):
+            call()
+
+
+def test_oversized_order_refused_at_once():
+    # before the screen these enumerated 151^3 (or 1001^3) size cells first
+    g = random_graph(150, 150, 1)
+    start = time.perf_counter()
+    for call in (
+        lambda: check_theta(g, 150),
+        lambda: check_theta_sampled(g, 150, 10, 1),
+        lambda: estimate_failure_prob(2000, 1000, 1, 1),
+    ):
+        with pytest.raises(ValueError, match="cap"):
+            call()
+    assert time.perf_counter() - start < 1.0
 
 
 def test_sampled_matches_reference_larger_graphs():

@@ -8,15 +8,11 @@ from switchlab.graphs import ColoredBipartiteGraph, Side, VertexRef, constant_gr
 from switchlab.randomlab import random_graph
 from switchlab.s3 import ALL_PERMS, IDENTITY, S3Perm, commutator, commutes, compose
 from switchlab.switches import (
-    IDENTICAL,
     SwitchOp,
     SwitchWord,
-    apply_switch,
     apply_word,
-    detect_vertex_switch,
     edge_kill_word,
     inverse_word,
-    is_switch_on_set,
     left_switch,
     monochromatize,
     right_switch,
@@ -105,7 +101,8 @@ def test_apply_word_matches_reference(g, data):
         assert type(got.colors) is tuple and all(type(r) is tuple for r in got.colors)
     if word.ops:
         op = word.ops[0]
-        assert _outcome(apply_switch, g, op) == _outcome(_reference_apply_switch, g, op)
+        one = SwitchWord((op,))
+        assert _outcome(apply_word, g, one) == _outcome(_reference_apply_switch, g, op)
     else:
         assert apply_word(g, word) is g
 
@@ -122,17 +119,21 @@ def test_apply_word_reports_the_first_bad_switch():
     assert g == random_graph(3, 4, 1)  # the input is never mutated
 
 
+def _apply_switch(g, op):
+    return apply_word(g, SwitchWord((op,)))
+
+
 def test_apply_switch_basic():
     k11 = new_graph(1, 1, [[1]])
-    assert apply_switch(k11, left_switch(0, c("(12)"))).colors == ((2,),)
+    assert _apply_switch(k11, left_switch(0, c("(12)"))).colors == ((2,),)
     both = SwitchOp(
         frozenset({VertexRef(Side.LEFT, 0), VertexRef(Side.RIGHT, 0)}), c("(123)")
     )
-    assert apply_switch(k11, both).colors == ((3,),)
+    assert _apply_switch(k11, both).colors == ((3,),)
     g = random_graph(3, 3, 5)
-    assert apply_switch(g, left_switch(1, IDENTITY)) == g
+    assert _apply_switch(g, left_switch(1, IDENTITY)) == g
     with pytest.raises(ValueError):
-        apply_switch(k11, left_switch(1, c("(12)")))
+        _apply_switch(k11, left_switch(1, c("(12)")))
 
 
 @given(graphs(min_m=1, min_n=1), perms, st.data())
@@ -142,7 +143,7 @@ def test_apply_switch_per_edge_law(g, sigma, data):
     support = {VertexRef(Side.LEFT, i) for i in lset} | {
         VertexRef(Side.RIGHT, j) for j in rset
     }
-    out = apply_switch(g, SwitchOp(frozenset(support), sigma))
+    out = _apply_switch(g, SwitchOp(frozenset(support), sigma))
     for i, j in g.edges():
         t = (i in lset) + (j in rset)
         want = g.colors[i][j]
@@ -242,56 +243,6 @@ def test_monochromatize_property(g, target):
     assert apply_word(g, word) == constant_graph(g.m, g.n, target)
     off = sum(1 for i, j in g.edges() if g.colors[i][j] != target)
     assert len(word) <= 8 * off
-
-
-def test_detect_vertex_switch_examples():
-    g1 = new_graph(2, 2, [[1, 2], [3, 1]])
-    assert detect_vertex_switch(g1, new_graph(2, 2, [[2, 1], [3, 1]])) == (
-        VertexRef(Side.LEFT, 0),
-        c("(12)"),
-    )
-    assert detect_vertex_switch(g1, g1) == IDENTICAL
-    # single changed edge that no row or column switch explains
-    g2 = new_graph(2, 2, [[1, 1], [3, 1]])
-    assert detect_vertex_switch(g1, g2) is None
-    # oracle: no (v, sigma) reproduces g2
-    for side, count in ((Side.LEFT, 2), (Side.RIGHT, 2)):
-        for v in range(count):
-            for sigma in ALL_PERMS:
-                if sigma.is_identity():
-                    continue
-                op = SwitchOp(frozenset({VertexRef(side, v)}), sigma)
-                assert apply_switch(g1, op) != g2
-    with pytest.raises(ValueError):
-        detect_vertex_switch(g1, new_graph(1, 1, [[1]]))
-
-
-@given(graphs(min_m=1, min_n=1), st.data())
-def test_detect_vertex_switch_round_trip(g, data):
-    side = data.draw(st.sampled_from([Side.LEFT, Side.RIGHT]))
-    limit = g.m if side is Side.LEFT else g.n
-    v = VertexRef(side, data.draw(st.integers(0, limit - 1)))
-    sigma = data.draw(st.sampled_from([p for p in ALL_PERMS if not p.is_identity()]))
-    g2 = apply_switch(g, SwitchOp(frozenset({v}), sigma))
-    found = detect_vertex_switch(g, g2)
-    assert found is not None
-    if found == IDENTICAL:
-        assert g == g2  # sigma fixed every color in play
-    else:
-        fv, fsigma = found
-        assert apply_switch(g, SwitchOp(frozenset({fv}), fsigma)) == g2
-
-
-def test_is_switch_on_set():
-    g = random_graph(2, 3, 11)
-    assert is_switch_on_set(g, g, frozenset()) == IDENTITY
-    assert is_switch_on_set(g, random_graph(2, 3, 12), frozenset()) is None
-    a = frozenset({VertexRef(Side.LEFT, 0)})
-    g2 = apply_switch(g, SwitchOp(a, c("(23)")))
-    assert is_switch_on_set(g, g2, a) == c("(23)")
-    spanning = frozenset({VertexRef(Side.LEFT, 0), VertexRef(Side.RIGHT, 1)})
-    g3 = apply_switch(g, SwitchOp(spanning, c("(123)")))
-    assert is_switch_on_set(g, g3, spanning) == c("(123)")
 
 
 def test_word_json_round_trip():
