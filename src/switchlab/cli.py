@@ -139,7 +139,9 @@ def _cmd_monochromatize(args) -> int:
 
 def _cmd_orbits(args) -> int:
     cand = candidate_by_name(args.group)
+    start = time.perf_counter()
     part = orbit_partition(cand.spec, args.m, args.n, args.budget)
+    _emit_stats(args, start, actions=part.actions, rounds=part.rounds, jumps=part.jumps)
     _emit({"m": args.m, "n": args.n, "group": cand.name, "orbit_count": part.orbit_count})
     return 0
 
@@ -246,6 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--group", required=True, help='candidate name, e.g. "Aut"')
     p.add_argument("--budget", type=int, default=DEFAULT_ORBIT_BUDGET)
+    p.add_argument("--stats", action="store_true", help="timing and propagation counters on stderr")
     p.set_defaults(func=_cmd_orbits)
 
     p = sub.add_parser("distinguish", help="pairwise orbit comparison of candidates")

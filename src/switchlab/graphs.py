@@ -12,7 +12,6 @@ JSON format: ``{"m": int, "n": int, "colors": [[int, ...], ...]}`` with
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
@@ -142,8 +141,7 @@ def verify_iso_witness(g1: ColoredBipartiteGraph, g2: ColoredBipartiteGraph, w: 
 
 
 def _row_profile(row) -> tuple[int, int, int]:
-    c = Counter(row)
-    return (c[1], c[2], c[3])
+    return (row.count(1), row.count(2), row.count(3))
 
 
 def _profile_permutations(prof1: list, prof2: list, prefix: tuple = ()):
@@ -158,6 +156,10 @@ def _profile_permutations(prof1: list, prof2: list, prefix: tuple = ()):
             yield from _profile_permutations(prof1, prof2, prefix + (r,))
 
 
+#: Row maps the isomorphism search may try before it gives up; 8! fits.
+ISO_ROW_MAP_CAP = 2**16
+
+
 def _side_preserving_iso(g1: ColoredBipartiteGraph, g2: ColoredBipartiteGraph) -> IsoWitness | None:
     if (g1.m, g1.n) != (g2.m, g2.n):
         return None
@@ -166,7 +168,12 @@ def _side_preserving_iso(g1: ColoredBipartiteGraph, g2: ColoredBipartiteGraph) -
     if sorted(prof1) != sorted(prof2):
         return None
     cols1 = [tuple(g1.colors[i][j] for i in range(g1.m)) for j in range(g1.n)]
-    for perm in _profile_permutations(prof1, prof2):
+    cols2 = [tuple(g2.colors[i][j] for i in range(g2.m)) for j in range(g2.n)]
+    if sorted(map(_row_profile, cols1)) != sorted(map(_row_profile, cols2)):
+        return None
+    for tried, perm in enumerate(_profile_permutations(prof1, prof2)):
+        if tried == ISO_ROW_MAP_CAP:
+            raise ValueError(f"isomorphism search tried {ISO_ROW_MAP_CAP} row maps without an answer")
         # columns of g1 vs columns of g2 reindexed through the row map; each
         # column of g1 takes the first unused g2 column with its vector
         slots: dict[tuple, list[int]] = {}
@@ -187,7 +194,9 @@ def is_isomorphic(
     """Search for a color-preserving bijection; None is a normal outcome.
 
     Side-preserving maps are tried first; with ``allow_swap`` a side-exchanging
-    map (an isomorphism onto the swapped graph) is also tried.
+    map (an isomorphism onto the swapped graph) is also tried.  Raises
+    ``ValueError`` once a search has tried ``ISO_ROW_MAP_CAP`` row maps (up
+    to m! when every row has the same color counts) without an answer.
     """
     witness = _side_preserving_iso(g1, g2)
     if witness is not None:

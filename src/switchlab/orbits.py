@@ -210,12 +210,16 @@ def generators_for(spec: GroupSpec, m: int, n: int, budget: int = DEFAULT_ORBIT_
 @dataclass(eq=False)
 class OrbitPartition:
     """Dense orbit ids over the whole coloring space, numbered by least
-    member id."""
+    member id.  The counters record the work: generator actions, fixpoint
+    rounds and pointer-jump rounds, each final no-change round included."""
 
     m: int
     n: int
     labels: np.ndarray
     orbit_count: int
+    actions: int = 0
+    rounds: int = 0
+    jumps: int = 0
 
 
 def partition_from_actions(actions, m: int, n: int, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitPartition:
@@ -224,12 +228,15 @@ def partition_from_actions(actions, m: int, n: int, budget: int = DEFAULT_ORBIT_
     if any(len(a.axes) != m * n for a in actions):
         raise ValueError("action does not match the coloring space")
     labels = np.arange(3 ** (m * n), dtype=np.int64)
+    rounds = jumps = 0
     while True:
+        rounds += 1
         before = labels
         labels = labels.copy()
         for a in actions:
             np.minimum(labels, a.pull(labels), out=labels)
         while True:
+            jumps += 1
             jumped = labels[labels]
             if np.array_equal(jumped, labels):
                 break
@@ -238,7 +245,8 @@ def partition_from_actions(actions, m: int, n: int, budget: int = DEFAULT_ORBIT_
             break
     # each orbit is now labelled by its least member, so no sort is needed
     roots = labels == np.arange(labels.size)
-    return OrbitPartition(m, n, (np.cumsum(roots) - 1)[labels], int(roots.sum()))
+    return OrbitPartition(m, n, (np.cumsum(roots) - 1)[labels], int(roots.sum()),
+                          len(actions), rounds, jumps)
 
 
 def orbit_partition(spec: GroupSpec, m: int, n: int, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitPartition:

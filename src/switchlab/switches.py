@@ -3,7 +3,10 @@
 A switch carries a support set of vertices and a color permutation sigma.
 An edge is recolored by sigma once per endpoint inside the support, so by
 sigma for one endpoint and sigma^2 for two.  Words compose switches first to
-last.  Operators never mutate their input graph.
+last.  Operators never mutate their input graph.  Words may share op
+instances, which are immutable; each operator builds, checks, inverts or
+formats every distinct instance once per call, keyed by ``id`` while the word
+holds it.
 
 Word JSON format: ``[{"support": [{"side": "L", "i": 0}, ...], "sigma": "(12)"},
 ...]``, applied first to last.
@@ -63,30 +66,38 @@ def apply_word(g: ColoredBipartiteGraph, word: SwitchWord) -> ColoredBipartiteGr
 
     A switch recolors the rows of its left support and the columns of its
     right support in place, so an edge with both endpoints inside gets sigma
-    twice.  Each switch's support is checked before it is applied.
+    twice.  Every support is checked, in word order, before any is applied.
     """
     if not word.ops:
         return g
-    rows = [list(row) for row in g.colors]
+    plans = {}  # id(op) -> (lut with lut[c] = sigma(c), support), once the support is checked
     for op in word.ops:
-        for v in op.support:
-            if not g.has_vertex(v):
-                raise ValueError(f"support vertex {v} not in K_{{{g.m},{g.n}}}")
-        lut = (0, *op.sigma.image)  # lut[c] is sigma(c)
-        for v in op.support:
-            if v.side is Side.LEFT:
+        if id(op) not in plans:
+            for v in op.support:
+                if not g.has_vertex(v):
+                    raise ValueError(f"support vertex {v} not in K_{{{g.m},{g.n}}}")
+            plans[id(op)] = ((0, *op.sigma.image), op.support)
+    rows = [list(row) for row in g.colors]
+    left = Side.LEFT
+    for op in word.ops:
+        lut, support = plans[id(op)]
+        for v in support:
+            if v.side is left:
                 rows[v.index] = [lut[c] for c in rows[v.index]]
             else:
+                k = v.index
                 for row in rows:
-                    row[v.index] = lut[row[v.index]]
+                    row[k] = lut[row[k]]
     return ColoredBipartiteGraph(g.m, g.n, tuple(map(tuple, rows)))
 
 
 def inverse_word(word: SwitchWord) -> SwitchWord:
     """Reversed word with inverted permutations; undoes ``word`` on any graph."""
-    return SwitchWord(
-        tuple(SwitchOp(op.support, inverse(op.sigma)) for op in reversed(word.ops))
-    )
+    inverted = {}  # id(op) -> its inverse
+    for op in word.ops:
+        if id(op) not in inverted:
+            inverted[id(op)] = SwitchOp(op.support, inverse(op.sigma))
+    return SwitchWord(tuple(inverted[id(op)] for op in reversed(word.ops)))
 
 
 def edge_kill_word(x: int, y: int, f: S3Perm, gp: S3Perm) -> SwitchWord:
@@ -124,30 +135,38 @@ def monochromatize(g: ColoredBipartiteGraph, target: int) -> SwitchWord:
     if target not in (1, 2, 3):
         raise ValueError(f"color out of range: {target!r}")
     gamma = commutator(MONO_F, MONO_G)
+    # the kill word of edge (i, j) is (f_i, g_j, f_i^-1, g_j^-1), as edge_kill_word builds it
+    rows = [(left_switch(i, MONO_F), left_switch(i, inverse(MONO_F))) for i in range(g.m)]
+    cols = [(right_switch(j, MONO_G), right_switch(j, inverse(MONO_G))) for j in range(g.n)]
     ops: list[SwitchOp] = []
-    for i in range(g.m):
-        for j in range(g.n):
-            c = g.colors[i][j]
-            if c == target:
-                continue
-            hops = 1 if gamma(c) == target else 2
-            ops.extend(edge_kill_word(i, j, MONO_F, MONO_G).ops * hops)
+    for (f, f_back), colors in zip(rows, g.colors):
+        for (gp, gp_back), c in zip(cols, colors):
+            if c != target:
+                ops.extend((f, gp, f_back, gp_back) * (1 if gamma(c) == target else 2))
     return SwitchWord(tuple(ops))
 
 
 def word_to_json(word: SwitchWord) -> list:
+    """Fresh dicts for every entry, so a caller may edit one without touching
+    the others; each distinct op is sorted and formatted once."""
+    fields = {}  # id(op) -> (support dicts to copy, cycle string)
+    for op in word.ops:
+        if id(op) not in fields:
+            support = [{"side": v.side.value, "i": v.index} for v in sorted(op.support)]
+            fields[id(op)] = (support, op.sigma.cycle_string())
     return [
-        {
-            "support": [{"side": v.side.value, "i": v.index} for v in sorted(op.support)],
-            "sigma": op.sigma.cycle_string(),
-        }
-        for op in word.ops
+        {"support": [v.copy() for v in support], "sigma": sigma}
+        for support, sigma in [fields[id(op)] for op in word.ops]
     ]
+
+
+_SIDES = {side.value: side for side in Side}
 
 
 def word_from_json(data) -> SwitchWord:
     if not isinstance(data, list):
         raise ValueError("word JSON must be a list of switch objects")
+    built: dict[tuple, SwitchOp] = {}  # one op per distinct (sigma, support) entry
     ops = []
     for entry in data:
         try:
@@ -157,15 +176,20 @@ def word_from_json(data) -> SwitchWord:
         if not isinstance(raw_support, list) or not isinstance(raw_sigma, str):
             raise ValueError(f"malformed switch entry: {entry!r}")
         sigma = S3Perm.from_cycle_string(raw_sigma)
-        support = set()
+        support = []
         for item in raw_support:
             try:
-                side = Side(item["side"])
+                side = _SIDES[item["side"]]
                 index = item["i"]
-            except (KeyError, TypeError, ValueError):
+            except (KeyError, TypeError):
                 raise ValueError(f"malformed support entry: {item!r}") from None
             if type(index) is not int:  # bool is a subclass of int
                 raise ValueError(f"malformed support entry: {item!r}")
-            support.add(VertexRef(side, index))
-        ops.append(SwitchOp(frozenset(support), sigma))
+            if index < 0:
+                VertexRef(side, index)  # raises its negative-index error
+            support.append((side, index))
+        key = (raw_sigma, tuple(support))
+        if key not in built:
+            built[key] = SwitchOp(frozenset(VertexRef(*v) for v in support), sigma)
+        ops.append(built[key])
     return SwitchWord(tuple(ops))

@@ -330,6 +330,16 @@ GOLDEN = [
     # recorded after per-check seconds moved from stdout to --stats
     ("verify-lemmas --only s3-table-fidelity,collapse-trichotomy", 0,
      '{"all_passed": true, "checks": [{"detail": "12 products, 6 subgroups, all distinct nontrivial pairs generate S3", "name": "s3-table-fidelity", "passed": true}, {"detail": "all 81x81 pairs consistent (882 collapse cases verified)", "name": "collapse-trichotomy", "passed": true}]}\n'),
+    # recorded before switch words built each distinct switch once
+    ("orbits --m 2 --n 3 --group S_lr^(123)", 0,
+     '{"group": "S_lr^(123)", "m": 2, "n": 3, "orbit_count": 3}\n'),
+    ("distinguish --m 2 --n 2 --with-swap", 0,
+     "sha256:3319ba5621e4817160f4617816bddbf62d074f70ef59e34a76ae6b9330c0d109"),
+    ("generate --m 4 --n 3 --seed 9", 0,
+     '{"colors": [[2, 1, 2], [3, 2, 1], [2, 3, 1], [2, 3, 3]], "m": 4, "n": 3}\n'),
+    ("chain --seed 9 --count 5", 0,
+     '{"graphs": [{"colors": [[]], "m": 1, "n": 0}, {"colors": [[2]], "m": 1, "n": 1}, {"colors": [[2], [3]], "m": 2, "n": 1}, '
+     '{"colors": [[2, 1], [3, 2]], "m": 2, "n": 2}, {"colors": [[2, 1], [3, 2], [2, 3]], "m": 3, "n": 2}], "seed": 9}\n'),
 ]
 
 
@@ -383,7 +393,7 @@ def test_golden_stdout(tmp_path, capsys, command, code, stdout):
     assert (got_code, got) == (code, stdout)
 
 
-STATS_GOLDEN = [g for g in GOLDEN if g[0].split()[0] in ("check-theta", "verify-lemmas", "sfsp-estimate")]
+STATS_GOLDEN = [g for g in GOLDEN if g[0].split()[0] in ("check-theta", "verify-lemmas", "sfsp-estimate", "orbits")]
 
 
 @pytest.mark.parametrize("command, code, stdout", STATS_GOLDEN, ids=[c for c, _, _ in STATS_GOLDEN])
@@ -403,6 +413,12 @@ def test_golden_stdout_with_stats(tmp_path, capsys, command, code, stdout):
         assert names == ["s3-table-fidelity", "collapse-trichotomy"]
         assert set(stats) == {"seconds", "checks"}
         assert all(c["seconds"] >= 0 for c in stats["checks"])
+        return
+    if command.startswith("orbits"):
+        # S_lr^(123) at 2x3: 1 + 2 vertex swaps and one (123) switch per vertex
+        assert set(stats) == {"seconds", "actions", "rounds", "jumps"}
+        assert stats["actions"] == 8
+        assert 2 <= stats["rounds"] <= stats["jumps"]
         return
     if "--sampled" in command:
         # at these sizes a block holds 450 or more draws, split by side
@@ -508,6 +524,7 @@ def _cli_argv(draw):
     argv = [command, "--m", num(_SIDES), "--n", num(_SIDES)]
     if command == "orbits":
         argv += ["--group", draw(st.sampled_from(["Aut", "Sym_lr", "S_l^(12)", "ol_Aut", "Nope"]))]
+        argv += stats()
     elif draw(st.booleans()):
         argv += ["--with-swap"]
     if draw(st.booleans()):

@@ -18,7 +18,8 @@ from switchlab.graphs import (
     swap_sides,
     verify_iso_witness,
 )
-from switchlab.graphs import _profile_permutations, _row_profile
+from switchlab import graphs as graphs_mod
+from switchlab.graphs import ISO_ROW_MAP_CAP, _profile_permutations, _row_profile
 from switchlab.orbits import id_to_coloring
 from switchlab.randomlab import random_graph
 from switchlab.s3 import IDENTITY, S3Perm, inverse
@@ -182,6 +183,59 @@ def test_is_isomorphic_same_witness_on_relabelled_side_swaps():
     g = new_graph(6, 3, [[1, 2, 3], [2, 3, 1], [3, 1, 2], [1, 3, 2], [2, 1, 3], [3, 2, 1]])
     h = _relabelled(g, (5, 3, 1, 0, 2, 4), (2, 0, 1), False)
     assert is_isomorphic(g, h) == _unpruned_is_isomorphic(g, h)
+
+
+def _column_profiles(g):
+    return sorted(_row_profile(col) for col in zip(*g.colors))
+
+
+# Every row of these 9x9 graphs holds each color three times, so row profiles
+# alone admit all 9! = 362880 row maps.
+CYCLIC9 = new_graph(9, 9, [[(i + j) % 3 + 1 for j in range(9)] for i in range(9)])
+# Every column also holds each color three times, but all nine rows differ,
+# against three distinct rows in CYCLIC9: not isomorphic.
+BALANCED9 = new_graph(
+    9, 9, [[(i + j + (i // 3) * (j // 3)) % 3 + 1 for j in range(9)] for i in range(9)]
+)
+
+
+def test_is_isomorphic_rejects_unequal_column_profiles(monkeypatch):
+    rng = random.Random(1)
+    shuffled = new_graph(9, 9, [rng.sample([1, 2, 3] * 3, 9) for _ in range(9)])
+    assert sorted(map(_row_profile, shuffled.colors)) == sorted(map(_row_profile, CYCLIC9.colors))
+    assert _column_profiles(shuffled) != _column_profiles(CYCLIC9)
+    # with no row map allowed, an answer means none was tried
+    monkeypatch.setattr(graphs_mod, "ISO_ROW_MAP_CAP", 0)
+    assert is_isomorphic(CYCLIC9, shuffled, allow_swap=True) is None
+    assert is_isomorphic(shuffled, CYCLIC9, allow_swap=True) is None
+
+
+def test_is_isomorphic_gives_up_past_the_row_map_cap():
+    assert _column_profiles(BALANCED9) == _column_profiles(CYCLIC9)
+    assert len(set(BALANCED9.colors)) == 9 and len(set(CYCLIC9.colors)) == 3
+    with pytest.raises(ValueError, match=f"tried {ISO_ROW_MAP_CAP} row maps"):
+        is_isomorphic(CYCLIC9, BALANCED9)
+    # a witness within the cap is the one the unpruned search finds
+    h = _relabelled(CYCLIC9, (4, 0, 8, 2, 6, 1, 3, 5, 7), (2, 7, 1, 8, 0, 3, 5, 4, 6), True)
+    witness = is_isomorphic(CYCLIC9, h, allow_swap=True)
+    assert witness == _unpruned_is_isomorphic(CYCLIC9, h, allow_swap=True)
+    assert verify_iso_witness(CYCLIC9, h, witness)
+
+
+def test_is_isomorphic_searches_all_8_factorial_row_maps():
+    # rows and columns all hold colors 1,1,1,2,2,2,3,3; exchanging two colors
+    # on a 2x2 square keeps every profile but breaks the circulant, so the
+    # search walks all 8! = 40320 row maps, under the cap, and finds none
+    pattern = [1, 1, 1, 2, 2, 2, 3, 3]
+    rows = [[pattern[(i + j) % 8] for j in range(8)] for i in range(8)]
+    g = new_graph(8, 8, rows)
+    assert (rows[0][2], rows[0][6], rows[4][2], rows[4][6]) == (1, 3, 3, 1)
+    rows[0][2], rows[0][6], rows[4][2], rows[4][6] = 3, 1, 1, 3
+    h = new_graph(8, 8, rows)
+    assert _column_profiles(h) == _column_profiles(g)
+    assert len(list(_profile_permutations(list(map(_row_profile, g.colors)),
+                                          list(map(_row_profile, h.colors))))) == 40320
+    assert is_isomorphic(g, h) is None
 
 
 @given(st.lists(st.integers(0, 2), max_size=6), st.data())

@@ -111,6 +111,22 @@ def test_orbit_partition_anchors():
     nogen = partition_from_actions([], 2, 2)
     assert nogen.orbit_count == 81
     assert np.array_equal(nogen.labels, np.arange(81))
+    # one round and one pointer jump find that nothing moves
+    assert (nogen.actions, nogen.rounds, nogen.jumps) == (0, 1, 1)
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3)])
+def test_orbit_partition_counters(m, n):
+    for cand in enumerate_candidate_groups(with_swap=m == n):
+        actions = generators_for(cand.spec, m, n)
+        part = partition_from_actions(actions, m, n)
+        assert part.actions == len(actions)
+        # a changing round then a final one that changes nothing; each round
+        # ends with at least one pointer jump that changes nothing
+        assert 2 <= part.rounds <= part.jumps
+        # listing every action twice counts them twice and keeps the labels
+        again = partition_from_actions(actions * 2, m, n)
+        assert np.array_equal(again.labels, part.labels) and again.actions == 2 * len(actions)
 
 
 def test_orbit_numbering_by_least_member():

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given
@@ -6,8 +7,10 @@ import hypothesis.strategies as st
 
 from switchlab.graphs import ColoredBipartiteGraph, Side, VertexRef, constant_graph, new_graph
 from switchlab.randomlab import random_graph
-from switchlab.s3 import ALL_PERMS, IDENTITY, S3Perm, commutator, commutes, compose
+from switchlab.s3 import ALL_PERMS, IDENTITY, S3Perm, commutator, commutes, compose, inverse
 from switchlab.switches import (
+    MONO_F,
+    MONO_G,
     SwitchOp,
     SwitchWord,
     apply_word,
@@ -270,3 +273,158 @@ def test_word_json_round_trip():
     ):
         with pytest.raises(ValueError):
             word_from_json(bad)
+
+
+# The operators before they built each distinct switch once: references for
+# the memoized ones, which must give equal words and identical JSON bytes.
+
+
+def _reference_inverse_word(word):
+    return SwitchWord(
+        tuple(SwitchOp(op.support, inverse(op.sigma)) for op in reversed(word.ops))
+    )
+
+
+def _reference_monochromatize(g, target):
+    if target not in (1, 2, 3):
+        raise ValueError(f"color out of range: {target!r}")
+    gamma = commutator(MONO_F, MONO_G)
+    ops = []
+    for i in range(g.m):
+        for j in range(g.n):
+            c = g.colors[i][j]
+            if c == target:
+                continue
+            hops = 1 if gamma(c) == target else 2
+            ops.extend(edge_kill_word(i, j, MONO_F, MONO_G).ops * hops)
+    return SwitchWord(tuple(ops))
+
+
+def _reference_word_to_json(word):
+    return [
+        {
+            "support": [{"side": v.side.value, "i": v.index} for v in sorted(op.support)],
+            "sigma": op.sigma.cycle_string(),
+        }
+        for op in word.ops
+    ]
+
+
+def _reference_word_from_json(data):
+    if not isinstance(data, list):
+        raise ValueError("word JSON must be a list of switch objects")
+    ops = []
+    for entry in data:
+        try:
+            raw_support, raw_sigma = entry["support"], entry["sigma"]
+        except (KeyError, TypeError):
+            raise ValueError('each switch needs keys "support" and "sigma"') from None
+        if not isinstance(raw_support, list) or not isinstance(raw_sigma, str):
+            raise ValueError(f"malformed switch entry: {entry!r}")
+        sigma = S3Perm.from_cycle_string(raw_sigma)
+        support = set()
+        for item in raw_support:
+            try:
+                side = Side(item["side"])
+                index = item["i"]
+            except (KeyError, TypeError, ValueError):
+                raise ValueError(f"malformed support entry: {item!r}") from None
+            if type(index) is not int:
+                raise ValueError(f"malformed support entry: {item!r}")
+            support.add(VertexRef(side, index))
+        ops.append(SwitchOp(frozenset(support), sigma))
+    return SwitchWord(tuple(ops))
+
+
+@st.composite
+def shared_words(draw, g):
+    """Words over a pool of switches whose supports hold several vertices of
+    either side (or none).  Pool instances repeat at several positions, some
+    positions get an equal but distinct copy, and a pool switch may name a
+    vertex outside the graph, so the first bad switch sits anywhere."""
+    pool = []
+    for _ in range(draw(st.integers(1, 4))):
+        left = draw(st.sets(st.integers(0, g.m - 1), max_size=3)) if g.m else set()
+        right = draw(st.sets(st.integers(0, g.n - 1), max_size=3)) if g.n else set()
+        support = {VertexRef(Side.LEFT, i) for i in left}
+        support |= {VertexRef(Side.RIGHT, j) for j in right}
+        if draw(st.integers(0, 3)) == 0:
+            side = draw(st.sampled_from([Side.LEFT, Side.RIGHT]))
+            limit = g.m if side is Side.LEFT else g.n
+            support.add(VertexRef(side, draw(st.integers(limit, limit + 2))))
+        pool.append(SwitchOp(frozenset(support), draw(perms)))
+    ops = []
+    for at in draw(st.lists(st.integers(0, len(pool) - 1), max_size=12)):
+        op = pool[at]
+        if draw(st.integers(0, 3)) == 0:
+            op = SwitchOp(frozenset(VertexRef(v.side, v.index) for v in op.support), op.sigma)
+        ops.append(op)
+    return SwitchWord(tuple(ops))
+
+
+@given(graphs(max_m=5, max_n=5), st.data())
+def test_word_operators_match_references(g, data):
+    word = data.draw(shared_words(g))
+    doc = word_to_json(word)
+    assert json.dumps(doc) == json.dumps(_reference_word_to_json(word))
+    assert word_from_json(doc) == _reference_word_from_json(doc) == word
+    inv = inverse_word(word)
+    assert inv == _reference_inverse_word(word)
+    for w in (word, inv):
+        assert _outcome(apply_word, g, w) == _outcome(_reference_apply_word, g, w)
+    if doc:
+        # every entry is fresh: editing one, down to its vertex dicts, leaves
+        # the others as they were
+        at = data.draw(st.integers(0, len(doc) - 1))
+        for v in doc[at]["support"]:
+            v["i"] = 99
+        doc[at]["support"].append({"side": "R", "i": 98})
+        doc[at]["sigma"] = "()"
+        fresh = word_to_json(word)
+        assert doc[:at] + doc[at + 1:] == fresh[:at] + fresh[at + 1:]
+
+
+_VERTEX = st.fixed_dictionaries({"side": st.sampled_from(["L", "R"]), "i": st.integers(0, 5)})
+_SUPPORT_ITEMS = st.one_of(
+    _VERTEX,
+    _VERTEX,
+    _VERTEX,
+    st.fixed_dictionaries({"side": st.sampled_from(["L", "R"]), "i": st.integers(-2, -1)}),
+    st.sampled_from([
+        {"side": "X", "i": 0}, {"side": "l", "i": 1}, {"side": "L", "i": True},
+        {"side": "R", "i": 1.0}, {"side": "R"}, {"i": 0}, {"side": ["L"], "i": 0},
+        {"side": None, "i": 2}, "L0", None, [],
+    ]),
+)
+_ENTRY = st.fixed_dictionaries({
+    "support": st.lists(_SUPPORT_ITEMS, max_size=3),
+    "sigma": st.sampled_from(["(12)", "(123)", " (13) ", "()", "(23)", "(132)", "(21)"]),
+})
+_ENTRIES = st.one_of(
+    _ENTRY,
+    _ENTRY,
+    _ENTRY,
+    st.sampled_from([
+        {"support": 5, "sigma": "(12)"}, {"support": [], "sigma": 5}, {"sigma": "(12)"},
+        {"support": []}, [], "x", None,
+    ]),
+)
+
+
+@given(st.lists(_ENTRIES, min_size=1, max_size=4), st.lists(st.integers(0, 3), min_size=1, max_size=8))
+def test_word_from_json_matches_reference(pool, picks):
+    # entries repeat by reference and, after a JSON round trip, as equal
+    # copies; the valid entries alone make a valid word
+    doc = [pool[p % len(pool)] for p in picks]
+    valid = [e for e in doc if isinstance(_outcome(_reference_word_from_json, [e]), SwitchWord)]
+    for data in (doc, json.loads(json.dumps(doc)), pool, valid):
+        assert _outcome(word_from_json, data) == _outcome(_reference_word_from_json, data)
+
+
+@given(graphs(max_m=5, max_n=5), st.integers(0, 4))
+def test_monochromatize_matches_reference(g, target):
+    got = _outcome(monochromatize, g, target)
+    assert got == _outcome(_reference_monochromatize, g, target)
+    if isinstance(got, SwitchWord):
+        # two switches per row and two per column, however often each recurs
+        assert len({id(op) for op in got.ops}) <= 2 * (g.m + g.n)
