@@ -147,7 +147,11 @@ def _cmd_orbits(args) -> int:
 
 
 def _cmd_distinguish(args) -> int:
-    _emit(distinguish_candidates(args.m, args.n, args.with_swap, args.budget))
+    start, parts = time.perf_counter(), {}
+    report = distinguish_candidates(args.m, args.n, args.with_swap, args.budget, parts)
+    totals = {k: sum(getattr(p, k) for p in parts.values()) for k in ("actions", "rounds", "jumps")}
+    _emit_stats(args, start, **totals)
+    _emit(report)
     return 0
 
 
@@ -256,6 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--with-swap", action="store_true", dest="with_swap")
     p.add_argument("--budget", type=int, default=DEFAULT_ORBIT_BUDGET)
+    p.add_argument("--stats", action="store_true", help="timing and summed propagation counters on stderr")
     p.set_defaults(func=_cmd_distinguish)
 
     p = sub.add_parser("verify-lemmas", help="run the acceptance checks")

@@ -5,14 +5,16 @@ of the m*n cross edges by colors 1, 2, 3.  Same-side pairs carry no edges.
 All values are immutable; every operation is a pure function, so everything
 here is safe to share across threads.
 
-JSON format: ``{"m": int, "n": int, "colors": [[int, ...], ...]}`` with
-``colors[i][j]`` the color of the edge (left i, right j).
+A graph stores its coloring once, as m ``bytes`` rows of n values 1..3, so
+``colors[i][j]`` is the color of edge (left i, right j) as an ``int`` and
+``b"".join(colors)`` is the row-major buffer numpy reads.  Rows become lists
+only in ``graph_to_json``: ``{"m": int, "n": int, "colors": [[int, ...], ...]}``.
 """
 
 from __future__ import annotations
 
 import itertools
-from contextlib import suppress
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -37,7 +39,7 @@ __all__ = [
 ]
 
 COLORS = (1, 2, 3)
-_COLOR_SET = frozenset(COLORS)
+_COLOR_BYTES = bytes(COLORS)
 
 
 class Side(str, Enum):
@@ -64,28 +66,20 @@ class VertexRef:
 class ColoredBipartiteGraph:
     """K_{m,n} with a total 3-coloring of its cross edges.
 
-    ``colors`` has m rows of n entries each; every (i, j) carries exactly one
-    color by construction, which is the totality invariant.
+    ``colors``, any nested sequence of m rows of n colors, is stored as bytes
+    rows; every (i, j) carries exactly one color, which is the totality invariant.
     """
 
     m: int
     n: int
-    colors: tuple[tuple[int, ...], ...]
+    colors: tuple[bytes, ...]
 
     def __post_init__(self) -> None:
         if self.m < 0 or self.n < 0:
             raise ValueError("side cardinalities must be nonnegative")
         if len(self.colors) != self.m:
             raise ValueError(f"expected {self.m} rows, got {len(self.colors)}")
-        for row in self.colors:
-            if len(row) != self.n:
-                raise ValueError(f"expected rows of length {self.n}, got {len(row)}")
-            with suppress(TypeError):  # an unhashable cell: the scan below decides
-                if _COLOR_SET.issuperset(row):
-                    continue
-            for c in row:
-                if c not in COLORS:
-                    raise ValueError(f"color out of range: {c!r}")
+        object.__setattr__(self, "colors", _color_rows(self.colors, self.n))
 
     def side_size(self, side: Side) -> int:
         return self.m if side is Side.LEFT else self.n
@@ -97,20 +91,43 @@ class ColoredBipartiteGraph:
         return itertools.product(range(self.m), range(self.n))
 
 
+def _color_rows(rows, n: int) -> tuple[bytes, ...]:
+    """Validated bytes rows: a few C-level passes when every row holds n small ints,
+    else a scan that names the first bad length or cell or stores each as its color."""
+    try:
+        if set(map(len, rows)) <= {n}:  # first: bytes(k) of an int row k allocates k bytes
+            data = tuple(map(bytes, rows))
+            if set(map(len, data)) <= {n} and not b"".join(data).translate(None, _COLOR_BYTES):
+                return data
+    except (TypeError, ValueError):  # a row without a length, or a cell no byte holds
+        pass
+    for row in rows:
+        if len(row) != n:
+            raise ValueError(f"expected rows of length {n}, got {len(row)}")
+        for c in row:
+            if c not in COLORS:
+                raise ValueError(f"color out of range: {c!r}")
+    return tuple(bytes(COLORS.index(c) + 1 for c in row) for row in rows)
+
+
 def new_graph(m: int, n: int, colors) -> ColoredBipartiteGraph:
     """Build a graph from any nested sequence of colors, validating shape."""
-    rows = tuple(tuple(row) for row in colors)
-    return ColoredBipartiteGraph(m, n, rows)
+    return ColoredBipartiteGraph(m, n, tuple(colors))
 
 
 def constant_graph(m: int, n: int, color: int) -> ColoredBipartiteGraph:
     return new_graph(m, n, [[color] * n for _ in range(m)])
 
 
+def _columns(rows, n: int) -> tuple[bytes, ...]:
+    """The n columns of byte rows, as byte rows."""
+    flat = b"".join(rows)
+    return tuple(flat[j::n] for j in range(n))
+
+
 def swap_sides(g: ColoredBipartiteGraph) -> ColoredBipartiteGraph:
     """Exchange the two sides; the coloring transposes.  An involution."""
-    rows = tuple(tuple(g.colors[i][j] for i in range(g.m)) for j in range(g.n))
-    return ColoredBipartiteGraph(g.n, g.m, rows)
+    return ColoredBipartiteGraph(g.n, g.m, _columns(g.colors, g.n))
 
 
 @dataclass(frozen=True)
@@ -167,18 +184,21 @@ def _side_preserving_iso(g1: ColoredBipartiteGraph, g2: ColoredBipartiteGraph) -
     prof2 = [_row_profile(r) for r in g2.colors]
     if sorted(prof1) != sorted(prof2):
         return None
-    cols1 = [tuple(g1.colors[i][j] for i in range(g1.m)) for j in range(g1.n)]
-    cols2 = [tuple(g2.colors[i][j] for i in range(g2.m)) for j in range(g2.n)]
+    cols1, cols2 = _columns(g1.colors, g1.n), _columns(g2.colors, g2.n)
     if sorted(map(_row_profile, cols1)) != sorted(map(_row_profile, cols2)):
         return None
+    # an isomorphism maps equal rows (columns) to equal rows (columns), both ways
+    for lines1, lines2 in ((g1.colors, g2.colors), (cols1, cols2)):
+        if sorted(Counter(lines1).values()) != sorted(Counter(lines2).values()):
+            return None
     for tried, perm in enumerate(_profile_permutations(prof1, prof2)):
         if tried == ISO_ROW_MAP_CAP:
             raise ValueError(f"isomorphism search tried {ISO_ROW_MAP_CAP} row maps without an answer")
         # columns of g1 vs columns of g2 reindexed through the row map; each
         # column of g1 takes the first unused g2 column with its vector
-        slots: dict[tuple, list[int]] = {}
-        for j in range(g1.n):
-            slots.setdefault(tuple(g2.colors[perm[i]][j] for i in range(g1.m)), []).append(j)
+        slots: dict[bytes, list[int]] = {}
+        for j, col in enumerate(_columns([g2.colors[p] for p in perm], g1.n)):
+            slots.setdefault(col, []).append(j)
         try:
             return IsoWitness(perm, tuple(slots[vec].pop(0) for vec in cols1), swapped=False)
         except (KeyError, IndexError):  # some column of g1 has no partner left
@@ -208,11 +228,11 @@ def is_isomorphic(
     return None
 
 
-def _aligned(c1, c2) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _aligned(c1, c2) -> tuple[bytes, bytes]:
     """The row-major color values of two graphs of equal dimensions."""
     if (c1.m, c1.n) != (c2.m, c2.n):
         raise ValueError(f"domain mismatch: K_{{{c1.m},{c1.n}}} vs K_{{{c2.m},{c2.n}}}")
-    return tuple(v for row in c1.colors for v in row), tuple(v for row in c2.colors for v in row)
+    return b"".join(c1.colors), b"".join(c2.colors)
 
 
 def is_homogeneous(c1, c2) -> bool:

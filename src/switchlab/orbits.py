@@ -91,11 +91,8 @@ def id_to_coloring(m: int, n: int, cid: int) -> ColoredBipartiteGraph:
     for _ in range(m * n):
         digits.append(v % 3)
         v //= 3
-    digits.reverse()
-    rows = tuple(
-        tuple(digits[i * n + j] + 1 for j in range(n)) for i in range(m)
-    )
-    return ColoredBipartiteGraph(m, n, rows)
+    flat = bytes(d + 1 for d in reversed(digits))
+    return ColoredBipartiteGraph(m, n, tuple(flat[i * n:(i + 1) * n] for i in range(m)))
 
 
 @functools.cache
@@ -314,16 +311,18 @@ def candidate_by_name(name: str) -> CandidateGroup:
 
 
 def distinguish_candidates(
-    m: int, n: int, with_swap: bool = False, budget: int = DEFAULT_ORBIT_BUDGET
+    m: int, n: int, with_swap: bool = False, budget: int = DEFAULT_ORBIT_BUDGET, parts=None
 ) -> dict:
     """Pairwise comparison of all candidate orbit partitions at (m, n).
 
     Colliding pairs are reported, not treated as failures: whether a fixed
     finite size separates every candidate pair is an empirical question, and
-    the caller escalates size on collisions.
+    the caller escalates size on collisions.  A dict passed as ``parts``
+    receives each candidate's ``OrbitPartition`` by name, with its counters.
     """
     candidates = enumerate_candidate_groups(with_swap)
-    parts = {c.name: orbit_partition(c.spec, m, n, budget) for c in candidates}
+    parts = {} if parts is None else parts
+    parts.update((c.name, orbit_partition(c.spec, m, n, budget)) for c in candidates)
     groups = [
         {"name": c.name, "orbit_count": parts[c.name].orbit_count} for c in candidates
     ]

@@ -88,7 +88,7 @@ def apply_word(g: ColoredBipartiteGraph, word: SwitchWord) -> ColoredBipartiteGr
                 k = v.index
                 for row in rows:
                     row[k] = lut[row[k]]
-    return ColoredBipartiteGraph(g.m, g.n, tuple(map(tuple, rows)))
+    return ColoredBipartiteGraph(g.m, g.n, tuple(map(bytes, rows)))
 
 
 def inverse_word(word: SwitchWord) -> SwitchWord:
@@ -110,14 +110,9 @@ def edge_kill_word(x: int, y: int, f: S3Perm, gp: S3Perm) -> SwitchWord:
     """
     if commutes(f, gp):
         raise ValueError("permutations commute; the word would recolor nothing")
-    return SwitchWord(
-        (
-            left_switch(x, f),
-            right_switch(y, gp),
-            left_switch(x, inverse(f)),
-            right_switch(y, inverse(gp)),
-        )
-    )
+    left, right = frozenset({VertexRef(Side.LEFT, x)}), frozenset({VertexRef(Side.RIGHT, y)})
+    return SwitchWord((SwitchOp(left, f), SwitchOp(right, gp),
+                       SwitchOp(left, inverse(f)), SwitchOp(right, inverse(gp))))
 
 
 #: Non-commuting pair driving monochromatization; its commutator is a 3-cycle,

@@ -14,6 +14,7 @@ import numpy as np
 
 from .graphs import (
     constant_graph,
+    graph_to_json,
     is_homogeneous,
     is_isomorphic,
     pointwise_color_permutation,
@@ -239,10 +240,10 @@ def check_collapse_trichotomy() -> tuple[bool, str]:
                 continue
             witness = collapse_witness(c1, c2)
             if witness is None:
-                return False, f"no collapse for pair ({c1.colors}, {c2.colors})"
+                pair = ", ".join(str(graph_to_json(c)["colors"]) for c in (c1, c2))
+                return False, f"no collapse for pair ({pair})"
             i, j, k = witness
-            flat1 = [v for row in c1.colors for v in row]
-            flat2 = [v for row in c2.colors for v in row]
+            flat1, flat2 = b"".join(c1.colors), b"".join(c2.colors)
             if i == j or i not in flat2 or j not in flat2:
                 return False, f"bad collapse witness {witness}"
             if any(a != k for a, b in zip(flat1, flat2) if b in (i, j)):

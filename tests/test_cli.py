@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, example, given, settings
 
 from switchlab.cli import main
 from switchlab.graphs import graph_from_json, graph_to_json, new_graph
+from switchlab.orbits import enumerate_candidate_groups, orbit_partition
 from switchlab.randomlab import random_graph
 
 from conftest import graphs, shifted_cubic_graph
@@ -393,7 +394,8 @@ def test_golden_stdout(tmp_path, capsys, command, code, stdout):
     assert (got_code, got) == (code, stdout)
 
 
-STATS_GOLDEN = [g for g in GOLDEN if g[0].split()[0] in ("check-theta", "verify-lemmas", "sfsp-estimate", "orbits")]
+STATS_GOLDEN = [g for g in GOLDEN if g[0].split()[0] in ("check-theta", "verify-lemmas", "sfsp-estimate", "orbits",
+                                                         "distinguish")]
 
 
 @pytest.mark.parametrize("command, code, stdout", STATS_GOLDEN, ids=[c for c, _, _ in STATS_GOLDEN])
@@ -401,7 +403,10 @@ def test_golden_stdout_with_stats(tmp_path, capsys, command, code, stdout):
     # --stats writes one JSON object to stderr and leaves stdout byte-identical
     got_code = main(_golden_argv(tmp_path, command) + ["--stats"])
     captured = capsys.readouterr()
-    assert (got_code, captured.out) == (code, stdout)
+    out = captured.out
+    if stdout.startswith("sha256:"):
+        out = "sha256:" + hashlib.sha256(out.encode()).hexdigest()
+    assert (got_code, out) == (code, stdout)
     if code == 1:
         assert captured.err == ""
         return
@@ -419,6 +424,14 @@ def test_golden_stdout_with_stats(tmp_path, capsys, command, code, stdout):
         assert set(stats) == {"seconds", "actions", "rounds", "jumps"}
         assert stats["actions"] == 8
         assert 2 <= stats["rounds"] <= stats["jumps"]
+        return
+    if command.startswith("distinguish"):
+        # sums over the candidates' partitions, as orbit_partition counts them
+        assert set(stats) == {"seconds", "actions", "rounds", "jumps"}
+        parts = [orbit_partition(c.spec, 2, 2) for c in enumerate_candidate_groups(True)]
+        assert len(parts) == 22
+        for key in ("actions", "rounds", "jumps"):
+            assert stats[key] == sum(getattr(p, key) for p in parts)
         return
     if "--sampled" in command:
         # at these sizes a block holds 450 or more draws, split by side
@@ -524,9 +537,9 @@ def _cli_argv(draw):
     argv = [command, "--m", num(_SIDES), "--n", num(_SIDES)]
     if command == "orbits":
         argv += ["--group", draw(st.sampled_from(["Aut", "Sym_lr", "S_l^(12)", "ol_Aut", "Nope"]))]
-        argv += stats()
     elif draw(st.booleans()):
         argv += ["--with-swap"]
+    argv += stats()
     if draw(st.booleans()):
         argv += ["--budget", num()]
     return argv

@@ -1,12 +1,18 @@
 import itertools
+import json
 import random
+import tracemalloc
+from dataclasses import dataclass
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from switchlab.graphs import (
+    COLORS,
     ColoredBipartiteGraph,
+    Side,
     IsoWitness,
     collapse_witness,
     graph_from_json,
@@ -21,7 +27,7 @@ from switchlab.graphs import (
 from switchlab import graphs as graphs_mod
 from switchlab.graphs import ISO_ROW_MAP_CAP, _profile_permutations, _row_profile
 from switchlab.orbits import id_to_coloring
-from switchlab.randomlab import random_graph
+from switchlab.randomlab import ThetaCounterexample, random_graph, verify_counterexample
 from switchlab.s3 import IDENTITY, S3Perm, inverse
 
 from conftest import graphs
@@ -35,8 +41,8 @@ G = new_graph(2, 2, [[1, 2], [3, 1]])
 
 
 def test_new_graph_validation():
-    assert new_graph(1, 1, [[1]]).colors == ((1,),)
-    assert G.colors == ((1, 2), (3, 1))
+    assert tuple(map(tuple, new_graph(1, 1, [[1]]).colors)) == ((1,),)
+    assert tuple(map(tuple, G.colors)) == ((1, 2), (3, 1))
     with pytest.raises(ValueError, match="color out of range"):
         new_graph(2, 2, [[0, 2], [3, 1]])
     with pytest.raises(ValueError):
@@ -46,8 +52,8 @@ def test_new_graph_validation():
 
 
 def test_color_validation_messages():
-    # the one-set test per row falls back to the cell scan, which reports the
-    # first bad cell of the first bad row, as the plain scan did
+    # a row that does not convert to bytes 1..3 falls back to the cell scan,
+    # which reports the first bad cell of the first bad row, as the plain scan did
     cases = [
         ([[1, 4, 0]], "color out of range: 4"),
         ([[1, 2, 3], [3, [1], 7]], "color out of range: [1]"),
@@ -64,12 +70,124 @@ def test_color_validation_messages():
     # booleans before they get here
     assert ColoredBipartiteGraph(1, 2, ((True, 3),)) == new_graph(1, 2, [[1, 3]])
     eq_one = type("EqOne", (), {"__eq__": lambda self, other: other == 1, "__hash__": None})
-    assert ColoredBipartiteGraph(1, 2, ((eq_one(), 3),)).n == 2
+    assert ColoredBipartiteGraph(1, 2, ((eq_one(), 3),)) == new_graph(1, 2, [[1, 3]])
+
+
+def test_int_row_is_refused_before_bytes_allocates_it():
+    # bytes(k) of an int row k would allocate k zero bytes; lengths come first
+    tracemalloc.start()
+    try:
+        with pytest.raises(TypeError):
+            ColoredBipartiteGraph(1, 1, (10**7,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@dataclass(frozen=True)
+class _TupleGraph:
+    """The graph that byte rows replaced: rows kept as tuples of the given
+    cells, one set test per row and the cell scan when it fails."""
+
+    m: int
+    n: int
+    colors: tuple
+
+    def __post_init__(self) -> None:
+        if self.m < 0 or self.n < 0:
+            raise ValueError("side cardinalities must be nonnegative")
+        if len(self.colors) != self.m:
+            raise ValueError(f"expected {self.m} rows, got {len(self.colors)}")
+        for row in self.colors:
+            if len(row) != self.n:
+                raise ValueError(f"expected rows of length {self.n}, got {len(row)}")
+            try:
+                if frozenset(COLORS).issuperset(row):
+                    continue
+            except TypeError:  # an unhashable cell: the scan below decides
+                pass
+            for c in row:
+                if c not in COLORS:
+                    raise ValueError(f"color out of range: {c!r}")
+
+    side_size = ColoredBipartiteGraph.side_size
+
+
+def _tuple_new_graph(m, n, colors):
+    return _TupleGraph(m, n, tuple(tuple(row) for row in colors))
+
+
+def _built(build, m, n, rows):
+    try:
+        return build(m, n, rows)
+    except ValueError as exc:
+        return str(exc)
+
+
+_EQ_TWO = type("EqTwo", (), {"__eq__": lambda self, other: other == 2, "__hash__": None,
+                             "__repr__": lambda self: "EqTwo()"})()
+_CELLS = st.one_of(
+    st.integers(1, 3), st.integers(1, 3), st.integers(-2, 300), st.booleans(),
+    st.sampled_from([1.0, 1.5, "1", [1], None, _EQ_TWO, np.int64(3), np.uint16(257)]),
+)
+_ROWS = st.one_of(
+    st.lists(_CELLS, max_size=5), st.lists(_CELLS, max_size=5).map(tuple),
+    st.binary(max_size=5), st.text("0123x", max_size=5),
+    st.lists(st.integers(0, 300), max_size=5).map(lambda r: np.array(r, dtype=np.uint16)),
+    st.lists(st.integers(0, 4), max_size=5).map(lambda r: np.array(r, dtype=np.uint8)),
+)
+
+
+@st.composite
+def _nested_colors(draw):
+    """Shapes m x n with rows near n cells; mostly valid, sometimes not."""
+    m, n = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    valid = st.lists(st.integers(1, 3), min_size=n, max_size=n)
+    rows = draw(st.lists(st.one_of(valid, valid, _ROWS), min_size=max(0, m - 1), max_size=m + 1))
+    return m, n, rows
+
+
+@given(_nested_colors(), _nested_colors(), st.data())
+@example((1, 2, [[True, 3]]), (1, 2, [(1, 3.0)]), None)
+@example((1, 2, [np.array([257, 515], dtype=np.uint16)]), (1, 2, [b"\x01\x03"]), None)
+@example((2, 2, ["12", "31"]), (2, 2, [b"\x01\x02", b"\x03\x01"]), None)
+def test_byte_rows_match_tuple_graph(a, b, data):
+    # same decisions and messages, same JSON (once each cell is the color it
+    # equals, which byte rows store), same equality, equal hashes, and the
+    # same answers from verify_counterexample
+    pairs = []
+    for m, n, rows in (a, b):
+        got, want = _built(new_graph, m, n, rows), _built(_tuple_new_graph, m, n, rows)
+        assert _built(ColoredBipartiteGraph, m, n, tuple(rows)) == got
+        if isinstance(want, str):
+            assert got == want
+            continue
+        assert isinstance(got, ColoredBipartiteGraph)
+        assert all(type(row) is bytes for row in got.colors)
+        as_color = [[next(k for k in COLORS if c == k) for c in row] for row in want.colors]
+        got_json = json.dumps(graph_to_json(got))
+        assert got_json == json.dumps({"m": m, "n": n, "colors": as_color})
+        if all(type(c) is int for row in want.colors for c in row):
+            assert got_json == json.dumps(graph_to_json(want))
+        pairs.append((got, want))
+        if data is not None:
+            side = data.draw(st.sampled_from([Side.LEFT, Side.RIGHT]))
+            size, k = got.side_size(side), data.draw(st.integers(1, 2))
+            sets = data.draw(st.lists(st.lists(st.integers(-1, size), max_size=3).map(tuple),
+                                      min_size=3, max_size=3))
+            cex = ThetaCounterexample(side, tuple(sets))
+            assert verify_counterexample(got, k, cex) == verify_counterexample(want, k, cex)
+    if len(pairs) == 2:
+        (got_a, want_a), (got_b, want_b) = pairs
+        assert (got_a == got_b) == (want_a == want_b)
+        if got_a == got_b:
+            assert hash(got_a) == hash(got_b)
 
 
 def test_swap_sides():
-    assert swap_sides(G).colors == ((1, 3), (2, 1))
-    assert swap_sides(new_graph(1, 2, [[1, 2]])).colors == ((1,), (2,))
+    assert tuple(map(tuple, swap_sides(G).colors)) == ((1, 3), (2, 1))
+    assert tuple(map(tuple, swap_sides(new_graph(1, 2, [[1, 2]])).colors)) == ((1,), (2,))
 
 
 @given(graphs())
@@ -210,11 +328,43 @@ def test_is_isomorphic_rejects_unequal_column_profiles(monkeypatch):
     assert is_isomorphic(shuffled, CYCLIC9, allow_swap=True) is None
 
 
-def test_is_isomorphic_gives_up_past_the_row_map_cap():
-    assert _column_profiles(BALANCED9) == _column_profiles(CYCLIC9)
+def test_is_isomorphic_rejects_unequal_row_or_column_repeats(monkeypatch):
+    # every row of BALANCED9 is distinct, against three rows thrice in CYCLIC9;
+    # split9 repeats its rows as CYCLIC9 does, but its columns twice or once
+    # (each column is a permutation of 1, 2, 3 spread over three row classes)
+    cols = ["123", "123", "231", "231", "312", "312", "132", "213", "321"]
+    split9 = new_graph(9, 9, [[int(col[i // 3]) for col in cols] for i in range(9)])
     assert len(set(BALANCED9.colors)) == 9 and len(set(CYCLIC9.colors)) == 3
+    assert len(set(split9.colors)) == 3 and len(set(swap_sides(split9).colors)) == 6
+    # with no row map allowed, an answer means none was tried
+    monkeypatch.setattr(graphs_mod, "ISO_ROW_MAP_CAP", 0)
+    for h in (BALANCED9, split9):
+        assert sorted(map(_row_profile, h.colors)) == sorted(map(_row_profile, CYCLIC9.colors))
+        assert _column_profiles(h) == _column_profiles(CYCLIC9)
+        assert is_isomorphic(CYCLIC9, h, allow_swap=True) is None
+        assert is_isomorphic(h, CYCLIC9, allow_swap=True) is None
+
+
+def _row_agreements(g):
+    """Equal cells of every pair of rows, sorted: an isomorphism invariant."""
+    return sorted(sum(a == b for a, b in zip(r1, r2)) for r1, r2 in itertools.combinations(g.colors, 2))
+
+
+def test_is_isomorphic_gives_up_past_the_row_map_cap():
+    # a 9x9 circulant and the same with one profile-keeping 2x2 color swap:
+    # both have nine distinct rows and nine distinct columns, each holding
+    # every color three times, so all 9! row maps pass every screen
+    pattern = [1, 1, 1, 2, 2, 2, 3, 3, 3]
+    rows = [[pattern[(i + j) % 9] for j in range(9)] for i in range(9)]
+    g = new_graph(9, 9, rows)
+    assert (rows[0][0], rows[0][5], rows[4][0], rows[4][5]) == (1, 2, 2, 1)
+    rows[0][0], rows[0][5], rows[4][0], rows[4][5] = 2, 1, 1, 2
+    h = new_graph(9, 9, rows)
+    assert {_row_profile(r) for k in (g, h) for r in k.colors + swap_sides(k).colors} == {(3, 3, 3)}
+    assert all(len(set(k.colors)) == 9 for k in (g, h, swap_sides(g), swap_sides(h)))
+    assert _row_agreements(g) != _row_agreements(h)  # not isomorphic
     with pytest.raises(ValueError, match=f"tried {ISO_ROW_MAP_CAP} row maps"):
-        is_isomorphic(CYCLIC9, BALANCED9)
+        is_isomorphic(g, h)
     # a witness within the cap is the one the unpruned search finds
     h = _relabelled(CYCLIC9, (4, 0, 8, 2, 6, 1, 3, 5, 7), (2, 7, 1, 8, 0, 3, 5, 4, 6), True)
     witness = is_isomorphic(CYCLIC9, h, allow_swap=True)

@@ -101,7 +101,7 @@ def test_apply_word_matches_reference(g, data):
     assert got == _outcome(_reference_apply_word, g, word)
     if isinstance(got, ColoredBipartiteGraph):
         assert all(type(c) is int for row in got.colors for c in row)
-        assert type(got.colors) is tuple and all(type(r) is tuple for r in got.colors)
+        assert type(got.colors) is tuple and all(type(r) is bytes for r in got.colors)
     if word.ops:
         op = word.ops[0]
         one = SwitchWord((op,))
@@ -128,11 +128,11 @@ def _apply_switch(g, op):
 
 def test_apply_switch_basic():
     k11 = new_graph(1, 1, [[1]])
-    assert _apply_switch(k11, left_switch(0, c("(12)"))).colors == ((2,),)
+    assert tuple(map(tuple, _apply_switch(k11, left_switch(0, c("(12)"))).colors)) == ((2,),)
     both = SwitchOp(
         frozenset({VertexRef(Side.LEFT, 0), VertexRef(Side.RIGHT, 0)}), c("(123)")
     )
-    assert _apply_switch(k11, both).colors == ((3,),)
+    assert tuple(map(tuple, _apply_switch(k11, both).colors)) == ((3,),)
     g = random_graph(3, 3, 5)
     assert _apply_switch(g, left_switch(1, IDENTITY)) == g
     with pytest.raises(ValueError):
@@ -202,7 +202,7 @@ def test_edge_kill_word_contents():
 def test_edge_kill_example():
     g = constant_graph(2, 2, 1)
     out = apply_word(g, edge_kill_word(0, 0, c("(123)"), c("(12)")))
-    assert out.colors == ((3, 1), (1, 1))
+    assert tuple(map(tuple, out.colors)) == ((3, 1), (1, 1))
     # row-only and column-only edges cancel
     assert out.colors[0][1] == 1
     assert out.colors[1][0] == 1
@@ -229,7 +229,7 @@ def test_monochromatize_examples():
     assert monochromatize(constant_graph(2, 3, 2), 2) == SwitchWord(())
     g = new_graph(1, 1, [[2]])
     word = monochromatize(g, 1)
-    assert apply_word(g, word).colors == ((1,),)
+    assert tuple(map(tuple, apply_word(g, word).colors)) == ((1,),)
     g = random_graph(3, 3, 7)
     word = monochromatize(g, 1)
     out = apply_word(g, word)
