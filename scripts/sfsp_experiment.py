@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
-"""Failure-rate experiment: Monte Carlo estimates against the closed-form
-bound, plus the tail of the bound-ratio sequence.
+"""Failure-rate experiment: the tail of the bound-ratio sequence, then one
+``switchlab sfsp-estimate`` line per size (its own JSON document, Monte Carlo
+estimate against the closed-form bound).  Exits with the first non-zero
+status of those runs.
 
 Example:
     python scripts/sfsp_experiment.py --k 1 --sizes 8 16 24 32 --trials 2000 --seed 7
@@ -8,10 +10,10 @@ Example:
 
 import argparse
 import json
-import math
 import sys
 
-from switchlab.randomlab import bound_ratio_check, estimate_failure_prob, sfsp_bound
+from switchlab import cli
+from switchlab.randomlab import bound_ratio_check
 
 
 def main(argv=None) -> int:
@@ -34,24 +36,12 @@ def main(argv=None) -> int:
             sort_keys=True,
         )
     )
-    for n in args.sizes:
-        est = estimate_failure_prob(n, args.k, args.trials, args.seed)
-        bound = sfsp_bound(args.k, n)
-        print(
-            json.dumps(
-                {
-                    "n": n,
-                    "k": args.k,
-                    "failure_rate": est.failure_rate,
-                    "half_width": est.half_width,
-                    "bound": None if math.isinf(bound.value) else bound.value,
-                    "clamped_bound": bound.clamped,
-                    "mode": est.mode,
-                },
-                sort_keys=True,
-            )
-        )
-    return 0
+    codes = [
+        cli.main(["sfsp-estimate", "--n", str(n), "--k", str(args.k),
+                  "--trials", str(args.trials), "--seed", str(args.seed)])
+        for n in args.sizes
+    ]
+    return next(filter(None, codes), 0)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,14 @@
 """Command-line interface.
 
-Every subcommand writes a single JSON document to stdout (sorted keys, so
-identical invocations are byte-identical).  Domain errors produce
-``{"error": ...}`` and exit status 1; usage errors exit 2.  Subcommands that
-draw randomness require an explicit ``--seed``.  Timings and work counters
-go to stderr, as one JSON document, only under ``--stats``.
+Each ``_cmd_*`` function maps parsed arguments to a JSON document and a
+dict of work counters; ``main`` alone writes them.  Stdout gets the one
+document (sorted keys, so identical invocations are byte-identical); exit
+status is 1 when it reports ``"all_passed": false``, else 0.  Domain errors
+print ``{"error": ...}``, write nothing to stderr and exit 1; usage errors
+exit 2.  Subcommands that draw randomness require an explicit ``--seed``.
+Under ``--stats``, stderr gets one JSON object: the counters plus
+``seconds``, timed from just after argument parsing to the end of the
+subcommand, reading its input included.
 """
 
 from __future__ import annotations
@@ -47,16 +51,7 @@ __all__ = ["main"]
 
 
 def _emit(obj) -> None:
-    def default(value):
-        raise TypeError(f"not JSON-serializable: {value!r}")
-
-    print(json.dumps(obj, sort_keys=True, default=default))
-
-
-def _emit_stats(args, start: float, **counters) -> None:
-    if args.stats:
-        stats = {"seconds": time.perf_counter() - start, **counters}
-        print(json.dumps(stats, sort_keys=True), file=sys.stderr)
+    print(json.dumps(obj, sort_keys=True))
 
 
 def _read_json(path: str):
@@ -70,35 +65,32 @@ def _load_graph(path: str):
     return graph_from_json(_read_json(path))
 
 
-def _cmd_generate(args) -> int:
-    _emit(graph_to_json(random_graph(args.m, args.n, args.seed)))
-    return 0
+def _bound_value(bound) -> float | None:
+    return None if math.isinf(bound.value) else bound.value
 
 
-def _cmd_chain(args) -> int:
+def _cmd_generate(args):
+    return graph_to_json(random_graph(args.m, args.n, args.seed)), {}
+
+
+def _cmd_chain(args):
     graphs = chain(args.seed, args.count)
-    _emit({"seed": args.seed, "graphs": [graph_to_json(g) for g in graphs]})
-    return 0
+    return {"seed": args.seed, "graphs": [graph_to_json(g) for g in graphs]}, {}
 
 
-def _cmd_check_theta(args) -> int:
+def _cmd_check_theta(args):
     g = _load_graph(args.input)
-    start = time.perf_counter()
     if args.sampled:
         if args.seed is None:
             raise ValueError("--sampled requires --seed")
         res = check_theta_sampled(g, args.k, args.trials, args.seed)
-        _emit_stats(args, start, blocks=res.blocks)
-        _emit({"k": res.k, "mode": "sampled", "trials": res.trials,
-               "violations": res.violations, "violation_rate": res.violation_rate})
-        return 0
+        return {"k": res.k, "mode": "sampled", "trials": res.trials, "violations": res.violations,
+                "violation_rate": res.violation_rate}, {"blocks": res.blocks}
     report = check_theta(g, args.k, args.budget)
-    _emit_stats(args, start, blocks=report.blocks, kernel_calls=report.kernel_calls,
-                exit_cell=report.exit_cell)
     cex = report.counterexample
     if cex is not None:
         cex = {"side": cex.side.value, "sets": [list(s) for s in cex.sets]}
-    _emit(
+    return (
         {
             "k": report.k,
             "mode": "exact",
@@ -106,96 +98,82 @@ def _cmd_check_theta(args) -> int:
             "counterexample": cex,
             "checked_left": report.checked_left,
             "checked_right": report.checked_right,
-        }
+        },
+        {"blocks": report.blocks, "kernel_calls": report.kernel_calls, "exit_cell": report.exit_cell},
     )
-    return 0
 
 
-def _cmd_apply_word(args) -> int:
+def _cmd_apply_word(args):
     g = _load_graph(args.input)
     word = word_from_json(_read_json(args.word))
-    _emit(graph_to_json(apply_word(g, word)))
-    return 0
+    return graph_to_json(apply_word(g, word)), {}
 
 
-def _cmd_edge_kill(args) -> int:
+def _cmd_edge_kill(args):
     word = edge_kill_word(
         args.x, args.y, S3Perm.from_cycle_string(args.f), S3Perm.from_cycle_string(args.g)
     )
     out = {"word": word_to_json(word)}
     if args.input is not None:
-        result = apply_word(_load_graph(args.input), word)
-        out["result"] = graph_to_json(result)
-    _emit(out)
-    return 0
+        out["result"] = graph_to_json(apply_word(_load_graph(args.input), word))
+    return out, {}
 
 
-def _cmd_monochromatize(args) -> int:
+def _cmd_monochromatize(args):
     g = _load_graph(args.input)
     word = monochromatize(g, args.target)
-    _emit({"word": word_to_json(word), "result": graph_to_json(apply_word(g, word))})
-    return 0
+    return {"word": word_to_json(word), "result": graph_to_json(apply_word(g, word))}, {}
 
 
-def _cmd_orbits(args) -> int:
+def _cmd_orbits(args):
     cand = candidate_by_name(args.group)
-    start = time.perf_counter()
     part = orbit_partition(cand.spec, args.m, args.n, args.budget)
-    _emit_stats(args, start, actions=part.actions, rounds=part.rounds, jumps=part.jumps)
-    _emit({"m": args.m, "n": args.n, "group": cand.name, "orbit_count": part.orbit_count})
-    return 0
+    return (
+        {"m": args.m, "n": args.n, "group": cand.name, "orbit_count": part.orbit_count},
+        {"actions": part.actions, "rounds": part.rounds, "jumps": part.jumps},
+    )
 
 
-def _cmd_distinguish(args) -> int:
-    start, parts = time.perf_counter(), {}
+def _cmd_distinguish(args):
+    parts = {}
     report = distinguish_candidates(args.m, args.n, args.with_swap, args.budget, parts)
-    totals = {k: sum(getattr(p, k) for p in parts.values()) for k in ("actions", "rounds", "jumps")}
-    _emit_stats(args, start, **totals)
-    _emit(report)
-    return 0
+    return report, {k: sum(getattr(p, k) for p in parts.values()) for k in ("actions", "rounds", "jumps")}
 
 
-def _cmd_verify_lemmas(args) -> int:
-    names = args.only.split(",") if args.only else None
-    start = time.perf_counter()
-    results = verify_mod.run_all(names)
-    _emit_stats(args, start, checks=[{"name": r.name, "seconds": r.seconds} for r in results])
-    _emit(
+def _cmd_verify_lemmas(args):
+    results = verify_mod.run_all(args.only.split(",") if args.only else None)
+    return (
         {
             "checks": [
                 {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
             ],
             "all_passed": all(r.passed for r in results),
-        }
+        },
+        {"checks": [{"name": r.name, "seconds": r.seconds} for r in results]},
     )
-    return 0 if all(r.passed for r in results) else 1
 
 
-def _cmd_sfsp_bound(args) -> int:
+def _cmd_sfsp_bound(args):
     bound = sfsp_bound(args.k, args.n)
-    value = None if math.isinf(bound.value) else bound.value
-    _emit({"k": bound.k, "n": bound.n, "value": value, "clamped": bound.clamped})
-    return 0
+    return {"k": bound.k, "n": bound.n, "value": _bound_value(bound), "clamped": bound.clamped}, {}
 
 
-def _cmd_sfsp_estimate(args) -> int:
-    start = time.perf_counter()
+def _cmd_sfsp_estimate(args):
     est = estimate_failure_prob(args.n, args.k, args.trials, args.seed)
     bound = sfsp_bound(args.k, args.n)
-    _emit_stats(args, start, exact_checks=est.exact_checks, sampled_checks=est.sampled_checks,
-                blocks=est.blocks, kernel_calls=est.kernel_calls)
-    _emit(
+    return (
         {
             "n": est.n,
             "k": est.k,
             "failure_rate": est.failure_rate,
             "half_width": est.half_width,
-            "bound": None if math.isinf(bound.value) else bound.value,
+            "bound": _bound_value(bound),
             "clamped_bound": bound.clamped,
             "mode": est.mode,
-        }
+        },
+        {"exact_checks": est.exact_checks, "sampled_checks": est.sampled_checks,
+         "blocks": est.blocks, "kernel_calls": est.kernel_calls},
     )
-    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -285,16 +263,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    start = time.perf_counter()
     try:
-        return args.func(args)
+        doc, counters = args.func(args)
     except (ValueError, BudgetExceededError, ThetaBudgetError, OSError) as exc:
         _emit({"error": str(exc)})
         return 1
-    except json.JSONDecodeError as exc:
-        _emit({"error": f"malformed JSON input: {exc}"})
-        return 1
+    if getattr(args, "stats", False):
+        stats = {"seconds": time.perf_counter() - start, **counters}
+        sys.stderr.write(json.dumps(stats, sort_keys=True) + "\n")
+    _emit(doc)
+    return 1 if doc.get("all_passed") is False else 0
 
 
 if __name__ == "__main__":

@@ -294,7 +294,7 @@ def graph_from_json(data) -> ColoredBipartiteGraph:
     # type(), not isinstance(): JSON true/false load as bool, a subclass of int
     if type(m) is not int or type(n) is not int or not isinstance(colors, list):
         raise ValueError("malformed graph JSON")
-    for row in colors:
-        if not isinstance(row, list) or any(type(c) is not int for c in row):
+    for row in colors:  # each row's cell types listed and counted in C
+        if not isinstance(row, list) or list(map(type, row)).count(int) != len(row):
             raise ValueError(f"graph JSON colors must be rows of integers, got {row!r}")
     return new_graph(m, n, colors)

@@ -183,20 +183,17 @@ def single_edge_action(m: int, n: int, i: int, j: int, sigma: S3Perm) -> Action:
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """A candidate group: switch subgroups per side, plus optional vertex
-    permutations and the side swap (square dimensions only)."""
+    """A candidate group: switch subgroups per side and vertex permutations,
+    plus optionally the side swap (square dimensions only)."""
 
     h_left: Subgroup
     h_right: Subgroup
-    vertex_perms: bool = True
     allow_swap: bool = False
 
 
 def generators_for(spec: GroupSpec, m: int, n: int, budget: int = DEFAULT_ORBIT_BUDGET) -> list[Action]:
     _check_budget(m, n, budget)
-    actions: list[Action] = []
-    if spec.vertex_perms:
-        actions.extend(vertex_perm_actions(m, n))
+    actions = vertex_perm_actions(m, n)
     actions.extend(switch_actions(True, spec.h_left.generators(), m, n))
     actions.extend(switch_actions(False, spec.h_right.generators(), m, n))
     if spec.allow_swap:
@@ -297,7 +294,7 @@ def enumerate_candidate_groups(with_swap: bool = False) -> list[CandidateGroup]:
     if with_swap:
         for cand in list(groups):
             if cand.spec.h_left == cand.spec.h_right:
-                spec = GroupSpec(cand.spec.h_left, cand.spec.h_right, True, True)
+                spec = GroupSpec(cand.spec.h_left, cand.spec.h_right, allow_swap=True)
                 groups.append(CandidateGroup(f"ol_{cand.name}", spec))
     return groups
 
@@ -348,7 +345,7 @@ def redu_saturation_check(
         raise ValueError("subgroup pair commutes elementwise; no edge kill exists")
     f, g = noncommuting_witness(h1, h2)
     gamma = commutator(f, g)
-    base = generators_for(GroupSpec(h1, h2, vertex_perms=True), m, n, budget)
+    base = generators_for(GroupSpec(h1, h2), m, n, budget)
     extra = [
         single_edge_action(m, n, i, j, gamma)
         for i in range(m)

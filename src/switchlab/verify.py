@@ -106,39 +106,28 @@ def _noncommuting_pairs() -> list[tuple[S3Perm, S3Perm]]:
     ]
 
 
-def _edge_kill_ok(g, x, y, f, gp) -> bool:
-    out = apply_word(g, edge_kill_word(x, y, f, gp))
-    gamma = commutator(f, gp)
-    for i in range(g.m):
-        for j in range(g.n):
-            want = gamma(g.colors[i][j]) if (i, j) == (x, y) else g.colors[i][j]
-            if out.colors[i][j] != want:
-                return False
-    return True
-
-
 def check_edge_kill() -> tuple[bool, str]:
     """Four-switch words recolor exactly one edge, by the commutator."""
     pairs = _noncommuting_pairs()
     if len(pairs) != 18:
         return False, f"expected 18 non-commuting pairs, got {len(pairs)}"
+    # each edge's 18 kill words and their commutators, built once per side size
+    kills = {
+        size: [(x, y, [(edge_kill_word(x, y, f, gp), commutator(f, gp)) for f, gp in pairs])
+               for x in range(size) for y in range(size)]
+        for size in (2, 3)
+    }
+    graphs = [(f"K22 id {cid}", id_to_coloring(2, 2, cid)) for cid in range(81)]
+    graphs += [(f"K33 seed {424200 + t}", random_graph(3, 3, seed=424200 + t)) for t in range(1000)]
     applications = 0
-    for cid in range(81):
-        g = id_to_coloring(2, 2, cid)
-        for x in range(2):
-            for y in range(2):
-                for f, gp in pairs:
-                    if not _edge_kill_ok(g, x, y, f, gp):
-                        return False, f"failure at K22 id {cid}, edge ({x},{y})"
-                    applications += 1
-    for t in range(1000):
-        g = random_graph(3, 3, seed=424200 + t)
-        for x in range(3):
-            for y in range(3):
-                for f, gp in pairs:
-                    if not _edge_kill_ok(g, x, y, f, gp):
-                        return False, f"failure at K33 seed {424200 + t}, edge ({x},{y})"
-                    applications += 1
+    for label, g in graphs:
+        for x, y, words in kills[g.m]:
+            head, row, tail = g.colors[:x], bytearray(g.colors[x]), g.colors[x + 1:]
+            for word, gamma in words:
+                row[y] = gamma(g.colors[x][y])
+                if apply_word(g, word).colors != (*head, bytes(row), *tail):
+                    return False, f"failure at {label}, edge ({x},{y})"
+                applications += 1
     return True, f"{applications} word applications, all local"
 
 
@@ -291,10 +280,8 @@ def check_candidate_census() -> tuple[bool, str]:
         hl, hr = cand.spec.h_left, cand.spec.h_right
         if hl.order > 1 and hr.order > 1 and hl != hr:
             return False, f"mixed pair slipped in: {cand.name}"
-    report = distinguish_candidates(3, 3)
-    parts = {
-        c.name: orbit_partition(c.spec, 3, 3) for c in candidates
-    }
+    parts = {}
+    report = distinguish_candidates(3, 3, parts=parts)
     aut = parts["Aut"]
     for cand in candidates:
         if cand.name == "Aut":
@@ -323,7 +310,7 @@ def check_swap_duality() -> tuple[bool, str]:
     ]
     for cand in symmetric:
         base = orbit_partition(cand.spec, 2, 2)
-        spec_swap = GroupSpec(cand.spec.h_left, cand.spec.h_right, True, True)
+        spec_swap = GroupSpec(cand.spec.h_left, cand.spec.h_right, allow_swap=True)
         swapped = orbit_partition(spec_swap, 2, 2)
         parent = list(range(base.orbit_count))
 

@@ -1,10 +1,13 @@
 import hashlib
 import json
+import runpy
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 
+from switchlab import verify as verify_mod
 from switchlab.cli import main
 from switchlab.graphs import graph_from_json, graph_to_json, new_graph
 from switchlab.orbits import enumerate_candidate_groups, orbit_partition
@@ -240,6 +243,21 @@ def test_verify_lemmas_subset(capsys):
     assert all(c["passed"] for c in data["checks"])
 
 
+@pytest.mark.parametrize("stats", [[], ["--stats"]])
+def test_verify_lemmas_failing_check_exits_1(monkeypatch, capsys, stats):
+    monkeypatch.setattr(verify_mod, "collapse_witness", lambda c1, c2: None)
+    code = main(["verify-lemmas", "--only", "collapse-trichotomy", *stats])
+    out, err = capsys.readouterr()
+    assert code == 1
+    data = json.loads(out)
+    assert data["all_passed"] is False
+    assert [(c["name"], c["passed"]) for c in data["checks"]] == [("collapse-trichotomy", False)]
+    if stats:
+        assert [c["name"] for c in json.loads(err)["checks"]] == ["collapse-trichotomy"]
+    else:
+        assert err == ""
+
+
 def test_verify_lemmas_unknown_check(capsys):
     code, data = run_json(capsys, "verify-lemmas", "--only", "bogus")
     assert code == 1
@@ -392,6 +410,22 @@ def test_golden_stdout(tmp_path, capsys, command, code, stdout):
     if stdout.startswith("sha256:"):
         got = "sha256:" + hashlib.sha256(got.encode()).hexdigest()
     assert (got_code, got) == (code, stdout)
+
+
+# stdout of scripts/sfsp_experiment.py, recorded while the script still
+# formatted each size's line itself rather than running sfsp-estimate
+SCRIPT_ARGV = "--k 1 --sizes 8 12 --trials 20 --seed 7 --ratio-m 100"
+SCRIPT_GOLDEN = (
+    '{"ratio_error": 0.02947845804988669, "ratio_final": 0.9924414210128497, "ratio_limit": 0.962962962962963}\n'
+    '{"bound": 46.22222222222223, "clamped_bound": 1.0, "failure_rate": 1.0, "half_width": 0.0, "k": 1, "mode": "exact", "n": 8}\n'
+    '{"bound": 214.30879439109896, "clamped_bound": 1.0, "failure_rate": 1.0, "half_width": 0.0, "k": 1, "mode": "exact", "n": 12}\n'
+)
+
+
+def test_sfsp_experiment_script_stdout(capsys):
+    script = runpy.run_path(str(Path(__file__).resolve().parent.parent / "scripts" / "sfsp_experiment.py"))
+    code = script["main"](SCRIPT_ARGV.split())
+    assert (code, *capsys.readouterr()) == (0, SCRIPT_GOLDEN, "")
 
 
 STATS_GOLDEN = [g for g in GOLDEN if g[0].split()[0] in ("check-theta", "verify-lemmas", "sfsp-estimate", "orbits",
@@ -581,6 +615,8 @@ def test_cli_fuzz_single_json_document(tmp_path, capsys, argv, doc, word):
     data = json.loads(out)
     assert isinstance(data, dict)
     assert (list(data) == ["error"]) == (code == 1)
+    if "--stats" not in argv or code == 1:
+        assert err == ""
     if code == 0 and "--stats" in argv:
         # --stats adds one JSON object on stderr and nothing to stdout
         assert err.count("\n") == 1 and err.endswith("\n")

@@ -72,11 +72,11 @@ def test_generator_counts():
     spec = GroupSpec(BY_LABEL["(12)"], TRIVIAL_SUBGROUP)
     assert len(generators_for(spec, 2, 2)) == 4
     with pytest.raises(ValueError):
-        generators_for(GroupSpec(TRIVIAL_SUBGROUP, TRIVIAL_SUBGROUP, True, True), 2, 3)
+        generators_for(GroupSpec(TRIVIAL_SUBGROUP, TRIVIAL_SUBGROUP, allow_swap=True), 2, 3)
 
 
 def test_generators_are_bijections_of_finite_order():
-    spec = GroupSpec(BY_LABEL["(123)"], BY_LABEL["(123)"], True, True)
+    spec = GroupSpec(BY_LABEL["(123)"], BY_LABEL["(123)"], allow_swap=True)
     count = 3**4
     for action in generators_for(spec, 2, 2):
         table = action.table
@@ -173,8 +173,8 @@ def test_subgroup_monotonicity():
 def test_transpose_duality():
     # at m = n, swapping the two subgroup roles transposes the partition
     t = transpose_action(2, 2).table
-    p_lr = orbit_partition(GroupSpec(BY_LABEL["(12)"], BY_LABEL["(123)"], True), 2, 2)
-    p_rl = orbit_partition(GroupSpec(BY_LABEL["(123)"], BY_LABEL["(12)"], True), 2, 2)
+    p_lr = orbit_partition(GroupSpec(BY_LABEL["(12)"], BY_LABEL["(123)"]), 2, 2)
+    p_rl = orbit_partition(GroupSpec(BY_LABEL["(123)"], BY_LABEL["(12)"]), 2, 2)
     for a, b in itertools.combinations(range(81), 2):
         same_lr = p_lr.labels[a] == p_lr.labels[b]
         same_rl = p_rl.labels[t[a]] == p_rl.labels[t[b]]
