@@ -6,7 +6,10 @@ length-3 axis per edge.  A candidate group is a generator list of moves on
 that cube: vertex transpositions and the side swap permute axes, switches
 recolor them.  Orbit partitions come from min-label propagation to a
 fixpoint, which yields the same components as a closure BFS and numbers
-orbits by least member id, so results are bit-identical in any order.
+orbits by least member id, so results are bit-identical in any order.  The
+edge permutations' group P propagates over all ids (cached per shape), then
+the recolorings, closed under conjugation by P, over P's orbits through their
+least members, since s(pi x) = pi (pi^-1 s pi)(x).
 
 Equality of orbit partitions is the finite surrogate for two candidate
 groups having the same invariant structure: the groups differ exactly in
@@ -60,8 +63,9 @@ __all__ = [
 #: Default cap on m*n; 3^12 = 531441 colorings is still desk-scale.
 DEFAULT_ORBIT_BUDGET = 12
 
-#: Byte cap on the orbit engine's working set, the label array plus its
-#: temporaries (about 4 * 3^(m*n) * 8 bytes), whatever the m*n budget.
+#: Byte cap on the orbit engine's working set, whatever the m*n budget: P's
+#: propagation (25 bytes per id) and the cached int32 P-orbit ids (4 per entry)
+#: fit 4 * 8 bytes per id; the quotient, sized by P's orbits, is checked apart.
 ORBIT_MEMORY_CAP = 2**29
 
 
@@ -95,18 +99,11 @@ def id_to_coloring(m: int, n: int, cid: int) -> ColoredBipartiteGraph:
     return ColoredBipartiteGraph(m, n, tuple(flat[i * n:(i + 1) * n] for i in range(m)))
 
 
-@functools.cache
-def _lookups(recolor: tuple[int, ...], lut: tuple[int, ...]) -> tuple:
-    """``(first axis, 3^run, lookup)`` per run of adjacent recolored axes,
-    cached read-only because every partition at a shape reuses them."""
-    moves = []
-    for _, run in itertools.groupby(enumerate(recolor), lambda qp: qp[1] - qp[0]):
-        axes = [p for _, p in run]
-        shape = (3,) * len(axes)
-        lookup = np.ravel_multi_index(tuple(np.array(lut)[np.indices(shape)]), shape).ravel()
-        lookup.flags.writeable = False
-        moves.append((axes[0], lookup.size, lookup))
-    return tuple(moves)
+def _recolored(ids: np.ndarray, k: int, positions, lut) -> np.ndarray:
+    """The ids with their base-3 digits at ``positions`` mapped through ``lut``."""
+    places = 3 ** (k - 1 - np.array(positions, dtype=np.int64))
+    moved = ids[:, None] // places % 3
+    return ids + (np.array(lut)[moved] - moved) @ places
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +112,7 @@ class Action:
     ``labels.reshape((3,) * k)`` whose axis p is edge p.  The image of a
     coloring has its digit q at position ``axes[q]``, then the digits at
     ``recolor`` mapped through ``lut``.  Vertex swaps and the side swap only
-    permute axes; switches and edge recolorings only look colors up."""
+    permute axes; switches and edge recolorings only recolor digits."""
 
     name: str
     axes: tuple[int, ...]
@@ -123,11 +120,11 @@ class Action:
     lut: tuple[int, int, int] = (0, 1, 2)
 
     def pull(self, labels: np.ndarray) -> np.ndarray:
-        """``labels[table]``, computed on the cube without the table."""
-        cube = labels
-        for start, size, lookup in _lookups(self.recolor, self.lut):
-            cube = np.take(cube.reshape(3**start, size, -1), lookup, axis=1)
-        return cube.reshape((3,) * len(self.axes)).transpose(self.axes).reshape(-1)
+        """``labels[table]``; an edge permutation moves the cube's axes."""
+        k = len(self.axes)
+        if self.recolor:
+            labels = labels[_recolored(np.arange(3**k), k, self.recolor, self.lut)]
+        return labels.reshape((3,) * k).transpose(self.axes).reshape(-1)
 
     @property
     def table(self) -> np.ndarray:
@@ -205,7 +202,8 @@ def generators_for(spec: GroupSpec, m: int, n: int, budget: int = DEFAULT_ORBIT_
 class OrbitPartition:
     """Dense orbit ids over the whole coloring space, numbered by least
     member id.  The counters record the work: generator actions, fixpoint
-    rounds and pointer-jump rounds, each final no-change round included."""
+    rounds and pointer-jump rounds (each final no-change round included) of
+    P's propagation, cached or not, plus the quotient's (none without recolorings)."""
 
     m: int
     n: int
@@ -216,31 +214,68 @@ class OrbitPartition:
     jumps: int = 0
 
 
-def partition_from_actions(actions, m: int, n: int, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitPartition:
-    """Connected components of the id space under the generator actions."""
-    _check_budget(m, n, budget)
-    if any(len(a.axes) != m * n for a in actions):
-        raise ValueError("action does not match the coloring space")
-    labels = np.arange(3 ** (m * n), dtype=np.int64)
+def _propagate(size: int, pulls) -> tuple[np.ndarray, int, int]:
+    """Min-label propagation with pointer jumping over ids 0..size-1 until each
+    label is the least id it reaches; ``pull(x)`` is ``x[table]``."""
+    labels = np.arange(size)
     rounds = jumps = 0
     while True:
         rounds += 1
         before = labels
         labels = labels.copy()
-        for a in actions:
-            np.minimum(labels, a.pull(labels), out=labels)
+        for pull in pulls:
+            np.minimum(labels, pull(labels), out=labels)
         while True:
             jumps += 1
             jumped = labels[labels]
             if np.array_equal(jumped, labels):
                 break
             labels = jumped
+        del jumped  # an equal copy of labels; freed before the next round
         if np.array_equal(labels, before):
-            break
-    # each orbit is now labelled by its least member, so no sort is needed
+            return labels, rounds, jumps
+
+
+@functools.lru_cache(maxsize=2)
+def _edge_perm_orbits(k: int, perms: tuple[tuple[int, ...], ...]) -> tuple:
+    """The group P that the edge permutations' ``axes`` generate on 3^k ids:
+    the int32 P-orbit of every id, numbered by least member, each P-orbit's
+    least member, and P's rounds and jumps; read-only, shared by candidates."""
+    labels, rounds, jumps = _propagate(3**k, [Action("P", axes).pull for axes in perms])
     roots = labels == np.arange(labels.size)
-    return OrbitPartition(m, n, (np.cumsum(roots) - 1)[labels], int(roots.sum()),
-                          len(actions), rounds, jumps)
+    orbit_of, reps = (np.cumsum(roots, dtype=np.int32) - 1)[labels], np.flatnonzero(roots)
+    orbit_of.flags.writeable = reps.flags.writeable = False
+    return orbit_of, reps, rounds, jumps
+
+
+def partition_from_actions(actions, m: int, n: int, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitPartition:
+    """Connected components of the id space under the generator actions,
+    each an edge permutation or a recoloring (identity ``axes``)."""
+    _check_budget(m, n, budget)
+    actions, k = list(actions), m * n
+    for a in actions:
+        if len(a.axes) != k:
+            raise ValueError("action does not match the coloring space")
+        if a.recolor and a.axes != tuple(range(k)):
+            raise ValueError(f"action {a.name} both permutes and recolors")
+    perms = tuple(a.axes for a in actions if not a.recolor)
+    orbit_of, reps, rounds, jumps = _edge_perm_orbits(k, perms)
+    closed = list(dict.fromkeys((tuple(sorted(a.recolor)), a.lut) for a in actions if a.recolor))
+    seen = set(closed)
+    for positions, lut in closed:  # conjugates appended here are visited too
+        conjugates = dict.fromkeys((tuple(sorted(axes[p] for p in positions)), lut) for axes in perms)
+        fresh = [c for c in conjugates if c not in seen]
+        seen.update(fresh)
+        closed.extend(fresh)
+    widest = max((len(positions) for positions, _ in closed), default=0)
+    if 16 * 3**k + reps.size * (24 * widest + 4 * len(closed) + 72) > ORBIT_MEMORY_CAP:
+        raise BudgetExceededError("the quotient by the edge permutations exceeds the orbit memory cap")
+    tables = [orbit_of[_recolored(reps, k, positions, lut)] for positions, lut in closed]
+    labels, more_rounds, more_jumps = (
+        _propagate(reps.size, [lambda x, t=t: x[t] for t in tables]) if tables else (np.arange(reps.size), 0, 0))
+    roots = labels == np.arange(labels.size)
+    return OrbitPartition(m, n, (np.cumsum(roots) - 1)[labels][orbit_of], int(roots.sum()),
+                          len(actions), rounds + more_rounds, jumps + more_jumps)
 
 
 def orbit_partition(spec: GroupSpec, m: int, n: int, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitPartition:
@@ -252,7 +287,7 @@ def partitions_equal(p1: OrbitPartition, p2: OrbitPartition) -> bool:
     equality)."""
     if (p1.m, p1.n) != (p2.m, p2.n):
         raise ValueError("dimension mismatch")
-    return bool(np.array_equal(p1.labels, p2.labels))
+    return p1.orbit_count == p2.orbit_count and bool(np.array_equal(p1.labels, p2.labels))
 
 
 def refines(p1: OrbitPartition, p2: OrbitPartition) -> bool:

@@ -1,15 +1,19 @@
 import itertools
 import re
+import tracemalloc
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 
+from switchlab import orbits
 from switchlab.graphs import new_graph
 from switchlab.orbits import (
     Action,
     BudgetExceededError,
     GroupSpec,
+    OrbitPartition,
     distinguish_candidates,
     enumerate_candidate_groups,
     candidate_by_name,
@@ -29,7 +33,10 @@ from switchlab.s3 import (
     ALL_PERMS,
     FULL_SUBGROUP,
     TRIVIAL_SUBGROUP,
+    commutator,
+    elementwise_commute,
     enumerate_subgroups,
+    noncommuting_witness,
     S3Perm,
 )
 
@@ -155,6 +162,16 @@ def test_partitions_equal_and_refines():
     other = orbit_partition(GroupSpec(TRIVIAL_SUBGROUP, TRIVIAL_SUBGROUP), 2, 3)
     with pytest.raises(ValueError):
         partitions_equal(aut, other)
+    # equal orbit counts do not make partitions equal: K_{1,1}'s three
+    # colorings with a different pair merged
+    a = OrbitPartition(1, 1, np.array([0, 0, 1]), 2)
+    b = OrbitPartition(1, 1, np.array([0, 1, 1]), 2)
+    assert not partitions_equal(a, b) and partitions_equal(b, b)
+    # a dimension mismatch raises even when the counts agree
+    one_orbit = partition_from_actions([], 0, 3)
+    assert one_orbit.orbit_count == full.orbit_count == 1
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        partitions_equal(one_orbit, full)
 
 
 def test_subgroup_monotonicity():
@@ -366,3 +383,151 @@ def test_orbit_partition_matches_oracle_fixpoint(m, n):
         part = orbit_partition(cand.spec, m, n)
         assert np.array_equal(part.labels, expected), cand.name
         assert part.orbit_count == expected.max() + 1
+
+
+# Oracle: the full-space propagation that the two-stage engine replaced,
+# where every action, permutation or recoloring, moves the labels of all
+# 3^(mn) ids until a round changes nothing (oracle_partition over the
+# actions' own tables).
+
+
+def _reference_partition(actions, m, n):
+    labels = oracle_partition([a.table for a in actions], 3 ** (m * n))
+    return labels, int(labels.max()) + 1
+
+
+def assert_matches_reference(actions, m, n, what=""):
+    labels, count = _reference_partition(actions, m, n)
+    part = partition_from_actions(actions, m, n)
+    assert np.array_equal(part.labels, labels), what
+    assert part.orbit_count == count, what
+
+
+SHAPES_UP_TO_9 = [(0, 0), (0, 3), (3, 0)] + [
+    (m, n) for m in range(1, 10) for n in range(1, 10) if m * n <= 9
+]
+
+
+@pytest.mark.parametrize("m,n", SHAPES_UP_TO_9)
+def test_every_candidate_matches_reference(m, n):
+    for cand in enumerate_candidate_groups(with_swap=m == n):
+        assert_matches_reference(generators_for(cand.spec, m, n), m, n, cand.name)
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3)])
+def test_redu_saturation_lists_match_reference(m, n):
+    # the base and extended lists redu_saturation_check compares, for every
+    # subgroup pair that has an edge kill
+    pairs = [
+        (h1, h2)
+        for h1, h2 in itertools.product(enumerate_subgroups(), repeat=2)
+        if not elementwise_commute(h1, h2)
+    ]
+    assert len(pairs) == 21
+    for h1, h2 in pairs:
+        gamma = commutator(*noncommuting_witness(h1, h2))
+        base = generators_for(GroupSpec(h1, h2), m, n)
+        extra = [single_edge_action(m, n, i, j, gamma) for i in range(m) for j in range(n)]
+        assert_matches_reference(base, m, n, (h1.label, h2.label))
+        assert_matches_reference(base + extra, m, n, (h1.label, h2.label, "extended"))
+
+
+def _action_pool(m, n):
+    pool = vertex_perm_actions(m, n) + switch_actions(True, ALL_PERMS, m, n)
+    pool += switch_actions(False, ALL_PERMS, m, n)
+    pool += [single_edge_action(m, n, i, j, s) for i in range(m) for j in range(n) for s in ALL_PERMS]
+    if m == n:
+        pool.append(transpose_action(m, n))
+    return {a.name: a for a in pool}
+
+
+_DRAWN_SHAPES = [(0, 2), (2, 0), (1, 1), (1, 4), (4, 1), (2, 2), (2, 3), (3, 2)]
+
+
+@settings(max_examples=200)
+@given(
+    st.sampled_from(_DRAWN_SHAPES).flatmap(
+        lambda mn: st.tuples(st.just(mn), st.lists(st.sampled_from(sorted(_action_pool(*mn))), max_size=8))
+    )
+)
+# dropping the conjugation closure still passes every candidate list, but
+# not this one: switchR(1,.) conjugated by the swap is a left switch
+@example(((2, 2), ["switchR(1,(12))", "swapSides", "switchL(1,(12))", "switchL(0,(12))",
+                   "switchR(1,(123))", "switchR(1,(23))"]))
+def test_drawn_action_lists_match_reference(drawn):
+    (m, n), names = drawn
+    pool = _action_pool(m, n)
+    actions = [pool[name] for name in names]
+    assert_matches_reference(actions, m, n, names)
+
+
+def test_any_iterable_of_actions():
+    actions = generators_for(GroupSpec(BY_LABEL["(12)"], TRIVIAL_SUBGROUP), 2, 3)
+    part = partition_from_actions(actions, 2, 3)
+    for again in (partition_from_actions(iter(actions), 2, 3),
+                  partition_from_actions((a for a in actions), 2, 3),
+                  partition_from_actions(tuple(actions), 2, 3)):
+        assert np.array_equal(again.labels, part.labels)
+        assert (again.orbit_count, again.actions, again.rounds, again.jumps) == (
+            part.orbit_count, part.actions, part.rounds, part.jumps)
+
+
+def test_action_that_permutes_and_recolors_is_refused():
+    rot = Action("rot", (1, 2, 0), (0,), (1, 2, 0))
+    assert sorted(rot.table.tolist()) == list(range(27))  # still a valid move
+    with pytest.raises(ValueError, match=r"action rot both permutes and recolors"):
+        partition_from_actions(vertex_perm_actions(1, 3) + [rot], 1, 3)
+    with pytest.raises(ValueError, match=r"action rot both permutes and recolors"):
+        partition_from_actions(iter([rot]), 1, 3)
+
+
+def test_counters_equal_on_cache_miss_and_hit():
+    assert orbits._edge_perm_orbits.cache_info().maxsize == 2
+    for m, n in ((2, 2), (3, 3), (2, 5)):
+        for cand in enumerate_candidate_groups(with_swap=m == n):
+            actions = generators_for(cand.spec, m, n)
+            orbits._edge_perm_orbits.cache_clear()
+            miss = partition_from_actions(actions, m, n)
+            hits = orbits._edge_perm_orbits.cache_info().hits
+            hit = partition_from_actions(actions, m, n)
+            assert orbits._edge_perm_orbits.cache_info().hits == hits + 1
+            assert np.array_equal(miss.labels, hit.labels)
+            assert (miss.actions, miss.rounds, miss.jumps) == (hit.actions, hit.rounds, hit.jumps)
+
+
+def test_cached_edge_permutation_orbits_are_read_only():
+    perms = vertex_perm_actions(2, 2)
+    for array in orbits._edge_perm_orbits(4, tuple(a.axes for a in perms))[:2]:
+        with pytest.raises(ValueError):
+            array[0] = 1
+    # a partition's labels are its own, even when P alone makes the orbits
+    part = partition_from_actions(perms, 2, 2)
+    part.labels[:] = 7
+    assert partition_from_actions(perms, 2, 2).labels[0] == 0
+
+
+def test_quotient_over_the_memory_cap_is_refused(monkeypatch):
+    # 32 bytes per id pass the cap check up front; S_4 leaves 15 orbits of
+    # the 81 colorings of K_{1,4}, but without it all 81 stay apart
+    monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", 32 * 81)
+    assert partition_from_actions(vertex_perm_actions(1, 4), 1, 4).orbit_count == 15
+    for actions in ([], switch_actions(False, [c("(12)")], 1, 4)):
+        with pytest.raises(BudgetExceededError, match="quotient"):
+            partition_from_actions(actions, 1, 4)
+
+
+def test_working_set_stays_under_the_cap_multiplier():
+    # ORBIT_MEMORY_CAP admits 3^(mn) ids at 32 bytes each; that must cover
+    # one call's peak with the cache's other entry held (the side swap makes
+    # ol_Sym_lr's P differ from Sym_lr's and Aut's)
+    ids = 3**9
+    gens = [generators_for(candidate_by_name(name).spec, 3, 3) for name in ("ol_Sym_lr", "Sym_lr", "Aut")]
+    orbits._edge_perm_orbits.cache_clear()
+    tracemalloc.start()
+    try:
+        for actions in gens:
+            partition_from_actions(actions, 3, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * ids
