@@ -239,31 +239,15 @@ def is_homogeneous(c1, c2) -> bool:
     """True iff equal c2-values force equal c1-values (vacuously on empty
     domains)."""
     v1, v2 = _aligned(c1, c2)
-    image: dict[int, int] = {}
-    for a, b in zip(v1, v2):
-        if image.setdefault(b, a) != a:
-            return False
-    return True
+    return len(set(zip(v2, v1))) == len(set(v2))
 
 
 def pointwise_color_permutation(c1, c2) -> S3Perm | None:
-    """A color permutation s with c1 = s(c2) pointwise, if one exists.
-
-    The map induced on the colors c2 actually uses must be consistent and
-    injective; it is then extended to a full permutation, choosing the first
-    extension in canonical order (the identity on an empty domain).
-    """
+    """The first color permutation s in canonical order with c1 = s(c2)
+    pointwise, if any (the identity on an empty domain)."""
     v1, v2 = _aligned(c1, c2)
-    partial: dict[int, int] = {}
-    for a, b in zip(v1, v2):
-        if partial.setdefault(b, a) != a:
-            return None
-    if len(set(partial.values())) != len(partial):
-        return None
-    for sigma in ALL_PERMS:
-        if all(sigma(b) == a for b, a in partial.items()):
-            return sigma
-    return None
+    pairs = set(zip(v2, v1))
+    return next((s for s in ALL_PERMS if all(s(b) == a for b, a in pairs)), None)
 
 
 def collapse_witness(c1, c2) -> tuple[int, int, int] | None:

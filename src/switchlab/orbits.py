@@ -31,7 +31,6 @@ from .s3 import (
     Subgroup,
     TRIVIAL_SUBGROUP,
     commutator,
-    elementwise_commute,
     enumerate_subgroups,
     noncommuting_witness,
 )
@@ -200,10 +199,11 @@ def generators_for(spec: GroupSpec, m: int, n: int, budget: int = DEFAULT_ORBIT_
 
 @dataclass(eq=False)
 class OrbitPartition:
-    """Dense orbit ids over the whole coloring space, numbered by least
-    member id.  The counters record the work: generator actions, fixpoint
-    rounds and pointer-jump rounds (each final no-change round included) of
-    P's propagation, cached or not, plus the quotient's (none without recolorings)."""
+    """Dense int32 orbit ids over the whole coloring space, numbered by least
+    member id (``ORBIT_MEMORY_CAP`` keeps the space below 3^15 < 2^31 ids).
+    The counters record the work: generator actions, fixpoint rounds and
+    pointer-jump rounds (each final no-change round included) of P's
+    propagation, cached or not, plus the quotient's (none without recolorings)."""
 
     m: int
     n: int
@@ -274,7 +274,7 @@ def partition_from_actions(actions, m: int, n: int, budget: int = DEFAULT_ORBIT_
     labels, more_rounds, more_jumps = (
         _propagate(reps.size, [lambda x, t=t: x[t] for t in tables]) if tables else (np.arange(reps.size), 0, 0))
     roots = labels == np.arange(labels.size)
-    return OrbitPartition(m, n, (np.cumsum(roots) - 1)[labels][orbit_of], int(roots.sum()),
+    return OrbitPartition(m, n, (np.cumsum(roots, dtype=np.int32) - 1)[labels][orbit_of], int(roots.sum()),
                           len(actions), rounds + more_rounds, jumps + more_jumps)
 
 
@@ -335,10 +335,11 @@ def enumerate_candidate_groups(with_swap: bool = False) -> list[CandidateGroup]:
 
 
 def candidate_by_name(name: str) -> CandidateGroup:
-    for cand in enumerate_candidate_groups(with_swap=True):
+    candidates = enumerate_candidate_groups(with_swap=True)
+    for cand in candidates:
         if cand.name == name:
             return cand
-    known = ", ".join(c.name for c in enumerate_candidate_groups(with_swap=True))
+    known = ", ".join(c.name for c in candidates)
     raise ValueError(f"unknown group {name!r}; known groups: {known}")
 
 
@@ -366,9 +367,7 @@ def distinguish_candidates(
     return {"m": m, "n": n, "groups": groups, "collisions": collisions}
 
 
-def redu_saturation_check(
-    h1: Subgroup, h2: Subgroup, m: int, n: int, budget: int = DEFAULT_ORBIT_BUDGET
-) -> bool:
+def redu_saturation_check(h1: Subgroup, h2: Subgroup, m: int, n: int) -> bool:
     """Check that single-edge recolorings by the commutator add nothing to the
     group generated by (h1 left, h2 right) switches plus vertex permutations.
 
@@ -376,17 +375,12 @@ def redu_saturation_check(
     recolorings inside the generated group; the check recomputes both orbit
     partitions and compares.  Undefined for elementwise-commuting pairs.
     """
-    if elementwise_commute(h1, h2):
+    witness = noncommuting_witness(h1, h2)
+    if witness is None:
         raise ValueError("subgroup pair commutes elementwise; no edge kill exists")
-    f, g = noncommuting_witness(h1, h2)
-    gamma = commutator(f, g)
-    base = generators_for(GroupSpec(h1, h2), m, n, budget)
-    extra = [
-        single_edge_action(m, n, i, j, gamma)
-        for i in range(m)
-        for j in range(n)
-    ]
+    gamma = commutator(*witness)
+    base = generators_for(GroupSpec(h1, h2), m, n)
+    extra = [single_edge_action(m, n, i, j, gamma) for i in range(m) for j in range(n)]
     return partitions_equal(
-        partition_from_actions(base, m, n, budget),
-        partition_from_actions(base + extra, m, n, budget),
+        partition_from_actions(base, m, n), partition_from_actions(base + extra, m, n)
     )

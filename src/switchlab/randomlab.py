@@ -447,8 +447,7 @@ def sfsp_bound(k: int, n: int) -> BoundEval:
         raise ValueError("extension order k must be at least 1")
     if n < 0:
         raise ValueError("graph size must be nonnegative")
-    m = n // 2
-    top = m if n % 2 == 0 else m + 1
+    top, m = _side_sizes(n)
     if top < 3 * k:
         return BoundEval(k, n, math.inf, 1.0)
     # C(a, k) >= (a/k)^k, so the binomials exceed 6^k; for k >= 400 the bound
@@ -523,40 +522,31 @@ class FailureEstimate:
     kernel_calls: int = field(default=0, compare=False)
 
 
-def estimate_failure_prob(
-    n: int,
-    k: int,
-    graph_trials: int,
-    seed: int,
-    theta_budget: int = DEFAULT_THETA_BUDGET,
-    sampled_trials: int = 1000,
-) -> FailureEstimate:
+def estimate_failure_prob(n: int, k: int, graph_trials: int, seed: int) -> FailureEstimate:
     """Fraction of independently drawn side-balanced graphs of total size n
     failing the order-k extension property, with a 95% binomial half-width.
 
     Each trial derives its own counter-based seed, so aggregates do not
-    depend on evaluation order.  When exact checking would blow the budget,
-    trials fall back to sampled checking and the result is flagged
-    ``"sampled"``.
+    depend on evaluation order.  When exact checking would blow
+    ``DEFAULT_THETA_BUDGET``, trials fall back to sampled checking of 1000
+    draws per graph and the result is flagged ``"sampled"``.
     """
     if graph_trials < 1:
         raise ValueError("need at least one trial")
     m_left, m_right = _side_sizes(n)
     _check_cells([(m_left, m_right)])
     _check_order(k, m_left)
-    exact = all(
-        _config_count(size, k) <= theta_budget for size in (m_left, m_right)
-    )
+    exact = all(_config_count(size, k) <= DEFAULT_THETA_BUDGET for size in (m_left, m_right))
     failures = blocks = kernel_calls = 0
     for t in range(graph_trials):
         trial_seed = _mix((seed & _MASK) ^ _mix(t + 1))
         g = random_graph(m_left, m_right, trial_seed)
         if exact:
-            report = check_theta(g, k, theta_budget)
+            report = check_theta(g, k)
             failed = not report.holds
             kernel_calls += report.kernel_calls
         else:
-            report = check_theta_sampled(g, k, sampled_trials, _mix(trial_seed))
+            report = check_theta_sampled(g, k, 1000, _mix(trial_seed))
             failed = report.violations > 0
         failures += failed
         blocks += report.blocks

@@ -24,7 +24,6 @@ __all__ = [
     "inverse",
     "commutator",
     "commutes",
-    "elementwise_commute",
     "noncommuting_witness",
     "subgroup_generated",
     "enumerate_subgroups",
@@ -122,8 +121,6 @@ class Subgroup:
         for p, q in itertools.product(self.elements, repeat=2):
             if compose(p, q) not in self.elements:
                 raise ValueError("element set is not closed under composition")
-        if len(self.elements) not in (1, 2, 3, 6):
-            raise ValueError(f"impossible subgroup order: {len(self.elements)}")
 
     @property
     def order(self) -> int:
@@ -136,14 +133,10 @@ class Subgroup:
             return "1"
         if self.order == 6:
             return "S3"
-        gen = min(p for p in self.elements if not p.is_identity())
-        return gen.cycle_string()
+        return self.generators()[0].cycle_string()
 
     def __iter__(self):
-        return iter(self.sorted_elements())
-
-    def sorted_elements(self) -> tuple[S3Perm, ...]:
-        return tuple(sorted(self.elements))
+        return iter(sorted(self.elements))
 
     def generators(self) -> tuple[S3Perm, ...]:
         """A canonical minimal generating set."""
@@ -190,11 +183,6 @@ def enumerate_subgroups() -> tuple[Subgroup, ...]:
                 continue
     found.sort(key=Subgroup.sort_key)
     return tuple(found)
-
-
-def elementwise_commute(h1: Subgroup, h2: Subgroup) -> bool:
-    """True iff every f in h1 commutes with every g in h2."""
-    return all(commutes(f, g) for f in h1 for g in h2)
 
 
 def noncommuting_witness(h1: Subgroup, h2: Subgroup) -> tuple[S3Perm, S3Perm] | None:

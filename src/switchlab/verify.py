@@ -25,6 +25,7 @@ from .graphs import (
 from .orbits import (
     GroupSpec,
     enumerate_candidate_groups,
+    generators_for,
     id_to_coloring,
     orbit_partition,
     partition_from_actions,
@@ -40,6 +41,7 @@ from .randomlab import bound_ratio_check, estimate_failure_prob, random_graph, s
 from .s3 import (
     ALL_PERMS,
     FULL_SUBGROUP,
+    TRIVIAL_SUBGROUP,
     S3Perm,
     commutator,
     commutes,
@@ -97,18 +99,9 @@ def check_s3_table() -> tuple[bool, str]:
     return True, "12 products, 6 subgroups, all distinct nontrivial pairs generate S3"
 
 
-def _noncommuting_pairs() -> list[tuple[S3Perm, S3Perm]]:
-    return [
-        (f, g)
-        for f in ALL_PERMS
-        for g in ALL_PERMS
-        if not commutes(f, g)
-    ]
-
-
 def check_edge_kill() -> tuple[bool, str]:
     """Four-switch words recolor exactly one edge, by the commutator."""
-    pairs = _noncommuting_pairs()
+    pairs = [(f, g) for f in ALL_PERMS for g in ALL_PERMS if not commutes(f, g)]
     if len(pairs) != 18:
         return False, f"expected 18 non-commuting pairs, got {len(pairs)}"
     # each edge's 18 kill words and their commutators, built once per side size
@@ -170,8 +163,7 @@ def _burnside_count(m: int, n: int) -> int:
 
 def check_orbit_engine() -> tuple[bool, str]:
     """Orbit counts against a cycle-counting oracle and structural anchors."""
-    trivial = enumerate_subgroups()[0]
-    aut = orbit_partition(GroupSpec(trivial, trivial), 2, 2)
+    aut = orbit_partition(GroupSpec(TRIVIAL_SUBGROUP, TRIVIAL_SUBGROUP), 2, 2)
     oracle = _burnside_count(2, 2)
     if oracle != 27:
         return False, f"cycle-count oracle gave {oracle}, expected 27"
@@ -193,7 +185,7 @@ def check_h12_closure() -> tuple[bool, str]:
     proper = [h for h in enumerate_subgroups() if h.order in (2, 3)]
     for m, n in ((2, 2), (3, 2)):
         perms = vertex_perm_actions(m, n)
-        full_gens = perms + switch_actions(True, FULL_SUBGROUP.generators(), m, n)
+        full_gens = generators_for(GroupSpec(FULL_SUBGROUP, TRIVIAL_SUBGROUP), m, n)
         full_part = partition_from_actions(full_gens, m, n)
         for h1, h2 in itertools.combinations(proper, 2):
             sigmas = h1.generators() + h2.generators()
@@ -312,20 +304,9 @@ def check_swap_duality() -> tuple[bool, str]:
         base = orbit_partition(cand.spec, 2, 2)
         spec_swap = GroupSpec(cand.spec.h_left, cand.spec.h_right, allow_swap=True)
         swapped = orbit_partition(spec_swap, 2, 2)
-        parent = list(range(base.orbit_count))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for cid in range(81):
-            ra, rb = find(int(base.labels[cid])), find(int(base.labels[t_table[cid]]))
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        merged = np.array([find(int(base.labels[cid])) for cid in range(81)])
-        _, dense = np.unique(merged, return_inverse=True)
+        # the swap normalizes the candidate, so it maps each orbit A onto one
+        # orbit; the pair {A, swap(A)} takes the lesser id
+        _, dense = np.unique(np.minimum(base.labels, base.labels[t_table]), return_inverse=True)
         if not np.array_equal(dense, swapped.labels):
             return False, f"{cand.name}: swap orbits differ from transpose merge"
     return True, f"200 swap isomorphisms verified; transpose merge exact for {len(symmetric)} candidates"

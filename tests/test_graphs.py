@@ -28,7 +28,7 @@ from switchlab import graphs as graphs_mod
 from switchlab.graphs import ISO_ROW_MAP_CAP, _profile_permutations, _row_profile
 from switchlab.orbits import id_to_coloring
 from switchlab.randomlab import ThetaCounterexample, random_graph, verify_counterexample
-from switchlab.s3 import IDENTITY, S3Perm, inverse
+from switchlab.s3 import ALL_PERMS, IDENTITY, S3Perm, inverse
 
 from conftest import graphs
 
@@ -428,6 +428,38 @@ def test_pointwise_color_permutation():
         )
         is None
     )
+
+
+# Oracles: the colour-map construction the two functions replaced.  The
+# partial map c2 -> c1 must be consistent, and for a permutation injective,
+# before the first extension in canonical order is taken.
+
+
+def _reference_is_homogeneous(c1, c2):
+    image = {}
+    for a, b in zip(b"".join(c1.colors), b"".join(c2.colors)):
+        if image.setdefault(b, a) != a:
+            return False
+    return True
+
+
+def _reference_pointwise_color_permutation(c1, c2):
+    partial = {}
+    for a, b in zip(b"".join(c1.colors), b"".join(c2.colors)):
+        if partial.setdefault(b, a) != a:
+            return None
+    if len(set(partial.values())) != len(partial):
+        return None
+    return next((s for s in ALL_PERMS if all(s(b) == a for b, a in partial.items())), None)
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (1, 3), (0, 3)])
+def test_color_maps_match_reference_exhaustively(m, n):
+    domain = [id_to_coloring(m, n, i) for i in range(3 ** (m * n))]
+    for c1, c2 in itertools.product(domain, repeat=2):
+        assert is_homogeneous(c1, c2) == _reference_is_homogeneous(c1, c2), (c1, c2)
+        expected = _reference_pointwise_color_permutation(c1, c2)
+        assert pointwise_color_permutation(c1, c2) == expected, (c1, c2)
 
 
 def test_empty_domain_conventions():

@@ -657,7 +657,7 @@ def test_order_screen_boundary():
     with pytest.raises(ThetaBudgetError):
         check_theta(g, top)
     assert check_theta_sampled(g, top, 5, 1).trials == 5
-    assert estimate_failure_prob(2 * top + 1, top, 1, 1, sampled_trials=5).mode == "sampled"
+    assert estimate_failure_prob(2 * top + 1, top, 1, 1).mode == "sampled"
     # a side of `top` vertices stays at the cap whatever k is
     thin = random_graph(top, 2, 1)
     assert check_theta_sampled(thin, 10**9, 5, 1).trials == 5
@@ -803,7 +803,7 @@ def test_estimate_failure_prob_deterministic():
 
 
 def test_estimate_failure_prob_sampled_mode():
-    est = estimate_failure_prob(120, 2, 3, seed=1, sampled_trials=50)
+    est = estimate_failure_prob(120, 2, 3, seed=1)
     assert est.mode == "sampled"
     assert est.failure_rate == 1.0
 

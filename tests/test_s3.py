@@ -12,7 +12,6 @@ from switchlab.s3 import (
     commutator,
     commutes,
     compose,
-    elementwise_commute,
     enumerate_subgroups,
     inverse,
     noncommuting_witness,
@@ -191,15 +190,24 @@ def test_subgroup_generated():
 
 def test_elementwise_commute():
     by_label = {h.label: h for h in enumerate_subgroups()}
-    assert elementwise_commute(by_label["(12)"], by_label["(12)"])
-    assert not elementwise_commute(by_label["(12)"], by_label["(123)"])
-    assert not elementwise_commute(by_label["(13)"], by_label["(23)"])
+    assert noncommuting_witness(by_label["(12)"], by_label["(12)"]) is None
+    assert noncommuting_witness(by_label["(12)"], by_label["(123)"]) is not None
+    assert noncommuting_witness(by_label["(13)"], by_label["(23)"]) is not None
     # no two distinct nontrivial proper subgroups commute elementwise
     proper = [h for h in enumerate_subgroups() if h.order in (2, 3)]
     for h1, h2 in itertools.combinations(proper, 2):
-        assert not elementwise_commute(h1, h2)
+        assert noncommuting_witness(h1, h2) is not None
         # the first pair in canonical order is the two generators
         f, g = noncommuting_witness(h1, h2)
         assert (f, g) == (h1.generators()[0], h2.generators()[0])
         assert f in h1 and g in h2 and compose(f, g) != compose(g, f)
     assert noncommuting_witness(by_label["(12)"], by_label["(12)"]) is None
+
+
+def test_noncommuting_witness_is_none_exactly_for_commuting_pairs():
+    # the all-pairs test the witness search replaced, over all 36 ordered pairs
+    pairs = list(itertools.product(enumerate_subgroups(), repeat=2))
+    commuting = [all(commutes(f, g) for f in h1 for g in h2) for h1, h2 in pairs]
+    assert len(pairs) == 36 and sum(commuting) == 15
+    for (h1, h2), expected in zip(pairs, commuting):
+        assert (noncommuting_witness(h1, h2) is None) == expected, (h1, h2)
