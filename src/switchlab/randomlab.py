@@ -10,12 +10,13 @@ vertex sets of size at most k on one side, for a single vertex on the other
 side joined to the first set by color 1, the second by color 2 and the third
 by color 3, and symmetrically for the other side.  Both checks read one
 array of 0/1 witness planes per side.  The exact check scans every
-configuration in a fixed order, one block of first sets at a time: float32
-GEMMs fill the block's served matrix (one per first set, over that set's
-color-1 witnesses, where no set is empty) and one pass of bookkeeping
-decides it.  The sampled check draws configurations as indices into the
-vertices not yet taken, without building a pool, and takes the minimum of
-the planes of blocks of drawn ones.
+configuration in a fixed order, one block at a time.  Each cell of set
+sizes has an outer set, its first empty set or else the first set; one
+float32 GEMM per outer set, over that set's witnesses, fills its rows of
+the block's served matrix, and one pass of bookkeeping decides the block.
+The sampled check draws configurations as indices into the vertices not
+yet taken, without building a pool, and takes the minimum of the planes of
+blocks of drawn ones.
 """
 
 from __future__ import annotations
@@ -218,20 +219,20 @@ def _check_side(colors: np.ndarray, side: Side, k: int, work: list[int]):
     lexicographic sets) and the count of configurations evaluated; the
     blocks and GEMMs that evaluated them are added to ``work``.
 
-    A set's plane is the product of its members' planes in its color.  A
-    third set meeting x1 or x2 is never served, since no edge has two colors,
-    so the (x1, x2) pair passes when its served count is C(size - s1 - s2, s3).
-    A block of first sets and second sets is checked at once: GEMMs
-    (``_served``) over witnesses W, whose (x1, x2) rows are color-1 times
-    color-2 planes and x3 columns color-3 planes, fill the block's served
-    matrix, and one clash mask, one total and one ``argmax`` decide it.
-    Where no set is empty, each first set has its own GEMM over its color-1
-    witnesses, a 3^s1-th of them; elsewhere W is every witness and the
-    block's first sets share one GEMM.  Blocks start at one first set and
-    double up to as many whole x2 rows as one product holds, so an early
-    failure costs little and a full scan few blocks.  A product holds at
-    most ``_BLOCK_WORDS`` words of float32 entries: that splits the x2 rows,
-    and the x3 columns when one row alone is too wide."""
+    A set's plane is the product of its members' planes in its color.  Two
+    sets that meet are never served together, since no edge has two colors.
+    Each cell has an outer set: its first empty set, which every witness
+    serves, or else x1.  Of the other two sets the earlier takes the rows
+    and the later the columns, so a block's served matrix, rows (outer set,
+    row set) by column sets, lists configurations in scan order, and a
+    disjoint row passes when it serves every column set disjoint from it.
+    One GEMM per outer set (``_served``), over that set's witnesses, fills
+    its rows, and one clash mask, one total and one ``argmax`` decide the
+    block.  Blocks start at one outer set and double up to as many whole
+    rows as one product holds, so an early failure costs little and a full
+    scan few blocks.  A product holds at most ``_BLOCK_WORDS`` words of
+    float32 entries: that splits the rows, and the columns when one row
+    alone is too wide."""
     size = colors.shape[0]
     planes = _witness_planes(colors)
     sets, ands = {}, {}  # by size, and by (size, color): built when first needed
@@ -240,54 +241,48 @@ def _check_side(colors: np.ndarray, side: Side, k: int, work: list[int]):
     for cell in _size_triples(min(k, size)):
         if sum(cell) > size:
             continue
-        # with an empty third set the cell's order is the same with colors 2
-        # and 3 exchanged; the empty set then takes the rows, so a block of
-        # first sets stays one row per first set
-        r, c = (2, 1) if cell[2] == 0 else (1, 2)
-        s1, s2, s3 = cell[0], cell[r], cell[c]
-        free = math.comb(size - s1 - s2, s3)
-        for s, color in {(s1, 0), (s2, r), (s3, c)} - set(ands):
+        o = cell.index(0) if 0 in cell else 0
+        r, c = (i for i in range(3) if i != o)
+        so, sr, sc = cell[o], cell[r], cell[c]
+        free = math.comb(size - so - sr, sc)
+        for s, color in {(so, o), (sr, r), (sc, c)} - set(ands):
             if s not in sets:
                 sets[s] = np.array(list(itertools.combinations(range(size), s)), dtype=np.intp)
             ands[s, color] = _set_planes(planes[color], sets[s])
-        a1, a2, a3 = ands[s1, 0], ands[s2, r], ands[s3, c]
-        n1, n2, n3 = len(sets[s1]), len(sets[s2]), len(sets[s3])
-        cols = min(n3, room)
+        ao, ar, ac = ands[so, o], ands[sr, r], ands[sc, c]
+        no, nr, nc = len(sets[so]), len(sets[sr]), len(sets[sc])
+        cols = min(nc, room)
         rows = room // cols
-        most1 = max(1, rows // n2)  # several first sets take whole x2 rows
-        per_first = min(cell) > 0
+        most = max(1, rows // nr)  # several outer sets take whole rows
         lo1, width = 0, 1
-        while lo1 < n1:
+        while lo1 < no:
             block1 = slice(lo1, lo1 + width)
-            x1s = sets[s1][block1]
-            if per_first:
-                # a first set's plane is 1 on its color-1 witnesses and 0
-                # elsewhere: over those its rows are the color-2 planes
-                w = np.nonzero(a1[:, block1].T)[1]
-                ends = np.count_nonzero(a1[:, block1], axis=0).cumsum().tolist()
-                p2, p3 = a2.take(w, axis=0), a3.take(w, axis=0)
-                operands = [(p2[a:b], p3[a:b]) for a, b in zip([0] + ends, ends)]
-            step2 = min(n2, max(1, rows // width))
-            for lo2 in range(0, n2, step2):
+            xos = sets[so][block1]
+            if so:
+                # an outer set's plane is 1 on its witnesses and 0
+                # elsewhere: over those its rows are the row sets' planes
+                w = np.nonzero(ao[:, block1].T)[1]
+                ends = np.count_nonzero(ao[:, block1], axis=0).cumsum().tolist()
+                pr, pc = ar.take(w, axis=0), ac.take(w, axis=0)
+                operands = [(pr[a:b], pc[a:b]) for a, b in zip([0] + ends, ends)]
+            else:  # the empty set: every witness, without a copy
+                operands = [(ar, ac)]
+            step2 = min(nr, max(1, rows // width))
+            for lo2 in range(0, nr, step2):
                 block2 = slice(lo2, lo2 + step2)
-                x2s = sets[s2][block2]
-                if per_first:
-                    gemms = [(lhs[:, block2], rhs) for lhs, rhs in operands]
-                else:
-                    lhs = a1[:, block1, None] * a2[:, None, block2]
-                    gemms = [(lhs.reshape(lhs.shape[0], lhs.shape[1] * lhs.shape[2]), a3)]
-                served = np.empty((len(x1s) * len(x2s), n3), dtype=bool)
-                for at, (lhs, rhs) in zip(range(0, len(served), len(x2s)), gemms):
-                    for lo3 in range(0, n3, cols):
+                xrs = sets[sr][block2]
+                served = np.empty((len(xos) * len(xrs), nc), dtype=bool)
+                for at, (lhs, rhs) in zip(range(0, len(served), len(xrs)), operands):
+                    for lo3 in range(0, nc, cols):
                         tile = slice(lo3, lo3 + cols)
-                        served[at:at + lhs.shape[1], tile] = _served(lhs, rhs[:, tile])
+                        served[at:at + len(xrs), tile] = _served(lhs[:, block2], rhs[:, tile])
                         work[1] += 1
                 work[0] += 1
-                clash = (x2s[:, None, :, None] == x1s[None, :, None]).any(axis=(2, 3))
+                clash = (xrs[:, None, :, None] == xos[None, :, None]).any(axis=(2, 3))
                 disjoint = ~clash.T.reshape(-1)
-                # a disjoint row serves at most `free` third sets and a
-                # clashing row none (its x1 and x2 planes share no witness),
-                # so one total decides a block that passes
+                # a disjoint row serves at most `free` column sets and a
+                # clashing row none (its two planes share no witness), so
+                # one total decides a block that passes
                 passed = free * int(np.count_nonzero(disjoint))
                 if np.count_nonzero(served) == passed:
                     checked += passed
@@ -296,16 +291,23 @@ def _check_side(colors: np.ndarray, side: Side, k: int, work: list[int]):
                 j = int(failing.argmax())
                 checked += free * int(np.count_nonzero(disjoint[:j]))
                 i1, i2 = divmod(j, clash.shape[0])
-                x1, x2 = x1s[i1], x2s[i2]
-                clear = ~(sets[s3][:, :, None] == np.r_[x1, x2]).any(axis=(1, 2))
+                xo, xr = xos[i1], xrs[i2]
+                clear = ~(sets[sc][:, :, None] == np.r_[xo, xr]).any(axis=(1, 2))
                 col = int((clear & ~served[j]).argmax())
                 checked += int(np.count_nonzero(served[j, :col])) + 1
-                x3 = sets[s3][col]
-                found = (x1, x3, x2) if r == 2 else (x1, x2, x3)
-                return ThetaCounterexample(side, tuple(tuple(x.tolist()) for x in found)), checked
+                found = dict(zip((o, r, c), (xo, xr, sets[sc][col])))
+                return ThetaCounterexample(side, tuple(tuple(found[i].tolist()) for i in range(3))), checked
             lo1 += width
-            width = min(2 * width, most1)
+            width = min(2 * width, most)
     return None, checked
+
+
+def _screened_colors(g: ColoredBipartiteGraph, k: int) -> np.ndarray:
+    """``g``'s colors as an (m, n) uint8 view, once k and the graph's cells
+    pass their caps: a refused graph allocates nothing sized by a side."""
+    _check_order(k, max(g.m, g.n))
+    _check_cells([(g.m, g.n)])
+    return np.frombuffer(b"".join(g.colors), np.uint8).reshape(g.m, g.n)
 
 
 def check_theta(
@@ -313,12 +315,11 @@ def check_theta(
 ) -> ExtensionReport:
     """Exact extension-property check; the left side's sets are scanned first,
     so counterexamples are deterministic."""
-    _check_order(k, max(g.m, g.n))
+    colors, work = _screened_colors(g, k), [0, 0]
     for size in (g.m, g.n):
         count = _config_count(size, k)
         if count > budget:
             raise ThetaBudgetError(f"{count} set triples exceed budget {budget}; use sampled mode")
-    colors, work = np.frombuffer(b"".join(g.colors), np.uint8).reshape(g.m, g.n), [0, 0]
     cex, checked_left = _check_side(colors, Side.LEFT, k, work)
     checked_right = 0
     if cex is None:
@@ -368,10 +369,9 @@ def check_theta_sampled(g: ColoredBipartiteGraph, k: int, trials: int, seed: int
     Each drawn set is padded to a common width with the sentinel row of
     ``_witness_planes``; a block of draws is then one gather-and-min per
     side."""
-    _check_order(k, max(g.m, g.n))
+    colors = _screened_colors(g, k)
     if trials < 1:
         raise ValueError("need at least one trial")
-    colors = np.frombuffer(b"".join(g.colors), np.uint8).reshape(g.m, g.n)
     planes = {Side.LEFT: _witness_planes(colors), Side.RIGHT: _witness_planes(colors.T)}
     cells = [(side, g.side_size(side), sizes)
              for side in planes for sizes in _size_triples(min(k, g.side_size(side)))]

@@ -11,7 +11,7 @@ from switchlab import verify as verify_mod
 from switchlab.cli import main
 from switchlab.graphs import graph_from_json, graph_to_json, new_graph
 from switchlab.orbits import enumerate_candidate_groups, orbit_partition
-from switchlab.randomlab import random_graph
+from switchlab.randomlab import RANDOM_GRAPH_CELL_CAP, random_graph
 
 from conftest import graphs, shifted_cubic_graph
 
@@ -190,11 +190,17 @@ def test_orbits_negative_sides(capsys, argv):
         ("generate", "--m", "200000", "--n", "200000", "--seed", "1"),
         ("chain", "--seed", "1", "--count", "100000000"),
         ("sfsp-estimate", "--n", "1000000000", "--k", "1", "--trials", "1", "--seed", "1"),
+        # 36 bytes of JSON: an empty side counts as one cell per vertex of the other
+        ("check-theta", "--input", "{empty}", "--k", "1", "--sampled", "--trials", "10", "--seed", "1"),
+        ("check-theta", "--input", "{empty}", "--k", "1", "--budget", str(10**30)),
     ],
 )
-def test_random_graph_cap_errors(capsys, argv):
-    # refused before any graph is built, not after minutes or a MemoryError
-    code, out = run_cli(capsys, *argv)
+def test_random_graph_cap_errors(tmp_path, capsys, argv):
+    # refused before any graph is built, not after minutes or a MemoryError;
+    # the extension checks refuse a graph past the cap before any plane of it
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"m": 0, "n": RANDOM_GRAPH_CELL_CAP + 1, "colors": []}))
+    code, out = run_cli(capsys, *(arg.format(empty=path) for arg in argv))
     assert code == 1
     assert out.count("\n") == 1
     data = json.loads(out)

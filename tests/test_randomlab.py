@@ -11,7 +11,7 @@ from hypothesis import example, given
 import hypothesis.strategies as st
 
 from switchlab import randomlab
-from switchlab.graphs import Side, constant_graph, new_graph
+from switchlab.graphs import ColoredBipartiteGraph, Side, constant_graph, new_graph
 from switchlab.randomlab import (
     ExtensionReport,
     SampledCheck,
@@ -410,9 +410,25 @@ def _few_color1_edges(q, row, keep):
     return new_graph(q, q, colors)
 
 
+def _unserved(g, sets, victim):
+    """``g`` with edge (victim, w) recolored for every witness w serving the
+    left-side configuration ``sets``, of which ``victim`` is a member: that
+    configuration fails, and any other loses at most those witnesses."""
+    colors = [list(row) for row in g.colors]
+    for w in range(g.n):
+        if all(colors[x][w] == c for c, xs in zip((1, 2, 3), sets) for x in xs):
+            colors[victim][w] = colors[victim][w] % 3 + 1
+    return new_graph(g.m, g.n, colors)
+
+
 def _blocked_scan_cases():
     # (graph, k, expected counterexample sizes, property of the sets)
     first, last = lambda x1, x2: x1 == (0,), lambda x1, x2: x1 == (96,)
+    # every k = 2 configuration of total size 3 holds on the left of `base`;
+    # the failures put there have the empty set in the middle or last place,
+    # past the first row block: 150 words hold 1 row of (1, 0, 2) and 15 of
+    # (2, 0, 1) and (2, 1, 0), 1000 words 10 and 100
+    base = random_graph(20, 400, 1)
     return [
         (_few_color1_edges(97, 0, 2), 1, (1, 0, 1), first),
         (_few_color1_edges(97, 0, 17), 1, (1, 1, 1), first),
@@ -422,6 +438,9 @@ def _blocked_scan_cases():
         (random_graph(5, 8, 11), 2, (1, 0, 0), first),
         (shifted_cubic_graph(31), 2, (0, 1, 2), lambda x1, x2: True),
         (shifted_cubic_graph(31), 3, (0, 0, 3), lambda x1, x2: True),
+        (_unserved(base, ((13,), (), (4, 17)), 17), 2, (1, 0, 2), lambda x1, x2: x1 == (13,)),
+        (_unserved(base, ((7, 12), (), (3,)), 3), 2, (2, 0, 1), lambda x1, x2: x1 == (7, 12)),
+        (_unserved(base, ((9, 14), (2,), ()), 2), 2, (2, 1, 0), lambda x1, x2: (x1, x2) == ((9, 14), (2,))),
     ]
 
 
@@ -431,7 +450,7 @@ def test_blocked_scan_matches_reference(monkeypatch, block_words):
     # the x2 rows of one x1 into blocks and batches x1 where x2 is short
     monkeypatch.setattr(randomlab, "_BLOCK_WORDS", block_words)
     for g, k, sizes, shape in _blocked_scan_cases():
-        report = check_theta(g, k, budget=10**12)
+        report = check_theta(g, k, budget=10**20)
         assert report == _reference_check_theta(g, k)
         x1, x2, _ = report.counterexample.sets
         assert tuple(map(len, report.counterexample.sets)) == sizes and shape(x1, x2)
@@ -575,9 +594,13 @@ def test_extension_report_counters():
     assert most == 13 and len(batched) == 11
     assert holds.kernel_calls - holds.blocks == 2 * (97 - len(batched))
     assert holds.blocks < 2 * 97 < holds.kernel_calls
+    # per side, each of the 7 cells with an empty set is one block and one
+    # GEMM, its empty set being the outer set
+    assert (holds.blocks, holds.kernel_calls) == (2 * (7 + 11), 2 * (7 + 97)) == (36, 208)
     fails = check_theta(random_graph(40, 40, 3), 1)
     assert fails.exit_cell == (0, 1, 1) == tuple(map(len, fails.counterexample.sets))
     assert 0 < fails.blocks <= fails.kernel_calls < holds.blocks
+    assert fails.blocks == fails.kernel_calls == 5  # one per cell up to (0, 1, 1)
     # the counters stay out of equality
     assert fails == ExtensionReport(1, False, fails.counterexample, 142, 0)
 
@@ -598,6 +621,9 @@ def test_first_set_gemms_run_over_its_color1_witnesses(monkeypatch):
     check_theta(g, 1, budget=10**7)
     own = [(lhs, rhs) for lhs, rhs in operands if lhs.shape[0] < 97]
     assert len(own) == 2 * 97
+    # elsewhere: the 7 cells with an empty set on each side, one GEMM each
+    others = [(lhs, rhs) for lhs, rhs in operands if lhs.shape[0] >= 97]
+    assert len(others) == 14 and all(len(lhs) == len(rhs) == 97 for lhs, rhs in others)
     rows = np.frombuffer(b"".join(g.colors), np.uint8).reshape(g.m, g.n)
     scan = [(x1, rows) for x1 in range(97)] + [(x1, rows.T) for x1 in range(97)]
     for (lhs, rhs), (x1, colors) in zip(own, scan):
@@ -633,6 +659,30 @@ def test_random_graph_cell_cap():
         chain(1, 2400)
     with pytest.raises(ValueError, match="cap"):
         estimate_failure_prob(10**9, 1, 1, seed=1)
+
+
+def test_extension_checks_refuse_graphs_past_the_cell_cap(monkeypatch):
+    # an empty side counts as one cell a vertex of the other side, so this
+    # graph is past the cap and refused before planes sized by its n are built
+    g = ColoredBipartiteGraph(0, randomlab.RANDOM_GRAPH_CELL_CAP + 1, ())
+    for call in (lambda: check_theta(g, 1, budget=10**30), lambda: check_theta_sampled(g, 1, 10, 1)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cap"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+    monkeypatch.setattr(randomlab, "RANDOM_GRAPH_CELL_CAP", 12)
+    sized = lambda m, n: new_graph(m, n, [[1 + (i + j) % 3 for j in range(n)] for i in range(m)])
+    for g in (sized(0, 12), sized(12, 0), sized(3, 4)):  # the cap itself is accepted
+        assert check_theta(g, 1) == _reference_check_theta(g, 1)
+        assert check_theta_sampled(g, 1, 10, 1) == _reference_sampled(g, 1, 10, 1)
+    for g in (sized(0, 13), sized(13, 1), sized(3, 5)):
+        for call in (lambda: check_theta(g, 1), lambda: check_theta_sampled(g, 1, 10, 1)):
+            with pytest.raises(ValueError, match="cap"):
+                call()
 
 
 def test_order_beyond_side_sizes_changes_only_k():
