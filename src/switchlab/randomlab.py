@@ -14,9 +14,11 @@ configuration in a fixed order, one block at a time.  Each cell of set
 sizes has an outer set, its first empty set or else the first set; one
 float32 GEMM per outer set, over that set's witnesses, fills its rows of
 the block's served matrix, and one pass of bookkeeping decides the block.
-The sampled check draws configurations as indices into the vertices not
-yet taken, without building a pool, and takes the minimum of the planes of
-blocks of drawn ones.
+The sampled check draws a block of configurations in two stages: a Python
+loop makes only the random calls, recording each draw's cell and its
+indices into the vertices not yet taken, without building a pool; then one
+numpy pass maps the block's indices to vertices, and the minimum of the
+drawn sets' planes decides each draw.
 """
 
 from __future__ import annotations
@@ -65,6 +67,10 @@ RANDOM_GRAPH_CELL_CAP = 1 << 22
 #: larger order k is refused before any cell is enumerated.
 SIZE_CELL_CAP = 1 << 15
 
+#: Stands for a padding member in the sampled check's taken vertices: above
+#: every index less the count of earlier members.
+_NOT_TAKEN = np.iinfo(np.intp).max
+
 #: 8-byte words of float32 entries in one GEMM product of the exact scan, or
 #: one block of gathered planes of the sampled check (512 KiB).
 _BLOCK_WORDS = 1 << 16
@@ -92,9 +98,7 @@ def _check_cells(sizes) -> None:
             raise ValueError("side cardinalities must be nonnegative")
         cells += max(m, 1) * max(n, 1)
         if cells > RANDOM_GRAPH_CELL_CAP:
-            raise ValueError(
-                f"random graphs of more than {RANDOM_GRAPH_CELL_CAP} cells exceed the cap"
-            )
+            raise ValueError(f"graphs of more than {RANDOM_GRAPH_CELL_CAP} cells exceed the cap")
 
 
 def _check_order(k: int, size: int) -> None:
@@ -361,14 +365,21 @@ def check_theta_sampled(g: ColoredBipartiteGraph, k: int, trials: int, seed: int
     space the exact check enumerates (both sides, sizes up to k).
 
     A draw takes a cell by bisecting the cumulative cell counts, then each
-    nonempty set in turn as indices into the vertices not yet taken:
-    ``randrange(n)`` for one vertex and ``sample(range(n), s)`` for more.
-    In CPython these consume the random stream exactly as ``sample`` over a
-    list of those n vertices does, and pick the same positions, so no pool
-    is built; the tests' pool-sampling reference pins that equivalence.
-    Each drawn set is padded to a common width with the sentinel row of
-    ``_witness_planes``; a block of draws is then one gather-and-min per
-    side."""
+    nonempty set in turn as indices into the vertices not yet taken.  The
+    draw loop makes only the random calls: ``getrandbits(n.bit_length())``
+    until the value is below n, which is CPython's ``randrange(n)``, for
+    the cell and each one-member set, and ``sample(range(n), s)`` for more.
+    These consume the random stream exactly as ``sample`` over a list of
+    those n vertices does, and pick the same positions, so no pool is
+    built; the tests' pool-sampling reference pins that equivalence.  The
+    loop records each draw's cell and appends its indices to one list.  A
+    block's draws are then laid out as (draw, set, member) rows padded to a
+    common width, the cells' set sizes marking the padding, and one numpy
+    pass maps indices to vertices (sequential sampling): the i-th vertex not
+    yet taken is i plus the number of taken vertices t_q, ascending with q
+    from 0, with t_q - q <= i.  Padding takes the sentinel row of
+    ``_witness_planes``, and one gather-and-min per side decides the
+    block's draws."""
     colors = _screened_colors(g, k)
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -378,33 +389,53 @@ def check_theta_sampled(g: ColoredBipartiteGraph, k: int, trials: int, seed: int
     # a cell with no configurations ends where the one before it does, so
     # bisect never lands in it
     ends = list(itertools.accumulate(_cell_count(size, sizes) for _, size, sizes in cells))
+    total, total_bits = ends[-1], ends[-1].bit_length()
+    # each drawn cell's nonempty sets in turn: (vertices not yet taken,
+    # members, bits), built on the cell's first draw (k = 31 has 2 * 32^3 cells)
+    draws: dict[int, list[tuple[int, int, int]]] = {}
     # a set has at most min(k, side size) members; a block's gather holds at
-    # most _BLOCK_WORDS words of float32 entries
+    # most _BLOCK_WORDS words of float32 entries, and the map's comparisons,
+    # at most 2 width^2 bytes a draw, fewer bytes than that
     width = max(1, min(k, max(g.m, g.n)))
     block = max(1, 2 * _BLOCK_WORDS // (3 * width * max(1, g.m, g.n)))
+    left_cells = (min(k, g.m) + 1) ** 3  # the left side's cells come first
     rng = random.Random(seed)
+    getrandbits, sample, bisect_right = rng.getrandbits, rng.sample, bisect.bisect_right
     violations = blocks = 0
     for start in range(0, trials, block):
-        picks = {side: [] for side in planes}  # each side's draws, one flat list
+        drawn, indices = [], []  # each draw's cell; every draw's indices, set by set
         for _ in range(min(block, trials - start)):
-            side, size, sizes = cells[bisect.bisect_right(ends, rng.randrange(ends[-1]))]
-            row, taken = picks[side], []  # taken: this draw's vertices so far, ascending
-            for s in sizes:
-                if s:  # sampling no vertex draws nothing from the stream
-                    left = size - len(taken)
-                    picked = [rng.randrange(left)] if s == 1 else rng.sample(range(left), s)
-                    for j, i in enumerate(picked):  # the i-th vertex not yet taken
-                        for t in taken:
-                            if t > i:
-                                break
-                            i += 1
-                        picked[j] = i
-                    taken = sorted(taken + picked)
-                    row += picked
-                row += [size] * (width - s)
-        for side, drawn in picks.items():
-            if drawn:
-                members = np.array(drawn, dtype=np.intp).reshape(-1, 3, width)
+            r = getrandbits(total_bits)
+            while r >= total:
+                r = getrandbits(total_bits)
+            cell = bisect_right(ends, r)
+            if cell not in draws:
+                _, size, sizes = cells[cell]
+                lefts = (size, size - sizes[0], size - sizes[0] - sizes[1])
+                draws[cell] = [(left, s, left.bit_length()) for left, s in zip(lefts, sizes) if s]
+            drawn.append(cell)
+            for left, s, bits in draws[cell]:
+                if s == 1:
+                    r = getrandbits(bits)
+                    while r >= left:
+                        r = getrandbits(bits)
+                    indices.append(r)
+                else:
+                    indices += sample(range(left), s)
+        # (draw, set, member) in the order the loop filed them, padded to width
+        cell_ids, inverse = np.unique(drawn, return_inverse=True)
+        sizes = np.array([cells[i][2] for i in cell_ids.tolist()], dtype=np.intp)[inverse]
+        pad = np.arange(width) >= sizes[:, :, None]
+        picked = np.zeros(pad.shape, dtype=np.intp)
+        picked[~pad] = indices
+        for c in (1, 2):  # mapped in place, so later sets see vertices
+            taken = np.sort(np.where(pad[:, :c], _NOT_TAKEN, picked[:, :c]).reshape(len(drawn), -1))
+            taken -= np.arange(taken.shape[1])
+            picked[:, c] += np.count_nonzero(taken[:, None] <= picked[:, c, :, None], axis=2)
+        on_left = (cell_ids < left_cells)[inverse]
+        for side, rows in ((Side.LEFT, on_left), (Side.RIGHT, ~on_left)):
+            if rows.any():
+                members = np.where(pad[rows], g.side_size(side), picked[rows])
                 joint = planes[side][np.arange(3)[:, None], members].min(axis=(1, 2))
                 violations += len(members) - int(np.count_nonzero(joint.any(axis=1)))
                 blocks += 1

@@ -130,13 +130,20 @@ def monochromatize(g: ColoredBipartiteGraph, target: int) -> SwitchWord:
     if target not in (1, 2, 3):
         raise ValueError(f"color out of range: {target!r}")
     gamma = commutator(MONO_F, MONO_G)
-    # the kill word of edge (i, j) is (f_i, g_j, f_i^-1, g_j^-1), as edge_kill_word builds it
-    rows = [(left_switch(i, MONO_F), left_switch(i, inverse(MONO_F))) for i in range(g.m)]
-    cols = [(right_switch(j, MONO_G), right_switch(j, inverse(MONO_G))) for j in range(g.n)]
+    f_inv, g_inv = inverse(MONO_F), inverse(MONO_G)
+    # the kill word of edge (i, j) is (f_i, g_j, f_i^-1, g_j^-1), as edge_kill_word
+    # builds it; a vertex's pair is built once, when an off-target edge first needs it
+    cols: dict[int, tuple[SwitchOp, SwitchOp]] = {}
     ops: list[SwitchOp] = []
-    for (f, f_back), colors in zip(rows, g.colors):
-        for (gp, gp_back), c in zip(cols, colors):
+    for i, colors in enumerate(g.colors):
+        if colors.count(target) == g.n:
+            continue
+        f, f_back = left_switch(i, MONO_F), left_switch(i, f_inv)
+        for j, c in enumerate(colors):
             if c != target:
+                if j not in cols:
+                    cols[j] = (right_switch(j, MONO_G), right_switch(j, g_inv))
+                gp, gp_back = cols[j]
                 ops.extend((f, gp, f_back, gp_back) * (1 if gamma(c) == target else 2))
     return SwitchWord(tuple(ops))
 

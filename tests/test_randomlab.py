@@ -399,6 +399,44 @@ def test_sampled_matches_reference_across_blocks(monkeypatch):
             assert check_theta_sampled(g, k, 301, seed) == _reference_sampled(g, k, 301, seed)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_sampled_matches_reference_thin_shapes(k):
+    # empty sides, one vertex a side, and orders past a side's size: the
+    # all-empty cell (0, 0, 0) is drawn, also on a side with no witnesses
+    for g in (random_graph(0, 5, 1), random_graph(4, 0, 2), random_graph(0, 0, 3),
+              random_graph(1, 1, 4), random_graph(2, 1, 5), constant_graph(2, 3, 2)):
+        for seed in (0, 7):
+            assert check_theta_sampled(g, k, 200, seed) == _reference_sampled(g, k, 200, seed)
+
+
+def test_sampled_block_holds_several_cells_of_both_sides(monkeypatch):
+    # 20 draws a block: each block holds draws of several cells of both
+    # sides, and laying them out in one pass counts every draw once
+    for g, k in ((random_graph(12, 12, 6), 1), (_mostly_two_colors(12, 12, 3), 2),
+                 (random_graph(9, 9, 5), 3)):
+        width = min(k, max(g.m, g.n))
+        monkeypatch.setattr(randomlab, "_BLOCK_WORDS", 10 * 3 * width * max(g.m, g.n))
+        for seed in (0, 11):
+            sampled = check_theta_sampled(g, k, 300, seed)
+            assert sampled == _reference_sampled(g, k, 300, seed)
+            assert sampled.blocks == 2 * 300 // 20
+
+
+def test_sampled_temporaries_within_block_words(monkeypatch):
+    # a block's layout, map and gather are sized by _BLOCK_WORDS, not by the
+    # trials: the peak of 20,000 draws stays within a few blocks' words
+    monkeypatch.setattr(randomlab, "_BLOCK_WORDS", 2**12)
+    g = random_graph(30, 30, 1)
+    check_theta_sampled(g, 3, 10, 1)
+    tracemalloc.start()
+    try:
+        check_theta_sampled(g, 3, 20_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * randomlab._BLOCK_WORDS
+
+
 def _few_color1_edges(q, row, keep):
     """The cubic-residue graph on q with all but the first ``keep`` color-1
     edges of left vertex ``row`` recolored 2: configurations with ``row`` as

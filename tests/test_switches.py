@@ -1,5 +1,7 @@
 import itertools
 import json
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -426,5 +428,24 @@ def test_monochromatize_matches_reference(g, target):
     got = _outcome(monochromatize, g, target)
     assert got == _outcome(_reference_monochromatize, g, target)
     if isinstance(got, SwitchWord):
-        # two switches per row and two per column, however often each recurs
-        assert len({id(op) for op in got.ops}) <= 2 * (g.m + g.n)
+        # two switches per row and per column with an off-target edge, however
+        # often each recurs, and none for the others
+        off = [(i, j) for i, j in g.edges() if g.colors[i][j] != target]
+        rows, cols = {i for i, _ in off}, {j for _, j in off}
+        assert len({id(op) for op in got.ops}) == 2 * (len(rows) + len(cols))
+
+
+def test_monochromatize_empty_side_builds_no_switch():
+    # no edge to recolor, so no vertex of the nonempty side gets a switch pair
+    for m, n in ((0, 10**6), (10**6, 0)):
+        g = ColoredBipartiteGraph(m, n, [b""] * m)
+        start = time.perf_counter()
+        assert monochromatize(g, 1) == SwitchWord(())
+        assert time.perf_counter() - start < 1.0
+        tracemalloc.start()
+        try:
+            assert monochromatize(g, 2) == SwitchWord(())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
