@@ -26,16 +26,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     ratio = bound_ratio_check(args.k, args.ratio_m)
-    print(
-        json.dumps(
-            {
-                "ratio_limit": ratio.limit,
-                "ratio_final": ratio.ratios[-1],
-                "ratio_error": abs(ratio.ratios[-1] - ratio.limit),
-            },
-            sort_keys=True,
-        )
-    )
+    final = ratio.ratios[-1]
+    print(json.dumps({"ratio_limit": ratio.limit, "ratio_final": final,
+                      "ratio_error": abs(final - ratio.limit)}, sort_keys=True))
     codes = [
         cli.main(["sfsp-estimate", "--n", str(n), "--k", str(args.k),
                   "--trials", str(args.trials), "--seed", str(args.seed)])

@@ -9,9 +9,10 @@ The extension property of order k asks, for every three pairwise disjoint
 vertex sets of size at most k on one side, for a single vertex on the other
 side joined to the first set by color 1, the second by color 2 and the third
 by color 3, and symmetrically for the other side.  Both checks read one
-array of 0/1 witness planes per side.  The exact check scans every
-configuration in a fixed order, one block at a time.  Each cell of set
-sizes has an outer set, its first empty set or else the first set; one
+array of 0/1 witness planes per side, and the table of set-size cells and
+each side's cumulative counts, cached per order k.  The exact check scans
+every configuration in a fixed order, one block at a time.  Each cell of
+set sizes has an outer set, its first empty set or else the first set; one
 float32 GEMM per outer set, over that set's witnesses, fills its rows of
 the block's served matrix, and one pass of bookkeeping decides the block.
 The sampled check draws a block of configurations in two stages: a Python
@@ -24,6 +25,7 @@ drawn sets' planes decides each draw.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import random
@@ -81,12 +83,16 @@ class ThetaBudgetError(Exception):
 
 
 def _mix(x):
-    """SplitMix64 finalizer, on a Python int or elementwise on a uint64 array
-    (where the masks are no-ops and the arithmetic wraps)."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
-    return x ^ (x >> 31)
+    """SplitMix64 finalizer, on a Python int or elementwise and in place on a
+    uint64 array (where the masks are no-ops and the arithmetic wraps)."""
+    x += 0x9E3779B97F4A7C15
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        x &= _MASK
+        x ^= x >> shift
+        x *= factor
+    x &= _MASK
+    x ^= x >> 31
+    return x
 
 
 def _check_cells(sizes) -> None:
@@ -125,7 +131,9 @@ def random_graph(m: int, n: int, seed: int) -> ColoredBipartiteGraph:
         rows = np.arange(m, dtype=np.uint64) * np.uint64(_MULT_I)
         cols = np.arange(n, dtype=np.uint64) * np.uint64(_MULT_J)
         h = _mix(_mix(np.uint64(seed & _MASK) ^ rows)[:, None] ^ cols)
-    flat = (h % 3 + 1).astype(np.uint8).tobytes()
+    h -= h // 3 * 3  # h % 3, by numpy's faster division by a constant
+    h += 1
+    flat = h.astype(np.uint8).tobytes()
     return ColoredBipartiteGraph(m, n, tuple(flat[i * n:(i + 1) * n] for i in range(m)))
 
 
@@ -168,8 +176,9 @@ class ExtensionReport:
     exit_cell: tuple[int, int, int] | None = field(default=None, compare=False)
 
 
-def _size_triples(k: int):
-    return sorted(itertools.product(range(k + 1), repeat=3), key=lambda t: (sum(t), t))
+@functools.cache  # the size cells of order k <= 31 (_check_order) in scan order
+def _size_triples(k: int) -> tuple[tuple[int, int, int], ...]:
+    return tuple(sorted(itertools.product(range(k + 1), repeat=3), key=lambda t: (sum(t), t)))
 
 
 def _cell_count(size: int, sizes) -> int:
@@ -180,8 +189,13 @@ def _cell_count(size: int, sizes) -> int:
     return math.comb(size, s1) * math.comb(size - s1, s2) * math.comb(size - s1 - s2, s3)
 
 
+@functools.lru_cache(maxsize=8)  # cumulative counts of the cells of order k <= size
+def _cell_ends(size: int, k: int) -> tuple[int, ...]:
+    return tuple(itertools.accumulate(_cell_count(size, sizes) for sizes in _size_triples(k)))
+
+
 def _config_count(size: int, k: int) -> int:
-    return sum(_cell_count(size, sizes) for sizes in _size_triples(min(k, size)))
+    return _cell_ends(size, min(k, size))[-1]
 
 
 def _witness_planes(colors: np.ndarray) -> np.ndarray:
@@ -217,29 +231,39 @@ def _set_planes(planes: np.ndarray, sets: np.ndarray) -> np.ndarray:
     return product
 
 
+def _size_planes(planes: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """``_set_planes`` of every set of one size, in order: the sentinel row as a
+    view for the empty set, vertex rows as one copy (a transposed view slows GEMMs)."""
+    if sets.shape[1] > 1:
+        return _set_planes(planes, sets)
+    return np.ascontiguousarray(planes[:-1].T) if sets.shape[1] else planes[-1:].T
+
+
 def _check_side(colors: np.ndarray, side: Side, k: int, work: list[int]):
     """First failing configuration on ``side`` (whose vertices are the rows
     of ``colors``) in deterministic order (total size, then sizes, then
     lexicographic sets) and the count of configurations evaluated; the
     blocks and GEMMs that evaluated them are added to ``work``.
 
-    A set's plane is the product of its members' planes in its color.  Two
-    sets that meet are never served together, since no edge has two colors.
-    Each cell has an outer set: its first empty set, which every witness
-    serves, or else x1.  Of the other two sets the earlier takes the rows
-    and the later the columns, so a block's served matrix, rows (outer set,
-    row set) by column sets, lists configurations in scan order, and a
-    disjoint row passes when it serves every column set disjoint from it.
-    One GEMM per outer set (``_served``), over that set's witnesses, fills
-    its rows, and one clash mask, one total and one ``argmax`` decide the
-    block.  Blocks start at one outer set and double up to as many whole
-    rows as one product holds, so an early failure costs little and a full
-    scan few blocks.  A product holds at most ``_BLOCK_WORDS`` words of
-    float32 entries: that splits the rows, and the columns when one row
-    alone is too wide."""
+    A set's plane is the product of its members' planes in its color, read
+    from the witness planes below two members (``_size_planes``).  Two sets
+    that meet are never served together, since no edge has two colors.  Each
+    cell has an outer set: its first empty set, which every witness serves
+    and no set meets, or else x1.  Of the other two sets the earlier takes
+    the rows and the later the columns, so a block's served matrix, rows
+    (outer set, row set) by column sets, lists configurations in scan order,
+    and a disjoint row passes when it serves every column set disjoint from
+    it.  One GEMM per outer set (``_served``), over that set's witnesses,
+    fills its rows, and one clash mask (none for an empty outer set), one
+    total and one ``argmax`` decide the block.  Blocks start at one outer
+    set and double up to as many whole rows as one product holds, so an
+    early failure costs little and a full scan few blocks.  A product holds
+    at most ``_BLOCK_WORDS`` words of float32 entries: that splits the rows,
+    and the columns when one row alone is too wide."""
     size = colors.shape[0]
     planes = _witness_planes(colors)
-    sets, ands = {}, {}  # by size, and by (size, color): built when first needed
+    # sets by size and planes by (size, color); combinations from two members on
+    sets, ands = {0: np.empty((1, 0), np.intp), 1: np.arange(size, dtype=np.intp)[:, None]}, {}
     room = 2 * _BLOCK_WORDS  # float32 entries of one GEMM's product
     checked = 0
     for cell in _size_triples(min(k, size)):
@@ -252,7 +276,7 @@ def _check_side(colors: np.ndarray, side: Side, k: int, work: list[int]):
         for s, color in {(so, o), (sr, r), (sc, c)} - set(ands):
             if s not in sets:
                 sets[s] = np.array(list(itertools.combinations(range(size), s)), dtype=np.intp)
-            ands[s, color] = _set_planes(planes[color], sets[s])
+            ands[s, color] = _size_planes(planes[color], sets[s])
         ao, ar, ac = ands[so, o], ands[sr, r], ands[sc, c]
         no, nr, nc = len(sets[so]), len(sets[sr]), len(sets[sc])
         cols = min(nc, room)
@@ -282,8 +306,8 @@ def _check_side(colors: np.ndarray, side: Side, k: int, work: list[int]):
                         served[at:at + len(xrs), tile] = _served(lhs[:, block2], rhs[:, tile])
                         work[1] += 1
                 work[0] += 1
-                clash = (xrs[:, None, :, None] == xos[None, :, None]).any(axis=(2, 3))
-                disjoint = ~clash.T.reshape(-1)
+                disjoint = (~(xrs[:, None, :, None] == xos[:, None]).any(axis=(2, 3)).T.reshape(-1)
+                            if so else np.ones(len(served), dtype=bool))
                 # a disjoint row serves at most `free` column sets and a
                 # clashing row none (its two planes share no witness), so
                 # one total decides a block that passes
@@ -294,9 +318,9 @@ def _check_side(colors: np.ndarray, side: Side, k: int, work: list[int]):
                 failing = disjoint & (np.count_nonzero(served, axis=1) != free)
                 j = int(failing.argmax())
                 checked += free * int(np.count_nonzero(disjoint[:j]))
-                i1, i2 = divmod(j, clash.shape[0])
+                i1, i2 = divmod(j, len(xrs))
                 xo, xr = xos[i1], xrs[i2]
-                clear = ~(sets[sc][:, :, None] == np.r_[xo, xr]).any(axis=(1, 2))
+                clear = ~(sets[sc][:, :, None] == np.concatenate((xo, xr))).any(axis=(1, 2))
                 col = int((clear & ~served[j]).argmax())
                 checked += int(np.count_nonzero(served[j, :col])) + 1
                 found = dict(zip((o, r, c), (xo, xr, sets[sc][col])))
@@ -364,32 +388,32 @@ def check_theta_sampled(g: ColoredBipartiteGraph, k: int, trials: int, seed: int
     """Monte Carlo surrogate: configurations drawn uniformly from the same
     space the exact check enumerates (both sides, sizes up to k).
 
-    A draw takes a cell by bisecting the cumulative cell counts, then each
-    nonempty set in turn as indices into the vertices not yet taken.  The
-    draw loop makes only the random calls: ``getrandbits(n.bit_length())``
-    until the value is below n, which is CPython's ``randrange(n)``, for
-    the cell and each one-member set, and ``sample(range(n), s)`` for more.
-    These consume the random stream exactly as ``sample`` over a list of
-    those n vertices does, and pick the same positions, so no pool is
-    built; the tests' pool-sampling reference pins that equivalence.  The
-    loop records each draw's cell and appends its indices to one list.  A
-    block's draws are then laid out as (draw, set, member) rows padded to a
-    common width, the cells' set sizes marking the padding, and one numpy
-    pass maps indices to vertices (sequential sampling): the i-th vertex not
-    yet taken is i plus the number of taken vertices t_q, ascending with q
-    from 0, with t_q - q <= i.  Padding takes the sentinel row of
-    ``_witness_planes``, and one gather-and-min per side decides the
-    block's draws."""
+    A draw takes a cell by bisecting one side's cached cumulative cell
+    counts, then each nonempty set in turn as indices into the vertices not
+    yet taken.  The draw loop makes only the random calls:
+    ``getrandbits(n.bit_length())`` until the value is below n, which is
+    CPython's ``randrange(n)``, for the cell and each one-member set, and
+    ``sample(range(n), s)`` for more.  These consume the random stream
+    exactly as ``sample`` over a list of those n vertices does, and pick the
+    same positions, so no pool is built; the tests' pool-sampling reference
+    pins that equivalence.  The loop records each draw's cell and appends
+    its indices to one list.  A block's draws are then laid out as (draw,
+    set, member) rows padded to a common width, the cells' set sizes marking
+    the padding, and one numpy pass maps indices to vertices (sequential
+    sampling): the i-th vertex not yet taken is i plus the number of taken
+    vertices t_q, ascending with q from 0, with t_q - q <= i.  Padding takes
+    the sentinel row of ``_witness_planes``, and one gather-and-min per side
+    decides the block's draws."""
     colors = _screened_colors(g, k)
     if trials < 1:
         raise ValueError("need at least one trial")
     planes = {Side.LEFT: _witness_planes(colors), Side.RIGHT: _witness_planes(colors.T)}
-    cells = [(side, g.side_size(side), sizes)
-             for side in planes for sizes in _size_triples(min(k, g.side_size(side)))]
-    # a cell with no configurations ends where the one before it does, so
-    # bisect never lands in it
-    ends = list(itertools.accumulate(_cell_count(size, sizes) for _, size, sizes in cells))
-    total, total_bits = ends[-1], ends[-1].bit_length()
+    # the left side's cells come first; a cell with no configurations ends
+    # where the one before it does, so bisect never lands in it
+    left_ends, right_ends = _cell_ends(g.m, min(k, g.m)), _cell_ends(g.n, min(k, g.n))
+    cells = _size_triples(min(k, g.m)) + _size_triples(min(k, g.n))
+    left_cells, split, total = len(left_ends), left_ends[-1], left_ends[-1] + right_ends[-1]
+    total_bits = total.bit_length()
     # each drawn cell's nonempty sets in turn: (vertices not yet taken,
     # members, bits), built on the cell's first draw (k = 31 has 2 * 32^3 cells)
     draws: dict[int, list[tuple[int, int, int]]] = {}
@@ -398,7 +422,6 @@ def check_theta_sampled(g: ColoredBipartiteGraph, k: int, trials: int, seed: int
     # at most 2 width^2 bytes a draw, fewer bytes than that
     width = max(1, min(k, max(g.m, g.n)))
     block = max(1, 2 * _BLOCK_WORDS // (3 * width * max(1, g.m, g.n)))
-    left_cells = (min(k, g.m) + 1) ** 3  # the left side's cells come first
     rng = random.Random(seed)
     getrandbits, sample, bisect_right = rng.getrandbits, rng.sample, bisect.bisect_right
     violations = blocks = 0
@@ -408,9 +431,10 @@ def check_theta_sampled(g: ColoredBipartiteGraph, k: int, trials: int, seed: int
             r = getrandbits(total_bits)
             while r >= total:
                 r = getrandbits(total_bits)
-            cell = bisect_right(ends, r)
+            cell = (bisect_right(left_ends, r) if r < split
+                    else left_cells + bisect_right(right_ends, r - split))
             if cell not in draws:
-                _, size, sizes = cells[cell]
+                size, sizes = g.m if cell < left_cells else g.n, cells[cell]
                 lefts = (size, size - sizes[0], size - sizes[0] - sizes[1])
                 draws[cell] = [(left, s, left.bit_length()) for left, s in zip(lefts, sizes) if s]
             drawn.append(cell)
@@ -424,7 +448,7 @@ def check_theta_sampled(g: ColoredBipartiteGraph, k: int, trials: int, seed: int
                     indices += sample(range(left), s)
         # (draw, set, member) in the order the loop filed them, padded to width
         cell_ids, inverse = np.unique(drawn, return_inverse=True)
-        sizes = np.array([cells[i][2] for i in cell_ids.tolist()], dtype=np.intp)[inverse]
+        sizes = np.array([cells[i] for i in cell_ids.tolist()], dtype=np.intp)[inverse]
         pad = np.arange(width) >= sizes[:, :, None]
         picked = np.zeros(pad.shape, dtype=np.intp)
         picked[~pad] = indices

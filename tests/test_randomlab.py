@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -556,6 +557,65 @@ def test_set_planes_built_one_member_at_a_time():
     assert peak <= 20 * 2**20
 
 
+def test_size_triples_is_one_immutable_table_per_k():
+    for k in range(32):
+        table = randomlab._size_triples(k)
+        assert table == tuple(_reference_size_triples(k))
+        assert table is randomlab._size_triples(k)
+        assert all(type(cell) is tuple for cell in table)
+        with pytest.raises(TypeError):
+            table[0] = (0, 0, 0)
+        with pytest.raises(AttributeError):
+            table.append((k + 1, 0, 0))
+
+
+def test_config_count_is_the_multinomial_sum():
+    for size in range(13):
+        for k in range(1, 5):
+            expected = sum(
+                math.factorial(size)
+                // (math.factorial(s1) * math.factorial(s2) * math.factorial(s3)
+                    * math.factorial(size - s1 - s2 - s3))
+                for s1, s2, s3 in itertools.product(range(k + 1), repeat=3)
+                if s1 + s2 + s3 <= size
+            )
+            assert randomlab._config_count(size, k) == expected
+            ends = randomlab._cell_ends(size, min(k, size))
+            assert len(ends) == (min(k, size) + 1) ** 3 and ends[-1] == expected
+            assert list(ends) == sorted(ends)
+    assert randomlab._cell_ends.cache_info().maxsize == 8
+
+
+@given(graphs(max_m=6, max_n=6))
+@example(random_graph(0, 5, 1))
+@example(random_graph(5, 0, 1))
+def test_small_set_planes_match_the_product(g):
+    # the empty set's plane is the sentinel row (a view), a vertex's plane
+    # its row (a contiguous copy); both equal _set_planes' product
+    colors = np.frombuffer(b"".join(g.colors), np.uint8).reshape(g.m, g.n)
+    for rows in (colors, colors.T):
+        planes = randomlab._witness_planes(rows)
+        size = rows.shape[0]
+        for sets in (np.empty((1, 0), np.intp), np.arange(size, dtype=np.intp)[:, None]):
+            for color in range(3):
+                fast = randomlab._size_planes(planes[color], sets)
+                assert fast.dtype == np.float32
+                assert np.array_equal(fast, randomlab._set_planes(planes[color], sets))
+                if sets.shape[1]:
+                    assert fast.flags.c_contiguous
+                else:
+                    assert fast.base is planes
+
+
+def test_mix_works_in_place_on_arrays_and_on_ints():
+    values = [0, 1, 5, 2**63 + 5, 2**64 - 1]
+    array = np.array(values, dtype=np.uint64)
+    mixed = randomlab._mix(array)
+    assert mixed is array
+    assert mixed.tolist() == [randomlab._mix(v) for v in values]
+    assert randomlab._mix(0) == 0xE220A8397B1DCDAF  # SplitMix64's first output for state 0
+
+
 @given(graphs(max_m=7, max_n=7), st.integers(1, 3), st.sampled_from([1, 2, 5, 40]))
 @example(new_graph(1, 3, [[1, 2, 3]]), 2, 1)
 @example(random_graph(4, 0, 5), 3, 1)
@@ -596,6 +656,9 @@ def test_gemm_over_no_witnesses_serves_nothing(monkeypatch):
     # the oracle scans the same single cell
     only = lambda k: [(1, 1, 1)]
     monkeypatch.setattr(randomlab, "_size_triples", only)
+    # counts cached from the one-cell table must not outlive this test
+    fresh = functools.lru_cache(randomlab._cell_ends.__wrapped__)
+    monkeypatch.setattr(randomlab, "_cell_ends", fresh)
     monkeypatch.setitem(globals(), "_reference_size_triples", only)
     colors = [list(row) for row in shifted_cubic_graph(97).colors]
     colors[5] = [2 if c == 1 else c for c in colors[5]]
