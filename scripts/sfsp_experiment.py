@@ -2,7 +2,7 @@
 """Failure-rate experiment: the tail of the bound-ratio sequence, then one
 ``switchlab sfsp-estimate`` line per size (its own JSON document, Monte Carlo
 estimate against the closed-form bound).  Exits with the first non-zero
-status of those runs.
+status of those runs, or prints ``{"error": ...}`` and exits 1 as the CLI does.
 
 Example:
     python scripts/sfsp_experiment.py --k 1 --sizes 8 16 24 32 --trials 2000 --seed 7
@@ -25,7 +25,11 @@ def main(argv=None) -> int:
     parser.add_argument("--ratio-m", type=int, default=10_000)
     args = parser.parse_args(argv)
 
-    ratio = bound_ratio_check(args.k, args.ratio_m)
+    try:
+        ratio = bound_ratio_check(args.k, args.ratio_m)
+    except ValueError as exc:
+        print(json.dumps({"error": str(exc)}))
+        return 1
     final = ratio.ratios[-1]
     print(json.dumps({"ratio_limit": ratio.limit, "ratio_final": final,
                       "ratio_error": abs(final - ratio.limit)}, sort_keys=True))

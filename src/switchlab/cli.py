@@ -99,7 +99,8 @@ def _cmd_check_theta(args):
             "checked_left": report.checked_left,
             "checked_right": report.checked_right,
         },
-        {"blocks": report.blocks, "kernel_calls": report.kernel_calls, "exit_cell": report.exit_cell},
+        {"blocks": report.blocks, "kernel_calls": report.kernel_calls,
+         "exit_cell": None if cex is None else [len(s) for s in cex["sets"]]},
     )
 
 
@@ -171,7 +172,7 @@ def _cmd_sfsp_estimate(args):
             "clamped_bound": bound.clamped,
             "mode": est.mode,
         },
-        {"exact_checks": est.exact_checks, "sampled_checks": est.sampled_checks,
+        {"exact_checks": 0, "sampled_checks": 0, f"{est.mode}_checks": est.trials,
          "blocks": est.blocks, "kernel_calls": est.kernel_calls},
     )
 
@@ -198,9 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-theta", help="check the order-k extension property")
     p.add_argument("--input", default="-", help="graph JSON file, or - for stdin")
     p.add_argument("--k", type=int, required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", help="exact mode (default)")
-    mode.add_argument("--sampled", action="store_true", help="Monte Carlo mode")
+    p.add_argument("--sampled", action="store_true", help="Monte Carlo mode (default: exact)")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--budget", type=int, default=DEFAULT_THETA_BUDGET)

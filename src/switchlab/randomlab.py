@@ -54,7 +54,6 @@ __all__ = [
     "estimate_failure_prob",
 ]
 
-_MASK = (1 << 64) - 1
 _MULT_I = 0xA24BAED4963EE407
 _MULT_J = 0x9FB21C651E98DF25
 
@@ -82,15 +81,12 @@ class ThetaBudgetError(Exception):
     """Exact enumeration would exceed the configured budget; sample instead."""
 
 
-def _mix(x):
-    """SplitMix64 finalizer, on a Python int or elementwise and in place on a
-    uint64 array (where the masks are no-ops and the arithmetic wraps)."""
+def _mix(x: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer, elementwise and in place on a uint64 array."""
     x += 0x9E3779B97F4A7C15
     for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-        x &= _MASK
         x ^= x >> shift
         x *= factor
-    x &= _MASK
     x ^= x >> 31
     return x
 
@@ -127,10 +123,9 @@ def random_graph(m: int, n: int, seed: int) -> ColoredBipartiteGraph:
     uniform on {1, 2, 3} and independent across edges, computed for all
     edges in one uint64 pass."""
     _check_cells([(m, n)])
-    with np.errstate(over="ignore"):
-        rows = np.arange(m, dtype=np.uint64) * np.uint64(_MULT_I)
-        cols = np.arange(n, dtype=np.uint64) * np.uint64(_MULT_J)
-        h = _mix(_mix(np.uint64(seed & _MASK) ^ rows)[:, None] ^ cols)
+    rows = np.arange(m, dtype=np.uint64) * np.uint64(_MULT_I)
+    cols = np.arange(n, dtype=np.uint64) * np.uint64(_MULT_J)
+    h = _mix(_mix(np.uint64(seed % 2**64) ^ rows)[:, None] ^ cols)
     h -= h // 3 * 3  # h % 3, by numpy's faster division by a constant
     h += 1
     flat = h.astype(np.uint8).tobytes()
@@ -170,10 +165,9 @@ class ExtensionReport:
     counterexample: ThetaCounterexample | None
     checked_left: int
     checked_right: int
-    # counters outside equality: both sides' scan blocks and GEMMs, and the cell it stopped in
+    # counters outside equality: both sides' scan blocks and GEMMs
     blocks: int = field(default=0, compare=False)
     kernel_calls: int = field(default=0, compare=False)
-    exit_cell: tuple[int, int, int] | None = field(default=None, compare=False)
 
 
 @functools.cache  # the size cells of order k <= 31 (_check_order) in scan order
@@ -352,8 +346,7 @@ def check_theta(
     checked_right = 0
     if cex is None:
         cex, checked_right = _check_side(colors.T, Side.RIGHT, k, work)
-    cell = None if cex is None else tuple(map(len, cex.sets))
-    return ExtensionReport(k, cex is None, cex, checked_left, checked_right, *work, cell)
+    return ExtensionReport(k, cex is None, cex, checked_left, checked_right, *work)
 
 
 def verify_counterexample(g: ColoredBipartiteGraph, k: int, cex: ThetaCounterexample) -> bool:
@@ -569,10 +562,7 @@ class FailureEstimate:
     failure_rate: float
     half_width: float
     mode: str
-    # counters outside equality, summed over the graphs' checks: how many
-    # ran exact and sampled, their blocks, and the exact checks' GEMMs
-    exact_checks: int = field(default=0, compare=False)
-    sampled_checks: int = field(default=0, compare=False)
+    # counters outside equality, summed over the graphs' checks: blocks, and exact GEMMs
     blocks: int = field(default=0, compare=False)
     kernel_calls: int = field(default=0, compare=False)
 
@@ -594,21 +584,18 @@ def estimate_failure_prob(n: int, k: int, graph_trials: int, seed: int) -> Failu
     exact = all(_config_count(size, k) <= DEFAULT_THETA_BUDGET for size in (m_left, m_right))
     failures = blocks = kernel_calls = 0
     for t in range(graph_trials):
-        trial_seed = _mix((seed & _MASK) ^ _mix(t + 1))
-        g = random_graph(m_left, m_right, trial_seed)
+        trial_seed = _mix(_mix(np.array([t + 1], dtype=np.uint64)) ^ np.uint64(seed % 2**64))
+        g = random_graph(m_left, m_right, int(trial_seed[0]))
         if exact:
             report = check_theta(g, k)
             failed = not report.holds
             kernel_calls += report.kernel_calls
         else:
-            report = check_theta_sampled(g, k, 1000, _mix(trial_seed))
+            report = check_theta_sampled(g, k, 1000, int(_mix(trial_seed)[0]))
             failed = report.violations > 0
         failures += failed
         blocks += report.blocks
     rate = failures / graph_trials
     half_width = 1.96 * math.sqrt(rate * (1.0 - rate) / graph_trials)
-    checks = (graph_trials, 0) if exact else (0, graph_trials)
-    return FailureEstimate(
-        n, k, graph_trials, failures, rate, half_width, "exact" if exact else "sampled",
-        *checks, blocks, kernel_calls,
-    )
+    mode = "exact" if exact else "sampled"
+    return FailureEstimate(n, k, graph_trials, failures, rate, half_width, mode, blocks, kernel_calls)

@@ -41,8 +41,10 @@ from .randomlab import bound_ratio_check, estimate_failure_prob, random_graph, s
 from .s3 import (
     ALL_PERMS,
     FULL_SUBGROUP,
+    IDENTITY,
     TRIVIAL_SUBGROUP,
     S3Perm,
+    Subgroup,
     commutator,
     commutes,
     compose,
@@ -86,11 +88,19 @@ def check_s3_table() -> tuple[bool, str]:
         got = compose(_perm(a), _perm(b))
         if got.cycle_string() != expected:
             return False, f"{a}{b} gave {got.cycle_string()}, expected {expected}"
+    # the subgroups by exhaustive search: the identity with each subset of
+    # the other five elements, kept when closed under composition
+    others = [p for p in ALL_PERMS if not p.is_identity()]
+    subsets = (frozenset({IDENTITY, *xs}) for r in range(6) for xs in itertools.combinations(others, r))
+    found = sorted((Subgroup(s) for s in subsets if {compose(p, q) for p in s for q in s} <= s),
+                   key=lambda h: (h.order, h.label))
+    if len(found) != 6:
+        return False, f"expected 6 subgroups, got {len(found)}"
+    if tuple(h.order for h in found) != (1, 2, 2, 2, 3, 6):
+        return False, f"unexpected subgroup orders {[h.order for h in found]}"
     subgroups = enumerate_subgroups()
-    if len(subgroups) != 6:
-        return False, f"expected 6 subgroups, got {len(subgroups)}"
-    if tuple(h.order for h in subgroups) != (1, 2, 2, 2, 3, 6):
-        return False, f"unexpected subgroup orders {[h.order for h in subgroups]}"
+    if list(subgroups) != found:
+        return False, f"subgroup lattice {list(subgroups)} differs from the subset search's {found}"
     nontrivial = [h for h in subgroups if h.order > 1]
     for h1, h2 in itertools.combinations(nontrivial, 2):
         gen = subgroup_generated(h1.elements | h2.elements)

@@ -75,6 +75,16 @@ def test_check_theta_sampled_needs_seed(tmp_path, capsys):
     assert "seed" in data["error"]
 
 
+def test_check_theta_sampled_is_the_only_mode_option(tmp_path, capsys):
+    # exact mode is the default and has no flag of its own
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph_to_json(new_graph(2, 2, [[1, 2], [3, 1]]))))
+    with pytest.raises(SystemExit) as exc:
+        main(["check-theta", "--input", str(path), "--k", "1", "--exact"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_check_theta_budget_error(tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(graph_to_json(random_graph(40, 40, 1))))
@@ -430,6 +440,17 @@ def test_sfsp_experiment_script_stdout(capsys):
     script = runpy.run_path(str(Path(__file__).resolve().parent.parent / "scripts" / "sfsp_experiment.py"))
     code = script["main"](SCRIPT_ARGV.split())
     assert (code, *capsys.readouterr()) == (0, SCRIPT_GOLDEN, "")
+
+
+@pytest.mark.parametrize("argv, error", [
+    ("--k 0", "extension order k must be at least 1"),
+    ("--k 4000", "m_max must exceed 3k"),  # the default --ratio-m 10000 is not above 3k
+    ("--ratio-m 2", "m_max must exceed 3k"),
+])
+def test_sfsp_experiment_script_refuses_a_ratio_tail_it_cannot_form(capsys, argv, error):
+    script = runpy.run_path(str(Path(__file__).resolve().parent.parent / "scripts" / "sfsp_experiment.py"))
+    code = script["main"](f"--seed 7 --sizes 8 --trials 5 {argv}".split())
+    assert (code, *capsys.readouterr()) == (1, json.dumps({"error": error}) + "\n", "")
 
 
 STATS_GOLDEN = [g for g in GOLDEN if g[0].split()[0] in ("check-theta", "verify-lemmas", "sfsp-estimate", "orbits",

@@ -31,12 +31,30 @@ from switchlab.randomlab import (
 from conftest import graphs, shifted_cubic_graph
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix64(x):
+    # SplitMix64's finalizer (Steele, Lea & Flood, OOPSLA 2014) on Python
+    # ints masked to 64 bits, written apart from randomlab._mix
+    z = (x + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
 def edge_color(seed, i, j):
     # the scalar oracle for random_graph's uint64 pass: one edge's color
-    # from (seed, i, j) alone, with the finalizer on Python ints
-    mix, mask = randomlab._mix, randomlab._MASK
-    h = mix(mix((seed & mask) ^ (i * randomlab._MULT_I & mask)) ^ (j * randomlab._MULT_J & mask))
-    return 1 + h % 3
+    # from (seed, i, j) alone
+    rows, cols = i * randomlab._MULT_I & _MASK64, j * randomlab._MULT_J & _MASK64
+    return 1 + splitmix64(splitmix64((seed & _MASK64) ^ rows) ^ cols) % 3
+
+
+def trial_seeds(seed, t):
+    # estimate_failure_prob's seeds for trial t: its graph's, and the
+    # sampled check's when the trial runs sampled
+    graph_seed = splitmix64((seed & _MASK64) ^ splitmix64(t + 1))
+    return graph_seed, splitmix64(graph_seed)
 
 
 def test_random_graph_deterministic():
@@ -531,7 +549,8 @@ def test_batched_first_sets_fail_mid_block(monkeypatch, block_words):
         g = _few_color1_edges(97, 10, keep)
         report = check_theta(g, 1, budget=10**7)
         assert report == _reference_check_theta(g, 1)
-        assert report.exit_cell == (1, 1, 1) and report.counterexample.sets[0] == (10,)
+        assert tuple(map(len, report.counterexample.sets)) == (1, 1, 1)
+        assert report.counterexample.sets[0] == (10,)
     # on 109 vertices, transposed: the right side fails after a full left scan
     most = 2 * block_words // 109 // 109
     (lo, hi), = [b for b in _first_set_blocks(109, most) if b[0] <= 10 <= b[1]]
@@ -553,7 +572,7 @@ def test_set_planes_built_one_member_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.exit_cell == (0, 0, 3)
+    assert tuple(map(len, report.counterexample.sets)) == (0, 0, 3)
     assert peak <= 20 * 2**20
 
 
@@ -607,13 +626,15 @@ def test_small_set_planes_match_the_product(g):
                     assert fast.base is planes
 
 
-def test_mix_works_in_place_on_arrays_and_on_ints():
-    values = [0, 1, 5, 2**63 + 5, 2**64 - 1]
-    array = np.array(values, dtype=np.uint64)
-    mixed = randomlab._mix(array)
-    assert mixed is array
-    assert mixed.tolist() == [randomlab._mix(v) for v in values]
-    assert randomlab._mix(0) == 0xE220A8397B1DCDAF  # SplitMix64's first output for state 0
+def test_mix_is_splitmix64_in_place_on_uint64_arrays():
+    values = [0, 1, 5, 2**63 + 5, 2**64 - 1, 0x9E3779B97F4A7C15]
+    for shape in ((6,), (2, 3)):
+        array = np.array(values, dtype=np.uint64).reshape(shape)
+        mixed = randomlab._mix(array)
+        assert mixed is array
+        assert mixed.reshape(-1).tolist() == [splitmix64(v) for v in values]
+    # SplitMix64's first output for state 0
+    assert splitmix64(0) == randomlab._mix(np.zeros(1, np.uint64))[0] == 0xE220A8397B1DCDAF
 
 
 @given(graphs(max_m=7, max_n=7), st.integers(1, 3), st.sampled_from([1, 2, 5, 40]))
@@ -681,13 +702,13 @@ def test_check_theta_thin_graphs_match_reference(m, n):
             report = check_theta(g, k, budget=10**20)
             assert report == _reference_check_theta(g, k)
             cex = report.counterexample
-            assert report.exit_cell == (None if cex is None else tuple(map(len, cex.sets)))
+            assert cex is None or verify_counterexample(g, k, cex)
 
 
 def test_extension_report_counters():
     g = shifted_cubic_graph(97)
     holds = check_theta(g, 1, budget=10**7)
-    assert holds.exit_cell is None
+    assert holds.counterexample is None
     # cell (1, 1, 1) runs one GEMM per first set, in blocks of up to
     # room // 97 first sets; every other cell one GEMM per block
     most = 2 * randomlab._BLOCK_WORDS // 97 // 97
@@ -699,7 +720,7 @@ def test_extension_report_counters():
     # GEMM, its empty set being the outer set
     assert (holds.blocks, holds.kernel_calls) == (2 * (7 + 11), 2 * (7 + 97)) == (36, 208)
     fails = check_theta(random_graph(40, 40, 3), 1)
-    assert fails.exit_cell == (0, 1, 1) == tuple(map(len, fails.counterexample.sets))
+    assert tuple(map(len, fails.counterexample.sets)) == (0, 1, 1)
     assert 0 < fails.blocks <= fails.kernel_calls < holds.blocks
     assert fails.blocks == fails.kernel_calls == 5  # one per cell up to (0, 1, 1)
     # the counters stay out of equality
@@ -957,6 +978,33 @@ def test_estimate_failure_prob_sampled_mode():
     est = estimate_failure_prob(120, 2, 3, seed=1)
     assert est.mode == "sampled"
     assert est.failure_rate == 1.0
+
+
+@pytest.mark.parametrize("n, k, mode", [(10, 1, "exact"), (120, 2, "sampled")])
+def test_estimate_failure_prob_seeds_match_splitmix64(monkeypatch, n, k, mode):
+    # each trial's graph and sampled seed are Python ints that the oracle
+    # derives from (seed, t) alone
+    graph_seeds, sampled_seeds = [], []
+    real_graph, real_sampled = randomlab.random_graph, randomlab.check_theta_sampled
+
+    def graph_spy(m_left, m_right, seed):
+        graph_seeds.append(seed)
+        return real_graph(m_left, m_right, seed)
+
+    def sampled_spy(g, order, trials, seed):
+        sampled_seeds.append(seed)
+        return real_sampled(g, order, trials, seed)
+
+    monkeypatch.setattr(randomlab, "random_graph", graph_spy)
+    monkeypatch.setattr(randomlab, "check_theta_sampled", sampled_spy)
+    for seed in (0, 7, -3, 2**64 + 5):
+        graph_seeds.clear()
+        sampled_seeds.clear()
+        assert estimate_failure_prob(n, k, 3, seed).mode == mode
+        expected = [trial_seeds(seed, t) for t in range(3)]
+        assert all(type(s) is int for s in graph_seeds + sampled_seeds)
+        assert graph_seeds == [g for g, _ in expected]
+        assert sampled_seeds == ([s for _, s in expected] if mode == "sampled" else [])
 
 
 def test_chain_extension_statistical():

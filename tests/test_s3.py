@@ -172,6 +172,23 @@ def test_enumerate_subgroups():
             assert inverse(p) in h
 
 
+def test_enumerate_subgroups_is_one_literal_lattice_matching_the_search():
+    assert enumerate_subgroups() is enumerate_subgroups()
+    # exhaustive search: the identity with every subset of the other five
+    # elements, kept when closed under brute_compose
+    others = [p for p in ALL_PERMS if not p.is_identity()]
+    found = []
+    for r in range(len(others) + 1):
+        for extra in itertools.combinations(others, r):
+            elems = {IDENTITY, *extra}
+            if all(S3Perm(brute_compose(p, q)) in elems for p in elems for q in elems):
+                found.append(Subgroup(frozenset(elems)))
+    assert len(found) == 6
+    found.sort(key=lambda h: (h.order, h.label))
+    subs = enumerate_subgroups()
+    assert [(h.elements, h.label) for h in subs] == [(h.elements, h.label) for h in found]
+
+
 def test_subgroup_validation():
     with pytest.raises(ValueError):
         Subgroup(frozenset({c("(12)")}))  # no identity
