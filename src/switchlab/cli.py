@@ -79,14 +79,20 @@ def _cmd_chain(args):
 
 
 def _cmd_check_theta(args):
-    g = _load_graph(args.input)
     if args.sampled:
+        if args.budget is not None:
+            raise ValueError("--budget applies to the exact check, not --sampled")
         if args.seed is None:
             raise ValueError("--sampled requires --seed")
-        res = check_theta_sampled(g, args.k, args.trials, args.seed)
+    elif args.trials is not None or args.seed is not None:
+        raise ValueError("--trials and --seed require --sampled")
+    g = _load_graph(args.input)
+    if args.sampled:
+        trials = 1000 if args.trials is None else args.trials
+        res = check_theta_sampled(g, args.k, trials, args.seed)
         return {"k": res.k, "mode": "sampled", "trials": res.trials, "violations": res.violations,
                 "violation_rate": res.violation_rate}, {"blocks": res.blocks}
-    report = check_theta(g, args.k, args.budget)
+    report = check_theta(g, args.k, DEFAULT_THETA_BUDGET if args.budget is None else args.budget)
     cex = report.counterexample
     if cex is not None:
         cex = {"side": cex.side.value, "sets": [list(s) for s in cex.sets]}
@@ -200,9 +206,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default="-", help="graph JSON file, or - for stdin")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--sampled", action="store_true", help="Monte Carlo mode (default: exact)")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--budget", type=int, default=DEFAULT_THETA_BUDGET)
+    p.add_argument("--trials", type=int, help="sampled mode only (default: 1000)")
+    p.add_argument("--seed", type=int, help="sampled mode only; required there")
+    p.add_argument("--budget", type=int, help=f"exact mode only (default: {DEFAULT_THETA_BUDGET})")
     p.add_argument("--stats", action="store_true", help="timing and scan counters on stderr")
     p.set_defaults(func=_cmd_check_theta)
 

@@ -6,7 +6,9 @@ sigma for one endpoint and sigma^2 for two.  Words compose switches first to
 last.  Operators never mutate their input graph.  Words may share op
 instances, which are immutable; each operator builds, checks, inverts or
 formats every distinct instance once per call, keyed by ``id`` while the word
-holds it.
+holds it.  ``left_switch`` and ``right_switch`` hand out one shared instance
+per (vertex, sigma) while it stays in their bounded caches, so the words of
+``edge_kill_word`` and ``monochromatize`` repeat instances, not equal copies.
 
 Word JSON format: ``[{"support": [{"side": "L", "i": 0}, ...], "sigma": "(12)"},
 ...]``, applied first to last.
@@ -14,10 +16,11 @@ Word JSON format: ``[{"support": [{"side": "L", "i": 0}, ...], "sigma": "(12)"},
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .graphs import ColoredBipartiteGraph, Side, VertexRef
-from .s3 import S3Perm, commutator, commutes, inverse
+from .s3 import ALL_PERMS, S3Perm, commutator, commutes, inverse
 
 __all__ = [
     "SwitchOp",
@@ -53,42 +56,53 @@ class SwitchWord:
         return len(self.ops)
 
 
+#: Vertex switches each of ``left_switch`` and ``right_switch`` keeps; one
+#: instance per (vertex, sigma) lets word operators share the work of an op.
+_SWITCH_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=_SWITCH_CACHE_SIZE)
 def left_switch(index: int, sigma: S3Perm) -> SwitchOp:
     return SwitchOp(frozenset({VertexRef(Side.LEFT, index)}), sigma)
 
 
+@functools.lru_cache(maxsize=_SWITCH_CACHE_SIZE)
 def right_switch(index: int, sigma: S3Perm) -> SwitchOp:
     return SwitchOp(frozenset({VertexRef(Side.RIGHT, index)}), sigma)
 
 
-def apply_word(g: ColoredBipartiteGraph, word: SwitchWord) -> ColoredBipartiteGraph:
-    """Apply the switches first to last on one working copy of the colors.
+#: ``bytes.translate`` tables by image: color byte c becomes sigma(c).
+_TABLES = {p.image: bytes((0, *p.image, *range(4, 256))) for p in ALL_PERMS}
 
-    A switch recolors the rows of its left support and the columns of its
-    right support in place, so an edge with both endpoints inside gets sigma
-    twice.  Every support is checked, in word order, before any is applied.
+
+def apply_word(g: ColoredBipartiteGraph, word: SwitchWord) -> ColoredBipartiteGraph:
+    """Apply the switches first to last on one row-major copy of the colors.
+
+    A switch translates the row slice of each left support vertex and the
+    column slice (stride n) of each right one, so an edge with both endpoints
+    inside gets sigma twice.  Every support is checked, in word order, before
+    any is applied.
     """
     if not word.ops:
         return g
-    plans = {}  # id(op) -> (lut with lut[c] = sigma(c), support), once the support is checked
+    m, n = g.m, g.n
+    plans = {}  # id(op) -> (translate table, slices of its support), once the support is checked
     for op in word.ops:
         if id(op) not in plans:
+            slices = []
             for v in op.support:
                 if not g.has_vertex(v):
-                    raise ValueError(f"support vertex {v} not in K_{{{g.m},{g.n}}}")
-            plans[id(op)] = ((0, *op.sigma.image), op.support)
-    rows = [list(row) for row in g.colors]
-    left = Side.LEFT
+                    raise ValueError(f"support vertex {v} not in K_{{{m},{n}}}")
+                i = v.index
+                slices.append(slice(i * n, i * n + n) if v.side is Side.LEFT else slice(i, None, n))
+            plans[id(op)] = (_TABLES[op.sigma.image], slices)
+    flat = bytearray().join(g.colors)
     for op in word.ops:
-        lut, support = plans[id(op)]
-        for v in support:
-            if v.side is left:
-                rows[v.index] = [lut[c] for c in rows[v.index]]
-            else:
-                k = v.index
-                for row in rows:
-                    row[k] = lut[row[k]]
-    return ColoredBipartiteGraph(g.m, g.n, tuple(map(bytes, rows)))
+        table, slices = plans[id(op)]
+        for s in slices:
+            flat[s] = flat[s].translate(table)
+    data = bytes(flat)
+    return ColoredBipartiteGraph(m, n, [data[i * n:i * n + n] for i in range(m)])
 
 
 def inverse_word(word: SwitchWord) -> SwitchWord:
@@ -110,9 +124,8 @@ def edge_kill_word(x: int, y: int, f: S3Perm, gp: S3Perm) -> SwitchWord:
     """
     if commutes(f, gp):
         raise ValueError("permutations commute; the word would recolor nothing")
-    left, right = frozenset({VertexRef(Side.LEFT, x)}), frozenset({VertexRef(Side.RIGHT, y)})
-    return SwitchWord((SwitchOp(left, f), SwitchOp(right, gp),
-                       SwitchOp(left, inverse(f)), SwitchOp(right, inverse(gp))))
+    return SwitchWord((left_switch(x, f), right_switch(y, gp),
+                       left_switch(x, inverse(f)), right_switch(y, inverse(gp))))
 
 
 #: Non-commuting pair driving monochromatization; its commutator is a 3-cycle,
@@ -132,7 +145,7 @@ def monochromatize(g: ColoredBipartiteGraph, target: int) -> SwitchWord:
     gamma = commutator(MONO_F, MONO_G)
     f_inv, g_inv = inverse(MONO_F), inverse(MONO_G)
     # the kill word of edge (i, j) is (f_i, g_j, f_i^-1, g_j^-1), as edge_kill_word
-    # builds it; a vertex's pair is built once, when an off-target edge first needs it
+    # builds it; a vertex's pair is taken once, when an off-target edge first needs it
     cols: dict[int, tuple[SwitchOp, SwitchOp]] = {}
     ops: list[SwitchOp] = []
     for i, colors in enumerate(g.colors):

@@ -6,8 +6,9 @@ the CLI as ``switchlab verify-lemmas``.
 
 import pytest
 
+from switchlab import orbits as orbits_mod
 from switchlab import verify as verify_mod
-from switchlab.orbits import GroupSpec
+from switchlab.orbits import CandidateGroup, GroupSpec
 from switchlab.verify import CHECKS, run_check
 
 CRITERIA = [name for name, _ in CHECKS]
@@ -45,6 +46,22 @@ def test_collapse_trichotomy_failure_names_the_pair_as_color_lists(monkeypatch):
     assert not passed
     # the first homogeneous non-permutation pair: all ones against one 2 in the corner
     assert detail == "no collapse for pair ([[1, 1], [1, 1]], [[1, 1], [1, 2]])"
+
+
+def test_candidate_census_fails_on_a_collision(monkeypatch):
+    # S_lr^(12) built as a copy of S_l^(12): the two partitions at (3,3) coincide
+    real = orbits_mod.enumerate_candidate_groups
+
+    def with_copy(with_swap=False):
+        cands = real(with_swap)
+        spec = {c.name: c.spec for c in cands}["S_l^(12)"]
+        return [CandidateGroup(c.name, spec) if c.name == "S_lr^(12)" else c for c in cands]
+
+    monkeypatch.setattr(orbits_mod, "enumerate_candidate_groups", with_copy)
+    monkeypatch.setattr(verify_mod, "enumerate_candidate_groups", with_copy)
+    passed, detail = verify_mod.check_candidate_census()
+    assert not passed
+    assert detail == "1 collision(s) at (3,3): [['S_l^(12)', 'S_lr^(12)']]"
 
 
 def test_swap_duality_fails_when_the_swap_merges_no_orbits(monkeypatch):

@@ -75,6 +75,24 @@ def test_check_theta_sampled_needs_seed(tmp_path, capsys):
     assert "seed" in data["error"]
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--trials", "5"], "--trials and --seed require --sampled"),
+        (["--seed", "3"], "--trials and --seed require --sampled"),
+        (["--sampled", "--seed", "3", "--budget", "1"], "--budget applies to the exact check, not --sampled"),
+        (["--sampled", "--budget", "1"], "--budget applies to the exact check, not --sampled"),
+    ],
+    ids=["trials", "seed", "sampled-budget", "sampled-budget-no-seed"],
+)
+def test_check_theta_refuses_the_other_modes_options(tmp_path, capsys, extra, message):
+    # an option of the mode not run is refused, not silently dropped
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph_to_json(random_graph(40, 40, 1))))
+    code, out = run_cli(capsys, "check-theta", "--input", str(path), "--k", "1", *extra)
+    assert (code, out) == (1, json.dumps({"error": message}) + "\n")
+
+
 def test_check_theta_sampled_is_the_only_mode_option(tmp_path, capsys):
     # exact mode is the default and has no flag of its own
     path = tmp_path / "g.json"

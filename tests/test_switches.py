@@ -4,7 +4,7 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from switchlab.graphs import ColoredBipartiteGraph, Side, VertexRef, constant_graph, new_graph
@@ -96,9 +96,24 @@ def words(draw, g, max_ops=5):
     return SwitchWord(tuple(ops))
 
 
-@given(graphs(max_m=6, max_n=6), st.data())
-def test_apply_word_matches_reference(g, data):
-    word = data.draw(words(g))
+@st.composite
+def graphs_with_words(draw):
+    g = draw(graphs(max_m=6, max_n=6))
+    return g, draw(words(g))
+
+
+_L0, _R0 = VertexRef(Side.LEFT, 0), VertexRef(Side.RIGHT, 0)
+
+
+@given(graphs_with_words())
+# the degenerate slice shapes: empty rows, empty columns, no cell at all, and
+# a lone edge with both endpoints in the support
+@example((new_graph(0, 5, []), SwitchWord((right_switch(3, c("(123)")), right_switch(0, c("(12)"))))))
+@example((new_graph(5, 0, [[]] * 5), SwitchWord((left_switch(4, c("(13)")), left_switch(0, c("(132)"))))))
+@example((new_graph(0, 0, []), SwitchWord((right_switch(0, c("(12)")),))))
+@example((new_graph(1, 1, [[2]]), SwitchWord((SwitchOp(frozenset({_L0, _R0}), c("(123)")),))))
+def test_apply_word_matches_reference(case):
+    g, word = case
     got = _outcome(apply_word, g, word)
     assert got == _outcome(_reference_apply_word, g, word)
     if isinstance(got, ColoredBipartiteGraph):
@@ -428,11 +443,12 @@ def test_monochromatize_matches_reference(g, target):
     got = _outcome(monochromatize, g, target)
     assert got == _outcome(_reference_monochromatize, g, target)
     if isinstance(got, SwitchWord):
-        # two switches per row and per column with an off-target edge, however
-        # often each recurs, and none for the others
+        # two switches per row and one per column with an off-target edge (a
+        # column's self-inverse (12) pair is one interned instance), however
+        # often each recurs, none for the others, and no equal duplicates
         off = [(i, j) for i, j in g.edges() if g.colors[i][j] != target]
         rows, cols = {i for i, _ in off}, {j for _, j in off}
-        assert len({id(op) for op in got.ops}) == 2 * (len(rows) + len(cols))
+        assert len({id(op) for op in got.ops}) == len(set(got.ops)) == 2 * len(rows) + len(cols)
 
 
 def test_monochromatize_empty_side_builds_no_switch():
