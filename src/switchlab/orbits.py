@@ -353,6 +353,8 @@ def distinguish_candidates(
     the caller escalates size on collisions.  A dict passed as ``parts``
     receives each candidate's ``OrbitPartition`` by name, with its counters.
     """
+    if with_swap and m != n:  # refused before any partition is built
+        raise ValueError("side swap needs square dimensions")
     candidates = enumerate_candidate_groups(with_swap)
     parts = {} if parts is None else parts
     parts.update((c.name, orbit_partition(c.spec, m, n, budget)) for c in candidates)

@@ -78,7 +78,7 @@ _BLOCK_WORDS = 1 << 16
 
 
 class ThetaBudgetError(Exception):
-    """Exact enumeration would exceed the configured budget; sample instead."""
+    """Exact enumeration would exceed the configured budget."""
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
@@ -561,8 +561,7 @@ class FailureEstimate:
     failures: int
     failure_rate: float
     half_width: float
-    mode: str
-    # counters outside equality, summed over the graphs' checks: blocks, and exact GEMMs
+    # counters outside equality, summed over the graphs' exact checks: blocks and GEMMs
     blocks: int = field(default=0, compare=False)
     kernel_calls: int = field(default=0, compare=False)
 
@@ -572,30 +571,25 @@ def estimate_failure_prob(n: int, k: int, graph_trials: int, seed: int) -> Failu
     failing the order-k extension property, with a 95% binomial half-width.
 
     Each trial derives its own counter-based seed, so aggregates do not
-    depend on evaluation order.  When exact checking would blow
-    ``DEFAULT_THETA_BUDGET``, trials fall back to sampled checking of 1000
-    draws per graph and the result is flagged ``"sampled"``.
+    depend on evaluation order, and checks its graph exactly.  A size whose
+    exact check would enumerate more than ``DEFAULT_THETA_BUDGET`` set
+    triples on a side is refused before any graph is drawn.
     """
     if graph_trials < 1:
         raise ValueError("need at least one trial")
     m_left, m_right = _side_sizes(n)
     _check_cells([(m_left, m_right)])
     _check_order(k, m_left)
-    exact = all(_config_count(size, k) <= DEFAULT_THETA_BUDGET for size in (m_left, m_right))
+    count = _config_count(m_left, k)  # the left side is the larger one
+    if count > DEFAULT_THETA_BUDGET:
+        raise ThetaBudgetError(f"{count} set triples exceed budget {DEFAULT_THETA_BUDGET}")
     failures = blocks = kernel_calls = 0
     for t in range(graph_trials):
         trial_seed = _mix(_mix(np.array([t + 1], dtype=np.uint64)) ^ np.uint64(seed % 2**64))
-        g = random_graph(m_left, m_right, int(trial_seed[0]))
-        if exact:
-            report = check_theta(g, k)
-            failed = not report.holds
-            kernel_calls += report.kernel_calls
-        else:
-            report = check_theta_sampled(g, k, 1000, int(_mix(trial_seed)[0]))
-            failed = report.violations > 0
-        failures += failed
+        report = check_theta(random_graph(m_left, m_right, int(trial_seed[0])), k)
+        failures += not report.holds
         blocks += report.blocks
+        kernel_calls += report.kernel_calls
     rate = failures / graph_trials
     half_width = 1.96 * math.sqrt(rate * (1.0 - rate) / graph_trials)
-    mode = "exact" if exact else "sampled"
-    return FailureEstimate(n, k, graph_trials, failures, rate, half_width, mode, blocks, kernel_calls)
+    return FailureEstimate(n, k, graph_trials, failures, rate, half_width, blocks, kernel_calls)

@@ -142,6 +142,8 @@ def monochromatize(g: ColoredBipartiteGraph, target: int) -> SwitchWord:
     """
     if target not in (1, 2, 3):
         raise ValueError(f"color out of range: {target!r}")
+    if g.n == 0:  # no edges, so no pass over the rows
+        return SwitchWord(())
     gamma = commutator(MONO_F, MONO_G)
     f_inv, g_inv = inverse(MONO_F), inverse(MONO_G)
     # the kill word of edge (i, j) is (f_i, g_j, f_i^-1, g_j^-1), as edge_kill_word

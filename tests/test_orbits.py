@@ -265,6 +265,13 @@ def test_distinguish_report():
     assert "Aut" not in flat  # Aut collides with nothing
 
 
+def test_distinguish_refuses_a_non_square_swap_before_any_partition(monkeypatch):
+    monkeypatch.setattr(orbits, "orbit_partition", lambda *args: pytest.fail("partition built"))
+    for m, n in ((2, 7), (3, 2), (0, 1)):
+        with pytest.raises(ValueError, match="^side swap needs square dimensions$"):
+            distinguish_candidates(m, n, with_swap=True)
+
+
 def test_budget_guard():
     with pytest.raises(BudgetExceededError):
         orbit_partition(GroupSpec(TRIVIAL_SUBGROUP, TRIVIAL_SUBGROUP), 4, 4, budget=12)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -15,6 +16,7 @@ from switchlab import randomlab
 from switchlab.graphs import ColoredBipartiteGraph, Side, constant_graph, new_graph
 from switchlab.randomlab import (
     ExtensionReport,
+    FailureEstimate,
     SampledCheck,
     ThetaBudgetError,
     ThetaCounterexample,
@@ -50,11 +52,9 @@ def edge_color(seed, i, j):
     return 1 + splitmix64(splitmix64((seed & _MASK64) ^ rows) ^ cols) % 3
 
 
-def trial_seeds(seed, t):
-    # estimate_failure_prob's seeds for trial t: its graph's, and the
-    # sampled check's when the trial runs sampled
-    graph_seed = splitmix64((seed & _MASK64) ^ splitmix64(t + 1))
-    return graph_seed, splitmix64(graph_seed)
+def trial_seed(seed, t):
+    # the seed of estimate_failure_prob's graph for trial t
+    return splitmix64((seed & _MASK64) ^ splitmix64(t + 1))
 
 
 def test_random_graph_deterministic():
@@ -829,7 +829,8 @@ def test_order_screen_boundary():
     with pytest.raises(ThetaBudgetError):
         check_theta(g, top)
     assert check_theta_sampled(g, top, 5, 1).trials == 5
-    assert estimate_failure_prob(2 * top + 1, top, 1, 1).mode == "sampled"
+    with pytest.raises(ThetaBudgetError, match=r"^\d+ set triples exceed budget 200000$"):
+        estimate_failure_prob(2 * top + 1, top, 1, 1)
     # a side of `top` vertices stays at the cap whatever k is
     thin = random_graph(top, 2, 1)
     assert check_theta_sampled(thin, 10**9, 5, 1).trials == 5
@@ -960,11 +961,8 @@ def test_bound_ratio_monotone_descent():
 
 def test_estimate_failure_prob_small_n():
     est = estimate_failure_prob(4, 1, 1000, seed=0)
-    assert est.failure_rate == 1.0
-    assert est.half_width == 0.0
-    assert est.mode == "exact"
     # rows of two entries cannot witness three colors, so failure is forced
-    assert est.failures == 1000
+    assert est == FailureEstimate(4, 1, 1000, 1000, 1.0, 0.0)
 
 
 def test_estimate_failure_prob_deterministic():
@@ -974,37 +972,66 @@ def test_estimate_failure_prob_deterministic():
     assert a.trials == 50
 
 
-def test_estimate_failure_prob_sampled_mode():
-    est = estimate_failure_prob(120, 2, 3, seed=1)
-    assert est.mode == "sampled"
-    assert est.failure_rate == 1.0
+@pytest.mark.parametrize("n, k, count", [
+    (120, 2, 5024453161), (600, 1, 27000601),
+    (117, 1, 205498), (25, 2, 316486), (19, 3, 398476),  # the first refused sizes
+])
+def test_estimate_failure_prob_refuses_past_budget(monkeypatch, n, k, count):
+    # the exact check's budget, without its "use sampled mode" advice, and
+    # refused before any graph is drawn
+    with monkeypatch.context() as patched:
+        patched.setattr(randomlab, "random_graph", lambda *args: pytest.fail("graph drawn"))
+        with pytest.raises(ThetaBudgetError) as exc:
+            estimate_failure_prob(n, k, 3, seed=1)
+    assert str(exc.value) == f"{count} set triples exceed budget 200000"
 
 
-@pytest.mark.parametrize("n, k, mode", [(10, 1, "exact"), (120, 2, "sampled")])
-def test_estimate_failure_prob_seeds_match_splitmix64(monkeypatch, n, k, mode):
-    # each trial's graph and sampled seed are Python ints that the oracle
-    # derives from (seed, t) alone
-    graph_seeds, sampled_seeds = [], []
-    real_graph, real_sampled = randomlab.random_graph, randomlab.check_theta_sampled
+def test_estimate_failure_prob_admits_the_sizes_below_the_first_refused():
+    for n, k in ((116, 1), (24, 2), (18, 3)):
+        assert estimate_failure_prob(n, k, 1, seed=1).failures == 1
+
+
+@pytest.mark.parametrize("n, k", [(10, 1), (24, 2)])
+def test_estimate_failure_prob_seeds_match_splitmix64(monkeypatch, n, k):
+    # each trial's graph seed is a Python int that the oracle derives from
+    # (seed, t) alone
+    graph_seeds = []
+    real_graph = randomlab.random_graph
 
     def graph_spy(m_left, m_right, seed):
         graph_seeds.append(seed)
         return real_graph(m_left, m_right, seed)
 
-    def sampled_spy(g, order, trials, seed):
-        sampled_seeds.append(seed)
-        return real_sampled(g, order, trials, seed)
-
     monkeypatch.setattr(randomlab, "random_graph", graph_spy)
-    monkeypatch.setattr(randomlab, "check_theta_sampled", sampled_spy)
     for seed in (0, 7, -3, 2**64 + 5):
         graph_seeds.clear()
-        sampled_seeds.clear()
-        assert estimate_failure_prob(n, k, 3, seed).mode == mode
-        expected = [trial_seeds(seed, t) for t in range(3)]
-        assert all(type(s) is int for s in graph_seeds + sampled_seeds)
-        assert graph_seeds == [g for g, _ in expected]
-        assert sampled_seeds == ([s for _, s in expected] if mode == "sampled" else [])
+        estimate_failure_prob(n, k, 3, seed)
+        assert all(type(s) is int for s in graph_seeds)
+        assert graph_seeds == [trial_seed(seed, t) for t in range(3)]
+
+
+@pytest.mark.parametrize("holding", [(), (1, 4, 5)])
+def test_estimate_failure_prob_counts_failing_exact_checks(monkeypatch, holding):
+    # one exact check per trial, on the graph of the trial's seed, and
+    # failures counts its reports that do not hold.  Every random graph
+    # within the budget fails, so the second row lets some reports hold.
+    reports = []
+    real_check = randomlab.check_theta
+
+    def check_spy(g, k):
+        report = real_check(g, k)
+        if len(reports) in holding:
+            report = dataclasses.replace(report, holds=True, counterexample=None)
+        reports.append((g, report))
+        return report
+
+    monkeypatch.setattr(randomlab, "check_theta", check_spy)
+    est = estimate_failure_prob(11, 1, 7, seed=5)
+    assert [g for g, _ in reports] == [random_graph(6, 5, trial_seed(5, t)) for t in range(7)]
+    assert est.failures == sum(not r.holds for _, r in reports) == 7 - len(holding)
+    assert est.failure_rate == est.failures / 7
+    assert (est.blocks, est.kernel_calls) == (
+        sum(r.blocks for _, r in reports), sum(r.kernel_calls for _, r in reports))
 
 
 def test_chain_extension_statistical():
