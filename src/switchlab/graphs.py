@@ -92,11 +92,14 @@ class ColoredBipartiteGraph:
 
 
 def _color_rows(rows, n: int) -> tuple[bytes, ...]:
-    """Validated bytes rows: a few C-level passes when every row holds n small ints,
-    else a scan that names the first bad length or cell or stores each as its color."""
+    """Validated bytes rows: one length pass and one validating join when every
+    row is exactly ``bytes``, a few C-level passes when every row holds n small
+    ints, else a scan that names the first bad length or cell or stores each as
+    its color."""
     try:
-        if set(map(len, rows)) <= {n}:  # first: bytes(k) of an int row k allocates k bytes
-            data = tuple(map(bytes, rows))
+        exact = set(map(type, rows)) <= {bytes}
+        if exact or set(map(len, rows)) <= {n}:  # first: bytes(k) of an int row k allocates k bytes
+            data = tuple(rows) if exact else tuple(map(bytes, rows))
             if set(map(len, data)) <= {n} and not b"".join(data).translate(None, _COLOR_BYTES):
                 return data
     except (TypeError, ValueError):  # a row without a length, or a cell no byte holds

@@ -7,9 +7,10 @@ that cube: vertex transpositions and the side swap permute axes, switches
 recolor them.  Orbit partitions come from min-label propagation to a
 fixpoint, which yields the same components as a closure BFS and numbers
 orbits by least member id, so results are bit-identical in any order.  The
-edge permutations' group P propagates over all ids (cached per shape), then
-the recolorings, closed under conjugation by P, over P's orbits through their
-least members, since s(pi x) = pi (pi^-1 s pi)(x).
+edge permutations' group P propagates over all ids (cached per shape, with
+each recoloring's table over P's orbits), then the recolorings, closed under
+conjugation by P, over P's orbits through their least members, since
+s(pi x) = pi (pi^-1 s pi)(x).
 
 Equality of orbit partitions is the finite surrogate for two candidate
 groups having the same invariant structure: the groups differ exactly in
@@ -135,10 +136,8 @@ def _recolor_action(name: str, m: int, n: int, positions, sigma: S3Perm) -> Acti
     return Action(name, tuple(range(m * n)), tuple(positions), tuple(sigma(c) - 1 for c in (1, 2, 3)))
 
 
-def vertex_perm_actions(m: int, n: int) -> list[Action]:
-    """Adjacent transpositions on each side; they generate all side-preserving
-    vertex permutations.  Each is its own inverse, so the permuted edge grid
-    is also the move's ``axes``."""
+@functools.lru_cache(maxsize=2)
+def _vertex_perms(m: int, n: int) -> tuple[Action, ...]:
     edges = np.arange(m * n).reshape(m, n)
     actions = []
     for t in range(m - 1):
@@ -149,18 +148,35 @@ def vertex_perm_actions(m: int, n: int) -> list[Action]:
         moved = edges.copy()
         moved[:, [t, t + 1]] = edges[:, [t + 1, t]]
         actions.append(Action(f"swapR({t},{t + 1})", tuple(moved.ravel().tolist())))
-    return actions
+    return tuple(actions)
+
+
+def vertex_perm_actions(m: int, n: int) -> list[Action]:
+    """Adjacent transpositions on each side; they generate all side-preserving
+    vertex permutations.  Each is its own inverse, so the permuted edge grid
+    is also the move's ``axes``.  Built once per shape (the last two kept);
+    each call gets its own list."""
+    return list(_vertex_perms(m, n))
+
+
+@functools.lru_cache(maxsize=2)
+def _switch_store(m: int, n: int) -> dict:
+    """Shape (m, n)'s single-vertex switches by (side_left, sigma), one per
+    vertex, each built on first use."""
+    return {}
 
 
 def switch_actions(side_left: bool, sigmas, m: int, n: int) -> list[Action]:
-    """One single-vertex switch action per (vertex, sigma)."""
-    edges = np.arange(m * n).reshape(m, n)
-    tag = "L" if side_left else "R"
-    return [
-        _recolor_action(f"switch{tag}({v},{sigma.cycle_string()})", m, n, row.tolist(), sigma)
-        for v, row in enumerate(edges if side_left else edges.T)
-        for sigma in sigmas
-    ]
+    """One single-vertex switch action per (vertex, sigma), built once per
+    shape (the last two kept); each call gets its own list."""
+    store, tag = _switch_store(m, n), "L" if side_left else "R"
+    for sigma in sigmas:
+        if (side_left, sigma) not in store:
+            rows = np.arange(m * n).reshape(m, n)
+            store[side_left, sigma] = tuple(
+                _recolor_action(f"switch{tag}({v},{sigma.cycle_string()})", m, n, row.tolist(), sigma)
+                for v, row in enumerate(rows if side_left else rows.T))
+    return [store[side_left, sigma][v] for v in range(m if side_left else n) for sigma in sigmas]
 
 
 def transpose_action(m: int, n: int) -> Action:
@@ -240,12 +256,14 @@ def _propagate(size: int, pulls) -> tuple[np.ndarray, int, int]:
 def _edge_perm_orbits(k: int, perms: tuple[tuple[int, ...], ...]) -> tuple:
     """The group P that the edge permutations' ``axes`` generate on 3^k ids:
     the int32 P-orbit of every id, numbered by least member, each P-orbit's
-    least member, and P's rounds and jumps; read-only, shared by candidates."""
+    least member, P's rounds and jumps, and a store of each recoloring move's
+    table over P's orbits, filled on first use; arrays read-only, shared by
+    candidates."""
     labels, rounds, jumps = _propagate(3**k, [Action("P", axes).pull for axes in perms])
     roots = labels == np.arange(labels.size)
     orbit_of, reps = (np.cumsum(roots, dtype=np.int32) - 1)[labels], np.flatnonzero(roots)
     orbit_of.flags.writeable = reps.flags.writeable = False
-    return orbit_of, reps, rounds, jumps
+    return orbit_of, reps, rounds, jumps, {}
 
 
 def partition_from_actions(actions, m: int, n: int, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitPartition:
@@ -253,13 +271,14 @@ def partition_from_actions(actions, m: int, n: int, budget: int = DEFAULT_ORBIT_
     each an edge permutation or a recoloring (identity ``axes``)."""
     _check_budget(m, n, budget)
     actions, k = list(actions), m * n
+    identity = tuple(range(k))
     for a in actions:
         if len(a.axes) != k:
             raise ValueError("action does not match the coloring space")
-        if a.recolor and a.axes != tuple(range(k)):
+        if a.recolor and a.axes != identity:
             raise ValueError(f"action {a.name} both permutes and recolors")
     perms = tuple(a.axes for a in actions if not a.recolor)
-    orbit_of, reps, rounds, jumps = _edge_perm_orbits(k, perms)
+    orbit_of, reps, rounds, jumps, stored = _edge_perm_orbits(k, perms)
     closed = list(dict.fromkeys((tuple(sorted(a.recolor)), a.lut) for a in actions if a.recolor))
     seen = set(closed)
     for positions, lut in closed:  # conjugates appended here are visited too
@@ -267,15 +286,24 @@ def partition_from_actions(actions, m: int, n: int, budget: int = DEFAULT_ORBIT_
         fresh = [c for c in conjugates if c not in seen]
         seen.update(fresh)
         closed.extend(fresh)
+    # the tables this call needs, and every one P's entry keeps, are 4 bytes
+    # per P-orbit; the entry drops its store rather than keep more than fits
     widest = max((len(positions) for positions, _ in closed), default=0)
-    if 16 * 3**k + reps.size * (24 * widest + 4 * len(closed) + 72) > ORBIT_MEMORY_CAP:
+    working = 16 * 3**k + reps.size * (24 * widest + 72)
+    if working + 4 * reps.size * len(closed) > ORBIT_MEMORY_CAP:
         raise BudgetExceededError("the quotient by the edge permutations exceeds the orbit memory cap")
-    tables = [orbit_of[_recolored(reps, k, positions, lut)] for positions, lut in closed]
+    if working + 4 * reps.size * len(seen.union(stored)) > ORBIT_MEMORY_CAP:
+        stored.clear()
+    for move in closed:
+        if move not in stored:
+            table = stored[move] = orbit_of[_recolored(reps, k, *move)]
+            table.flags.writeable = False
+    tables = [stored[move] for move in closed]
     labels, more_rounds, more_jumps = (
         _propagate(reps.size, [lambda x, t=t: x[t] for t in tables]) if tables else (np.arange(reps.size), 0, 0))
     roots = labels == np.arange(labels.size)
-    return OrbitPartition(m, n, (np.cumsum(roots, dtype=np.int32) - 1)[labels][orbit_of], int(roots.sum()),
-                          len(actions), rounds + more_rounds, jumps + more_jumps)
+    return OrbitPartition(m, n, np.take((np.cumsum(roots, dtype=np.int32) - 1)[labels], orbit_of),
+                          int(roots.sum()), len(actions), rounds + more_rounds, jumps + more_jumps)
 
 
 def orbit_partition(spec: GroupSpec, m: int, n: int, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitPartition:

@@ -33,7 +33,6 @@ from .orbits import (
     refines,
     redu_saturation_check,
     switch_actions,
-    transpose_action,
     vertex_perm_actions,
     distinguish_candidates,
 )
@@ -296,15 +295,21 @@ def check_candidate_census() -> tuple[bool, str]:
     return True, "16 candidates; 0 collision(s) at (3,3): []; Aut strictly refines all others"
 
 
+def _coloring_id(g) -> int:
+    """The base-3 id that ``id_to_coloring`` decodes, first edge most significant."""
+    return sum((c - 1) * 3**p for p, c in enumerate(reversed(b"".join(g.colors))))
+
+
 def check_swap_duality() -> tuple[bool, str]:
     """Side-swapped graphs are isomorphic, and adjoining the swap generator
-    merges exactly transpose-paired orbits for side-symmetric candidates."""
+    merges exactly transpose-paired orbits for side-symmetric candidates; the
+    oracle's transpose comes from ``swap_sides``, not the engine's swap."""
     for s in range(200):
         g = random_graph(4, 4, seed=31000 + s)
         witness = is_isomorphic(g, swap_sides(g), allow_swap=True)
         if witness is None or not verify_iso_witness(g, swap_sides(g), witness):
             return False, f"seed {31000 + s}: no verified swap isomorphism"
-    t_table = transpose_action(2, 2).table
+    t_table = np.array([_coloring_id(swap_sides(id_to_coloring(2, 2, cid))) for cid in range(81)])
     symmetric = [
         c for c in enumerate_candidate_groups() if c.spec.h_left == c.spec.h_right
     ]

@@ -85,6 +85,61 @@ def test_int_row_is_refused_before_bytes_allocates_it():
     assert peak < 2**20
 
 
+class _BytesRow(bytes):
+    """A bytes subclass row; the graph stores plain bytes."""
+
+
+def _scanned_rows(rows, n):
+    """The general path of ``_color_rows`` alone: the cell scan."""
+    for row in rows:
+        if len(row) != n:
+            raise ValueError(f"expected rows of length {n}, got {len(row)}")
+        for c in row:
+            if c not in COLORS:
+                raise ValueError(f"color out of range: {c!r}")
+    return tuple(bytes(COLORS.index(c) + 1 for c in row) for row in rows)
+
+
+def _rows_outcome(build, rows, n):
+    try:
+        built = build(rows, n)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return [(type(row), row) for row in built]
+
+
+_BOOLS = {0: False, 1: True}
+_ROW_KINDS = [bytes, bytearray, _BytesRow, list, lambda cells: [_BOOLS.get(c, c) for c in cells]]
+
+
+@st.composite
+def _kinded_rows(draw):
+    """Rows of one or mixed kinds, mostly n valid cells, sometimes a bad
+    length or a byte no color holds."""
+    m, n = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    cell = st.one_of(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(0, 255))
+    row = st.one_of(st.lists(cell, min_size=n, max_size=n), st.lists(cell, max_size=5))
+    kinds = st.sampled_from(_ROW_KINDS)
+    if draw(st.booleans()):
+        kind = draw(kinds)
+        kinds = st.just(kind)
+    return n, tuple(draw(kinds)(draw(row)) for _ in range(m))
+
+
+@given(_kinded_rows())
+@example((2, (b"\x01\x02", b"\x03\x01")))
+@example((2, (b"\x01\x02", b"\x03")))
+@example((2, (b"\x01\x02", b"\x03\x04")))
+@example((2, (b"\x01\x00", bytearray(b"\x03\x01"))))
+@example((1, (_BytesRow(b"\x02"),)))
+@example((2, ([True, 3], b"\x03\x01")))
+@example((2, ([False, 3],)))
+def test_exact_bytes_rows_match_the_cell_scan(drawn):
+    # same rows, each exactly bytes, or the same error and message
+    n, rows = drawn
+    assert _rows_outcome(graphs_mod._color_rows, rows, n) == _rows_outcome(_scanned_rows, rows, n)
+
+
 @dataclass(frozen=True)
 class _TupleGraph:
     """The graph that byte rows replaced: rows kept as tuples of the given

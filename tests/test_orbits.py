@@ -449,14 +449,13 @@ def _action_pool(m, n):
 
 
 _DRAWN_SHAPES = [(0, 2), (2, 0), (1, 1), (1, 4), (4, 1), (2, 2), (2, 3), (3, 2)]
+_DRAWN_LISTS = st.sampled_from(_DRAWN_SHAPES).flatmap(
+    lambda mn: st.tuples(st.just(mn), st.lists(st.sampled_from(sorted(_action_pool(*mn))), max_size=8))
+)
 
 
 @settings(max_examples=200)
-@given(
-    st.sampled_from(_DRAWN_SHAPES).flatmap(
-        lambda mn: st.tuples(st.just(mn), st.lists(st.sampled_from(sorted(_action_pool(*mn))), max_size=8))
-    )
-)
+@given(_DRAWN_LISTS)
 # dropping the conjugation closure still passes every candidate list, but
 # not this one: switchR(1,.) conjugated by the swap is a left switch
 @example(((2, 2), ["switchR(1,(12))", "swapSides", "switchL(1,(12))", "switchL(0,(12))",
@@ -466,6 +465,20 @@ def test_drawn_action_lists_match_reference(drawn):
     pool = _action_pool(m, n)
     actions = [pool[name] for name in names]
     assert_matches_reference(actions, m, n, names)
+
+
+@given(_DRAWN_LISTS)
+def test_drawn_action_lists_equal_cold_and_after_every_move(drawn):
+    # cold: every cache cleared; warm: after a list with the same edge
+    # permutations and every recoloring of the pool has stored its tables
+    (m, n), names = drawn
+    pool = _action_pool(m, n)
+    actions = [pool[name] for name in names]
+    _clear_orbit_caches()
+    cold = _outcome(partition_from_actions(actions, m, n))
+    everything = [a for a in actions if not a.recolor] + [a for a in pool.values() if a.recolor]
+    partition_from_actions(everything, m, n)
+    assert _outcome(partition_from_actions(actions, m, n)) == cold
 
 
 def test_any_iterable_of_actions():
@@ -488,18 +501,65 @@ def test_action_that_permutes_and_recolors_is_refused():
         partition_from_actions(iter([rot]), 1, 3)
 
 
+def _clear_orbit_caches():
+    for cache in (orbits._edge_perm_orbits, orbits._vertex_perms, orbits._switch_store):
+        cache.cache_clear()
+
+
+def _outcome(part):
+    return part.labels.tobytes(), part.orbit_count, part.actions, part.rounds, part.jumps
+
+
 def test_counters_equal_on_cache_miss_and_hit():
+    # at each census shape, every candidate computed with every cache cleared
+    # equals its cache hit, and equals itself computed after all of its
+    # shape's candidates have filled the shared actions and tables
     assert orbits._edge_perm_orbits.cache_info().maxsize == 2
-    for m, n in ((2, 2), (3, 3), (2, 5)):
-        for cand in enumerate_candidate_groups(with_swap=m == n):
+    for m, n in ((2, 2), (3, 3), (2, 3), (3, 2), (2, 5), (5, 2)):
+        cands = enumerate_candidate_groups(with_swap=m == n)
+        cold = {}
+        for cand in cands:
             actions = generators_for(cand.spec, m, n)
-            orbits._edge_perm_orbits.cache_clear()
-            miss = partition_from_actions(actions, m, n)
+            _clear_orbit_caches()
+            cold[cand.name] = _outcome(partition_from_actions(actions, m, n))
             hits = orbits._edge_perm_orbits.cache_info().hits
-            hit = partition_from_actions(actions, m, n)
+            assert _outcome(partition_from_actions(actions, m, n)) == cold[cand.name], cand.name
             assert orbits._edge_perm_orbits.cache_info().hits == hits + 1
-            assert np.array_equal(miss.labels, hit.labels)
-            assert (miss.actions, miss.rounds, miss.jumps) == (hit.actions, hit.rounds, hit.jumps)
+        for cand in cands:
+            orbit_partition(cand.spec, m, n)
+        for cand in cands:
+            assert _outcome(orbit_partition(cand.spec, m, n)) == cold[cand.name], cand.name
+
+
+def test_action_lists_are_fresh_on_every_call():
+    spec = candidate_by_name("ol_Sym_lr").spec
+    for build in (lambda: generators_for(spec, 2, 2), lambda: vertex_perm_actions(2, 2),
+                  lambda: switch_actions(True, FULL_SUBGROUP.generators(), 2, 2)):
+        first = build()
+        names = [a.name for a in first]
+        first.clear()
+        assert [a.name for a in build()] == names
+
+
+def test_recoloring_store_stays_under_the_cap(monkeypatch):
+    # with P trivial each table spans all 3^6 ids of K_{2,3}; the cap leaves
+    # room for five tables next to the working set, so consecutive pairs of 30
+    # distinct moves fill the store, drop it and refill it, and no call is refused
+    m, n, reps = 2, 3, 3**6
+    working = 16 * reps + reps * (24 * 1 + 72)
+    monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", working + 4 * reps * 5)
+    _clear_orbit_caches()
+    moves = [single_edge_action(m, n, i, j, s) for i in range(m) for j in range(n) for s in ALL_PERMS[1:]]
+    assert len(moves) == 30
+    sizes = []
+    for first, second in zip(moves, moves[1:]):
+        part = partition_from_actions([first, second], m, n)
+        stored = orbits._edge_perm_orbits(m * n, ())[-1]
+        sizes.append(len(stored))
+        assert working + 4 * reps * len(stored) <= orbits.ORBIT_MEMORY_CAP
+        assert all(not table.flags.writeable for table in stored.values())
+        assert np.array_equal(part.labels, _reference_partition([first, second], m, n)[0])
+    assert max(sizes) == 5 and min(sizes) == 2  # filled to the cap, then dropped
 
 
 def test_cached_edge_permutation_orbits_are_read_only():
