@@ -64,8 +64,9 @@ __all__ = [
 DEFAULT_ORBIT_BUDGET = 12
 
 #: Byte cap on the orbit engine's working set, whatever the m*n budget: P's
-#: propagation (25 bytes per id) and the cached int32 P-orbit ids (4 per entry)
-#: fit 4 * 8 bytes per id; the quotient, sized by P's orbits, is checked apart.
+#: int32 propagation (at most 16 bytes per id) and the cached int32 P-orbit
+#: ids (4 per entry) fit 4 * 8 bytes per id; the quotient, sized by P's
+#: orbits, is checked apart.
 ORBIT_MEMORY_CAP = 2**29
 
 
@@ -215,25 +216,36 @@ def generators_for(spec: GroupSpec, m: int, n: int, budget: int = DEFAULT_ORBIT_
 
 @dataclass(eq=False)
 class OrbitPartition:
-    """Dense int32 orbit ids over the whole coloring space, numbered by least
-    member id (``ORBIT_MEMORY_CAP`` keeps the space below 3^15 < 2^31 ids).
+    """An orbit partition stored over P's orbits: ``quotient`` gives each
+    P-orbit its int32 orbit id, numbered by least member id, and ``orbit_of``
+    is the shape's read-only map from coloring id to P-orbit, shared by every
+    partition made from the same cache entry (``ORBIT_MEMORY_CAP`` keeps the
+    space below 3^15 < 2^31 ids).  ``orbit_of`` must be onto the P-orbits.
     The counters record the work: generator actions, fixpoint rounds and
     pointer-jump rounds (each final no-change round included) of P's
     propagation, cached or not, plus the quotient's (none without recolorings)."""
 
     m: int
     n: int
-    labels: np.ndarray
+    quotient: np.ndarray
+    orbit_of: np.ndarray
     orbit_count: int
     actions: int = 0
     rounds: int = 0
     jumps: int = 0
 
+    @property
+    def labels(self) -> np.ndarray:
+        """Dense int32 orbit ids over the whole coloring space, a fresh array
+        on every access."""
+        return np.take(self.quotient, self.orbit_of)
+
 
 def _propagate(size: int, pulls) -> tuple[np.ndarray, int, int]:
     """Min-label propagation with pointer jumping over ids 0..size-1 until each
-    label is the least id it reaches; ``pull(x)`` is ``x[table]``."""
-    labels = np.arange(size)
+    label is the least id it reaches; ``pull(x)`` is ``x[table]``.  Labels are
+    int32: the cap keeps every id below 3^15 < 2^31."""
+    labels = np.arange(size, dtype=np.int32)
     rounds = jumps = 0
     while True:
         rounds += 1
@@ -257,13 +269,18 @@ def _edge_perm_orbits(k: int, perms: tuple[tuple[int, ...], ...]) -> tuple:
     """The group P that the edge permutations' ``axes`` generate on 3^k ids:
     the int32 P-orbit of every id, numbered by least member, each P-orbit's
     least member, P's rounds and jumps, and a store of each recoloring move's
-    table over P's orbits, filled on first use; arrays read-only, shared by
-    candidates."""
+    table over P's orbits, filled on first use and kept while the entry is
+    the latest used; arrays read-only, shared by candidates."""
     labels, rounds, jumps = _propagate(3**k, [Action("P", axes).pull for axes in perms])
-    roots = labels == np.arange(labels.size)
+    roots = labels == np.arange(labels.size, dtype=np.int32)
     orbit_of, reps = (np.cumsum(roots, dtype=np.int32) - 1)[labels], np.flatnonzero(roots)
     orbit_of.flags.writeable = reps.flags.writeable = False
     return orbit_of, reps, rounds, jumps, {}
+
+
+#: The table store of the cache entry the latest call used, the only store
+#: that may hold recoloring tables.
+_tables_kept: dict = {}
 
 
 def partition_from_actions(actions, m: int, n: int, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitPartition:
@@ -287,11 +304,17 @@ def partition_from_actions(actions, m: int, n: int, budget: int = DEFAULT_ORBIT_
         seen.update(fresh)
         closed.extend(fresh)
     # the tables this call needs, and every one P's entry keeps, are 4 bytes
-    # per P-orbit; the entry drops its store rather than keep more than fits
+    # per P-orbit; only the latest call's entry keeps any, so the two entries'
+    # tables together get one allowance, and the entry drops its store rather
+    # than keep more than fits
     widest = max((len(positions) for positions, _ in closed), default=0)
     working = 16 * 3**k + reps.size * (24 * widest + 72)
     if working + 4 * reps.size * len(closed) > ORBIT_MEMORY_CAP:
         raise BudgetExceededError("the quotient by the edge permutations exceeds the orbit memory cap")
+    global _tables_kept
+    if _tables_kept is not stored:
+        _tables_kept.clear()
+        _tables_kept = stored
     if working + 4 * reps.size * len(seen.union(stored)) > ORBIT_MEMORY_CAP:
         stored.clear()
     for move in closed:
@@ -299,10 +322,10 @@ def partition_from_actions(actions, m: int, n: int, budget: int = DEFAULT_ORBIT_
             table = stored[move] = orbit_of[_recolored(reps, k, *move)]
             table.flags.writeable = False
     tables = [stored[move] for move in closed]
-    labels, more_rounds, more_jumps = (
-        _propagate(reps.size, [lambda x, t=t: x[t] for t in tables]) if tables else (np.arange(reps.size), 0, 0))
-    roots = labels == np.arange(labels.size)
-    return OrbitPartition(m, n, np.take((np.cumsum(roots, dtype=np.int32) - 1)[labels], orbit_of),
+    labels, more_rounds, more_jumps = (_propagate(reps.size, [lambda x, t=t: x[t] for t in tables])
+                                       if tables else (np.arange(reps.size, dtype=np.int32), 0, 0))
+    roots = labels == np.arange(labels.size, dtype=np.int32)
+    return OrbitPartition(m, n, (np.cumsum(roots, dtype=np.int32) - 1)[labels], orbit_of,
                           int(roots.sum()), len(actions), rounds + more_rounds, jumps + more_jumps)
 
 
@@ -310,20 +333,30 @@ def orbit_partition(spec: GroupSpec, m: int, n: int, budget: int = DEFAULT_ORBIT
     return partition_from_actions(generators_for(spec, m, n, budget), m, n, budget)
 
 
+def _comparable(p1: OrbitPartition, p2: OrbitPartition) -> tuple[np.ndarray, np.ndarray]:
+    """Both partitions' labels on one index set: their quotients when they
+    share ``orbit_of`` (labels are ``quotient[orbit_of]`` and ``orbit_of`` is
+    onto, so this is exact), else the full labels."""
+    if p1.orbit_of is p2.orbit_of:
+        return p1.quotient, p2.quotient
+    return p1.labels, p2.labels
+
+
 def partitions_equal(p1: OrbitPartition, p2: OrbitPartition) -> bool:
     """Set equality of the partitions (canonical labels make it array
     equality)."""
     if (p1.m, p1.n) != (p2.m, p2.n):
         raise ValueError("dimension mismatch")
-    return p1.orbit_count == p2.orbit_count and bool(np.array_equal(p1.labels, p2.labels))
+    return p1.orbit_count == p2.orbit_count and bool(np.array_equal(*_comparable(p1, p2)))
 
 
 def refines(p1: OrbitPartition, p2: OrbitPartition) -> bool:
     """True iff every p1-orbit lies inside a single p2-orbit."""
     if (p1.m, p1.n) != (p2.m, p2.n):
         raise ValueError("dimension mismatch")
-    _, first = np.unique(p1.labels, return_index=True)
-    return bool(np.all(p2.labels == p2.labels[first[p1.labels]]))
+    l1, l2 = _comparable(p1, p2)
+    _, first = np.unique(l1, return_index=True)
+    return bool(np.all(l2 == l2[first[l1]]))
 
 
 @dataclass(frozen=True)

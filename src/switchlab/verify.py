@@ -290,7 +290,7 @@ def check_candidate_census() -> tuple[bool, str]:
         if cand.name == "Aut":
             continue
         p = parts[cand.name]
-        if not refines(aut, p) or partitions_equal(aut, p):
+        if not refines(aut, p) or partitions_equal(aut, p) or refines(p, aut):
             return False, f"Aut does not strictly refine {cand.name}"
     return True, "16 candidates; 0 collision(s) at (3,3): []; Aut strictly refines all others"
 

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import runpy
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -239,6 +242,49 @@ def test_distinguish(capsys):
     assert code == 0
     assert {entry["name"] for entry in data["groups"]} >= {"Aut", "Sym_lr"}
     assert isinstance(data["collisions"], list)
+
+
+# Runs the CLI with argv under an address-space limit set in this child only,
+# and writes the peak RSS in KiB of the process that ran it as the last stderr
+# line.  That process is forked from the child after its imports: a process
+# started by exec keeps in RUSAGE_SELF the peak of the memory image it
+# replaced, which for a child of pytest is the pytest process's.
+_MEASURED_CHILD = """
+import os, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from switchlab.cli import main
+pid = os.fork()
+if pid == 0:
+    code = 1
+    try:
+        code = main(sys.argv[1:])
+    finally:
+        sys.stdout.flush()
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr, flush=True)
+        os._exit(code)
+sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+def _child_peak_kib(*argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", _MEASURED_CHILD, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    json.loads(done.stdout)  # one JSON document
+    return int(done.stderr.splitlines()[-1])
+
+
+def test_distinguish_at_the_default_budget_stays_within_its_stated_working_set():
+    # 3^12 ids at 32 bytes each is the working set _check_budget states for
+    # one engine call; distinguish holds 16 partitions, so at the cap's edge
+    # of the default budget it must stay within that too (its 16 dense int32
+    # label arrays once took 39 MiB over a bare child)
+    bare = _child_peak_kib("orbits", "--m", "1", "--n", "1", "--group", "Aut")
+    peak = _child_peak_kib("distinguish", "--m", "3", "--n", "4")
+    assert (peak - bare) * 1024 <= 32 * 3**12
 
 
 def test_distinguish_refuses_a_non_square_swap_at_once(capsys):

@@ -162,9 +162,11 @@ def test_partitions_equal_and_refines():
     with pytest.raises(ValueError):
         partitions_equal(aut, other)
     # equal orbit counts do not make partitions equal: K_{1,1}'s three
-    # colorings with a different pair merged
-    a = OrbitPartition(1, 1, np.array([0, 0, 1]), 2)
-    b = OrbitPartition(1, 1, np.array([0, 1, 1]), 2)
+    # colorings with a different pair merged (P trivial: each coloring is its
+    # own P-orbit)
+    ids = np.arange(3, dtype=np.int32)
+    a = OrbitPartition(1, 1, np.array([0, 0, 1], dtype=np.int32), ids, 2)
+    b = OrbitPartition(1, 1, np.array([0, 1, 1], dtype=np.int32), ids, 2)
     assert not partitions_equal(a, b) and partitions_equal(b, b)
     # a dimension mismatch raises even when the counts agree
     one_orbit = partition_from_actions([], 0, 3)
@@ -560,6 +562,74 @@ def test_recoloring_store_stays_under_the_cap(monkeypatch):
         assert all(not table.flags.writeable for table in stored.values())
         assert np.array_equal(part.labels, _reference_partition([first, second], m, n)[0])
     assert max(sizes) == 5 and min(sizes) == 2  # filled to the cap, then dropped
+
+
+def test_both_entries_tables_share_one_allowance(monkeypatch):
+    # P trivial, then P = <swapL(0,1)>, then P trivial again, at K_{2,3} under
+    # a cap that leaves the trivial-P call room for five tables: after every
+    # call, its working set plus the tables both entries store fit the cap.
+    # Each entry bounded apart held 14,580 + 15,120 bytes of tables, twice
+    # what the trivial-P call may hold, and the third run went over.
+    m, n, ids = 2, 3, 3**6
+    monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", 16 * ids + ids * (24 * 1 + 72) + 4 * ids * 5)
+    _clear_orbit_caches()
+    swap = vertex_perm_actions(m, n)[:1]
+    assert swap[0].name == "swapL(0,1)"
+    moves = [single_edge_action(m, n, 0, 0, s) for s in ALL_PERMS[1:]]
+    for perms in ([], swap, []):
+        for first, second in zip(moves, moves[1:]):
+            part = partition_from_actions(perms + [first, second], m, n)
+            assert np.array_equal(part.labels, _reference_partition(perms + [first, second], m, n)[0])
+            reps = orbits._edge_perm_orbits(m * n, tuple(a.axes for a in perms))[1].size
+            stored = sum(table.nbytes for key in ((), (swap[0].axes,))
+                         for table in orbits._edge_perm_orbits(m * n, key)[-1].values())
+            assert 16 * ids + reps * (24 * 1 + 72) + stored <= orbits.ORBIT_MEMORY_CAP
+
+
+def _dense_refines(l1, l2):
+    """Every l1 class lies in one l2 class: as many distinct (l1, l2) pairs
+    as distinct l1 values."""
+    return np.unique(l1.astype(np.int64) * (int(l2.max()) + 1) + l2).size == np.unique(l1).size
+
+
+def _assert_comparisons_match_dense(left, right):
+    dense = {id(p): p.labels for p in left + right}
+    for p1, p2 in itertools.product(left, right):
+        l1, l2 = dense[id(p1)], dense[id(p2)]
+        fine, coarse = _dense_refines(l1, l2), _dense_refines(l2, l1)
+        assert refines(p1, p2) == fine and refines(p2, p1) == coarse
+        assert partitions_equal(p1, p2) == (fine and coarse) == partitions_equal(p2, p1)
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 3)])
+def test_compact_comparisons_match_dense_labels(m, n):
+    # the 16 side-preserving candidates share one orbit_of and compare their
+    # quotients; the 6 swap candidates' P differs, so mixed pairs expand
+    parts = [orbit_partition(c.spec, m, n) for c in enumerate_candidate_groups(with_swap=True)]
+    assert len({id(p.orbit_of) for p in parts}) == 2
+    _assert_comparisons_match_dense(parts, parts)
+
+
+def test_compact_comparisons_across_an_evicted_entry():
+    cands = enumerate_candidate_groups(with_swap=True)
+    before = [orbit_partition(c.spec, 3, 3) for c in cands]
+    for m, n in ((2, 3), (3, 2)):  # two other shapes evict both 3x3 entries
+        orbit_partition(cands[0].spec, m, n)
+    after = [orbit_partition(c.spec, 3, 3) for c in cands]
+    assert not {id(p.orbit_of) for p in before} & {id(p.orbit_of) for p in after}
+    _assert_comparisons_match_dense(before, after)
+
+
+def test_labels_are_a_fresh_int32_array_on_every_access():
+    for name in ("Aut", "S_l^(12)"):  # P's orbits alone, and a quotient stage
+        part = orbit_partition(candidate_by_name(name).spec, 2, 2)
+        first, second = part.labels, part.labels
+        assert first.dtype == second.dtype == np.int32 and first.shape == (81,)
+        for other in (second, part.quotient, part.orbit_of):
+            assert not np.shares_memory(first, other)
+        first[:] = 7
+        assert np.array_equal(part.labels, second)
+        assert np.array_equal(orbit_partition(candidate_by_name(name).spec, 2, 2).labels, second)
 
 
 def test_cached_edge_permutation_orbits_are_read_only():
