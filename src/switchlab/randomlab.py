@@ -12,9 +12,11 @@ by color 3, and symmetrically for the other side.  Both checks read one
 array of 0/1 witness planes per side, and the table of set-size cells and
 each side's cumulative counts, cached per order k.  The exact check scans
 every configuration in a fixed order, one block at a time.  Each cell of
-set sizes has an outer set, its first empty set or else the first set; one
-float32 GEMM per outer set, over that set's witnesses, fills its rows of
-the block's served matrix, and one pass of bookkeeping decides the block.
+set sizes has an outer set, its first empty set or else the first set.  A
+block of few rows runs one float32 GEMM per outer set, over its witnesses; a
+larger one ORs Four-Russians tables of the column sets' planes over its
+rows' witness bits (Arlazarov, Dinic, Kronrod & Faradzev, 1970).  One pass
+of bookkeeping decides the block.
 The sampled check draws a block of configurations in two stages: a Python
 loop makes only the random calls, recording each draw's cell and its
 indices into the vertices not yet taken, without building a pool; then one
@@ -72,9 +74,14 @@ SIZE_CELL_CAP = 1 << 15
 #: every index less the count of earlier members.
 _NOT_TAKEN = np.iinfo(np.intp).max
 
-#: 8-byte words of float32 entries in one GEMM product of the exact scan, or
-#: one block of gathered planes of the sampled check (512 KiB).
+#: 8-byte words in one product of the exact scan (float32 entries of a GEMM,
+#: or uint64 words of a packed product or of one of its per-byte gathers),
+#: or in one block of gathered planes of the sampled check (512 KiB).
 _BLOCK_WORDS = 1 << 16
+
+#: Block rows from which the exact scan takes the packed kernel, whose
+#: per-byte calls cost more than the GEMMs below them.
+_PACKED_ROWS = 400
 
 
 class ThetaBudgetError(Exception):
@@ -165,7 +172,7 @@ class ExtensionReport:
     counterexample: ThetaCounterexample | None
     checked_left: int
     checked_right: int
-    # counters outside equality: both sides' scan blocks and GEMMs
+    # counters outside equality: both sides' scan blocks and kernel products
     blocks: int = field(default=0, compare=False)
     kernel_calls: int = field(default=0, compare=False)
 
@@ -233,11 +240,35 @@ def _size_planes(planes: np.ndarray, sets: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(planes[:-1].T) if sets.shape[1] else planes[-1:].T
 
 
+def _or_tables(planes: np.ndarray) -> np.ndarray:
+    """Four-Russians tables (witness bytes, 256, words) of set planes
+    (witnesses, sets): entry v of byte b is the OR, in uint64 words over the
+    sets, of the rows of the witnesses 8b + i for the bits i of v.  They take
+    as many bytes as the float32 planes."""
+    packed = np.packbits(planes != 0, axis=-1, bitorder="little")  # zero padding bits
+    rows = np.zeros((-(-len(packed) // 8) * 8, -(-packed.shape[1] // 8) * 8), np.uint8)
+    rows[:len(packed), :packed.shape[1]] = packed
+    rows = rows.view(np.uint64).reshape(len(rows) // 8, 8, rows.shape[1] // 8)
+    tables = np.zeros((len(rows), 256, rows.shape[2]), np.uint64)
+    for i in range(8):
+        np.bitwise_or(tables[:, :1 << i], rows[:, i, None], out=tables[:, 1 << i:2 << i])
+    return tables
+
+
+def _packed_served(pairs: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """(rows, words) uint64 bits of the sets served by each column of witness
+    bytes ``pairs`` (bytes, rows): the OR over its bytes of one table entry each."""
+    served = np.zeros((pairs.shape[1], tables.shape[2]), np.uint64)
+    for byte, table in zip(pairs, tables):
+        served |= table.take(byte, axis=0)
+    return served
+
+
 def _check_side(colors: np.ndarray, side: Side, k: int, work: list[int]):
     """First failing configuration on ``side`` (whose vertices are the rows
     of ``colors``) in deterministic order (total size, then sizes, then
     lexicographic sets) and the count of configurations evaluated; the
-    blocks and GEMMs that evaluated them are added to ``work``.
+    blocks and kernel products that evaluated them are added to ``work``.
 
     A set's plane is the product of its members' planes in its color, read
     from the witness planes below two members (``_size_planes``).  Two sets
@@ -247,17 +278,22 @@ def _check_side(colors: np.ndarray, side: Side, k: int, work: list[int]):
     the rows and the later the columns, so a block's served matrix, rows
     (outer set, row set) by column sets, lists configurations in scan order,
     and a disjoint row passes when it serves every column set disjoint from
-    it.  One GEMM per outer set (``_served``), over that set's witnesses,
-    fills its rows, and one clash mask (none for an empty outer set), one
-    total and one ``argmax`` decide the block.  Blocks start at one outer
-    set and double up to as many whole rows as one product holds, so an
-    early failure costs little and a full scan few blocks.  A product holds
-    at most ``_BLOCK_WORDS`` words of float32 entries: that splits the rows,
-    and the columns when one row alone is too wide."""
+    it.  A block sized below ``_PACKED_ROWS`` rows runs one GEMM per outer
+    set (``_served``) over its witnesses; a larger one, one packed product
+    (``_packed_served``) whose rows, the outer and row sets' packed planes
+    ANDed, pick one table entry per witness byte.  One clash mask (none for
+    an empty outer set), one total and one ``argmax`` decide the block; only
+    a failing packed row is unpacked.  Blocks start at one outer set and
+    double up to as many whole rows as one product holds, so an early
+    failure costs little and a full scan few blocks.  A product holds at
+    most ``_BLOCK_WORDS`` words: float32 entries of a GEMM, split by rows and
+    by columns when one row is too wide; uint64 words of a packed product,
+    a row taking the column sets' words or, if more, the witnesses'."""
     size = colors.shape[0]
     planes = _witness_planes(colors)
     # sets by size and planes by (size, color); combinations from two members on
     sets, ands = {0: np.empty((1, 0), np.intp), 1: np.arange(size, dtype=np.intp)[:, None]}, {}
+    bits, tables = {}, {}  # packed rows and OR tables by (size, color)
     room = 2 * _BLOCK_WORDS  # float32 entries of one GEMM's product
     checked = 0
     for cell in _size_triples(min(k, size)):
@@ -274,13 +310,22 @@ def _check_side(colors: np.ndarray, side: Side, k: int, work: list[int]):
         ao, ar, ac = ands[so, o], ands[sr, r], ands[sc, c]
         no, nr, nc = len(sets[so]), len(sets[sr]), len(sets[sc])
         cols = min(nc, room)
-        rows = room // cols
-        most = max(1, rows // nr)  # several outer sets take whole rows
+        gemm_rows, packed_rows = room // cols, _BLOCK_WORDS // -(-max(nc, colors.shape[1]) // 64)
         lo1, width = 0, 1
         while lo1 < no:
+            packed = min(width * nr, packed_rows) >= _PACKED_ROWS
+            rows = packed_rows if packed else gemm_rows
+            width = min(width, max(1, rows // nr))  # several outer sets take whole rows
             block1 = slice(lo1, lo1 + width)
             xos = sets[so][block1]
-            if so:
+            if packed:
+                for s, color in {(so, o), (sr, r)} - set(bits):  # (witness bytes, sets)
+                    rows_of_sets = np.ascontiguousarray(ands[s, color].T) != 0
+                    bits[s, color] = np.packbits(rows_of_sets, axis=-1, bitorder="little").T.copy()
+                if (sc, c) not in tables:
+                    tables[sc, c] = _or_tables(ac)
+                bo = bits[so, o][:, block1]
+            elif so:
                 # an outer set's plane is 1 on its witnesses and 0
                 # elsewhere: over those its rows are the row sets' planes
                 w = np.nonzero(ao[:, block1].T)[1]
@@ -293,12 +338,20 @@ def _check_side(colors: np.ndarray, side: Side, k: int, work: list[int]):
             for lo2 in range(0, nr, step2):
                 block2 = slice(lo2, lo2 + step2)
                 xrs = sets[sr][block2]
-                served = np.empty((len(xos) * len(xrs), nc), dtype=bool)
-                for at, (lhs, rhs) in zip(range(0, len(served), len(xrs)), operands):
-                    for lo3 in range(0, nc, cols):
-                        tile = slice(lo3, lo3 + cols)
-                        served[at:at + len(xrs), tile] = _served(lhs[:, block2], rhs[:, tile])
-                        work[1] += 1
+                if packed:  # (outer, row) pairs' common witnesses, in scan order
+                    pairs = bo[:, :, None] & bits[sr, r][:, None, block2]
+                    pairs = pairs.reshape(len(bo), len(xos) * len(xrs))
+                    served = _packed_served(pairs, tables[sc, c])
+                    work[1] += 1
+                    total = int(np.bitwise_count(served).sum())
+                else:
+                    served = np.empty((len(xos) * len(xrs), nc), dtype=bool)
+                    for at, (lhs, rhs) in zip(range(0, len(served), len(xrs)), operands):
+                        for lo3 in range(0, nc, cols):
+                            tile = slice(lo3, lo3 + cols)
+                            served[at:at + len(xrs), tile] = _served(lhs[:, block2], rhs[:, tile])
+                            work[1] += 1
+                    total = np.count_nonzero(served)
                 work[0] += 1
                 disjoint = (~(xrs[:, None, :, None] == xos[:, None]).any(axis=(2, 3)).T.reshape(-1)
                             if so else np.ones(len(served), dtype=bool))
@@ -306,21 +359,24 @@ def _check_side(colors: np.ndarray, side: Side, k: int, work: list[int]):
                 # clashing row none (its two planes share no witness), so
                 # one total decides a block that passes
                 passed = free * int(np.count_nonzero(disjoint))
-                if np.count_nonzero(served) == passed:
+                if total == passed:
                     checked += passed
                     continue
-                failing = disjoint & (np.count_nonzero(served, axis=1) != free)
-                j = int(failing.argmax())
+                counts = (np.bitwise_count(served).sum(axis=1) if packed
+                          else np.count_nonzero(served, axis=1))
+                j = int((disjoint & (counts != free)).argmax())
                 checked += free * int(np.count_nonzero(disjoint[:j]))
+                row = (np.unpackbits(served[j].view(np.uint8), count=nc, bitorder="little").view(bool)
+                       if packed else served[j])
                 i1, i2 = divmod(j, len(xrs))
                 xo, xr = xos[i1], xrs[i2]
                 clear = ~(sets[sc][:, :, None] == np.concatenate((xo, xr))).any(axis=(1, 2))
-                col = int((clear & ~served[j]).argmax())
-                checked += int(np.count_nonzero(served[j, :col])) + 1
+                col = int((clear & ~row).argmax())
+                checked += int(np.count_nonzero(row[:col])) + 1
                 found = dict(zip((o, r, c), (xo, xr, sets[sc][col])))
                 return ThetaCounterexample(side, tuple(tuple(found[i].tolist()) for i in range(3))), checked
             lo1 += width
-            width = min(2 * width, most)
+            width *= 2
     return None, checked
 
 
@@ -561,7 +617,7 @@ class FailureEstimate:
     failures: int
     failure_rate: float
     half_width: float
-    # counters outside equality, summed over the graphs' exact checks: blocks and GEMMs
+    # counters outside equality, summed over the graphs' exact checks: blocks and products
     blocks: int = field(default=0, compare=False)
     kernel_calls: int = field(default=0, compare=False)
 

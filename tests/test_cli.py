@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import runpy
+import signal
 import subprocess
 import sys
 import time
@@ -266,15 +267,49 @@ sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 """
 
 
-def _child_peak_kib(*argv):
+def _child_peak_kib(*argv, timeout=60):
+    # the child leads a new process group, so a timeout kills the forked,
+    # measured process with it, not only the parent that waits for it
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, "-c", _MEASURED_CHILD, *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    json.loads(done.stdout)  # one JSON document
-    return int(done.stderr.splitlines()[-1])
+    with subprocess.Popen([sys.executable, "-c", _MEASURED_CHILD, *argv], env=env, text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          start_new_session=True) as child:
+        try:
+            out, err = child.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            raise
+    assert child.returncode == 0, err
+    json.loads(out)  # one JSON document
+    return int(err.splitlines()[-1])
+
+
+def test_measured_child_timeout_kills_its_process_group(monkeypatch):
+    # verify-lemmas runs about 3 s in the forked, measured process; the
+    # timeout falls after the fork, and no process of the child's group,
+    # which the fork shares, outlives it
+    groups = []
+    popen = subprocess.Popen
+
+    def spy(*args, **kwargs):
+        child = popen(*args, **kwargs)
+        groups.append((child.pid, os.getpgid(child.pid)))
+        return child
+
+    monkeypatch.setattr(subprocess, "Popen", spy)
+    with pytest.raises(subprocess.TimeoutExpired):
+        _child_peak_kib("verify-lemmas", timeout=1.5)
+    (pid, pgid), = groups
+    assert pgid == pid != os.getpgrp()
+    # a killed process can still be signalled until it is reaped
+    deadline = time.monotonic() + 10
+    with pytest.raises(ProcessLookupError):
+        while time.monotonic() < deadline:
+            os.killpg(pgid, 0)
+            time.sleep(0.05)
 
 
 def test_distinguish_at_the_default_budget_stays_within_its_stated_working_set():
@@ -285,6 +320,28 @@ def test_distinguish_at_the_default_budget_stays_within_its_stated_working_set()
     bare = _child_peak_kib("orbits", "--m", "1", "--n", "1", "--group", "Aut")
     peak = _child_peak_kib("distinguish", "--m", "3", "--n", "4")
     assert (peak - bare) * 1024 <= 32 * 3**12
+
+
+def test_check_theta_full_exact_scan_stays_within_16_mib(tmp_path):
+    # a holding 500x500 graph at k = 1: every block runs, the large ones
+    # packed; the scan keeps float32 planes, packed rows and OR tables per
+    # side (about 12 MiB over a bare child)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph_to_json(random_graph(500, 500, 11))))
+    bare = _child_peak_kib("orbits", "--m", "1", "--n", "1", "--group", "Aut")
+    peak = _child_peak_kib("check-theta", "--input", str(path), "--k", "1", "--budget", str(10**12))
+    assert peak - bare <= 16 * 1024
+
+
+def test_check_theta_sampled_on_1024_squared_stays_within_48_mib(tmp_path):
+    # both sides' float32 planes of a 1024x1024 graph are 25 MiB of the
+    # about 35 MiB over a bare child
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph_to_json(random_graph(1024, 1024, 11))))
+    bare = _child_peak_kib("orbits", "--m", "1", "--n", "1", "--group", "Aut")
+    peak = _child_peak_kib("check-theta", "--input", str(path), "--k", "1", "--sampled",
+                           "--trials", "1000", "--seed", "1")
+    assert peak - bare <= 48 * 1024
 
 
 def test_distinguish_refuses_a_non_square_swap_at_once(capsys):

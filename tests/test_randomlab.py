@@ -505,56 +505,72 @@ def _blocked_scan_cases():
 def test_blocked_scan_matches_reference(monkeypatch, block_words):
     # 150 words splits every (x1, x2) row's x3 masks into tiles; 1000 splits
     # the x2 rows of one x1 into blocks and batches x1 where x2 is short
+    # the second pass packs every block, so no block runs the GEMM
     monkeypatch.setattr(randomlab, "_BLOCK_WORDS", block_words)
-    for g, k, sizes, shape in _blocked_scan_cases():
-        report = check_theta(g, k, budget=10**20)
-        assert report == _reference_check_theta(g, k)
-        x1, x2, _ = report.counterexample.sets
-        assert tuple(map(len, report.counterexample.sets)) == sizes and shape(x1, x2)
-    holds = check_theta(shifted_cubic_graph(97), 1, budget=10**7)
-    space = randomlab._config_count(97, 1)
-    assert (holds.holds, holds.checked_left, holds.checked_right) == (True, space, space)
-    # transposed, this graph holds on the left and fails on the right after
-    # a full left scan; the right scan is the untransposed left scan
-    g = _few_color1_edges(109, 108, 11)
-    left = _reference_check_theta(g, 1)
-    flipped = new_graph(109, 109, [list(col) for col in zip(*g.colors)])
-    report = check_theta(flipped, 1, budget=10**7)
-    assert report.counterexample == ThetaCounterexample(Side.RIGHT, left.counterexample.sets)
-    assert (report.checked_left, report.checked_right) == (
-        randomlab._config_count(109, 1), left.checked_left,
-    )
+    for packed_rows in (randomlab._PACKED_ROWS, 1):
+        monkeypatch.setattr(randomlab, "_PACKED_ROWS", packed_rows)
+        if packed_rows == 1:
+            monkeypatch.setattr(randomlab, "_served", _no_gemm)
+        for g, k, sizes, shape in _blocked_scan_cases():
+            report = check_theta(g, k, budget=10**20)
+            assert report == _reference_check_theta(g, k)
+            x1, x2, _ = report.counterexample.sets
+            assert tuple(map(len, report.counterexample.sets)) == sizes and shape(x1, x2)
+        holds = check_theta(shifted_cubic_graph(97), 1, budget=10**7)
+        space = randomlab._config_count(97, 1)
+        assert (holds.holds, holds.checked_left, holds.checked_right) == (True, space, space)
+        # transposed, this graph holds on the left and fails on the right after
+        # a full left scan; the right scan is the untransposed left scan
+        g = _few_color1_edges(109, 108, 11)
+        left = _reference_check_theta(g, 1)
+        flipped = new_graph(109, 109, [list(col) for col in zip(*g.colors)])
+        report = check_theta(flipped, 1, budget=10**7)
+        assert report.counterexample == ThetaCounterexample(Side.RIGHT, left.counterexample.sets)
+        assert (report.checked_left, report.checked_right) == (
+            randomlab._config_count(109, 1), left.checked_left,
+        )
 
 
-def _first_set_blocks(n1, most):
-    """(first, last) first set of each block: widths 1, 2, 4, ... up to most."""
+def _no_gemm(lhs, rhs):
+    raise AssertionError("a block ran the GEMM")
+
+
+def _first_set_blocks(n, block_words):
+    """(first, last, packed) first set of each block of cell (1, 1, 1) at
+    k = 1 on n vertices and n witnesses: widths 1, 2, 4, ..., each up to the
+    whole rows its kernel's product holds, packed from _PACKED_ROWS rows."""
+    gemm_most, packed_rows = 2 * block_words // n // n, block_words // -(-n // 64)
     blocks, lo, width = [], 0, 1
-    while lo < n1:
-        blocks.append((lo, min(lo + width, n1) - 1))
+    while lo < n:
+        packed = min(width * n, packed_rows) >= randomlab._PACKED_ROWS
+        width = min(width, max(1, packed_rows // n if packed else gemm_most))
+        blocks.append((lo, min(lo + width, n) - 1, packed))
         lo += width
-        width = min(2 * width, most)
+        width *= 2
     return blocks
 
 
 @pytest.mark.parametrize("block_words", [randomlab._BLOCK_WORDS, 17822])
 def test_batched_first_sets_fail_mid_block(monkeypatch, block_words):
-    # the default block words batch up to 13 first sets of cell (1, 1, 1)
-    # at 97 vertices (11 at 109), and 17822 up to 3; first set 10 fails
-    # there and sits inside a block, neither its first nor its last
+    # cell (1, 1, 1) batches first sets: at 97 vertices 1, 2 and 4 a GEMM
+    # block under the default block words, then packed blocks from 8 on; at
+    # 17822 words 1, 2 and 3, then packed blocks from 6 on.  First sets 4
+    # and 10 fail there, and each sits inside a block, neither its first nor
+    # its last: 4 in a GEMM block, 10 in a packed one
     monkeypatch.setattr(randomlab, "_BLOCK_WORDS", block_words)
-    most = 2 * block_words // 97 // 97
-    (lo, hi), = [b for b in _first_set_blocks(97, most) if b[0] <= 10 <= b[1]]
-    assert lo < 10 < hi
-    for keep in (14, 17, 20):
-        g = _few_color1_edges(97, 10, keep)
-        report = check_theta(g, 1, budget=10**7)
-        assert report == _reference_check_theta(g, 1)
-        assert tuple(map(len, report.counterexample.sets)) == (1, 1, 1)
-        assert report.counterexample.sets[0] == (10,)
-    # on 109 vertices, transposed: the right side fails after a full left scan
-    most = 2 * block_words // 109 // 109
-    (lo, hi), = [b for b in _first_set_blocks(109, most) if b[0] <= 10 <= b[1]]
-    assert lo < 10 < hi
+    for first, packed, keeps in ((4, False, (15, 17, 20)), (10, True, (14, 17, 20))):
+        (lo, hi, kernel), = [b for b in _first_set_blocks(97, block_words) if b[0] <= first <= b[1]]
+        assert lo < first < hi and kernel == packed
+        for keep in keeps:
+            g = _few_color1_edges(97, first, keep)
+            report = check_theta(g, 1, budget=10**7)
+            assert report == _reference_check_theta(g, 1)
+            assert tuple(map(len, report.counterexample.sets)) == (1, 1, 1)
+            assert report.counterexample.sets[0] == (first,)
+    # on 109 vertices, transposed: the right side fails after a full left
+    # scan, inside a packed block
+    (lo, hi, packed), = [b for b in _first_set_blocks(109, block_words) if b[0] <= 10 <= b[1]]
+    assert lo < 10 < hi and packed
     g = _few_color1_edges(109, 10, 17)
     flipped = new_graph(109, 109, [list(col) for col in zip(*g.colors)])
     report = check_theta(flipped, 1, budget=10**7)
@@ -648,24 +664,37 @@ def test_blocked_scan_matches_reference_small(g, k, block_words):
 
 @pytest.mark.parametrize("block_words", [3, 150, 1000, 5000])
 def test_scan_temporaries_within_block_words(monkeypatch, block_words):
-    # every GEMM the scan runs goes through _served; its float32 product
-    # must fit in block_words 8-byte words
-    spans = []
-    served = randomlab._served
+    # every product the scan runs goes through _served (a float32 GEMM) or
+    # _packed_served (uint64 words); each product, each of a packed
+    # product's per-byte gathers and the witness bytes it reads must fit in
+    # block_words 8-byte words
+    spans, packed = [], []
+    served, packed_served = randomlab._served, randomlab._packed_served
 
     def spy(lhs, rhs):
         spans.append(4 * lhs.shape[1] * rhs.shape[1])
         return served(lhs, rhs)
 
+    def packed_spy(pairs, tables):
+        product = packed_served(pairs, tables)
+        gather = tables[0].take(pairs[0], axis=0) if len(pairs) else product
+        packed.append(max(product.nbytes, gather.nbytes, pairs.nbytes))
+        return product
+
     monkeypatch.setattr(randomlab, "_served", spy)
+    monkeypatch.setattr(randomlab, "_packed_served", packed_spy)
     monkeypatch.setattr(randomlab, "_BLOCK_WORDS", block_words)
     reports = [
         check_theta(_few_color1_edges(97, 0, 17), 1, budget=10**7),
         check_theta(random_graph(9, 130, 4), 3, budget=10**20),
         check_theta(shifted_cubic_graph(31), 2, budget=10**12),
     ]
-    assert len(spans) == sum(r.kernel_calls for r in reports)
-    assert 0 < max(spans) <= 8 * block_words
+    assert len(spans) + len(packed) == sum(r.kernel_calls for r in reports)
+    assert 0 < max(spans + packed) <= 8 * block_words
+    # a packed row takes at least one word, so a block of _PACKED_ROWS rows
+    # needs that many block words: here the packed kernel runs at 1000 and
+    # 5000 words and at no fewer
+    assert bool(packed) == (block_words >= randomlab._PACKED_ROWS)
 
 
 def test_gemm_over_no_witnesses_serves_nothing(monkeypatch):
@@ -709,16 +738,15 @@ def test_extension_report_counters():
     g = shifted_cubic_graph(97)
     holds = check_theta(g, 1, budget=10**7)
     assert holds.counterexample is None
-    # cell (1, 1, 1) runs one GEMM per first set, in blocks of up to
-    # room // 97 first sets; every other cell one GEMM per block
-    most = 2 * randomlab._BLOCK_WORDS // 97 // 97
-    batched = _first_set_blocks(97, most)
-    assert most == 13 and len(batched) == 11
-    assert holds.kernel_calls - holds.blocks == 2 * (97 - len(batched))
-    assert holds.blocks < 2 * 97 < holds.kernel_calls
-    # per side, each of the 7 cells with an empty set is one block and one
-    # GEMM, its empty set being the outer set
-    assert (holds.blocks, holds.kernel_calls) == (2 * (7 + 11), 2 * (7 + 97)) == (36, 208)
+    # cell (1, 1, 1) runs GEMM blocks of 1, 2 and 4 first sets, one GEMM
+    # per first set, then packed blocks of 8, 16, 32 and the last 34 first
+    # sets, one product each (776 rows and more)
+    batched = _first_set_blocks(97, randomlab._BLOCK_WORDS)
+    assert [(hi - lo + 1, packed) for lo, hi, packed in batched] == [
+        (1, False), (2, False), (4, False), (8, True), (16, True), (32, True), (34, True)]
+    # per side, each of the 7 cells with an empty set is one block of at
+    # most 97 rows and one GEMM, its empty set being the outer set
+    assert (holds.blocks, holds.kernel_calls) == (2 * (7 + 3 + 4), 2 * (7 + 7 + 4)) == (28, 36)
     fails = check_theta(random_graph(40, 40, 3), 1)
     assert tuple(map(len, fails.counterexample.sets)) == (0, 1, 1)
     assert 0 < fails.blocks <= fails.kernel_calls < holds.blocks
@@ -730,30 +758,106 @@ def test_extension_report_counters():
 def test_first_set_gemms_run_over_its_color1_witnesses(monkeypatch):
     # in a cell with no empty set each GEMM contracts over exactly the first
     # set's color-1 witnesses, one GEMM per first set in scan order even
-    # where a block holds several; elsewhere over every witness (97 here)
-    operands = []
-    served = randomlab._served
+    # where a block holds several; elsewhere over every witness (97 here).
+    # The first sets of cell (1, 1, 1) from 7 on are in packed blocks: each
+    # packed row is the first set's color-1 bits AND the second set's
+    # color-2 bits over every witness, rows in scan order
+    operands, packed = [], []
+    served, packed_served = randomlab._served, randomlab._packed_served
 
     def spy(lhs, rhs):
         operands.append((lhs, rhs))
         return served(lhs, rhs)
 
+    def packed_spy(pairs, tables):
+        packed.append(pairs)
+        return packed_served(pairs, tables)
+
     monkeypatch.setattr(randomlab, "_served", spy)
+    monkeypatch.setattr(randomlab, "_packed_served", packed_spy)
     g = shifted_cubic_graph(97)
     check_theta(g, 1, budget=10**7)
     own = [(lhs, rhs) for lhs, rhs in operands if lhs.shape[0] < 97]
-    assert len(own) == 2 * 97
+    assert len(own) == 2 * 7
     # elsewhere: the 7 cells with an empty set on each side, one GEMM each
     others = [(lhs, rhs) for lhs, rhs in operands if lhs.shape[0] >= 97]
     assert len(others) == 14 and all(len(lhs) == len(rhs) == 97 for lhs, rhs in others)
     rows = np.frombuffer(b"".join(g.colors), np.uint8).reshape(g.m, g.n)
-    scan = [(x1, rows) for x1 in range(97)] + [(x1, rows.T) for x1 in range(97)]
+    scan = [(x1, rows) for x1 in range(7)] + [(x1, rows.T) for x1 in range(7)]
     for (lhs, rhs), (x1, colors) in zip(own, scan):
         w = np.flatnonzero(colors[x1] == 1)
         # the color-2 planes of every second set and the color-3 planes of
         # every third set on x1's witnesses, and no other (no padding) row
         assert np.array_equal(lhs, (colors[:, w] == 2).T)
         assert np.array_equal(rhs, (colors[:, w] == 3).T)
+    assert len(packed) == 2 * 4
+    for side, colors in enumerate((rows, rows.T)):
+        pairs = np.concatenate(packed[4 * side:4 * side + 4], axis=1)
+        both = (colors[7:, None] == 1) & (colors[None] == 2)  # (x1, x2, witness)
+        expected = np.packbits(both.reshape(-1, 97), axis=1, bitorder="little").T
+        assert pairs.dtype == np.uint8 and np.array_equal(pairs, expected)
+
+
+@given(st.sampled_from([0, 1, 7, 8, 9, 63, 64, 65, 130]), st.integers(0, 6),
+       st.sampled_from([1, 2, 63, 64, 65, 127, 128, 129]), st.sampled_from([0.02, 0.1, 0.4, 1.0]),
+       st.integers(0, 2**32))
+def test_packed_product_matches_the_gemm(witnesses, rows, columns, density, seed):
+    # the GEMM's (lhs.T @ rhs) > 0 on 0/1 operands is the reference: a row
+    # of lhs packed over witnesses picks one OR-table entry of rhs per byte
+    rng = np.random.default_rng(seed)
+    lhs = (rng.random((witnesses, rows)) < density).astype(np.float32)
+    rhs = (rng.random((witnesses, columns)) < density).astype(np.float32)
+    pairs = np.ascontiguousarray(np.packbits(lhs.T > 0, axis=1, bitorder="little").T)
+    tables = randomlab._or_tables(rhs)
+    # as many bytes as the float32 planes padded to whole bytes and words
+    assert tables.nbytes == 4 * (-(-witnesses // 8) * 8) * (-(-columns // 64) * 64)
+    served = randomlab._packed_served(pairs, tables)
+    assert served.dtype == np.uint64 and served.shape == (rows, -(-columns // 64))
+    bits = np.unpackbits(served.view(np.uint8), axis=1, bitorder="little").astype(bool)
+    assert np.array_equal(bits[:, :columns], randomlab._served(lhs, rhs))
+    assert not bits[:, columns:].any()  # padding bits stay zero
+
+
+@given(graphs(max_m=7, max_n=7), st.integers(1, 3))
+@example(new_graph(1, 3, [[1, 2, 3]]), 2)
+@example(random_graph(4, 0, 5), 3)
+@example(random_graph(0, 7, 5), 1)
+def test_packed_scan_matches_reference(g, k):
+    # from one row on every block is packed, so the packed kernel alone
+    # scans these small graphs, which the default threshold leaves on the GEMM
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(randomlab, "_PACKED_ROWS", 1)
+        mp.setattr(randomlab, "_served", _no_gemm)
+        assert check_theta(g, k, budget=10**6) == _reference_check_theta(g, k)
+
+
+def test_kernel_follows_block_rows(monkeypatch):
+    # sfsp's checks of random graphs with 64 and 128 vertices a side fail
+    # before any block reaches _PACKED_ROWS rows, so all on the GEMM; the
+    # holding cubic-97 scan sends 90 of the 97 first sets of cell (1, 1, 1),
+    # and so over 90% of its rows, through the packed kernel on each side
+    gemm_rows, packed_rows = [], []
+    served, packed_served = randomlab._served, randomlab._packed_served
+
+    def spy(lhs, rhs):
+        gemm_rows.append((lhs.shape[0], lhs.shape[1]))
+        return served(lhs, rhs)
+
+    def packed_spy(pairs, tables):
+        packed_rows.append(pairs.shape[1])
+        return packed_served(pairs, tables)
+
+    monkeypatch.setattr(randomlab, "_served", spy)
+    monkeypatch.setattr(randomlab, "_packed_served", packed_spy)
+    for n in (64, 128):
+        for seed in range(20):
+            assert not check_theta(random_graph(n, n, seed), 1, budget=10**8).holds
+    assert gemm_rows and not packed_rows
+    gemm_rows.clear()
+    assert check_theta(shifted_cubic_graph(97), 1, budget=10**7).holds
+    first_sets = sum(rows for witnesses, rows in gemm_rows if witnesses < 97)
+    assert (first_sets, sum(packed_rows)) == (2 * 7 * 97, 2 * 90 * 97)
+    assert sum(packed_rows) >= 0.9 * 2 * 97 * 97
 
 
 def test_random_graph_matches_edge_color():
