@@ -7,14 +7,15 @@ that cube: vertex transpositions and the side swap permute axes, switches
 recolor them.  Orbit partitions come from min-label propagation to a
 fixpoint, which yields the same components as a closure BFS and numbers
 orbits by least member id, so results are bit-identical in any order.  The
-edge permutations' group P propagates over all ids (cached per shape, with
-each recoloring's table over P's orbits), then the recolorings, closed under
-conjugation by P, over P's orbits through their least members, since
-s(pi x) = pi (pi^-1 s pi)(x).
+edge permutations' group P propagates over all ids by transposing the label
+cube (cached per shape, with each recoloring's table over P's orbits), then
+the recolorings, closed under conjugation by P, over P's orbits through
+their least members, since s(pi x) = pi (pi^-1 s pi)(x).
 
 Equality of orbit partitions is the finite surrogate for two candidate
 groups having the same invariant structure: the groups differ exactly in
-which colorings they can interconvert.
+which colorings they can interconvert.  ``join`` gives the orbits of the
+group two groups generate, without their generators.
 """
 
 from __future__ import annotations
@@ -31,9 +32,7 @@ from .s3 import (
     S3Perm,
     Subgroup,
     TRIVIAL_SUBGROUP,
-    commutator,
     enumerate_subgroups,
-    noncommuting_witness,
 )
 
 __all__ = [
@@ -54,10 +53,10 @@ __all__ = [
     "orbit_partition",
     "partitions_equal",
     "refines",
+    "join",
     "enumerate_candidate_groups",
     "candidate_by_name",
     "distinguish_candidates",
-    "redu_saturation_check",
 ]
 
 #: Default cap on m*n; 3^12 = 531441 colorings is still desk-scale.
@@ -109,11 +108,11 @@ def _recolored(ids: np.ndarray, k: int, positions, lut) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Action:
-    """A bijection of the coloring id space, as a move on the label cube
-    ``labels.reshape((3,) * k)`` whose axis p is edge p.  The image of a
-    coloring has its digit q at position ``axes[q]``, then the digits at
-    ``recolor`` mapped through ``lut``.  Vertex swaps and the side swap only
-    permute axes; switches and edge recolorings only recolor digits."""
+    """A bijection of the coloring id space: an edge permutation, whose image
+    of a coloring has its digit q at position ``axes[q]``, or a recoloring
+    (identity ``axes``), which maps the digits at ``recolor`` through
+    ``lut``.  Vertex swaps and the side swap permute axes; switches and edge
+    recolorings recolor digits."""
 
     name: str
     axes: tuple[int, ...]
@@ -121,16 +120,10 @@ class Action:
     lut: tuple[int, int, int] = (0, 1, 2)
 
     def pull(self, labels: np.ndarray) -> np.ndarray:
-        """``labels[table]``; an edge permutation moves the cube's axes."""
+        """``labels[table]`` of the edge permutation: the label cube, axis p
+        being edge p, with its axes moved."""
         k = len(self.axes)
-        if self.recolor:
-            labels = labels[_recolored(np.arange(3**k), k, self.recolor, self.lut)]
         return labels.reshape((3,) * k).transpose(self.axes).reshape(-1)
-
-    @property
-    def table(self) -> np.ndarray:
-        """``table[i]`` is the image of id i."""
-        return self.pull(np.arange(3 ** len(self.axes), dtype=np.int64))
 
 
 def _recolor_action(name: str, m: int, n: int, positions, sigma: S3Perm) -> Action:
@@ -359,6 +352,31 @@ def refines(p1: OrbitPartition, p2: OrbitPartition) -> bool:
     return bool(np.all(l2 == l2[first[l1]]))
 
 
+def _class_min(labels: np.ndarray, count: int):
+    """The pull giving each index the least value over its class (0..count-1)."""
+    def pull(x):
+        np.minimum.at(least := np.full(count, labels.size, dtype=np.int32), labels, x)
+        return least[labels]
+    return pull
+
+
+def join(p1: OrbitPartition, p2: OrbitPartition) -> OrbitPartition:
+    """The orbits of the group two partitions' groups generate, propagated
+    over their quotients if they share ``orbit_of``, else over all ids (an
+    identity ``orbit_of``); labels equal those of the concatenated generator
+    lists.  Counters: the inputs' summed, plus the join's rounds and jumps."""
+    if (p1.m, p1.n) != (p2.m, p2.n):
+        raise ValueError("dimension mismatch")
+    l1, l2 = _comparable(p1, p2)
+    orbit_of = p1.orbit_of if p1.orbit_of is p2.orbit_of else np.arange(l1.size, dtype=np.int32)
+    pulls = [_class_min(l1, p1.orbit_count), _class_min(l2, p2.orbit_count)]
+    labels, rounds, jumps = _propagate(l1.size, pulls)
+    roots = labels == np.arange(labels.size, dtype=np.int32)
+    return OrbitPartition(p1.m, p1.n, (np.cumsum(roots, dtype=np.int32) - 1)[labels], orbit_of,
+                          int(roots.sum()), p1.actions + p2.actions,
+                          p1.rounds + p2.rounds + rounds, p1.jumps + p2.jumps + jumps)
+
+
 @dataclass(frozen=True)
 class CandidateGroup:
     name: str
@@ -371,12 +389,12 @@ def enumerate_candidate_groups(with_swap: bool = False) -> list[CandidateGroup]:
     full-subgroup switches, and the full symmetric bookend.
 
     Pairs of distinct nontrivial subgroups on opposite sides are excluded;
-    their elementwise products disagree, which collapses the pair (the
-    ``redu-saturation`` check in ``verify`` asserts this for all six
-    non-commuting pairs).  With ``with_swap``, side-symmetric candidates
-    get a variant with the side-swap generator appended; adjoining the swap
-    to an asymmetric candidate would also adjoin the mirrored switches, which
-    lands in a symmetric variant anyway.
+    their elementwise products disagree, which collapses the pair to one
+    orbit at K_{2,2}, as the ``redu-saturation`` check in ``verify`` comes
+    down to asserting for all six.  With ``with_swap``, side-symmetric
+    candidates get a variant with the side-swap generator appended; adjoining
+    the swap to an asymmetric candidate would also adjoin the mirrored
+    switches, which lands in a symmetric variant anyway.
     """
     proper = [h for h in enumerate_subgroups() if h.order in (2, 3)]
     groups = [CandidateGroup("Aut", GroupSpec(TRIVIAL_SUBGROUP, TRIVIAL_SUBGROUP))]
@@ -429,21 +447,3 @@ def distinguish_candidates(
     ]
     return {"m": m, "n": n, "groups": groups, "collisions": collisions}
 
-
-def redu_saturation_check(h1: Subgroup, h2: Subgroup, m: int, n: int) -> bool:
-    """Check that single-edge recolorings by the commutator add nothing to the
-    group generated by (h1 left, h2 right) switches plus vertex permutations.
-
-    Equality is forced because the four-switch edge-kill words realize those
-    recolorings inside the generated group; the check recomputes both orbit
-    partitions and compares.  Undefined for elementwise-commuting pairs.
-    """
-    witness = noncommuting_witness(h1, h2)
-    if witness is None:
-        raise ValueError("subgroup pair commutes elementwise; no edge kill exists")
-    gamma = commutator(*witness)
-    base = generators_for(GroupSpec(h1, h2), m, n)
-    extra = [single_edge_action(m, n, i, j, gamma) for i in range(m) for j in range(n)]
-    return partitions_equal(
-        partition_from_actions(base, m, n), partition_from_actions(base + extra, m, n)
-    )

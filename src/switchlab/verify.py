@@ -25,15 +25,13 @@ from .graphs import (
 from .orbits import (
     GroupSpec,
     enumerate_candidate_groups,
-    generators_for,
     id_to_coloring,
+    join,
     orbit_partition,
     partition_from_actions,
     partitions_equal,
     refines,
-    redu_saturation_check,
-    switch_actions,
-    vertex_perm_actions,
+    single_edge_action,
     distinguish_candidates,
 )
 from .randomlab import bound_ratio_check, estimate_failure_prob, random_graph, sfsp_bound
@@ -48,6 +46,7 @@ from .s3 import (
     commutes,
     compose,
     enumerate_subgroups,
+    noncommuting_witness,
     subgroup_generated,
 )
 from .switches import apply_word, edge_kill_word, monochromatize
@@ -193,24 +192,24 @@ def check_h12_closure() -> tuple[bool, str]:
     closure as the full subgroup."""
     proper = [h for h in enumerate_subgroups() if h.order in (2, 3)]
     for m, n in ((2, 2), (3, 2)):
-        perms = vertex_perm_actions(m, n)
-        full_gens = generators_for(GroupSpec(FULL_SUBGROUP, TRIVIAL_SUBGROUP), m, n)
-        full_part = partition_from_actions(full_gens, m, n)
+        left = {h: orbit_partition(GroupSpec(h, TRIVIAL_SUBGROUP), m, n) for h in proper + [FULL_SUBGROUP]}
         for h1, h2 in itertools.combinations(proper, 2):
-            sigmas = h1.generators() + h2.generators()
-            pair_gens = perms + switch_actions(True, sigmas, m, n)
-            pair_part = partition_from_actions(pair_gens, m, n)
-            if not partitions_equal(pair_part, full_part):
+            if not partitions_equal(join(left[h1], left[h2]), left[FULL_SUBGROUP]):
                 return False, f"{h1.label}+{h2.label} != S3 closure at ({m},{n})"
     return True, "all 6 subgroup pairs saturate the full left-switch closure at (2,2) and (3,2)"
 
 
 def check_redu_saturation() -> tuple[bool, str]:
-    """Commutator edge recolorings add nothing for non-commuting side pairs."""
+    """Commutator edge recolorings (edge-kill words realize them) add nothing
+    for non-commuting side pairs.  At K_{2,2} this comes down to each mixed
+    pair collapsing to one orbit, as the 3-cycle edge recolorings alone do."""
     proper = [h for h in enumerate_subgroups() if h.order in (2, 3)]
     checked = 0
     for h1, h2 in itertools.combinations(proper, 2):
-        if not redu_saturation_check(h1, h2, 2, 2):
+        gamma = commutator(*noncommuting_witness(h1, h2))
+        base = orbit_partition(GroupSpec(h1, h2), 2, 2)
+        edges = partition_from_actions([single_edge_action(2, 2, *e, gamma) for e in np.ndindex(2, 2)], 2, 2)
+        if not partitions_equal(base, join(base, edges)):
             return False, f"saturation failed for ({h1.label}, {h2.label})"
         checked += 1
     if checked != 6:

@@ -65,6 +65,8 @@ KILLED = [
      replace(orbits, "vertex_perm_actions", lambda m, n: [])),
     ("h12-closure", "switch_actions keeps only the first sigma",
      wrap(orbits, "switch_actions", lambda actions, side_left, sigmas, m, n: actions[::max(1, len(sigmas))])),
+    ("h12-closure", "join returns its first argument", replace(orbits, "join", lambda p1, p2: p1)),
+    ("h12-closure", "join returns its second argument", replace(orbits, "join", lambda p1, p2: p2)),
     ("redu-saturation", "generators_for without its switch actions",
      wrap(orbits, "generators_for", lambda actions, *_: [a for a in actions if not a.recolor])),
     ("collapse-trichotomy", "collapse_witness finds nothing",

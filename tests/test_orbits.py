@@ -1,3 +1,4 @@
+import functools
 import itertools
 import re
 import tracemalloc
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from switchlab import orbits
+from switchlab import orbits, verify
 from switchlab.graphs import new_graph
 from switchlab.orbits import (
     Action,
@@ -19,10 +20,10 @@ from switchlab.orbits import (
     candidate_by_name,
     generators_for,
     id_to_coloring,
+    join,
     orbit_partition,
     partition_from_actions,
     partitions_equal,
-    redu_saturation_check,
     refines,
     single_edge_action,
     switch_actions,
@@ -85,7 +86,7 @@ def test_generators_are_bijections_of_finite_order():
     spec = GroupSpec(BY_LABEL["(123)"], BY_LABEL["(123)"], allow_swap=True)
     count = 3**4
     for action in generators_for(spec, 2, 2):
-        table = action.table
+        table = oracle_table(action.name, 2, 2)
         assert sorted(table.tolist()) == list(range(count))
         power = np.arange(count)
         for order in range(1, 7):
@@ -106,7 +107,7 @@ def test_generator_action_matches_switch_semantics():
     word = SwitchWord((left_switch(0, c("(123)")),))
     for cid in range(81):
         g = id_to_coloring(2, 2, cid)
-        assert action.table[cid] == coloring_id(apply_word(g, word))
+        assert oracle_table(action.name, 2, 2)[cid] == coloring_id(apply_word(g, word))
 
 
 def test_orbit_partition_anchors():
@@ -190,7 +191,7 @@ def test_subgroup_monotonicity():
 
 def test_transpose_duality():
     # at m = n, swapping the two subgroup roles transposes the partition
-    t = transpose_action(2, 2).table
+    t = oracle_table(transpose_action(2, 2).name, 2, 2)
     p_lr = orbit_partition(GroupSpec(BY_LABEL["(12)"], BY_LABEL["(123)"]), 2, 2)
     p_rl = orbit_partition(GroupSpec(BY_LABEL["(123)"], BY_LABEL["(12)"]), 2, 2)
     for a, b in itertools.combinations(range(81), 2):
@@ -236,16 +237,22 @@ def test_closure_equals_h12_cases():
 
 
 def test_redu_saturation():
-    assert redu_saturation_check(BY_LABEL["(12)"], BY_LABEL["(123)"], 2, 2)
-    assert redu_saturation_check(BY_LABEL["(13)"], BY_LABEL["(23)"], 2, 2)
-    with pytest.raises(ValueError):
-        redu_saturation_check(BY_LABEL["(12)"], BY_LABEL["(12)"], 2, 2)
+    result = verify.run_check("redu-saturation")
+    assert result.passed and result.detail == "all 6 non-commuting subgroup pairs saturated at K_{2,2}"
+    # what the check comes down to: each mixed pair's group has one orbit,
+    # and so do the single-edge 3-cycle recolorings alone at K_{2,2}
+    proper = [h for h in enumerate_subgroups() if h.order in (2, 3)]
+    for (m, n), (h1, h2) in itertools.product([(2, 2), (2, 3), (3, 3)], itertools.combinations(proper, 2)):
+        assert orbit_partition(GroupSpec(h1, h2), m, n).orbit_count == 1
+    for gamma in (c("(123)"), c("(132)")):
+        edges = [single_edge_action(2, 2, i, j, gamma) for i in range(2) for j in range(2)]
+        assert partition_from_actions(edges, 2, 2).orbit_count == 1
 
 
 def test_single_edge_action():
     action = single_edge_action(2, 2, 0, 1, c("(12)"))
     g = new_graph(2, 2, [[1, 1], [1, 1]])
-    out = id_to_coloring(2, 2, action.table[coloring_id(g)])
+    out = id_to_coloring(2, 2, oracle_table(action.name, 2, 2)[coloring_id(g)])
     assert tuple(map(tuple, out.colors)) == ((1, 2), (1, 1))
     with pytest.raises(ValueError):
         single_edge_action(2, 2, 2, 0, c("(12)"))
@@ -287,11 +294,18 @@ def test_action_table_shape_validated():
         partition_from_actions([built_for_k23], 2, 2)
 
 
+def moved_ids(action):
+    """The image of every id under ``action``: its axis move, then its
+    recoloring, composed from the engine's two ways of moving labels."""
+    k = len(action.axes)
+    return action.pull(orbits._recolored(np.arange(3**k), k, action.recolor, action.lut))
+
+
 def test_action_moves_digits_as_documented():
     # a 3-cycle of axes plus a recoloring: neither an involution nor one kind
     action = Action("rot", (1, 2, 0), (0,), (1, 2, 0))
-    assert action.table[9] == 12  # digits (1,0,0) -> (0,1,0) -> recolor axis 0 -> (1,1,0)
-    assert sorted(action.table.tolist()) == list(range(27))
+    assert moved_ids(action)[9] == 12  # digits (1,0,0) -> (0,1,0) -> recolor axis 0 -> (1,1,0)
+    assert sorted(moved_ids(action).tolist()) == list(range(27))
 
 
 # Oracle: the tabulated construction the label-cube moves replaced.  Each
@@ -311,7 +325,14 @@ def _encode(digits, places):
     return digits.astype(np.int64) @ places
 
 
+@functools.lru_cache(maxsize=256)
 def oracle_table(name, m, n):
+    table = _oracle_table(name, m, n)
+    table.flags.writeable = False
+    return table
+
+
+def _oracle_table(name, m, n):
     digits, places = _digit_matrix(m, n)
     kind, args = re.fullmatch(r"(\w+)(?:\((.*)\))?", name).groups()
     posmap = list(range(m * n))
@@ -378,9 +399,10 @@ def test_cube_moves_match_table_oracle(m, n):
     count = 3 ** (m * n)
     for action in actions.values():
         expected = oracle_table(action.name, m, n)
-        assert np.array_equal(action.table, expected), action.name
-        x = rng.integers(0, 1 << 40, size=count)
-        assert np.array_equal(action.pull(x), x[expected]), action.name
+        assert np.array_equal(moved_ids(action), expected), action.name
+        if not action.recolor:  # only edge permutations pull labels
+            x = rng.integers(0, 1 << 40, size=count)
+            assert np.array_equal(action.pull(x), x[expected]), action.name
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (3, 3)])
@@ -396,11 +418,11 @@ def test_orbit_partition_matches_oracle_fixpoint(m, n):
 # Oracle: the full-space propagation that the two-stage engine replaced,
 # where every action, permutation or recoloring, moves the labels of all
 # 3^(mn) ids until a round changes nothing (oracle_partition over the
-# actions' own tables).
+# actions' oracle tables, rebuilt from their names).
 
 
 def _reference_partition(actions, m, n):
-    labels = oracle_partition([a.table for a in actions], 3 ** (m * n))
+    labels = oracle_partition([oracle_table(a.name, m, n) for a in actions], 3 ** (m * n))
     return labels, int(labels.max()) + 1
 
 
@@ -425,8 +447,8 @@ def test_every_candidate_matches_reference(m, n):
 
 @pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3)])
 def test_redu_saturation_lists_match_reference(m, n):
-    # the base and extended lists redu_saturation_check compares, for every
-    # subgroup pair that has an edge kill
+    # a pair's generators, and them with the commutator's single-edge
+    # recolorings, for every subgroup pair that has an edge kill
     pairs = [
         (h1, h2)
         for h1, h2 in itertools.product(enumerate_subgroups(), repeat=2)
@@ -483,6 +505,64 @@ def test_drawn_action_lists_equal_cold_and_after_every_move(drawn):
     assert _outcome(partition_from_actions(actions, m, n)) == cold
 
 
+_CENSUS_SHAPES = [(2, 2), (3, 3), (2, 3), (3, 2), (2, 4), (4, 2), (2, 5), (5, 2)]
+
+
+def _edge_perms_and_recolorings(pool):
+    # drawn apart, so that most pairs of lists differ in their edge permutations
+    perms = sorted(name for name, a in pool.items() if not a.recolor)
+    moves = sorted(name for name, a in pool.items() if a.recolor)
+    return st.builds(lambda p, r: p + r, st.lists(st.sampled_from(perms), max_size=2),
+                     st.lists(st.sampled_from(moves), max_size=3))
+
+
+def assert_join_matches_concatenation(a, b, m, n):
+    joined = join(partition_from_actions(a, m, n), partition_from_actions(b, m, n))
+    both = partition_from_actions(a + b, m, n)
+    assert np.array_equal(joined.labels, both.labels)
+    assert joined.orbit_count == both.orbit_count and joined.actions == both.actions
+
+
+@pytest.mark.parametrize("m,n", _CENSUS_SHAPES)
+@settings(max_examples=8)
+@given(data=st.data())
+def test_join_equals_concatenated_generators(m, n, data):
+    pool = _action_pool(m, n)
+    a, b = (data.draw(_edge_perms_and_recolorings(pool)) for _ in "ab")
+    assert_join_matches_concatenation([pool[name] for name in a], [pool[name] for name in b], m, n)
+
+
+def test_candidate_joins_equal_concatenated_generators():
+    # the 96 pairs of a swap candidate and a plain one hold different orbit_of
+    gens = [generators_for(c.spec, 2, 2) for c in enumerate_candidate_groups(with_swap=True)]
+    for a, b in itertools.combinations(gens, 2):
+        assert_join_matches_concatenation(a, b, 2, 2)
+
+
+def test_join_laws():
+    # the 22 candidates at K_{2,2} and the no-generator partition; the swap
+    # candidates and the no-generator partition each hold another orbit_of
+    parts = [orbit_partition(c.spec, 2, 2) for c in enumerate_candidate_groups(with_swap=True)]
+    parts.append(partition_from_actions([], 2, 2))
+    assert len({id(p.orbit_of) for p in parts}) == 3
+    # counters add up: each input's one round and one jump, then the join's
+    nothing = join(parts[-1], parts[-1])
+    assert (nothing.actions, nothing.rounds, nothing.jumps) == (0, 3, 3)
+    for p in parts:
+        assert partitions_equal(join(p, p), p)
+        assert partitions_equal(join(p, parts[-1]), p) and partitions_equal(join(parts[-1], p), p)
+    for p1, p2 in itertools.combinations(parts, 2):
+        joined = join(p1, p2)
+        assert np.array_equal(joined.labels, join(p2, p1).labels)
+        assert refines(p1, joined) and refines(p2, joined)
+        # the finest such partition: below every candidate both refine
+        for q in parts:
+            if refines(p1, q) and refines(p2, q):
+                assert refines(joined, q)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        join(parts[0], orbit_partition(GroupSpec(TRIVIAL_SUBGROUP, TRIVIAL_SUBGROUP), 2, 3))
+
+
 def test_any_iterable_of_actions():
     actions = generators_for(GroupSpec(BY_LABEL["(12)"], TRIVIAL_SUBGROUP), 2, 3)
     part = partition_from_actions(actions, 2, 3)
@@ -496,7 +576,7 @@ def test_any_iterable_of_actions():
 
 def test_action_that_permutes_and_recolors_is_refused():
     rot = Action("rot", (1, 2, 0), (0,), (1, 2, 0))
-    assert sorted(rot.table.tolist()) == list(range(27))  # still a valid move
+    assert sorted(moved_ids(rot).tolist()) == list(range(27))  # still a valid move
     with pytest.raises(ValueError, match=r"action rot both permutes and recolors"):
         partition_from_actions(vertex_perm_actions(1, 3) + [rot], 1, 3)
     with pytest.raises(ValueError, match=r"action rot both permutes and recolors"):
