@@ -8,20 +8,20 @@ reduction bias is on the order of 2^-64.
 The extension property of order k asks, for every three pairwise disjoint
 vertex sets of size at most k on one side, for a single vertex on the other
 side joined to the first set by color 1, the second by color 2 and the third
-by color 3, and symmetrically for the other side.  Both checks read one
-array of 0/1 witness planes per side, and the table of set-size cells and
-each side's cumulative counts, cached per order k.  The exact check scans
-every configuration in a fixed order, one block at a time.  Each cell of
-set sizes has an outer set, its first empty set or else the first set.  A
-block of few rows runs one float32 GEMM per outer set, over its witnesses; a
-larger one ORs Four-Russians tables of the column sets' planes over its
-rows' witness bits (Arlazarov, Dinic, Kronrod & Faradzev, 1970).  One pass
-of bookkeeping decides the block.
+by color 3, and symmetrically for the other side.  Both checks read each
+side's witnesses as 0/1 planes (exact) or packed words (sampled), and the
+table of set-size cells and each side's cumulative counts, cached per k.
+The exact check scans every configuration in a fixed order, in blocks of
+one outer set (a cell's first empty set or else its first set), then of as
+many as one product holds.  A block of few rows runs one float32 GEMM per
+outer set, over its witnesses; a larger one ORs Four-Russians tables of
+the column sets' planes over its rows' witness bits (Arlazarov, Dinic,
+Kronrod & Faradzev, 1970).  One pass of bookkeeping decides the block.
 The sampled check draws a block of configurations in two stages: a Python
 loop makes only the random calls, recording each draw's cell and its
 indices into the vertices not yet taken, without building a pool; then one
-numpy pass maps the block's indices to vertices, and the minimum of the
-drawn sets' planes decides each draw.
+numpy pass maps the block's indices to vertices, and the AND of the drawn
+members' witness words decides each draw.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ _NOT_TAKEN = np.iinfo(np.intp).max
 
 #: 8-byte words in one product of the exact scan (float32 entries of a GEMM,
 #: or uint64 words of a packed product or of one of its per-byte gathers),
-#: or in one block of gathered planes of the sampled check (512 KiB).
+#: or taken by one block of the sampled check's draws (512 KiB).
 _BLOCK_WORDS = 1 << 16
 
 #: Block rows from which the exact scan takes the packed kernel, whose
@@ -190,6 +190,13 @@ def _cell_count(size: int, sizes) -> int:
     return math.comb(size, s1) * math.comb(size - s1, s2) * math.comb(size - s1 - s2, s3)
 
 
+@functools.cache  # _size_triples(k) as a read-only (cells, 3) array
+def _size_array(k: int) -> np.ndarray:
+    sizes = np.array(_size_triples(k), dtype=np.intp)
+    sizes.flags.writeable = False
+    return sizes
+
+
 @functools.lru_cache(maxsize=8)  # cumulative counts of the cells of order k <= size
 def _cell_ends(size: int, k: int) -> tuple[int, ...]:
     return tuple(itertools.accumulate(_cell_count(size, sizes) for sizes in _size_triples(k)))
@@ -207,6 +214,17 @@ def _witness_planes(colors: np.ndarray) -> np.ndarray:
     planes = np.ones((3, colors.shape[0] + 1, colors.shape[1]), dtype=np.float32)
     planes[:, :-1] = colors == np.arange(1, 4, dtype=np.uint8)[:, None, None]
     return planes
+
+
+def _witness_words(colors: np.ndarray) -> np.ndarray:
+    """``_witness_planes`` as uint64 words of witness bits, zero padded: row
+    c (size + 1) + x holds vertex x's color c + 1 witnesses, sentinel x = size all."""
+    size, witnesses = colors.shape
+    bits = np.zeros((3, size + 1, -(-witnesses // 64) * 64), dtype=bool)
+    bits[:, :-1, :witnesses] = colors == np.arange(1, 4, dtype=np.uint8)[:, None, None]
+    bits[:, -1, :witnesses] = True
+    words = np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
+    return words.reshape(3 * (size + 1), bits.shape[2] // 64)
 
 
 def _served(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -248,11 +266,12 @@ def _or_tables(planes: np.ndarray) -> np.ndarray:
     packed = np.packbits(planes != 0, axis=-1, bitorder="little")  # zero padding bits
     rows = np.zeros((-(-len(packed) // 8) * 8, -(-packed.shape[1] // 8) * 8), np.uint8)
     rows[:len(packed), :packed.shape[1]] = packed
-    rows = rows.view(np.uint64).reshape(len(rows) // 8, 8, rows.shape[1] // 8)
-    tables = np.zeros((len(rows), 256, rows.shape[2]), np.uint64)
-    for i in range(8):
-        np.bitwise_or(tables[:, :1 << i], rows[:, i, None], out=tables[:, 1 << i:2 << i])
-    return tables
+    rows = rows.view(np.uint64).reshape(len(rows) // 8, 2, 4, rows.shape[1] // 8)
+    # entry v is the OR of the low nibble's entry v & 15 and the high one's v >> 4
+    nibbles = np.zeros((len(rows), 2, 16, rows.shape[3]), np.uint64)
+    for i in range(4):
+        np.bitwise_or(nibbles[:, :, :1 << i], rows[:, :, i, None], out=nibbles[:, :, 1 << i:2 << i])
+    return (nibbles[:, 1, :, None] | nibbles[:, 0, None]).reshape(len(rows), 256, rows.shape[3])
 
 
 def _packed_served(pairs: np.ndarray, tables: np.ndarray) -> np.ndarray:
@@ -283,9 +302,9 @@ def _check_side(colors: np.ndarray, side: Side, k: int, work: list[int]):
     (``_packed_served``) whose rows, the outer and row sets' packed planes
     ANDed, pick one table entry per witness byte.  One clash mask (none for
     an empty outer set), one total and one ``argmax`` decide the block; only
-    a failing packed row is unpacked.  Blocks start at one outer set and
-    double up to as many whole rows as one product holds, so an early
-    failure costs little and a full scan few blocks.  A product holds at
+    a failing packed row is unpacked.  A cell's first block holds one outer
+    set and each later one as many whole rows as one product holds, so an
+    early failure costs little and a full scan few blocks.  A product holds at
     most ``_BLOCK_WORDS`` words: float32 entries of a GEMM, split by rows and
     by columns when one row is too wide; uint64 words of a packed product,
     a row taking the column sets' words or, if more, the witnesses'."""
@@ -376,7 +395,7 @@ def _check_side(colors: np.ndarray, side: Side, k: int, work: list[int]):
                 found = dict(zip((o, r, c), (xo, xr, sets[sc][col])))
                 return ThetaCounterexample(side, tuple(tuple(found[i].tolist()) for i in range(3))), checked
             lo1 += width
-            width *= 2
+            width = no
     return None, checked
 
 
@@ -425,7 +444,7 @@ class SampledCheck:
     k: int
     trials: int
     violations: int
-    # counter outside equality: the gather-and-min blocks of both sides
+    # counter outside equality: the packed-AND blocks of both sides
     blocks: int = field(default=0, compare=False)
 
     @property
@@ -447,30 +466,31 @@ def check_theta_sampled(g: ColoredBipartiteGraph, k: int, trials: int, seed: int
     same positions, so no pool is built; the tests' pool-sampling reference
     pins that equivalence.  The loop records each draw's cell and appends
     its indices to one list.  A block's draws are then laid out as (draw,
-    set, member) rows padded to a common width, the cells' set sizes marking
-    the padding, and one numpy pass maps indices to vertices (sequential
-    sampling): the i-th vertex not yet taken is i plus the number of taken
-    vertices t_q, ascending with q from 0, with t_q - q <= i.  Padding takes
-    the sentinel row of ``_witness_planes``, and one gather-and-min per side
-    decides the block's draws."""
+    set, member) rows padded to a common width, the cells' cached set sizes
+    marking the padding, and one numpy pass maps indices to vertices
+    (sequential sampling): the i-th vertex not yet taken is i plus the number
+    of taken vertices t_q, ascending with q from 0, with t_q - q <= i.
+    Padding takes the sentinel rows of ``_witness_words``; a draw is served
+    when the AND of its 3 width gathered rows is nonzero."""
     colors = _screened_colors(g, k)
     if trials < 1:
         raise ValueError("need at least one trial")
-    planes = {Side.LEFT: _witness_planes(colors), Side.RIGHT: _witness_planes(colors.T)}
+    words = {Side.LEFT: _witness_words(colors), Side.RIGHT: _witness_words(colors.T)}
     # the left side's cells come first; a cell with no configurations ends
     # where the one before it does, so bisect never lands in it
     left_ends, right_ends = _cell_ends(g.m, min(k, g.m)), _cell_ends(g.n, min(k, g.n))
     cells = _size_triples(min(k, g.m)) + _size_triples(min(k, g.n))
+    sizes_of = np.concatenate((_size_array(min(k, g.m)), _size_array(min(k, g.n))))
     left_cells, split, total = len(left_ends), left_ends[-1], left_ends[-1] + right_ends[-1]
     total_bits = total.bit_length()
     # each drawn cell's nonempty sets in turn: (vertices not yet taken,
     # members, bits), built on the cell's first draw (k = 31 has 2 * 32^3 cells)
     draws: dict[int, list[tuple[int, int, int]]] = {}
-    # a set has at most min(k, side size) members; a block's gather holds at
-    # most _BLOCK_WORDS words of float32 entries, and the map's comparisons,
-    # at most 2 width^2 bytes a draw, fewer bytes than that
+    # a set has at most min(k, side size) members; a block's _BLOCK_WORDS
+    # count each draw's 3 width gathered rows of witness words, and its index
+    # layout and list entries at about 8 words a member
     width = max(1, min(k, max(g.m, g.n)))
-    block = max(1, 2 * _BLOCK_WORDS // (3 * width * max(1, g.m, g.n)))
+    block = max(1, _BLOCK_WORDS // (3 * width * (-(-max(g.m, g.n) // 64) + 8)))
     rng = random.Random(seed)
     getrandbits, sample, bisect_right = rng.getrandbits, rng.sample, bisect.bisect_right
     violations = blocks = 0
@@ -496,20 +516,20 @@ def check_theta_sampled(g: ColoredBipartiteGraph, k: int, trials: int, seed: int
                 else:
                     indices += sample(range(left), s)
         # (draw, set, member) in the order the loop filed them, padded to width
-        cell_ids, inverse = np.unique(drawn, return_inverse=True)
-        sizes = np.array([cells[i] for i in cell_ids.tolist()], dtype=np.intp)[inverse]
-        pad = np.arange(width) >= sizes[:, :, None]
+        drawn = np.array(drawn, dtype=np.intp)
+        pad = np.arange(width) >= sizes_of[drawn][:, :, None]
         picked = np.zeros(pad.shape, dtype=np.intp)
         picked[~pad] = indices
         for c in (1, 2):  # mapped in place, so later sets see vertices
             taken = np.sort(np.where(pad[:, :c], _NOT_TAKEN, picked[:, :c]).reshape(len(drawn), -1))
             taken -= np.arange(taken.shape[1])
             picked[:, c] += np.count_nonzero(taken[:, None] <= picked[:, c, :, None], axis=2)
-        on_left = (cell_ids < left_cells)[inverse]
+        on_left = drawn < left_cells
         for side, rows in ((Side.LEFT, on_left), (Side.RIGHT, ~on_left)):
             if rows.any():
-                members = np.where(pad[rows], g.side_size(side), picked[rows])
-                joint = planes[side][np.arange(3)[:, None], members].min(axis=(1, 2))
+                size = g.side_size(side)
+                members = np.where(pad[rows], size, picked[rows]) + (size + 1) * np.arange(3)[:, None]
+                joint = np.bitwise_and.reduce(words[side][members.reshape(len(members), -1)], axis=1)
                 violations += len(members) - int(np.count_nonzero(joint.any(axis=1)))
                 blocks += 1
     return SampledCheck(k, trials, violations, blocks)

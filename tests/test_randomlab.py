@@ -433,12 +433,38 @@ def test_sampled_block_holds_several_cells_of_both_sides(monkeypatch):
     # sides, and laying them out in one pass counts every draw once
     for g, k in ((random_graph(12, 12, 6), 1), (_mostly_two_colors(12, 12, 3), 2),
                  (random_graph(9, 9, 5), 3)):
+        # a draw takes 3 width rows of one witness word and 8 words a member
         width = min(k, max(g.m, g.n))
-        monkeypatch.setattr(randomlab, "_BLOCK_WORDS", 10 * 3 * width * max(g.m, g.n))
+        monkeypatch.setattr(randomlab, "_BLOCK_WORDS", 20 * 3 * width * (1 + 8))
         for seed in (0, 11):
             sampled = check_theta_sampled(g, k, 300, seed)
             assert sampled == _reference_sampled(g, k, 300, seed)
             assert sampled.blocks == 2 * 300 // 20
+
+
+def test_sampled_one_block_matches_reference():
+    # at the benchmark's sizes every draw of a call fits one block, so one
+    # pass of packed ANDs decides the draws of each side: a holding graph, a
+    # failing one, and k = 2, where sets of two members call sample()
+    for g, k, seed, violations in ((shifted_cubic_graph(97), 1, 2, 0), (random_graph(97, 97, 1), 1, 1, 32),
+                                   (random_graph(40, 40, 3), 2, 2, 924)):
+        sampled = check_theta_sampled(g, k, 1000, seed)
+        assert sampled == _reference_sampled(g, k, 1000, seed) == SampledCheck(k, 1000, violations)
+        assert sampled.blocks == 2
+
+
+def test_witness_words_pack_the_planes():
+    # one row of uint64 witness bits for each (color, vertex) plane row,
+    # the sentinel included, with zero padding bits past the witnesses
+    for m, n, seed in ((0, 3, 1), (3, 0, 1), (5, 64, 2), (70, 130, 3)):
+        colors = np.frombuffer(b"".join(random_graph(m, n, seed).colors), np.uint8).reshape(m, n)
+        for rows in (colors, colors.T):
+            words = randomlab._witness_words(rows)
+            planes = randomlab._witness_planes(rows).reshape(3 * (len(rows) + 1), rows.shape[1])
+            assert words.dtype == np.uint64 and words.shape == (len(planes), -(-rows.shape[1] // 64))
+            bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+            assert np.array_equal(bits[:, :rows.shape[1]], planes != 0)
+            assert not bits[:, rows.shape[1]:].any()
 
 
 def test_sampled_temporaries_within_block_words(monkeypatch):
@@ -535,32 +561,40 @@ def _no_gemm(lhs, rhs):
     raise AssertionError("a block ran the GEMM")
 
 
-def _first_set_blocks(n, block_words):
+def _first_set_blocks(n, block_words, packed_from):
     """(first, last, packed) first set of each block of cell (1, 1, 1) at
-    k = 1 on n vertices and n witnesses: widths 1, 2, 4, ..., each up to the
-    whole rows its kernel's product holds, packed from _PACKED_ROWS rows."""
-    gemm_most, packed_rows = 2 * block_words // n // n, block_words // -(-n // 64)
+    k = 1 on n vertices and n witnesses: one first set, then as many whole
+    rows as its kernel's product holds, packed from ``packed_from`` rows."""
+    gemm_most, packed_most = 2 * block_words // n // n, block_words // -(-n // 64)
     blocks, lo, width = [], 0, 1
     while lo < n:
-        packed = min(width * n, packed_rows) >= randomlab._PACKED_ROWS
-        width = min(width, max(1, packed_rows // n if packed else gemm_most))
+        packed = min(width * n, packed_most) >= packed_from
+        width = min(width, max(1, packed_most // n if packed else gemm_most))
         blocks.append((lo, min(lo + width, n) - 1, packed))
         lo += width
-        width *= 2
+        width = n
     return blocks
 
 
 @pytest.mark.parametrize("block_words", [randomlab._BLOCK_WORDS, 17822])
 def test_batched_first_sets_fail_mid_block(monkeypatch, block_words):
-    # cell (1, 1, 1) batches first sets: at 97 vertices 1, 2 and 4 a GEMM
-    # block under the default block words, then packed blocks from 8 on; at
-    # 17822 words 1, 2 and 3, then packed blocks from 6 on.  First sets 4
-    # and 10 fail there, and each sits inside a block, neither its first nor
-    # its last: 4 in a GEMM block, 10 in a packed one
+    # cell (1, 1, 1) runs one first set, then blocks of as many as a product
+    # holds.  On 97 vertices, with the packed kernel off, GEMM blocks hold 13
+    # first sets under the default block words and 3 at 17822; with it on,
+    # the default words take the other 96 in one packed block and 17822
+    # words 91, then 5.  First set 5 fails inside a GEMM block and 10 inside
+    # a packed one, neither the block's first nor its last
     monkeypatch.setattr(randomlab, "_BLOCK_WORDS", block_words)
-    for first, packed, keeps in ((4, False, (15, 17, 20)), (10, True, (14, 17, 20))):
-        (lo, hi, kernel), = [b for b in _first_set_blocks(97, block_words) if b[0] <= first <= b[1]]
-        assert lo < first < hi and kernel == packed
+    cubic = shifted_cubic_graph(97)
+    for first, packed_from, keeps in ((5, 97 * 97 + 1, (15, 17, 20)),
+                                      (10, randomlab._PACKED_ROWS, (14, 17, 20))):
+        blocks = _first_set_blocks(97, block_words, packed_from)
+        (lo, hi, packed), = [b for b in blocks if b[0] <= first <= b[1]]
+        assert lo < first < hi and packed == (first == 10)
+        monkeypatch.setattr(randomlab, "_PACKED_ROWS", packed_from)
+        # the model is the scan's schedule: a holding scan runs its blocks,
+        # and one block for each of the 7 cells with an empty set, per side
+        assert check_theta(cubic, 1, budget=10**7).blocks == 2 * (7 + len(blocks))
         for keep in keeps:
             g = _few_color1_edges(97, first, keep)
             report = check_theta(g, 1, budget=10**7)
@@ -569,7 +603,8 @@ def test_batched_first_sets_fail_mid_block(monkeypatch, block_words):
             assert report.counterexample.sets[0] == (first,)
     # on 109 vertices, transposed: the right side fails after a full left
     # scan, inside a packed block
-    (lo, hi, packed), = [b for b in _first_set_blocks(109, block_words) if b[0] <= 10 <= b[1]]
+    (lo, hi, packed), = [b for b in _first_set_blocks(109, block_words, randomlab._PACKED_ROWS)
+                         if b[0] <= 10 <= b[1]]
     assert lo < 10 < hi and packed
     g = _few_color1_edges(109, 10, 17)
     flipped = new_graph(109, 109, [list(col) for col in zip(*g.colors)])
@@ -738,15 +773,13 @@ def test_extension_report_counters():
     g = shifted_cubic_graph(97)
     holds = check_theta(g, 1, budget=10**7)
     assert holds.counterexample is None
-    # cell (1, 1, 1) runs GEMM blocks of 1, 2 and 4 first sets, one GEMM
-    # per first set, then packed blocks of 8, 16, 32 and the last 34 first
-    # sets, one product each (776 rows and more)
-    batched = _first_set_blocks(97, randomlab._BLOCK_WORDS)
-    assert [(hi - lo + 1, packed) for lo, hi, packed in batched] == [
-        (1, False), (2, False), (4, False), (8, True), (16, True), (32, True), (34, True)]
+    # cell (1, 1, 1) runs one GEMM block of the first first set, then one
+    # packed block of the other 96 (9312 rows), one product each
+    batched = _first_set_blocks(97, randomlab._BLOCK_WORDS, randomlab._PACKED_ROWS)
+    assert [(hi - lo + 1, packed) for lo, hi, packed in batched] == [(1, False), (96, True)]
     # per side, each of the 7 cells with an empty set is one block of at
     # most 97 rows and one GEMM, its empty set being the outer set
-    assert (holds.blocks, holds.kernel_calls) == (2 * (7 + 3 + 4), 2 * (7 + 7 + 4)) == (28, 36)
+    assert (holds.blocks, holds.kernel_calls) == (2 * (7 + 2), 2 * (7 + 2)) == (18, 18)
     fails = check_theta(random_graph(40, 40, 3), 1)
     assert tuple(map(len, fails.counterexample.sets)) == (0, 1, 1)
     assert 0 < fails.blocks <= fails.kernel_calls < holds.blocks
@@ -759,9 +792,10 @@ def test_first_set_gemms_run_over_its_color1_witnesses(monkeypatch):
     # in a cell with no empty set each GEMM contracts over exactly the first
     # set's color-1 witnesses, one GEMM per first set in scan order even
     # where a block holds several; elsewhere over every witness (97 here).
-    # The first sets of cell (1, 1, 1) from 7 on are in packed blocks: each
-    # packed row is the first set's color-1 bits AND the second set's
-    # color-2 bits over every witness, rows in scan order
+    # By default the first sets of cell (1, 1, 1) from 1 on are in one
+    # packed block: each packed row is the first set's color-1 bits AND the
+    # second set's color-2 bits over every witness, rows in scan order.
+    # With the packed kernel off, GEMM blocks of 13 first sets scan them all
     operands, packed = [], []
     served, packed_served = randomlab._served, randomlab._packed_served
 
@@ -776,26 +810,29 @@ def test_first_set_gemms_run_over_its_color1_witnesses(monkeypatch):
     monkeypatch.setattr(randomlab, "_served", spy)
     monkeypatch.setattr(randomlab, "_packed_served", packed_spy)
     g = shifted_cubic_graph(97)
-    check_theta(g, 1, budget=10**7)
-    own = [(lhs, rhs) for lhs, rhs in operands if lhs.shape[0] < 97]
-    assert len(own) == 2 * 7
-    # elsewhere: the 7 cells with an empty set on each side, one GEMM each
-    others = [(lhs, rhs) for lhs, rhs in operands if lhs.shape[0] >= 97]
-    assert len(others) == 14 and all(len(lhs) == len(rhs) == 97 for lhs, rhs in others)
     rows = np.frombuffer(b"".join(g.colors), np.uint8).reshape(g.m, g.n)
-    scan = [(x1, rows) for x1 in range(7)] + [(x1, rows.T) for x1 in range(7)]
-    for (lhs, rhs), (x1, colors) in zip(own, scan):
-        w = np.flatnonzero(colors[x1] == 1)
-        # the color-2 planes of every second set and the color-3 planes of
-        # every third set on x1's witnesses, and no other (no padding) row
-        assert np.array_equal(lhs, (colors[:, w] == 2).T)
-        assert np.array_equal(rhs, (colors[:, w] == 3).T)
-    assert len(packed) == 2 * 4
-    for side, colors in enumerate((rows, rows.T)):
-        pairs = np.concatenate(packed[4 * side:4 * side + 4], axis=1)
-        both = (colors[7:, None] == 1) & (colors[None] == 2)  # (x1, x2, witness)
-        expected = np.packbits(both.reshape(-1, 97), axis=1, bitorder="little").T
-        assert pairs.dtype == np.uint8 and np.array_equal(pairs, expected)
+    for packed_from, gemm_sets in ((randomlab._PACKED_ROWS, 1), (97 * 97 + 1, 97)):
+        monkeypatch.setattr(randomlab, "_PACKED_ROWS", packed_from)
+        operands.clear()
+        packed.clear()
+        check_theta(g, 1, budget=10**7)
+        own = [(lhs, rhs) for lhs, rhs in operands if lhs.shape[0] < 97]
+        assert len(own) == 2 * gemm_sets
+        # elsewhere: the 7 cells with an empty set on each side, one GEMM each
+        others = [(lhs, rhs) for lhs, rhs in operands if lhs.shape[0] >= 97]
+        assert len(others) == 14 and all(len(lhs) == len(rhs) == 97 for lhs, rhs in others)
+        scan = [(x1, rows) for x1 in range(gemm_sets)] + [(x1, rows.T) for x1 in range(gemm_sets)]
+        for (lhs, rhs), (x1, colors) in zip(own, scan):
+            w = np.flatnonzero(colors[x1] == 1)
+            # the color-2 planes of every second set and the color-3 planes of
+            # every third set on x1's witnesses, and no other (no padding) row
+            assert np.array_equal(lhs, (colors[:, w] == 2).T)
+            assert np.array_equal(rhs, (colors[:, w] == 3).T)
+        assert len(packed) == (2 if gemm_sets < 97 else 0)
+        for pairs, colors in zip(packed, (rows, rows.T)):
+            both = (colors[gemm_sets:, None] == 1) & (colors[None] == 2)  # (x1, x2, witness)
+            expected = np.packbits(both.reshape(-1, 97), axis=1, bitorder="little").T
+            assert pairs.dtype == np.uint8 and np.array_equal(pairs, expected)
 
 
 @given(st.sampled_from([0, 1, 7, 8, 9, 63, 64, 65, 130]), st.integers(0, 6),
@@ -833,9 +870,10 @@ def test_packed_scan_matches_reference(g, k):
 
 def test_kernel_follows_block_rows(monkeypatch):
     # sfsp's checks of random graphs with 64 and 128 vertices a side fail
-    # before any block reaches _PACKED_ROWS rows, so all on the GEMM; the
-    # holding cubic-97 scan sends 90 of the 97 first sets of cell (1, 1, 1),
-    # and so over 90% of its rows, through the packed kernel on each side
+    # in a cell's first block, before any block reaches _PACKED_ROWS rows,
+    # so all on the GEMM; the holding cubic-97 scan sends 96 of the 97 first
+    # sets of cell (1, 1, 1), and so over 90% of its rows, through the
+    # packed kernel on each side
     gemm_rows, packed_rows = [], []
     served, packed_served = randomlab._served, randomlab._packed_served
 
@@ -856,7 +894,7 @@ def test_kernel_follows_block_rows(monkeypatch):
     gemm_rows.clear()
     assert check_theta(shifted_cubic_graph(97), 1, budget=10**7).holds
     first_sets = sum(rows for witnesses, rows in gemm_rows if witnesses < 97)
-    assert (first_sets, sum(packed_rows)) == (2 * 7 * 97, 2 * 90 * 97)
+    assert (first_sets, sum(packed_rows)) == (2 * 1 * 97, 2 * 96 * 97)
     assert sum(packed_rows) >= 0.9 * 2 * 97 * 97
 
 
