@@ -9,14 +9,16 @@ The extension property of order k asks, for every three pairwise disjoint
 vertex sets of size at most k on one side, for a single vertex on the other
 side joined to the first set by color 1, the second by color 2 and the third
 by color 3, and symmetrically for the other side.  Both checks read each
-side's witnesses as 0/1 planes (exact) or packed words (sampled), and the
-table of set-size cells and each side's cumulative counts, cached per k.
+side's witnesses as one array of packed uint64 words (a row per color and
+vertex, and a sentinel row per color), and the table of set-size cells and
+each side's cumulative counts, cached per k.
 The exact check scans every configuration in a fixed order, in blocks of
 one outer set (a cell's first empty set or else its first set), then of as
-many as one product holds.  A block of few rows runs one float32 GEMM per
-outer set, over its witnesses; a larger one ORs Four-Russians tables of
-the column sets' planes over its rows' witness bits (Arlazarov, Dinic,
-Kronrod & Faradzev, 1970).  One pass of bookkeeping decides the block.
+many as one block holds.  A row's witnesses are the AND of its outer and
+row sets' words.  A block of few rows ANDs them with every column set's
+words; a larger one ORs Four-Russians tables of the column sets' bits over
+its rows' witness bytes (Arlazarov, Dinic, Kronrod & Faradzev, 1970).  One
+pass of bookkeeping decides the block.
 The sampled check draws a block of configurations in two stages: a Python
 loop makes only the random calls, recording each draw's cell and its
 indices into the vertices not yet taken, without building a pool; then one
@@ -74,13 +76,13 @@ SIZE_CELL_CAP = 1 << 15
 #: every index less the count of earlier members.
 _NOT_TAKEN = np.iinfo(np.intp).max
 
-#: 8-byte words in one product of the exact scan (float32 entries of a GEMM,
-#: or uint64 words of a packed product or of one of its per-byte gathers),
-#: or taken by one block of the sampled check's draws (512 KiB).
+#: uint64 words (512 KiB) in one block of the exact scan's rows, in one AND
+#: of its word product, in one packed product or one of its per-byte
+#: gathers, or taken by one block of the sampled check's draws.
 _BLOCK_WORDS = 1 << 16
 
 #: Block rows from which the exact scan takes the packed kernel, whose
-#: per-byte calls cost more than the GEMMs below them.
+#: per-byte calls and OR tables cost more than word products below them.
 _PACKED_ROWS = 400
 
 
@@ -206,63 +208,43 @@ def _config_count(size: int, k: int) -> int:
     return _cell_ends(size, min(k, size))[-1]
 
 
-def _witness_planes(colors: np.ndarray) -> np.ndarray:
-    """Float32 0/1 planes of shape (3, size + 1, witnesses) for the rows of
-    ``colors`` (set-side vertices; columns are witnesses): [c - 1, x, w] is 1
-    when edge (x, w) has color c.  Row ``size`` is a sentinel served by every
-    witness in every color."""
-    planes = np.ones((3, colors.shape[0] + 1, colors.shape[1]), dtype=np.float32)
-    planes[:, :-1] = colors == np.arange(1, 4, dtype=np.uint8)[:, None, None]
-    return planes
-
-
 def _witness_words(colors: np.ndarray) -> np.ndarray:
-    """``_witness_planes`` as uint64 words of witness bits, zero padded: row
-    c (size + 1) + x holds vertex x's color c + 1 witnesses, sentinel x = size all."""
+    """uint64 words of witness bits, shape (3, size + 1, words) with at least
+    one word, for the rows of ``colors`` (set-side vertices; columns are
+    witnesses): bit w of [c - 1, x] is set when edge (x, w) has color c.
+    Row ``size`` is a sentinel served by every witness; padding bits are 0."""
     size, witnesses = colors.shape
-    bits = np.zeros((3, size + 1, -(-witnesses // 64) * 64), dtype=bool)
+    bits = np.zeros((3, size + 1, max(1, -(-witnesses // 64)) * 64), dtype=bool)
     bits[:, :-1, :witnesses] = colors == np.arange(1, 4, dtype=np.uint8)[:, None, None]
     bits[:, -1, :witnesses] = True
-    words = np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
-    return words.reshape(3 * (size + 1), bits.shape[2] // 64)
+    return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
 
 
-def _served(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """(lhs columns, rhs columns) bools: whether the two sets share a witness.
-    Operands hold one 0/1 row per witness, so the GEMM sums nonnegative terms
-    and ``> 0`` is exact in any summation order and on any BLAS threads."""
-    return lhs.T @ rhs > 0
-
-
-def _set_planes(planes: np.ndarray, sets: np.ndarray) -> np.ndarray:
-    """(witnesses, len(sets)) product of the member rows of one color's
-    ``planes`` (the empty set takes the sentinel row), built a chunk of sets
-    at a time by multiplying member gathers of at most ``_BLOCK_WORDS``
-    words in place."""
-    members = sets.T if sets.shape[1] else np.full((1, 1), len(planes) - 1)
-    product = np.empty((planes.shape[1], members.shape[1]), dtype=np.float32)
-    chunk = max(1, 2 * _BLOCK_WORDS // max(1, planes.shape[1]))
-    for lo in range(0, members.shape[1], chunk):
-        part = planes[members[0, lo:lo + chunk]]
-        for member in members[1:, lo:lo + chunk]:
-            part *= planes[member]
-        product[:, lo:lo + chunk] = part.T
+def _set_words(columns: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """(words, len(sets)) witness words of each of ``sets``: the AND of its
+    members' columns of one color's word-major witness words (words, size +
+    1), one member at a time; the empty set takes the sentinel column."""
+    if not sets.shape[1]:
+        return columns[:, -1:]
+    product = columns.take(sets[:, 0], axis=1)
+    for member in sets.T[1:]:
+        product &= columns.take(member, axis=1)
     return product
 
 
-def _size_planes(planes: np.ndarray, sets: np.ndarray) -> np.ndarray:
-    """``_set_planes`` of every set of one size, in order: the sentinel row as a
-    view for the empty set, vertex rows as one copy (a transposed view slows GEMMs)."""
-    if sets.shape[1] > 1:
-        return _set_planes(planes, sets)
-    return np.ascontiguousarray(planes[:-1].T) if sets.shape[1] else planes[-1:].T
+def _word_served(rows: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """(rows, sets) bools: whether a row's witness words (words, rows) and a
+    set's (words, sets) share a witness, through one (words, rows, sets)
+    AND, ORed over the words.  Word-major operands keep the AND's last axis
+    contiguous; with words last it ran 10-15 times slower."""
+    return (rows[:, :, None] & sets[:, None]).any(axis=0)
 
 
 def _or_tables(planes: np.ndarray) -> np.ndarray:
-    """Four-Russians tables (witness bytes, 256, words) of set planes
+    """Four-Russians tables (witness bytes, 256, words) of 0/1 set bits
     (witnesses, sets): entry v of byte b is the OR, in uint64 words over the
     sets, of the rows of the witnesses 8b + i for the bits i of v.  They take
-    as many bytes as the float32 planes."""
+    4 bytes per witness and set, 32 times the sets' witness words."""
     packed = np.packbits(planes != 0, axis=-1, bitorder="little")  # zero padding bits
     rows = np.zeros((-(-len(packed) // 8) * 8, -(-packed.shape[1] // 8) * 8), np.uint8)
     rows[:len(packed), :packed.shape[1]] = packed
@@ -289,31 +271,30 @@ def _check_side(colors: np.ndarray, side: Side, k: int, work: list[int]):
     lexicographic sets) and the count of configurations evaluated; the
     blocks and kernel products that evaluated them are added to ``work``.
 
-    A set's plane is the product of its members' planes in its color, read
-    from the witness planes below two members (``_size_planes``).  Two sets
-    that meet are never served together, since no edge has two colors.  Each
-    cell has an outer set: its first empty set, which every witness serves
-    and no set meets, or else x1.  Of the other two sets the earlier takes
-    the rows and the later the columns, so a block's served matrix, rows
-    (outer set, row set) by column sets, lists configurations in scan order,
-    and a disjoint row passes when it serves every column set disjoint from
-    it.  A block sized below ``_PACKED_ROWS`` rows runs one GEMM per outer
-    set (``_served``) over its witnesses; a larger one, one packed product
-    (``_packed_served``) whose rows, the outer and row sets' packed planes
-    ANDed, pick one table entry per witness byte.  One clash mask (none for
-    an empty outer set), one total and one ``argmax`` decide the block; only
-    a failing packed row is unpacked.  A cell's first block holds one outer
-    set and each later one as many whole rows as one product holds, so an
-    early failure costs little and a full scan few blocks.  A product holds at
-    most ``_BLOCK_WORDS`` words: float32 entries of a GEMM, split by rows and
-    by columns when one row is too wide; uint64 words of a packed product,
-    a row taking the column sets' words or, if more, the witnesses'."""
-    size = colors.shape[0]
-    planes = _witness_planes(colors)
-    # sets by size and planes by (size, color); combinations from two members on
+    A set's witnesses are the AND of its members' words in its color
+    (``_set_words``, word-major).  Two sets that meet are never served
+    together, since no edge has two colors.  Each cell has an outer set: its
+    first empty set, which every witness serves and no set meets, or else
+    x1.  Of the other two sets the earlier takes the rows and the later the
+    columns, so a block's served matrix, rows (outer set, row set) by column
+    sets, lists configurations in scan order, and a disjoint row passes when
+    it serves every column set disjoint from it.  A row's witnesses are the
+    AND of its outer and row sets'.  Below ``_PACKED_ROWS`` rows a block ANDs
+    them with every column set's (``_word_served``, in column tiles); from
+    there on one packed product (``_packed_served``) reads byte-major copies
+    of the words.  One clash mask (none for an empty outer set), one total
+    and one ``argmax`` decide the block; only a failing packed row is
+    unpacked.  A cell's first block holds one outer set and each later one
+    as many whole rows as a block holds, so an early failure costs little
+    and a full scan few blocks.  A row takes the column sets' words or, if
+    more, the witnesses'; a block's rows, and each AND of a tile, hold at
+    most ``_BLOCK_WORDS`` words."""
+    size, witnesses = colors.shape
+    columns = np.ascontiguousarray(_witness_words(colors).transpose(0, 2, 1))  # (color, words, vertex)
+    nbytes = max(1, -(-witnesses // 8))  # witness bytes, at least one like the words
+    # sets by size and word-major set words by (size, color)
     sets, ands = {0: np.empty((1, 0), np.intp), 1: np.arange(size, dtype=np.intp)[:, None]}, {}
-    bits, tables = {}, {}  # packed rows and OR tables by (size, color)
-    room = 2 * _BLOCK_WORDS  # float32 entries of one GEMM's product
+    bits, tables = {}, {}  # byte-major words and OR tables by (size, color)
     checked = 0
     for cell in _size_triples(min(k, size)):
         if sum(cell) > size:
@@ -325,58 +306,43 @@ def _check_side(colors: np.ndarray, side: Side, k: int, work: list[int]):
         for s, color in {(so, o), (sr, r), (sc, c)} - set(ands):
             if s not in sets:
                 sets[s] = np.array(list(itertools.combinations(range(size), s)), dtype=np.intp)
-            ands[s, color] = _size_planes(planes[color], sets[s])
+            ands[s, color] = _set_words(columns[color], sets[s])
         ao, ar, ac = ands[so, o], ands[sr, r], ands[sc, c]
         no, nr, nc = len(sets[so]), len(sets[sr]), len(sets[sc])
-        cols = min(nc, room)
-        gemm_rows, packed_rows = room // cols, _BLOCK_WORDS // -(-max(nc, colors.shape[1]) // 64)
+        rows = _BLOCK_WORDS // -(-max(nc, witnesses) // 64)
         lo1, width = 0, 1
         while lo1 < no:
-            packed = min(width * nr, packed_rows) >= _PACKED_ROWS
-            rows = packed_rows if packed else gemm_rows
+            packed = min(width * nr, rows) >= _PACKED_ROWS
             width = min(width, max(1, rows // nr))  # several outer sets take whole rows
             block1 = slice(lo1, lo1 + width)
             xos = sets[so][block1]
             if packed:
-                for s, color in {(so, o), (sr, r)} - set(bits):  # (witness bytes, sets)
-                    rows_of_sets = np.ascontiguousarray(ands[s, color].T) != 0
-                    bits[s, color] = np.packbits(rows_of_sets, axis=-1, bitorder="little").T.copy()
-                if (sc, c) not in tables:
-                    tables[sc, c] = _or_tables(ac)
-                bo = bits[so, o][:, block1]
-            elif so:
-                # an outer set's plane is 1 on its witnesses and 0
-                # elsewhere: over those its rows are the row sets' planes
-                w = np.nonzero(ao[:, block1].T)[1]
-                ends = np.count_nonzero(ao[:, block1], axis=0).cumsum().tolist()
-                pr, pc = ar.take(w, axis=0), ac.take(w, axis=0)
-                operands = [(pr[a:b], pc[a:b]) for a, b in zip([0] + ends, ends)]
-            else:  # the empty set: every witness, without a copy
-                operands = [(ar, ac)]
+                for s, color in {(so, o), (sr, r), (sc, c)} - set(bits):  # (witness bytes, sets)
+                    bits[s, color] = np.ascontiguousarray(ands[s, color].T).view(np.uint8)[:, :nbytes].T.copy()
+                if (sc, c) not in tables:  # from the column sets' bits, (witnesses, sets)
+                    tables[sc, c] = _or_tables(np.unpackbits(bits[sc, c], axis=0, count=witnesses, bitorder="little"))
             step2 = min(nr, max(1, rows // width))
             for lo2 in range(0, nr, step2):
                 block2 = slice(lo2, lo2 + step2)
                 xrs = sets[sr][block2]
                 if packed:  # (outer, row) pairs' common witnesses, in scan order
-                    pairs = bo[:, :, None] & bits[sr, r][:, None, block2]
-                    pairs = pairs.reshape(len(bo), len(xos) * len(xrs))
+                    pairs = (bits[so, o][:, block1, None] & bits[sr, r][:, None, block2]).reshape(nbytes, -1)
                     served = _packed_served(pairs, tables[sc, c])
                     work[1] += 1
                     total = int(np.bitwise_count(served).sum())
                 else:
-                    served = np.empty((len(xos) * len(xrs), nc), dtype=bool)
-                    for at, (lhs, rhs) in zip(range(0, len(served), len(xrs)), operands):
-                        for lo3 in range(0, nc, cols):
-                            tile = slice(lo3, lo3 + cols)
-                            served[at:at + len(xrs), tile] = _served(lhs[:, block2], rhs[:, tile])
-                            work[1] += 1
+                    pairs = (ao[:, block1, None] & ar[:, None, block2]).reshape(len(ao), -1) if so else ar[:, block2]
+                    served, cols = np.empty((pairs.shape[1], nc), dtype=bool), max(1, _BLOCK_WORDS // pairs.size)
+                    for lo3 in range(0, nc, cols):
+                        served[:, lo3:lo3 + cols] = _word_served(pairs, ac[:, lo3:lo3 + cols])
+                        work[1] += 1
                     total = np.count_nonzero(served)
                 work[0] += 1
                 disjoint = (~(xrs[:, None, :, None] == xos[:, None]).any(axis=(2, 3)).T.reshape(-1)
                             if so else np.ones(len(served), dtype=bool))
                 # a disjoint row serves at most `free` column sets and a
-                # clashing row none (its two planes share no witness), so
-                # one total decides a block that passes
+                # clashing row none (its two sets share no witness), so one
+                # total decides a block that passes
                 passed = free * int(np.count_nonzero(disjoint))
                 if total == passed:
                     checked += passed
@@ -527,10 +493,9 @@ def check_theta_sampled(g: ColoredBipartiteGraph, k: int, trials: int, seed: int
         on_left = drawn < left_cells
         for side, rows in ((Side.LEFT, on_left), (Side.RIGHT, ~on_left)):
             if rows.any():
-                size = g.side_size(side)
-                members = np.where(pad[rows], size, picked[rows]) + (size + 1) * np.arange(3)[:, None]
-                joint = np.bitwise_and.reduce(words[side][members.reshape(len(members), -1)], axis=1)
-                violations += len(members) - int(np.count_nonzero(joint.any(axis=1)))
+                gathered = words[side][np.arange(3)[:, None], np.where(pad[rows], g.side_size(side), picked[rows])]
+                joint = np.bitwise_and.reduce(gathered.reshape(len(gathered), -1, gathered.shape[-1]), axis=1)
+                violations += len(gathered) - int(np.count_nonzero(joint.any(axis=1)))
                 blocks += 1
     return SampledCheck(k, trials, violations, blocks)
 

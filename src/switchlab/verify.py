@@ -202,7 +202,9 @@ def check_h12_closure() -> tuple[bool, str]:
 def check_redu_saturation() -> tuple[bool, str]:
     """Commutator edge recolorings (edge-kill words realize them) add nothing
     for non-commuting side pairs.  At K_{2,2} this comes down to each mixed
-    pair collapsing to one orbit, as the 3-cycle edge recolorings alone do."""
+    pair collapsing to one orbit, as the 3-cycle edge recolorings alone do;
+    that one orbit must be the join of the pair's one-sided closures (11 and
+    11, or 11 and 4 orbits), neither of which is it alone."""
     proper = [h for h in enumerate_subgroups() if h.order in (2, 3)]
     checked = 0
     for h1, h2 in itertools.combinations(proper, 2):
@@ -211,6 +213,9 @@ def check_redu_saturation() -> tuple[bool, str]:
         edges = partition_from_actions([single_edge_action(2, 2, *e, gamma) for e in np.ndindex(2, 2)], 2, 2)
         if not partitions_equal(base, join(base, edges)):
             return False, f"saturation failed for ({h1.label}, {h2.label})"
+        one_sided = [orbit_partition(GroupSpec(*hs), 2, 2) for hs in ((h1, TRIVIAL_SUBGROUP), (TRIVIAL_SUBGROUP, h2))]
+        if any(partitions_equal(base, p) for p in one_sided) or not partitions_equal(base, join(*one_sided)):
+            return False, f"({h1.label}, {h2.label}) is not the join of its one-sided closures"
         checked += 1
     if checked != 6:
         return False, f"expected 6 non-commuting pairs, found {checked}"

@@ -69,6 +69,8 @@ KILLED = [
     ("h12-closure", "join returns its second argument", replace(orbits, "join", lambda p1, p2: p2)),
     ("redu-saturation", "generators_for without its switch actions",
      wrap(orbits, "generators_for", lambda actions, *_: [a for a in actions if not a.recolor])),
+    ("redu-saturation", "join returns its first argument", replace(orbits, "join", lambda p1, p2: p1)),
+    ("redu-saturation", "join returns its second argument", replace(orbits, "join", lambda p1, p2: p2)),
     ("collapse-trichotomy", "collapse_witness finds nothing",
      replace(graphs, "collapse_witness", lambda c1, c2: None)),
     ("collapse-trichotomy", "collapse_witness swaps the collapsed pair and the colour",

@@ -230,7 +230,7 @@ def test_orbits_negative_sides(capsys, argv):
 )
 def test_random_graph_cap_errors(tmp_path, capsys, argv):
     # refused before any graph is built, not after minutes or a MemoryError;
-    # the extension checks refuse a graph past the cap before any plane of it
+    # the extension checks refuse a graph past the cap before any word of it
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"m": 0, "n": RANDOM_GRAPH_CELL_CAP + 1, "colors": []}))
     code, out = run_cli(capsys, *(arg.format(empty=path) for arg in argv))
@@ -324,13 +324,24 @@ def test_distinguish_at_the_default_budget_stays_within_its_stated_working_set()
 
 def test_check_theta_full_exact_scan_stays_within_16_mib(tmp_path):
     # a holding 500x500 graph at k = 1: every block runs, the large ones
-    # packed; the scan keeps float32 planes, packed rows and OR tables per
-    # side (about 12 MiB over a bare child)
+    # packed; the scan keeps witness words, their byte-major copies and OR
+    # tables per side (the loose row, kept beside the tighter one below)
     path = tmp_path / "g.json"
     path.write_text(json.dumps(graph_to_json(random_graph(500, 500, 11))))
     bare = _child_peak_kib("orbits", "--m", "1", "--n", "1", "--group", "Aut")
     peak = _child_peak_kib("check-theta", "--input", str(path), "--k", "1", "--budget", str(10**12))
     assert peak - bare <= 16 * 1024
+
+
+def test_check_theta_full_exact_scan_stays_within_8_mib(tmp_path):
+    # measured at 5.4 MiB over a bare child (three runs, 2-vCPU host), with
+    # 2.6 MiB of headroom; the float32 planes and their GEMMs took 11.7 MiB
+    # over it and fail this row
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph_to_json(random_graph(500, 500, 11))))
+    bare = _child_peak_kib("orbits", "--m", "1", "--n", "1", "--group", "Aut")
+    peak = _child_peak_kib("check-theta", "--input", str(path), "--k", "1", "--budget", str(10**12))
+    assert peak - bare <= 8 * 1024
 
 
 def test_check_theta_sampled_on_1024_squared_stays_within_48_mib(tmp_path):

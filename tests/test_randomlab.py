@@ -322,20 +322,27 @@ def _reference_sampled(g, k, trials, seed):
     return SampledCheck(k, trials, violations)
 
 
-def test_witness_planes_match_reference_masks():
+def _as_int(words):
+    """Witness bits of a row of uint64 words as one Python int: bit w of the
+    int is witness w, and set padding bits show as bits past the witnesses."""
+    return int.from_bytes(np.ascontiguousarray(words).tobytes(), "little")
+
+
+def test_witness_words_pack_the_planes():
+    # one row of uint64 words per (color, vertex) holding its reference
+    # mask, a sentinel row per color with every witness bit set, zero
+    # padding bits past the witnesses, and one word even with no witnesses
     for m, n, seed in ((0, 3, 1), (3, 0, 1), (5, 64, 2), (70, 130, 3)):
         g = random_graph(m, n, seed)
         colors = np.frombuffer(b"".join(g.colors), np.uint8).reshape(g.m, g.n)
         for side in (Side.LEFT, Side.RIGHT):
-            planes = randomlab._witness_planes(colors if side is Side.LEFT else colors.T)
+            words = randomlab._witness_words(colors if side is Side.LEFT else colors.T)
             masks = _reference_masks(g, side)
             size, witnesses = g.side_size(side), g.side_size(side.other())
-            assert planes.shape == (3, size + 1, witnesses) and planes.dtype == np.float32
-            assert set(np.unique(planes).tolist()) <= {0.0, 1.0}
-            as_int = lambda row: sum(1 << int(w) for w in np.flatnonzero(row))
+            assert words.dtype == np.uint64 and words.shape == (3, size + 1, max(1, -(-witnesses // 64)))
             for c in (1, 2, 3):
-                assert [as_int(planes[c - 1, x]) for x in range(size)] == masks[c]
-                assert as_int(planes[c - 1, size]) == (1 << witnesses) - 1  # sentinel
+                assert [_as_int(words[c - 1, x]) for x in range(size)] == masks[c]
+                assert _as_int(words[c - 1, size]) == (1 << witnesses) - 1  # sentinel
 
 
 @given(graphs(max_m=6, max_n=6), st.integers(1, 3))
@@ -453,20 +460,6 @@ def test_sampled_one_block_matches_reference():
         assert sampled.blocks == 2
 
 
-def test_witness_words_pack_the_planes():
-    # one row of uint64 witness bits for each (color, vertex) plane row,
-    # the sentinel included, with zero padding bits past the witnesses
-    for m, n, seed in ((0, 3, 1), (3, 0, 1), (5, 64, 2), (70, 130, 3)):
-        colors = np.frombuffer(b"".join(random_graph(m, n, seed).colors), np.uint8).reshape(m, n)
-        for rows in (colors, colors.T):
-            words = randomlab._witness_words(rows)
-            planes = randomlab._witness_planes(rows).reshape(3 * (len(rows) + 1), rows.shape[1])
-            assert words.dtype == np.uint64 and words.shape == (len(planes), -(-rows.shape[1] // 64))
-            bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
-            assert np.array_equal(bits[:, :rows.shape[1]], planes != 0)
-            assert not bits[:, rows.shape[1]:].any()
-
-
 def test_sampled_temporaries_within_block_words(monkeypatch):
     # a block's layout, map and gather are sized by _BLOCK_WORDS, not by the
     # trials: the peak of 20,000 draws stays within a few blocks' words
@@ -508,9 +501,11 @@ def _blocked_scan_cases():
     # (graph, k, expected counterexample sizes, property of the sets)
     first, last = lambda x1, x2: x1 == (0,), lambda x1, x2: x1 == (96,)
     # every k = 2 configuration of total size 3 holds on the left of `base`;
-    # the failures put there have the empty set in the middle or last place,
-    # past the first row block: 150 words hold 1 row of (1, 0, 2) and 15 of
-    # (2, 0, 1) and (2, 1, 0), 1000 words 10 and 100
+    # the failures put there have the empty set in the middle or last place.
+    # A row takes 7 words (400 witnesses), so a block holds 21 rows at 150
+    # words and 142 at 1000: all 20 of (1, 0, 2) fit one block, and of the
+    # 190 first sets of (2, 0, 1) and (2, 1, 0) the late ones, (15, 19) and
+    # (16, 18), fail past the first block at both sizes
     base = random_graph(20, 400, 1)
     return [
         (_few_color1_edges(97, 0, 2), 1, (1, 0, 1), first),
@@ -524,19 +519,21 @@ def _blocked_scan_cases():
         (_unserved(base, ((13,), (), (4, 17)), 17), 2, (1, 0, 2), lambda x1, x2: x1 == (13,)),
         (_unserved(base, ((7, 12), (), (3,)), 3), 2, (2, 0, 1), lambda x1, x2: x1 == (7, 12)),
         (_unserved(base, ((9, 14), (2,), ()), 2), 2, (2, 1, 0), lambda x1, x2: (x1, x2) == ((9, 14), (2,))),
+        (_unserved(base, ((15, 19), (), (6,)), 6), 2, (2, 0, 1), lambda x1, x2: x1 == (15, 19)),
+        (_unserved(base, ((16, 18), (2,), ()), 2), 2, (2, 1, 0), lambda x1, x2: (x1, x2) == ((16, 18), (2,))),
     ]
 
 
 @pytest.mark.parametrize("block_words", [150, 1000])
 def test_blocked_scan_matches_reference(monkeypatch, block_words):
-    # 150 words splits every (x1, x2) row's x3 masks into tiles; 1000 splits
-    # the x2 rows of one x1 into blocks and batches x1 where x2 is short
-    # the second pass packs every block, so no block runs the GEMM
+    # 150 words splits the column sets of the word product into tiles; 1000
+    # splits the x2 rows of one x1 into blocks and batches x1 where x2 is
+    # short; the second pass packs every block, so none runs the word product
     monkeypatch.setattr(randomlab, "_BLOCK_WORDS", block_words)
     for packed_rows in (randomlab._PACKED_ROWS, 1):
         monkeypatch.setattr(randomlab, "_PACKED_ROWS", packed_rows)
         if packed_rows == 1:
-            monkeypatch.setattr(randomlab, "_served", _no_gemm)
+            monkeypatch.setattr(randomlab, "_word_served", _no_word_product)
         for g, k, sizes, shape in _blocked_scan_cases():
             report = check_theta(g, k, budget=10**20)
             assert report == _reference_check_theta(g, k)
@@ -557,19 +554,20 @@ def test_blocked_scan_matches_reference(monkeypatch, block_words):
         )
 
 
-def _no_gemm(lhs, rhs):
-    raise AssertionError("a block ran the GEMM")
+def _no_word_product(rows, sets):
+    raise AssertionError("a block ran the word product")
 
 
 def _first_set_blocks(n, block_words, packed_from):
     """(first, last, packed) first set of each block of cell (1, 1, 1) at
     k = 1 on n vertices and n witnesses: one first set, then as many whole
-    rows as its kernel's product holds, packed from ``packed_from`` rows."""
-    gemm_most, packed_most = 2 * block_words // n // n, block_words // -(-n // 64)
+    rows as a block holds (a row takes the witnesses' words), packed from
+    ``packed_from`` rows."""
+    most = block_words // -(-n // 64)
     blocks, lo, width = [], 0, 1
     while lo < n:
-        packed = min(width * n, packed_most) >= packed_from
-        width = min(width, max(1, packed_most // n if packed else gemm_most))
+        packed = min(width * n, most) >= packed_from
+        width = min(width, max(1, most // n))
         blocks.append((lo, min(lo + width, n) - 1, packed))
         lo += width
         width = n
@@ -578,12 +576,11 @@ def _first_set_blocks(n, block_words, packed_from):
 
 @pytest.mark.parametrize("block_words", [randomlab._BLOCK_WORDS, 17822])
 def test_batched_first_sets_fail_mid_block(monkeypatch, block_words):
-    # cell (1, 1, 1) runs one first set, then blocks of as many as a product
-    # holds.  On 97 vertices, with the packed kernel off, GEMM blocks hold 13
-    # first sets under the default block words and 3 at 17822; with it on,
-    # the default words take the other 96 in one packed block and 17822
-    # words 91, then 5.  First set 5 fails inside a GEMM block and 10 inside
-    # a packed one, neither the block's first nor its last
+    # cell (1, 1, 1) runs one first set, then blocks of as many as a block
+    # holds: on 97 vertices the default words take the other 96 in one
+    # block and 17822 words 91, then 5, whichever kernel runs them.  With
+    # the packed kernel off, first set 5 fails inside a word-product block;
+    # with it on, 10 inside a packed one, neither the block's first nor last
     monkeypatch.setattr(randomlab, "_BLOCK_WORDS", block_words)
     cubic = shifted_cubic_graph(97)
     for first, packed_from, keeps in ((5, 97 * 97 + 1, (15, 17, 20)),
@@ -614,8 +611,8 @@ def test_batched_first_sets_fail_mid_block(monkeypatch, block_words):
 
 
 def test_set_planes_built_one_member_at_a_time():
-    # 9880 size-3 sets over 200 witnesses are 7.5 MiB of float32 planes; a
-    # gather of all three members at once would add 22.6 MiB
+    # 9880 size-3 sets over 200 witnesses take 0.3 MiB of witness words (as
+    # float32 planes, 7.5 MiB); the loose row, kept beside the one below
     g = random_graph(40, 200, 2)
     tracemalloc.start()
     try:
@@ -625,6 +622,21 @@ def test_set_planes_built_one_member_at_a_time():
         tracemalloc.stop()
     assert tuple(map(len, report.counterexample.sets)) == (0, 0, 3)
     assert peak <= 20 * 2**20
+
+
+@pytest.mark.parametrize("m, n, k, sizes", [(40, 200, 3, (0, 0, 3)), (60, 300, 2, (1, 2, 0))])
+def test_set_words_stay_within_2_mib(m, n, k, sizes):
+    # measured at 1.31 and 1.28 MiB traced peaks, with half a MiB of
+    # headroom; the float32 planes and their GEMMs took 11.1 and 9.3 MiB
+    g = random_graph(m, n, 2)
+    tracemalloc.start()
+    try:
+        report = check_theta(g, k, budget=10**20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tuple(map(len, report.counterexample.sets)) == sizes
+    assert peak <= 2 * 2**20
 
 
 def test_size_triples_is_one_immutable_table_per_k():
@@ -659,22 +671,29 @@ def test_config_count_is_the_multinomial_sum():
 @given(graphs(max_m=6, max_n=6))
 @example(random_graph(0, 5, 1))
 @example(random_graph(5, 0, 1))
-def test_small_set_planes_match_the_product(g):
-    # the empty set's plane is the sentinel row (a view), a vertex's plane
-    # its row (a contiguous copy); both equal _set_planes' product
+@example(random_graph(4, 130, 1))
+def test_set_words_match_anded_reference_masks(g):
+    # a set's words, one column of the word-major (words, sets) array the
+    # scan keeps, hold the AND of its members' reference masks (every
+    # witness for the empty set, its sentinel column, a view); a nonempty
+    # set family is one C-contiguous array, which the word product reads
     colors = np.frombuffer(b"".join(g.colors), np.uint8).reshape(g.m, g.n)
-    for rows in (colors, colors.T):
-        planes = randomlab._witness_planes(rows)
-        size = rows.shape[0]
-        for sets in (np.empty((1, 0), np.intp), np.arange(size, dtype=np.intp)[:, None]):
-            for color in range(3):
-                fast = randomlab._size_planes(planes[color], sets)
-                assert fast.dtype == np.float32
-                assert np.array_equal(fast, randomlab._set_planes(planes[color], sets))
-                if sets.shape[1]:
-                    assert fast.flags.c_contiguous
+    for side in (Side.LEFT, Side.RIGHT):
+        rows = colors if side is Side.LEFT else colors.T
+        masks, everyone = _reference_masks(g, side), (1 << rows.shape[1]) - 1
+        columns = np.ascontiguousarray(randomlab._witness_words(rows).transpose(0, 2, 1))
+        for s in range(min(len(rows), 3) + 1):
+            sets = np.array(list(itertools.combinations(range(len(rows)), s)), dtype=np.intp)
+            sets = sets.reshape(math.comb(len(rows), s), s)
+            for c in (1, 2, 3):
+                words = randomlab._set_words(columns[c - 1], sets)
+                assert words.dtype == np.uint64 and words.shape == (columns.shape[1], len(sets))
+                expected = [functools.reduce(int.__and__, (masks[c][x] for x in xs), everyone) for xs in sets.tolist()]
+                assert [_as_int(words[:, i]) for i in range(len(sets))] == expected
+                if s:
+                    assert words.flags.c_contiguous
                 else:
-                    assert fast.base is planes
+                    assert np.shares_memory(words, columns)
 
 
 def test_mix_is_splitmix64_in_place_on_uint64_arrays():
@@ -699,16 +718,16 @@ def test_blocked_scan_matches_reference_small(g, k, block_words):
 
 @pytest.mark.parametrize("block_words", [3, 150, 1000, 5000])
 def test_scan_temporaries_within_block_words(monkeypatch, block_words):
-    # every product the scan runs goes through _served (a float32 GEMM) or
-    # _packed_served (uint64 words); each product, each of a packed
-    # product's per-byte gathers and the witness bytes it reads must fit in
-    # block_words 8-byte words
+    # every product the scan runs goes through _word_served or
+    # _packed_served; a word product's rows and its (words, rows, sets)
+    # AND, and each packed product, each of its per-byte gathers and the
+    # witness bytes it reads must fit in block_words 8-byte words
     spans, packed = [], []
-    served, packed_served = randomlab._served, randomlab._packed_served
+    word_served, packed_served = randomlab._word_served, randomlab._packed_served
 
-    def spy(lhs, rhs):
-        spans.append(4 * lhs.shape[1] * rhs.shape[1])
-        return served(lhs, rhs)
+    def spy(rows, sets):
+        spans.append(8 * rows.shape[0] * rows.shape[1] * max(1, sets.shape[1]))
+        return word_served(rows, sets)
 
     def packed_spy(pairs, tables):
         product = packed_served(pairs, tables)
@@ -716,7 +735,7 @@ def test_scan_temporaries_within_block_words(monkeypatch, block_words):
         packed.append(max(product.nbytes, gather.nbytes, pairs.nbytes))
         return product
 
-    monkeypatch.setattr(randomlab, "_served", spy)
+    monkeypatch.setattr(randomlab, "_word_served", spy)
     monkeypatch.setattr(randomlab, "_packed_served", packed_spy)
     monkeypatch.setattr(randomlab, "_BLOCK_WORDS", block_words)
     reports = [
@@ -732,13 +751,25 @@ def test_scan_temporaries_within_block_words(monkeypatch, block_words):
     assert bool(packed) == (block_words >= randomlab._PACKED_ROWS)
 
 
-def test_gemm_over_no_witnesses_serves_nothing(monkeypatch):
-    # zero witnesses: a product of zero-height operands is all zero
-    served = randomlab._served(np.zeros((0, 3), np.float32), np.zeros((0, 2), np.float32))
+def test_word_product_over_no_witnesses_serves_nothing(monkeypatch):
+    # zero witnesses still take one word, all zero, sentinel included, so
+    # the word product of any rows and sets is all zero
+    words = randomlab._witness_words(np.zeros((3, 0), np.uint8))
+    assert words.shape == (3, 4, 1) and not words.any()
+    served = randomlab._word_served(np.zeros((1, 3), np.uint64), words[0, :2].T)
     assert served.shape == (3, 2) and not served.any()
     # a first set without color-1 witnesses fails at (s1, 0, 0) first, so
-    # only a scan of cell (1, 1, 1) alone runs a GEMM over an empty W(x1);
+    # only a scan of cell (1, 1, 1) alone reaches a block whose rows, x1's
+    # witnesses AND x2's, are all empty (at 150 words, a word product);
     # the oracle scans the same single cell
+    empty_rows = []
+    word_served = randomlab._word_served
+
+    def spy(rows, sets):
+        empty_rows.append(rows.shape[1] > 0 and not rows.any())
+        return word_served(rows, sets)
+
+    monkeypatch.setattr(randomlab, "_word_served", spy)
     only = lambda k: [(1, 1, 1)]
     monkeypatch.setattr(randomlab, "_size_triples", only)
     # counts cached from the one-cell table must not outlive this test
@@ -750,16 +781,18 @@ def test_gemm_over_no_witnesses_serves_nothing(monkeypatch):
     g = new_graph(97, 97, colors)
     for block_words in (randomlab._BLOCK_WORDS, 150):
         monkeypatch.setattr(randomlab, "_BLOCK_WORDS", block_words)
+        empty_rows.clear()
         report = check_theta(g, 1, budget=10**7)
         assert report == _reference_check_theta(g, 1)
         assert report.counterexample.sets == ((5,), (0,), (1,))
         assert report.checked_left == 5 * 96 * 95 + 1
+        assert any(empty_rows) == (block_words == 150)
 
 
 @pytest.mark.parametrize("m, n", [(4, 0), (0, 4), (1, 1), (1, 5), (1, 64), (1, 130), (130, 1)])
 def test_check_theta_thin_graphs_match_reference(m, n):
-    # an empty side has no witnesses, so every GEMM of the other side is
-    # over zero witnesses; one vertex on a side allows only its k=1 cells
+    # an empty side has no witnesses, so every word of the other side is
+    # zero; one vertex on a side allows only its k=1 cells
     for seed in (1, 2):
         g = random_graph(m, n, seed)
         for k in (1, 2, 3):
@@ -773,12 +806,12 @@ def test_extension_report_counters():
     g = shifted_cubic_graph(97)
     holds = check_theta(g, 1, budget=10**7)
     assert holds.counterexample is None
-    # cell (1, 1, 1) runs one GEMM block of the first first set, then one
-    # packed block of the other 96 (9312 rows), one product each
+    # cell (1, 1, 1) runs one word-product block of the first first set,
+    # then one packed block of the other 96 (9312 rows), one product each
     batched = _first_set_blocks(97, randomlab._BLOCK_WORDS, randomlab._PACKED_ROWS)
     assert [(hi - lo + 1, packed) for lo, hi, packed in batched] == [(1, False), (96, True)]
     # per side, each of the 7 cells with an empty set is one block of at
-    # most 97 rows and one GEMM, its empty set being the outer set
+    # most 97 rows and one word product, its empty set being the outer set
     assert (holds.blocks, holds.kernel_calls) == (2 * (7 + 2), 2 * (7 + 2)) == (18, 18)
     fails = check_theta(random_graph(40, 40, 3), 1)
     assert tuple(map(len, fails.counterexample.sets)) == (0, 1, 1)
@@ -788,49 +821,48 @@ def test_extension_report_counters():
     assert fails == ExtensionReport(1, False, fails.counterexample, 142, 0)
 
 
-def test_first_set_gemms_run_over_its_color1_witnesses(monkeypatch):
-    # in a cell with no empty set each GEMM contracts over exactly the first
-    # set's color-1 witnesses, one GEMM per first set in scan order even
-    # where a block holds several; elsewhere over every witness (97 here).
-    # By default the first sets of cell (1, 1, 1) from 1 on are in one
-    # packed block: each packed row is the first set's color-1 bits AND the
-    # second set's color-2 bits over every witness, rows in scan order.
-    # With the packed kernel off, GEMM blocks of 13 first sets scan them all
-    operands, packed = [], []
-    served, packed_served = randomlab._served, randomlab._packed_served
+def test_first_set_rows_take_its_color1_witnesses(monkeypatch):
+    # in a cell with no empty set, a block's row (x1, x2) holds the
+    # witnesses x1 serves in color 1 and x2 in color 2, rows in scan order,
+    # and its columns the color-3 witnesses of every third set.  By default
+    # first set 0 of cell (1, 1, 1) runs one word product and the other 96
+    # one packed block, whose rows are the same bits as witness bytes.
+    # With the packed kernel off, the 96 take one word-product block, its
+    # column sets split into tiles; before cell (1, 1, 1) each side runs
+    # one word product for each of its 7 cells with an empty set
+    calls, packed = [], []
+    word_served, packed_served = randomlab._word_served, randomlab._packed_served
 
-    def spy(lhs, rhs):
-        operands.append((lhs, rhs))
-        return served(lhs, rhs)
+    def spy(rows, sets):
+        calls.append((rows, sets))
+        return word_served(rows, sets)
 
     def packed_spy(pairs, tables):
         packed.append(pairs)
         return packed_served(pairs, tables)
 
-    monkeypatch.setattr(randomlab, "_served", spy)
+    monkeypatch.setattr(randomlab, "_word_served", spy)
     monkeypatch.setattr(randomlab, "_packed_served", packed_spy)
     g = shifted_cubic_graph(97)
     rows = np.frombuffer(b"".join(g.colors), np.uint8).reshape(g.m, g.n)
-    for packed_from, gemm_sets in ((randomlab._PACKED_ROWS, 1), (97 * 97 + 1, 97)):
+    bits = lambda words: np.unpackbits(np.ascontiguousarray(words.T).view(np.uint8), axis=1,
+                                       count=97, bitorder="little").view(bool)
+    for packed_from, word_sets, side_calls in ((randomlab._PACKED_ROWS, 1, 8), (97 * 97 + 1, 97, 8 + 33)):
         monkeypatch.setattr(randomlab, "_PACKED_ROWS", packed_from)
-        operands.clear()
+        calls.clear()
         packed.clear()
         check_theta(g, 1, budget=10**7)
-        own = [(lhs, rhs) for lhs, rhs in operands if lhs.shape[0] < 97]
-        assert len(own) == 2 * gemm_sets
-        # elsewhere: the 7 cells with an empty set on each side, one GEMM each
-        others = [(lhs, rhs) for lhs, rhs in operands if lhs.shape[0] >= 97]
-        assert len(others) == 14 and all(len(lhs) == len(rhs) == 97 for lhs, rhs in others)
-        scan = [(x1, rows) for x1 in range(gemm_sets)] + [(x1, rows.T) for x1 in range(gemm_sets)]
-        for (lhs, rhs), (x1, colors) in zip(own, scan):
-            w = np.flatnonzero(colors[x1] == 1)
-            # the color-2 planes of every second set and the color-3 planes of
-            # every third set on x1's witnesses, and no other (no padding) row
-            assert np.array_equal(lhs, (colors[:, w] == 2).T)
-            assert np.array_equal(rhs, (colors[:, w] == 3).T)
-        assert len(packed) == (2 if gemm_sets < 97 else 0)
+        assert len(calls) == 2 * side_calls
+        for own, colors in ((calls[7:side_calls], rows), (calls[side_calls + 7:], rows.T)):
+            # each block's rows once (its tiles share them), then its tiles' sets
+            blocks = [r for i, (r, _) in enumerate(own) if i == 0 or r is not own[i - 1][0]]
+            both = (colors[:word_sets, None] == 1) & (colors[None] == 2)  # (x1, x2, witness)
+            assert np.array_equal(np.concatenate([bits(r) for r in blocks]), both.reshape(-1, 97))
+            tiles = np.concatenate([bits(t) for _, t in own])
+            assert np.array_equal(tiles, np.tile(colors == 3, (len(blocks), 1)))
+        assert len(packed) == (2 if word_sets < 97 else 0)
         for pairs, colors in zip(packed, (rows, rows.T)):
-            both = (colors[gemm_sets:, None] == 1) & (colors[None] == 2)  # (x1, x2, witness)
+            both = (colors[word_sets:, None] == 1) & (colors[None] == 2)  # (x1, x2, witness)
             expected = np.packbits(both.reshape(-1, 97), axis=1, bitorder="little").T
             assert pairs.dtype == np.uint8 and np.array_equal(pairs, expected)
 
@@ -838,20 +870,31 @@ def test_first_set_gemms_run_over_its_color1_witnesses(monkeypatch):
 @given(st.sampled_from([0, 1, 7, 8, 9, 63, 64, 65, 130]), st.integers(0, 6),
        st.sampled_from([1, 2, 63, 64, 65, 127, 128, 129]), st.sampled_from([0.02, 0.1, 0.4, 1.0]),
        st.integers(0, 2**32))
-def test_packed_product_matches_the_gemm(witnesses, rows, columns, density, seed):
-    # the GEMM's (lhs.T @ rhs) > 0 on 0/1 operands is the reference: a row
-    # of lhs packed over witnesses picks one OR-table entry of rhs per byte
+def test_packed_product_matches_the_word_product(witnesses, rows, columns, density, seed):
+    # the same product three ways: a Python-int oracle (a row serves a set
+    # when their witness masks meet), the word product of small blocks over
+    # word-major words, and the packed kernel, in which a row packed to
+    # witness bytes picks one OR-table entry of the sets' bits per byte
     rng = np.random.default_rng(seed)
-    lhs = (rng.random((witnesses, rows)) < density).astype(np.float32)
-    rhs = (rng.random((witnesses, columns)) < density).astype(np.float32)
-    pairs = np.ascontiguousarray(np.packbits(lhs.T > 0, axis=1, bitorder="little").T)
-    tables = randomlab._or_tables(rhs)
-    # as many bytes as the float32 planes padded to whole bytes and words
+    lhs = rng.random((rows, witnesses)) < density
+    rhs = rng.random((columns, witnesses)) < density
+    as_int = lambda bits: sum(1 << int(w) for w in np.flatnonzero(bits))
+    oracle = np.array([[as_int(a) & as_int(b) != 0 for b in rhs] for a in lhs], dtype=bool).reshape(rows, columns)
+
+    def words(bits):  # (words, sets), at least one word
+        padded = np.zeros((len(bits), max(1, -(-witnesses // 64)) * 64), dtype=bool)
+        padded[:, :witnesses] = bits
+        return np.ascontiguousarray(np.packbits(padded, axis=1, bitorder="little").view(np.uint64).T)
+
+    assert np.array_equal(randomlab._word_served(words(lhs), words(rhs)), oracle)
+    pairs = np.ascontiguousarray(np.packbits(lhs, axis=1, bitorder="little").T)
+    tables = randomlab._or_tables(np.ascontiguousarray(rhs.T))
+    # 4 bytes per witness and set, padded to whole bytes and words
     assert tables.nbytes == 4 * (-(-witnesses // 8) * 8) * (-(-columns // 64) * 64)
     served = randomlab._packed_served(pairs, tables)
     assert served.dtype == np.uint64 and served.shape == (rows, -(-columns // 64))
     bits = np.unpackbits(served.view(np.uint8), axis=1, bitorder="little").astype(bool)
-    assert np.array_equal(bits[:, :columns], randomlab._served(lhs, rhs))
+    assert np.array_equal(bits[:, :columns], oracle)
     assert not bits[:, columns:].any()  # padding bits stay zero
 
 
@@ -861,41 +904,46 @@ def test_packed_product_matches_the_gemm(witnesses, rows, columns, density, seed
 @example(random_graph(0, 7, 5), 1)
 def test_packed_scan_matches_reference(g, k):
     # from one row on every block is packed, so the packed kernel alone
-    # scans these small graphs, which the default threshold leaves on the GEMM
+    # scans these small graphs, which the default threshold leaves on the
+    # word product
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(randomlab, "_PACKED_ROWS", 1)
-        mp.setattr(randomlab, "_served", _no_gemm)
+        mp.setattr(randomlab, "_word_served", _no_word_product)
         assert check_theta(g, k, budget=10**6) == _reference_check_theta(g, k)
 
 
 def test_kernel_follows_block_rows(monkeypatch):
     # sfsp's checks of random graphs with 64 and 128 vertices a side fail
     # in a cell's first block, before any block reaches _PACKED_ROWS rows,
-    # so all on the GEMM; the holding cubic-97 scan sends 96 of the 97 first
-    # sets of cell (1, 1, 1), and so over 90% of its rows, through the
-    # packed kernel on each side
-    gemm_rows, packed_rows = [], []
-    served, packed_served = randomlab._served, randomlab._packed_served
+    # so all on the word product; the holding cubic-97 scan sends 96 of the
+    # 97 first sets of cell (1, 1, 1), and so over 90% of its rows, through
+    # the packed kernel on each side
+    word_rows, packed_rows = [], []
+    word_served, packed_served = randomlab._word_served, randomlab._packed_served
 
-    def spy(lhs, rhs):
-        gemm_rows.append((lhs.shape[0], lhs.shape[1]))
-        return served(lhs, rhs)
+    def spy(rows, sets):
+        word_rows.append(rows.shape[1])
+        return word_served(rows, sets)
 
     def packed_spy(pairs, tables):
         packed_rows.append(pairs.shape[1])
         return packed_served(pairs, tables)
 
-    monkeypatch.setattr(randomlab, "_served", spy)
+    monkeypatch.setattr(randomlab, "_word_served", spy)
     monkeypatch.setattr(randomlab, "_packed_served", packed_spy)
     for n in (64, 128):
         for seed in range(20):
             assert not check_theta(random_graph(n, n, seed), 1, budget=10**8).holds
-    assert gemm_rows and not packed_rows
-    gemm_rows.clear()
+    assert word_rows and not packed_rows
+    word_rows.clear()
     assert check_theta(shifted_cubic_graph(97), 1, budget=10**7).holds
-    first_sets = sum(rows for witnesses, rows in gemm_rows if witnesses < 97)
+    # per side, the 7 cells with an empty set (rows: its second or first
+    # set), then the first first set of cell (1, 1, 1), 97 rows
+    assert word_rows == 2 * [1, 1, 97, 97, 97, 97, 97, 97]
+    first_sets = word_rows[7] + word_rows[15]
     assert (first_sets, sum(packed_rows)) == (2 * 1 * 97, 2 * 96 * 97)
     assert sum(packed_rows) >= 0.9 * 2 * 97 * 97
+    assert sum(packed_rows) >= 0.9 * (sum(packed_rows) + sum(word_rows))
 
 
 def test_random_graph_matches_edge_color():
@@ -927,7 +975,7 @@ def test_random_graph_cell_cap():
 
 def test_extension_checks_refuse_graphs_past_the_cell_cap(monkeypatch):
     # an empty side counts as one cell a vertex of the other side, so this
-    # graph is past the cap and refused before planes sized by its n are built
+    # graph is past the cap and refused before witness words sized by its n are built
     g = ColoredBipartiteGraph(0, randomlab.RANDOM_GRAPH_CELL_CAP + 1, ())
     for call in (lambda: check_theta(g, 1, budget=10**30), lambda: check_theta_sampled(g, 1, 10, 1)):
         tracemalloc.start()
