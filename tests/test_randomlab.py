@@ -328,10 +328,9 @@ def _as_int(words):
     return int.from_bytes(np.ascontiguousarray(words).tobytes(), "little")
 
 
-def test_witness_words_pack_the_planes():
-    # one row of uint64 words per (color, vertex) holding its reference
-    # mask, a sentinel row per color with every witness bit set, zero
-    # padding bits past the witnesses, and one word even with no witnesses
+def test_witness_planes_match_reference_masks():
+    # the words' plane of color c holds, for each vertex, its reference
+    # mask, then a sentinel row with every witness bit set
     for m, n, seed in ((0, 3, 1), (3, 0, 1), (5, 64, 2), (70, 130, 3)):
         g = random_graph(m, n, seed)
         colors = np.frombuffer(b"".join(g.colors), np.uint8).reshape(g.m, g.n)
@@ -339,10 +338,22 @@ def test_witness_words_pack_the_planes():
             words = randomlab._witness_words(colors if side is Side.LEFT else colors.T)
             masks = _reference_masks(g, side)
             size, witnesses = g.side_size(side), g.side_size(side.other())
-            assert words.dtype == np.uint64 and words.shape == (3, size + 1, max(1, -(-witnesses // 64)))
             for c in (1, 2, 3):
                 assert [_as_int(words[c - 1, x]) for x in range(size)] == masks[c]
                 assert _as_int(words[c - 1, size]) == (1 << witnesses) - 1  # sentinel
+
+
+def test_witness_words_pack_the_planes():
+    # one row of uint64 words per (color, vertex) and per sentinel, zero
+    # padding bits past the witnesses, and one word even with no witnesses
+    for m, n, seed in ((0, 3, 1), (3, 0, 1), (5, 64, 2), (70, 130, 3)):
+        colors = np.frombuffer(b"".join(random_graph(m, n, seed).colors), np.uint8).reshape(m, n)
+        for rows in (colors, colors.T):
+            size, witnesses = rows.shape
+            words = randomlab._witness_words(rows)
+            assert words.dtype == np.uint64 and words.shape == (3, size + 1, max(1, -(-witnesses // 64)))
+            bits = np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little")
+            assert not bits[..., witnesses:].any()
 
 
 @given(graphs(max_m=6, max_n=6), st.integers(1, 3))
