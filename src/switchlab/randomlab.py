@@ -12,13 +12,18 @@ by color 3, and symmetrically for the other side.  Both checks read each
 side's witnesses as one array of packed uint64 words (a row per color and
 vertex, and a sentinel row per color), and the table of set-size cells and
 each side's cumulative counts, cached per k.
-The exact check scans every configuration in a fixed order, in blocks of
-one outer set (a cell's first empty set or else its first set), then of as
-many as one block holds.  A row's witnesses are the AND of its outer and
-row sets' words.  A block of few rows ANDs them with every column set's
-words; a larger one ORs Four-Russians tables of the column sets' bits over
-its rows' witness bytes (Arlazarov, Dinic, Kronrod & Faradzev, 1970).  One
-pass of bookkeeping decides the block.
+The exact check scans every configuration in a fixed order.  One pair
+layer decides every cell of at most two members, in one block at desk
+sizes: the sentinel row against every vertex (the empty and one-member
+sets), then, cell by cell, vertex x of one color against every vertex y of
+another (or of the same, y > x); the first failure's count is its cell's
+start plus its rank in closed form.  The cells of three members or more
+run in blocks of one outer set (a cell's first empty set or else its first
+set), then of as many as one block holds; a row's witnesses are the AND of
+its outer and row sets' words.  A block of few rows ANDs them with every
+column set's words; a larger one ORs Four-Russians tables of the column
+sets' bits over its rows' witness bytes (Arlazarov, Dinic, Kronrod &
+Faradzev, 1970).  One pass of bookkeeping decides the block.
 The sampled check draws a block of configurations in two stages: a Python
 loop makes only the random calls, recording each draw's cell and its
 indices into the vertices not yet taken, without building a pool; then one
@@ -76,9 +81,10 @@ SIZE_CELL_CAP = 1 << 15
 #: every index less the count of earlier members.
 _NOT_TAKEN = np.iinfo(np.intp).max
 
-#: uint64 words (512 KiB) in one block of the exact scan's rows, in one AND
-#: of its word product, in one packed product or one of its per-byte
-#: gathers, or taken by one block of the sampled check's draws.
+#: uint64 words (512 KiB) in one block of the exact scan's rows or in its
+#: served matrix, in one AND of its word product, in one packed product or
+#: one of its per-byte gathers, or taken by one block of the sampled check's
+#: draws.
 _BLOCK_WORDS = 1 << 16
 
 #: Block rows from which the exact scan takes the packed kernel, whose
@@ -174,7 +180,9 @@ class ExtensionReport:
     counterexample: ThetaCounterexample | None
     checked_left: int
     checked_right: int
-    # counters outside equality: both sides' scan blocks and kernel products
+    # counters outside equality, over both sides: blocks (a side's pair layer
+    # is one, whose rows outgrow one only on long sides) and kernel products
+    # (the sentinel row and each two-member cell are one each, or a tile each)
     blocks: int = field(default=0, compare=False)
     kernel_calls: int = field(default=0, compare=False)
 
@@ -190,6 +198,12 @@ def _cell_count(size: int, sizes) -> int:
     if s1 + s2 + s3 > size:
         return 0
     return math.comb(size, s1) * math.comb(size - s1, s2) * math.comb(size - s1 - s2, s3)
+
+
+@functools.cache  # the cells of at most two members of order k: (index, member colors)
+def _layer_cells(k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    return tuple((i, tuple(color for color in range(3) for _ in range(cell[color])))
+                 for i, cell in enumerate(_size_triples(k)) if sum(cell) <= 2)
 
 
 @functools.cache  # _size_triples(k) as a read-only (cells, 3) array
@@ -212,12 +226,17 @@ def _witness_words(colors: np.ndarray) -> np.ndarray:
     """uint64 words of witness bits, shape (3, size + 1, words) with at least
     one word, for the rows of ``colors`` (set-side vertices; columns are
     witnesses): bit w of [c - 1, x] is set when edge (x, w) has color c.
-    Row ``size`` is a sentinel served by every witness; padding bits are 0."""
+    Row ``size`` is a sentinel served by every witness; padding bits are 0.
+    Each color's bools are packed straight into the padded bytes."""
     size, witnesses = colors.shape
-    bits = np.zeros((3, size + 1, max(1, -(-witnesses // 64)) * 64), dtype=bool)
-    bits[:, :-1, :witnesses] = colors == np.arange(1, 4, dtype=np.uint8)[:, None, None]
-    bits[:, -1, :witnesses] = True
-    return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
+    packed = np.zeros((3, size + 1, max(1, -(-witnesses // 64)) * 8), dtype=np.uint8)
+    nbytes = -(-witnesses // 8)
+    packed[:, :-1, :nbytes] = np.packbits(colors == np.arange(1, 4, dtype=np.uint8)[:, None, None],
+                                          axis=-1, bitorder="little")
+    packed[:, -1, :witnesses // 8] = 255
+    if witnesses % 8:
+        packed[:, -1, witnesses // 8] = (1 << witnesses % 8) - 1
+    return packed.view(np.uint64)
 
 
 def _set_words(columns: np.ndarray, sets: np.ndarray) -> np.ndarray:
@@ -265,6 +284,30 @@ def _packed_served(pairs: np.ndarray, tables: np.ndarray) -> np.ndarray:
     return served
 
 
+def _block_served(pairs: np.ndarray, sets: np.ndarray, table, work: list[int]):
+    """A block's served matrix and its total: (rows, sets) bools of the
+    word-major rows ``pairs`` against the set words ``sets`` (``_word_served``
+    in column tiles), or, given the sets' OR ``table``, (rows, words) bits of
+    byte-major rows (``_packed_served``).  Each product is one kernel call
+    in ``work``."""
+    if table is not None:
+        served = _packed_served(pairs, table)
+        work[1] += 1
+        return served, int(np.bitwise_count(served).sum())
+    served, cols = np.empty((pairs.shape[1], sets.shape[1]), dtype=bool), max(1, _BLOCK_WORDS // pairs.size)
+    for lo in range(0, sets.shape[1], cols):
+        served[:, lo:lo + cols] = _word_served(pairs, sets[:, lo:lo + cols])
+        work[1] += 1
+    return served, np.count_nonzero(served)
+
+
+def _row_served(served: np.ndarray, j: int, sets: int) -> np.ndarray:
+    """Row j of a served matrix as bools, one per column set."""
+    if served.dtype == bool:
+        return served[j]
+    return np.unpackbits(served[j].view(np.uint8), count=sets, bitorder="little").view(bool)
+
+
 def _check_side(colors: np.ndarray, side: Side, k: int, work: list[int]):
     """First failing configuration on ``side`` (whose vertices are the rows
     of ``colors``) in deterministic order (total size, then sizes, then
@@ -273,30 +316,118 @@ def _check_side(colors: np.ndarray, side: Side, k: int, work: list[int]):
 
     A set's witnesses are the AND of its members' words in its color
     (``_set_words``, word-major).  Two sets that meet are never served
-    together, since no edge has two colors.  Each cell has an outer set: its
-    first empty set, which every witness serves and no set meets, or else
-    x1.  Of the other two sets the earlier takes the rows and the later the
-    columns, so a block's served matrix, rows (outer set, row set) by column
-    sets, lists configurations in scan order, and a disjoint row passes when
-    it serves every column set disjoint from it.  A row's witnesses are the
-    AND of its outer and row sets'.  Below ``_PACKED_ROWS`` rows a block ANDs
-    them with every column set's (``_word_served``, in column tiles); from
-    there on one packed product (``_packed_served``) reads byte-major copies
-    of the words.  One clash mask (none for an empty outer set), one total
-    and one ``argmax`` decide the block; only a failing packed row is
-    unpacked.  A cell's first block holds one outer set and each later one
-    as many whole rows as a block holds, so an early failure costs little
-    and a full scan few blocks.  A row takes the column sets' words or, if
-    more, the witnesses'; a block's rows, and each AND of a tile, hold at
-    most ``_BLOCK_WORDS`` words."""
+    together, since no edge has two colors.
+
+    The pair layer decides every cell of at most two members, one block
+    unless its rows outgrow one.  Its first row is the sentinel, served by
+    every witness, against every vertex and the sentinel of each color:
+    the sentinel pair is the empty sets' cell and a vertex's entry its
+    one-member cell.  Then come the two-member cells' rows, cell after
+    cell: vertex x of the first member's color against every vertex y of
+    the second's, served[x, y] = (words[c][x] & words[c'][y]) != 0.  The
+    diagonal holds no configuration: never served for two colors, always
+    for one once its vertices passed their one-member cell.  So a row
+    passes when it serves every other vertex, and the first unserved entry
+    off the diagonal, in row order, is the cell's first failure, also for
+    one color, whose served matrix is symmetric, so that y > x.  Its
+    ``checked`` is the cell's start from ``_cell_ends`` plus its rank in the
+    cell, in closed form.
+
+    The block scan takes the cells of three members or more.  Each cell
+    has an outer set: its first empty set, which every witness serves and
+    no set meets, or else x1.  Of the other two sets the earlier takes the
+    rows and the later the columns, so a block's served matrix, rows (outer
+    set, row set) by column sets, lists configurations in scan order, and a
+    disjoint row passes when it serves every column set disjoint from it.
+    A row's witnesses are the AND of its outer and row sets'.  One clash
+    mask (none for an empty outer set), one total and one ``argmax`` decide
+    the block; only a failing packed row is unpacked.  A cell's first block
+    holds one outer set and each later one as many whole rows as a block
+    holds, so an early failure costs little and a full scan few blocks.
+
+    Below ``_PACKED_ROWS`` rows a block ANDs its rows' words with every
+    column set's (``_word_served``, in column tiles); from there on one
+    packed product (``_packed_served``) reads byte-major copies of the
+    words.  A packed row takes the column sets' words or, if more, the
+    witnesses'; a word-product row takes its served bools if more still.
+    A block's rows, its served matrix and each AND of a tile hold at most
+    ``_BLOCK_WORDS`` words, or one row."""
     size, witnesses = colors.shape
-    columns = np.ascontiguousarray(_witness_words(colors).transpose(0, 2, 1))  # (color, words, vertex)
+    k = min(k, size)
+    cells, ends, layer = _size_triples(k), _cell_ends(size, k), _layer_cells(k)
+    words = _witness_words(colors)
+    # (words, color, vertex): the colors side by side, so one product reads all three
+    columns = np.ascontiguousarray(words.transpose(2, 0, 1))
     nbytes = max(1, -(-witnesses // 8))  # witness bytes, at least one like the words
-    # sets by size and word-major set words by (size, color)
-    sets, ands = {0: np.empty((1, 0), np.intp), 1: np.arange(size, dtype=np.intp)[:, None]}, {}
-    bits, tables = {}, {}  # byte-major words and OR tables by (size, color)
-    checked = 0
-    for cell in _size_triples(min(k, size)):
+    # word-major set words, their byte-major copies and OR tables by (set
+    # size, color); a vertex's words are its column, the empty set's the
+    # sentinel's, and "lone" is every vertex and sentinel, color by color
+    ands = {(1, color): columns[:, color, :size] for color in range(3)}
+    ands[0, 0], ands["lone"] = columns[:, 0, size:], columns.reshape(len(columns), -1)
+    bits, tables = {}, {}
+
+    def rows_per_block(nc: int, want: int) -> tuple[bool, int]:
+        """Whether a block of ``want`` rows against ``nc`` column sets is
+        packed, and how many rows a block of its kernel holds."""
+        per_row = -(-max(nc, witnesses) // 64)
+        packed = min(want, _BLOCK_WORDS // per_row) >= _PACKED_ROWS
+        return packed, max(1, _BLOCK_WORDS // (per_row if packed else max(per_row, -(-nc // 8))))
+
+    def operands(rows, cols, packed: bool):
+        """The row sets' and column sets' words, or for the packed kernel the
+        row sets' byte-major copy and the column sets' OR tables."""
+        if not packed:
+            return ands[rows], ands[cols], None
+        for key in {rows, cols} - set(bits):  # (witness bytes, sets)
+            bits[key] = np.ascontiguousarray(ands[key].T).view(np.uint8)[:, :nbytes].T.copy()
+        if cols not in tables:  # from the column sets' bits, (witnesses, sets)
+            tables[cols] = _or_tables(np.unpackbits(bits[cols], axis=0, count=witnesses, bitorder="little"))
+        return bits[rows], None, tables[cols]
+
+    # the pair layer: the sentinel row decides the empty and one-member cells
+    work[0] += 1
+    served, total = _block_served(*operands((0, 0), "lone", rows_per_block(3 * (size + 1), 1)[0]), work)
+    if total < 3 * (size + 1):
+        # [color, vertex], the sentinel pair at [color, size]
+        lone = _row_served(served, 0, 3 * (size + 1)).reshape(3, size + 1)
+        for i, members in layer:
+            passed = lone[members[0], :size] if members else lone[0, size:]
+            if len(members) < 2 and not passed.all():
+                found = [(), (), ()]
+                y = int(passed.argmin())
+                if members:
+                    found[members[0]] = (y,)
+                return ThetaCounterexample(side, tuple(found)), ends[i] - len(passed) + y + 1
+    # then the two-member cells' rows, (cell index, colors), cell after
+    # cell, one product per cell in a block
+    two = [(i, *members) for i, members in layer if len(members) == 2] if size > 1 else []
+    packed, rows = rows_per_block(size, len(two) * size)
+    for lo in range(0, len(two) * size, rows):
+        work[0] += lo > 0  # the first block began with the sentinel row
+        for p in range(lo // size, min(len(two), -(-(lo + rows) // size))):
+            i, a, b = two[p]
+            x0 = max(lo - p * size, 0)
+            row_words, col_words, table = operands((1, a), (1, b), packed)
+            served, total = _block_served(row_words[:, x0:lo + rows - p * size], col_words, table, work)
+            if total == len(served) * (size - (a != b)):  # all but the diagonal, for two colors
+                continue
+            if packed:  # the first failing row, unpacked
+                j = int((np.bitwise_count(served).sum(axis=1) != size - (a != b)).argmax())
+                served, x0 = _row_served(served, j, size)[None], x0 + j
+            served.reshape(-1)[x0::size + 1][:len(served)] = True  # the diagonal
+            j, y = divmod(int(served.argmin()), size)
+            x = x0 + j
+            rank = x * (size - 1) + y - (y > x) if a != b else x * (2 * size - x - 1) // 2 + y - x - 1
+            found = [(), (), ()]
+            found[a] += (x,)
+            found[b] += (y,)
+            return ThetaCounterexample(side, tuple(found)), ends[i - 1] + rank + 1
+    first = len(layer)
+    checked = ends[first - 1] if first else 0
+    sets = {0: np.empty((1, 0), np.intp), 1: np.arange(size, dtype=np.intp)[:, None]}  # by size
+
+    # the block scan
+    for cell in cells[first:]:
         if sum(cell) > size:
             continue
         o = cell.index(0) if 0 in cell else 0
@@ -306,37 +437,24 @@ def _check_side(colors: np.ndarray, side: Side, k: int, work: list[int]):
         for s, color in {(so, o), (sr, r), (sc, c)} - set(ands):
             if s not in sets:
                 sets[s] = np.array(list(itertools.combinations(range(size), s)), dtype=np.intp)
-            ands[s, color] = _set_words(columns[color], sets[s])
-        ao, ar, ac = ands[so, o], ands[sr, r], ands[sc, c]
+            ands[s, color] = _set_words(columns[:, color], sets[s])
         no, nr, nc = len(sets[so]), len(sets[sr]), len(sets[sc])
-        rows = _BLOCK_WORDS // -(-max(nc, witnesses) // 64)
         lo1, width = 0, 1
         while lo1 < no:
-            packed = min(width * nr, rows) >= _PACKED_ROWS
+            packed, rows = rows_per_block(nc, width * nr)
             width = min(width, max(1, rows // nr))  # several outer sets take whole rows
             block1 = slice(lo1, lo1 + width)
             xos = sets[so][block1]
-            if packed:
-                for s, color in {(so, o), (sr, r), (sc, c)} - set(bits):  # (witness bytes, sets)
-                    bits[s, color] = np.ascontiguousarray(ands[s, color].T).view(np.uint8)[:, :nbytes].T.copy()
-                if (sc, c) not in tables:  # from the column sets' bits, (witnesses, sets)
-                    tables[sc, c] = _or_tables(np.unpackbits(bits[sc, c], axis=0, count=witnesses, bitorder="little"))
+            outer, _, _ = operands((so, o), (sc, c), packed)
+            row_words, col_words, table = operands((sr, r), (sc, c), packed)
             step2 = min(nr, max(1, rows // width))
             for lo2 in range(0, nr, step2):
                 block2 = slice(lo2, lo2 + step2)
                 xrs = sets[sr][block2]
-                if packed:  # (outer, row) pairs' common witnesses, in scan order
-                    pairs = (bits[so, o][:, block1, None] & bits[sr, r][:, None, block2]).reshape(nbytes, -1)
-                    served = _packed_served(pairs, tables[sc, c])
-                    work[1] += 1
-                    total = int(np.bitwise_count(served).sum())
-                else:
-                    pairs = (ao[:, block1, None] & ar[:, None, block2]).reshape(len(ao), -1) if so else ar[:, block2]
-                    served, cols = np.empty((pairs.shape[1], nc), dtype=bool), max(1, _BLOCK_WORDS // pairs.size)
-                    for lo3 in range(0, nc, cols):
-                        served[:, lo3:lo3 + cols] = _word_served(pairs, ac[:, lo3:lo3 + cols])
-                        work[1] += 1
-                    total = np.count_nonzero(served)
+                pairs = row_words[:, block2]  # with the outer sets' witnesses, in scan order
+                if so:
+                    pairs = (outer[:, block1, None] & pairs[:, None]).reshape(len(outer), -1)
+                served, total = _block_served(pairs, col_words, table, work)
                 work[0] += 1
                 disjoint = (~(xrs[:, None, :, None] == xos[:, None]).any(axis=(2, 3)).T.reshape(-1)
                             if so else np.ones(len(served), dtype=bool))
@@ -351,8 +469,7 @@ def _check_side(colors: np.ndarray, side: Side, k: int, work: list[int]):
                           else np.count_nonzero(served, axis=1))
                 j = int((disjoint & (counts != free)).argmax())
                 checked += free * int(np.count_nonzero(disjoint[:j]))
-                row = (np.unpackbits(served[j].view(np.uint8), count=nc, bitorder="little").view(bool)
-                       if packed else served[j])
+                row = _row_served(served, j, nc)
                 i1, i2 = divmod(j, len(xrs))
                 xo, xr = xos[i1], xrs[i2]
                 clear = ~(sets[sc][:, :, None] == np.concatenate((xo, xr))).any(axis=(1, 2))

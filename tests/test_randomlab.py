@@ -343,6 +343,20 @@ def test_witness_planes_match_reference_masks():
                 assert _as_int(words[c - 1, size]) == (1 << witnesses) - 1  # sentinel
 
 
+def test_witness_words_pack_each_color_straight_into_bytes():
+    # 1024 x 1024: 0.39 MB of words; the comparison's 3.1 MB of bools is
+    # packed straight into the words' bytes (a 3.9 MB traced peak measured),
+    # where a padded bool array took 6.3 MB
+    colors = np.frombuffer(b"".join(random_graph(1024, 1024, 5).colors), np.uint8).reshape(1024, 1024)
+    tracemalloc.start()
+    try:
+        randomlab._witness_words(colors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5e6
+
+
 def test_witness_words_pack_the_planes():
     # one row of uint64 words per (color, vertex) and per sentinel, zero
     # padding bits past the witnesses, and one word even with no witnesses
@@ -356,13 +370,23 @@ def test_witness_words_pack_the_planes():
             assert not bits[..., witnesses:].any()
 
 
-@given(graphs(max_m=6, max_n=6), st.integers(1, 3))
+# sides of 0 to 3 vertices, where k covers most cells, sides without
+# witnesses, and thin shapes whose long side fails in its pair layer
+@given(st.one_of(graphs(max_m=6, max_n=6), graphs(max_m=3, max_n=12), graphs(max_m=12, max_n=3)),
+       st.integers(1, 3))
 @example(new_graph(1, 3, [[1, 2, 3]]), 2)  # left holds, right fails
 @example(new_graph(0, 0, []), 1)
 @example(random_graph(4, 0, 5), 3)
 @example(random_graph(2, 9, 4), 3)
+@example(new_graph(3, 0, [[], [], []]), 2)
+@example(new_graph(2, 2, [[1, 2], [3, 1]]), 3)
+@example(random_graph(3, 59, 1), 1)
+@example(random_graph(3, 95, 2), 1)
+@example(random_graph(3, 95, 4), 2)
 def test_check_theta_matches_reference(g, k):
-    assert check_theta(g, k, budget=10**6) == _reference_check_theta(g, k)
+    report = check_theta(g, k, budget=10**20)
+    assert report == _reference_check_theta(g, k)
+    assert 0 < report.blocks <= report.kernel_calls
 
 
 def test_check_theta_k1_matches_reference_deep_failures():
@@ -572,12 +596,13 @@ def _no_word_product(rows, sets):
 def _first_set_blocks(n, block_words, packed_from):
     """(first, last, packed) first set of each block of cell (1, 1, 1) at
     k = 1 on n vertices and n witnesses: one first set, then as many whole
-    rows as a block holds (a row takes the witnesses' words), packed from
-    ``packed_from`` rows."""
-    most = block_words // -(-n // 64)
+    rows as a block holds, packed from ``packed_from`` rows.  A packed row
+    takes the witnesses' words, a word-product row its n served bools."""
+    words = -(-n // 64)
     blocks, lo, width = [], 0, 1
     while lo < n:
-        packed = min(width * n, most) >= packed_from
+        packed = min(width * n, block_words // words) >= packed_from
+        most = block_words // (words if packed else max(words, -(-n // 8)))
         width = min(width, max(1, most // n))
         blocks.append((lo, min(lo + width, n) - 1, packed))
         lo += width
@@ -588,10 +613,12 @@ def _first_set_blocks(n, block_words, packed_from):
 @pytest.mark.parametrize("block_words", [randomlab._BLOCK_WORDS, 17822])
 def test_batched_first_sets_fail_mid_block(monkeypatch, block_words):
     # cell (1, 1, 1) runs one first set, then blocks of as many as a block
-    # holds: on 97 vertices the default words take the other 96 in one
-    # block and 17822 words 91, then 5, whichever kernel runs them.  With
-    # the packed kernel off, first set 5 fails inside a word-product block;
-    # with it on, 10 inside a packed one, neither the block's first nor last
+    # holds: on 97 vertices packed blocks take the other 96 in one at the
+    # default words and 91, then 5, at 17822 words; word-product blocks,
+    # whose rows count their 97 served bools, take 51, then 45, and 14 at a
+    # time.  With the packed kernel off, first set 5 fails inside a
+    # word-product block; with it on, 10 inside a packed one, neither the
+    # block's first nor last
     monkeypatch.setattr(randomlab, "_BLOCK_WORDS", block_words)
     cubic = shifted_cubic_graph(97)
     for first, packed_from, keeps in ((5, 97 * 97 + 1, (15, 17, 20)),
@@ -601,8 +628,14 @@ def test_batched_first_sets_fail_mid_block(monkeypatch, block_words):
         assert lo < first < hi and packed == (first == 10)
         monkeypatch.setattr(randomlab, "_PACKED_ROWS", packed_from)
         # the model is the scan's schedule: a holding scan runs its blocks,
-        # and one block for each of the 7 cells with an empty set, per side
-        assert check_theta(cubic, 1, budget=10**7).blocks == 2 * (7 + len(blocks))
+        # and one pair layer, per side
+        assert [(hi - lo + 1, p) for lo, hi, p in blocks] == {
+            (5, randomlab._BLOCK_WORDS): [(1, False), (51, False), (45, False)],
+            (5, 17822): [(1, False)] + [(14, False)] * 6 + [(12, False)],
+            (10, randomlab._BLOCK_WORDS): [(1, False), (96, True)],
+            (10, 17822): [(1, False), (91, True), (5, True)],
+        }[first, block_words]
+        assert check_theta(cubic, 1, budget=10**7).blocks == 2 * (1 + len(blocks))
         for keep in keeps:
             g = _few_color1_edges(97, first, keep)
             report = check_theta(g, 1, budget=10**7)
@@ -732,9 +765,10 @@ def test_scan_temporaries_within_block_words(monkeypatch, block_words):
     # every product the scan runs goes through _word_served or
     # _packed_served; a word product's rows and its (words, rows, sets)
     # AND, and each packed product, each of its per-byte gathers and the
-    # witness bytes it reads must fit in block_words 8-byte words
-    spans, packed = [], []
-    word_served, packed_served = randomlab._word_served, randomlab._packed_served
+    # witness bytes it reads must fit in block_words 8-byte words.  So must
+    # each block's served matrix, bools or packed bits, unless it is one row
+    spans, packed, served_rows = [], [], []
+    word_served, packed_served, block_served = randomlab._word_served, randomlab._packed_served, randomlab._block_served
 
     def spy(rows, sets):
         spans.append(8 * rows.shape[0] * rows.shape[1] * max(1, sets.shape[1]))
@@ -746,16 +780,28 @@ def test_scan_temporaries_within_block_words(monkeypatch, block_words):
         packed.append(max(product.nbytes, gather.nbytes, pairs.nbytes))
         return product
 
+    def served_spy(pairs, sets, table, work):
+        served, total = block_served(pairs, sets, table, work)
+        served_rows.append((len(served), served.nbytes))
+        return served, total
+
     monkeypatch.setattr(randomlab, "_word_served", spy)
     monkeypatch.setattr(randomlab, "_packed_served", packed_spy)
+    monkeypatch.setattr(randomlab, "_block_served", served_spy)
     monkeypatch.setattr(randomlab, "_BLOCK_WORDS", block_words)
+    # first set 2 of cell (1, 1, 1) fails after a word-product block of
+    # first set 0, in a packed block from 400 rows on
     reports = [
-        check_theta(_few_color1_edges(97, 0, 17), 1, budget=10**7),
+        check_theta(_few_color1_edges(97, 2, 17), 1, budget=10**7),
         check_theta(random_graph(9, 130, 4), 3, budget=10**20),
         check_theta(shifted_cubic_graph(31), 2, budget=10**12),
     ]
     assert len(spans) + len(packed) == sum(r.kernel_calls for r in reports)
     assert 0 < max(spans + packed) <= 8 * block_words
+    # 3 words hold no two rows of served bools; from 150 on they fill over half of them
+    several = [nbytes for rows, nbytes in served_rows if rows > 1]
+    assert all(nbytes <= 8 * block_words for nbytes in several)
+    assert (max(several) > 4 * block_words) if block_words > 3 else not several
     # a packed row takes at least one word, so a block of _PACKED_ROWS rows
     # needs that many block words: here the packed kernel runs at 1000 and
     # 5000 words and at no fewer
@@ -772,7 +818,7 @@ def test_word_product_over_no_witnesses_serves_nothing(monkeypatch):
     # a first set without color-1 witnesses fails at (s1, 0, 0) first, so
     # only a scan of cell (1, 1, 1) alone reaches a block whose rows, x1's
     # witnesses AND x2's, are all empty (at 150 words, a word product);
-    # the oracle scans the same single cell
+    # the oracle scans the same single cell, and the pair layer has none
     empty_rows = []
     word_served = randomlab._word_served
 
@@ -783,9 +829,9 @@ def test_word_product_over_no_witnesses_serves_nothing(monkeypatch):
     monkeypatch.setattr(randomlab, "_word_served", spy)
     only = lambda k: [(1, 1, 1)]
     monkeypatch.setattr(randomlab, "_size_triples", only)
-    # counts cached from the one-cell table must not outlive this test
-    fresh = functools.lru_cache(randomlab._cell_ends.__wrapped__)
-    monkeypatch.setattr(randomlab, "_cell_ends", fresh)
+    # counts and layer cells cached from the one-cell table must not outlive this test
+    monkeypatch.setattr(randomlab, "_cell_ends", functools.lru_cache(randomlab._cell_ends.__wrapped__))
+    monkeypatch.setattr(randomlab, "_layer_cells", functools.cache(randomlab._layer_cells.__wrapped__))
     monkeypatch.setitem(globals(), "_reference_size_triples", only)
     colors = [list(row) for row in shifted_cubic_graph(97).colors]
     colors[5] = [2 if c == 1 else c for c in colors[5]]
@@ -821,15 +867,83 @@ def test_extension_report_counters():
     # then one packed block of the other 96 (9312 rows), one product each
     batched = _first_set_blocks(97, randomlab._BLOCK_WORDS, randomlab._PACKED_ROWS)
     assert [(hi - lo + 1, packed) for lo, hi, packed in batched] == [(1, False), (96, True)]
-    # per side, each of the 7 cells with an empty set is one block of at
-    # most 97 rows and one word product, its empty set being the outer set
-    assert (holds.blocks, holds.kernel_calls) == (2 * (7 + 2), 2 * (7 + 2)) == (18, 18)
+    # per side, the pair layer is one block of four word products: the
+    # sentinel row and the three two-member cells' 97 rows each
+    assert (holds.blocks, holds.kernel_calls) == (2 * (1 + 2), 2 * (4 + 2)) == (6, 12)
     fails = check_theta(random_graph(40, 40, 3), 1)
     assert tuple(map(len, fails.counterexample.sets)) == (0, 1, 1)
-    assert 0 < fails.blocks <= fails.kernel_calls < holds.blocks
-    assert fails.blocks == fails.kernel_calls == 5  # one per cell up to (0, 1, 1)
+    # the sentinel row, then cell (0, 1, 1), the first two-member cell
+    assert (fails.blocks, fails.kernel_calls) == (1, 2)
     # the counters stay out of equality
     assert fails == ExtensionReport(1, False, fails.counterexample, 142, 0)
+
+
+def test_small_failures_take_one_block():
+    # sfsp's 64 x 64 graphs and sfsp-estimate's 58 x 58 ones fail on at
+    # most two vertices: the left side's pair layer decides each in one
+    # block, the sentinel row and one product per two-member cell up to the
+    # failing one.  Per-cell blocks would count one block per cell scanned
+    exits = Counter()
+    for n in (64, 58):
+        for seed in range(40):
+            report = check_theta(random_graph(n, n, seed), 1, budget=10**6)
+            exits[n, tuple(map(len, report.counterexample.sets)), report.blocks, report.kernel_calls] += 1
+    assert exits == {
+        (64, (0, 1, 1), 1, 2): 35, (64, (1, 0, 1), 1, 3): 4, (64, (1, 1, 0), 1, 4): 1,
+        (58, (0, 1, 1), 1, 2): 35, (58, (1, 0, 1), 1, 3): 5,
+    }
+
+
+def _unserved_count(g, sets_sizes):
+    """Configurations of one left-side cell that no witness serves."""
+    masks, full = _reference_masks(g, Side.LEFT), (1 << g.n) - 1
+    count = 0
+    for x1 in itertools.combinations(range(g.m), sets_sizes[0]):
+        rest1 = [v for v in range(g.m) if v not in x1]
+        for x2 in itertools.combinations(rest1, sets_sizes[1]):
+            rest2 = [v for v in rest1 if v not in x2]
+            for x3 in itertools.combinations(rest2, sets_sizes[2]):
+                joint = full
+                for color, xs in zip((1, 2, 3), (x1, x2, x3)):
+                    for x in xs:
+                        joint &= masks[color][x]
+                count += joint == 0
+    return count
+
+
+# one planted configuration per cell of at most two members, off the
+# cell's first place: a one-member set {4}; two colors as (4, 1), below
+# the diagonal, and (1, 4); one color (2, 5), past the first pair
+_PAIR_LAYER_PLANTS = [
+    ((), (), (4,)), ((), (4,), ()), ((4,), (), ()),
+    ((), (), (2, 5)), ((), (4,), (1,)), ((), (1,), (4,)), ((), (2, 5), ()),
+    ((4,), (), (1,)), ((1,), (), (4,)), ((4,), (1,), ()), ((1,), (4,), ()), ((2, 5), (), ()),
+]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_pair_layer_known_answers(k):
+    # each graph leaves exactly one configuration of one cell unserved, the
+    # planted one, after every earlier cell holds on the left: the pair
+    # layer reports it in one block, with the oracle's checked count
+    base = random_graph(6, 120, 3)  # every configuration of at most two members holds
+    assert sum(map(len, check_theta(base, 3, budget=10**20).counterexample.sets)) == 3
+    for sets in _PAIR_LAYER_PLANTS:
+        sizes = tuple(map(len, sets))
+        if max(sizes) > k:
+            continue
+        g = _unserved(base, sets, max(max(sets, key=len)))
+        assert _unserved_count(g, sizes) == 1
+        report = check_theta(g, k, budget=10**20)
+        assert report == _reference_check_theta(g, k)
+        assert report.counterexample == ThetaCounterexample(Side.LEFT, sets)
+        assert report.blocks == 1
+    # the empty sets' cell: no witness at all
+    g = new_graph(6, 0, [[] for _ in range(6)])
+    report = check_theta(g, k)
+    assert report == _reference_check_theta(g, k) == ExtensionReport(
+        k, False, ThetaCounterexample(Side.LEFT, ((), (), ())), 1, 0)
+    assert (report.blocks, report.kernel_calls) == (1, 1)
 
 
 def test_first_set_rows_take_its_color1_witnesses(monkeypatch):
@@ -838,9 +952,10 @@ def test_first_set_rows_take_its_color1_witnesses(monkeypatch):
     # and its columns the color-3 witnesses of every third set.  By default
     # first set 0 of cell (1, 1, 1) runs one word product and the other 96
     # one packed block, whose rows are the same bits as witness bytes.
-    # With the packed kernel off, the 96 take one word-product block, its
-    # column sets split into tiles; before cell (1, 1, 1) each side runs
-    # one word product for each of its 7 cells with an empty set
+    # With the packed kernel off, the 96 take two word-product blocks (51
+    # and 45 first sets), their column sets split into 17 and 14 tiles;
+    # before cell (1, 1, 1) each side's pair layer runs four word products,
+    # the sentinel row and the three two-member cells
     calls, packed = [], []
     word_served, packed_served = randomlab._word_served, randomlab._packed_served
 
@@ -858,13 +973,13 @@ def test_first_set_rows_take_its_color1_witnesses(monkeypatch):
     rows = np.frombuffer(b"".join(g.colors), np.uint8).reshape(g.m, g.n)
     bits = lambda words: np.unpackbits(np.ascontiguousarray(words.T).view(np.uint8), axis=1,
                                        count=97, bitorder="little").view(bool)
-    for packed_from, word_sets, side_calls in ((randomlab._PACKED_ROWS, 1, 8), (97 * 97 + 1, 97, 8 + 33)):
+    for packed_from, word_sets, side_calls in ((randomlab._PACKED_ROWS, 1, 4 + 1), (97 * 97 + 1, 97, 4 + 1 + 17 + 14)):
         monkeypatch.setattr(randomlab, "_PACKED_ROWS", packed_from)
         calls.clear()
         packed.clear()
         check_theta(g, 1, budget=10**7)
         assert len(calls) == 2 * side_calls
-        for own, colors in ((calls[7:side_calls], rows), (calls[side_calls + 7:], rows.T)):
+        for own, colors in ((calls[4:side_calls], rows), (calls[side_calls + 4:], rows.T)):
             # each block's rows once (its tiles share them), then its tiles' sets
             blocks = [r for i, (r, _) in enumerate(own) if i == 0 or r is not own[i - 1][0]]
             both = (colors[:word_sets, None] == 1) & (colors[None] == 2)  # (x1, x2, witness)
@@ -948,10 +1063,10 @@ def test_kernel_follows_block_rows(monkeypatch):
     assert word_rows and not packed_rows
     word_rows.clear()
     assert check_theta(shifted_cubic_graph(97), 1, budget=10**7).holds
-    # per side, the 7 cells with an empty set (rows: its second or first
-    # set), then the first first set of cell (1, 1, 1), 97 rows
-    assert word_rows == 2 * [1, 1, 97, 97, 97, 97, 97, 97]
-    first_sets = word_rows[7] + word_rows[15]
+    # per side, the pair layer's sentinel row and its three two-member
+    # cells, then the first first set of cell (1, 1, 1), 97 rows
+    assert word_rows == 2 * [1, 97, 97, 97, 97]
+    first_sets = word_rows[4] + word_rows[9]
     assert (first_sets, sum(packed_rows)) == (2 * 1 * 97, 2 * 96 * 97)
     assert sum(packed_rows) >= 0.9 * 2 * 97 * 97
     assert sum(packed_rows) >= 0.9 * (sum(packed_rows) + sum(word_rows))
