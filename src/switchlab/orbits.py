@@ -8,7 +8,7 @@ recolor them.  Orbit partitions come from min-label propagation to a
 fixpoint, which yields the same components as a closure BFS and numbers
 orbits by least member id, so results are bit-identical in any order.  The
 edge permutations' group P propagates over all ids by transposing the label
-cube (cached per shape, with each recoloring's table over P's orbits), then
+cube (one cache entry, holding each recoloring's table over P's orbits), then
 the recolorings, closed under conjugation by P, over P's orbits through
 their least members, since s(pi x) = pi (pi^-1 s pi)(x).
 
@@ -63,9 +63,9 @@ __all__ = [
 DEFAULT_ORBIT_BUDGET = 12
 
 #: Byte cap on the orbit engine's working set, whatever the m*n budget: P's
-#: int32 propagation (at most 16 bytes per id) and the cached int32 P-orbit
-#: ids (4 per entry) fit 4 * 8 bytes per id; the quotient, sized by P's
-#: orbits, is checked apart.
+#: int32 propagation (at most 16 bytes per id) and the one cache entry's
+#: int32 P-orbit ids (4 per id) fit 4 * 8 bytes per id; the quotient and the
+#: entry's recoloring tables, sized by P's orbits, are checked apart.
 ORBIT_MEMORY_CAP = 2**29
 
 
@@ -130,7 +130,7 @@ def _recolor_action(name: str, m: int, n: int, positions, sigma: S3Perm) -> Acti
     return Action(name, tuple(range(m * n)), tuple(positions), tuple(sigma(c) - 1 for c in (1, 2, 3)))
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=1)
 def _vertex_perms(m: int, n: int) -> tuple[Action, ...]:
     edges = np.arange(m * n).reshape(m, n)
     actions = []
@@ -148,12 +148,12 @@ def _vertex_perms(m: int, n: int) -> tuple[Action, ...]:
 def vertex_perm_actions(m: int, n: int) -> list[Action]:
     """Adjacent transpositions on each side; they generate all side-preserving
     vertex permutations.  Each is its own inverse, so the permuted edge grid
-    is also the move's ``axes``.  Built once per shape (the last two kept);
-    each call gets its own list."""
+    is also the move's ``axes``.  Built once per shape (the latest shape
+    kept); each call gets its own list."""
     return list(_vertex_perms(m, n))
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=1)
 def _switch_store(m: int, n: int) -> dict:
     """Shape (m, n)'s single-vertex switches by (side_left, sigma), one per
     vertex, each built on first use."""
@@ -162,7 +162,7 @@ def _switch_store(m: int, n: int) -> dict:
 
 def switch_actions(side_left: bool, sigmas, m: int, n: int) -> list[Action]:
     """One single-vertex switch action per (vertex, sigma), built once per
-    shape (the last two kept); each call gets its own list."""
+    shape (the latest shape kept); each call gets its own list."""
     store, tag = _switch_store(m, n), "L" if side_left else "R"
     for sigma in sigmas:
         if (side_left, sigma) not in store:
@@ -257,23 +257,19 @@ def _propagate(size: int, pulls) -> tuple[np.ndarray, int, int]:
             return labels, rounds, jumps
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=1)
 def _edge_perm_orbits(k: int, perms: tuple[tuple[int, ...], ...]) -> tuple:
     """The group P that the edge permutations' ``axes`` generate on 3^k ids:
     the int32 P-orbit of every id, numbered by least member, each P-orbit's
     least member, P's rounds and jumps, and a store of each recoloring move's
-    table over P's orbits, filled on first use and kept while the entry is
-    the latest used; arrays read-only, shared by candidates."""
+    table over P's orbits, filled on first use.  One entry is kept, so its
+    tables go with it when the next P replaces it; arrays read-only, shared
+    by candidates."""
     labels, rounds, jumps = _propagate(3**k, [Action("P", axes).pull for axes in perms])
     roots = labels == np.arange(labels.size, dtype=np.int32)
     orbit_of, reps = (np.cumsum(roots, dtype=np.int32) - 1)[labels], np.flatnonzero(roots)
     orbit_of.flags.writeable = reps.flags.writeable = False
     return orbit_of, reps, rounds, jumps, {}
-
-
-#: The table store of the cache entry the latest call used, the only store
-#: that may hold recoloring tables.
-_tables_kept: dict = {}
 
 
 def partition_from_actions(actions, m: int, n: int, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitPartition:
@@ -296,18 +292,13 @@ def partition_from_actions(actions, m: int, n: int, budget: int = DEFAULT_ORBIT_
         fresh = [c for c in conjugates if c not in seen]
         seen.update(fresh)
         closed.extend(fresh)
-    # the tables this call needs, and every one P's entry keeps, are 4 bytes
-    # per P-orbit; only the latest call's entry keeps any, so the two entries'
-    # tables together get one allowance, and the entry drops its store rather
-    # than keep more than fits
+    # each table is 4 bytes per P-orbit: a call whose own tables do not fit
+    # next to its working set is refused, and the entry drops its stored
+    # tables when they and this call's would not fit
     widest = max((len(positions) for positions, _ in closed), default=0)
     working = 16 * 3**k + reps.size * (24 * widest + 72)
     if working + 4 * reps.size * len(closed) > ORBIT_MEMORY_CAP:
         raise BudgetExceededError("the quotient by the edge permutations exceeds the orbit memory cap")
-    global _tables_kept
-    if _tables_kept is not stored:
-        _tables_kept.clear()
-        _tables_kept = stored
     if working + 4 * reps.size * len(seen.union(stored)) > ORBIT_MEMORY_CAP:
         stored.clear()
     for move in closed:

@@ -184,6 +184,7 @@ def word_from_json(data) -> SwitchWord:
     if not isinstance(data, list):
         raise ValueError("word JSON must be a list of switch objects")
     built: dict[tuple, SwitchOp] = {}  # one op per distinct (sigma, support) entry
+    sigmas: dict[str, S3Perm] = {}  # one parse per distinct sigma string
     ops = []
     for entry in data:
         try:
@@ -192,7 +193,8 @@ def word_from_json(data) -> SwitchWord:
             raise ValueError('each switch needs keys "support" and "sigma"') from None
         if not isinstance(raw_support, list) or not isinstance(raw_sigma, str):
             raise ValueError(f"malformed switch entry: {entry!r}")
-        sigma = S3Perm.from_cycle_string(raw_sigma)
+        if raw_sigma not in sigmas:
+            sigmas[raw_sigma] = S3Perm.from_cycle_string(raw_sigma)
         support = []
         for item in raw_support:
             try:
@@ -207,6 +209,6 @@ def word_from_json(data) -> SwitchWord:
             support.append((side, index))
         key = (raw_sigma, tuple(support))
         if key not in built:
-            built[key] = SwitchOp(frozenset(VertexRef(*v) for v in support), sigma)
+            built[key] = SwitchOp(frozenset(VertexRef(*v) for v in support), sigmas[raw_sigma])
         ops.append(built[key])
     return SwitchWord(tuple(ops))

@@ -583,8 +583,11 @@ def test_action_that_permutes_and_recolors_is_refused():
         partition_from_actions(iter([rot]), 1, 3)
 
 
+_ORBIT_CACHES = (orbits._edge_perm_orbits, orbits._vertex_perms, orbits._switch_store)
+
+
 def _clear_orbit_caches():
-    for cache in (orbits._edge_perm_orbits, orbits._vertex_perms, orbits._switch_store):
+    for cache in _ORBIT_CACHES:
         cache.cache_clear()
 
 
@@ -596,7 +599,7 @@ def test_counters_equal_on_cache_miss_and_hit():
     # at each census shape, every candidate computed with every cache cleared
     # equals its cache hit, and equals itself computed after all of its
     # shape's candidates have filled the shared actions and tables
-    assert orbits._edge_perm_orbits.cache_info().maxsize == 2
+    assert orbits._edge_perm_orbits.cache_info().maxsize == 1
     for m, n in ((2, 2), (3, 3), (2, 3), (3, 2), (2, 5), (5, 2)):
         cands = enumerate_candidate_groups(with_swap=m == n)
         cold = {}
@@ -611,6 +614,32 @@ def test_counters_equal_on_cache_miss_and_hit():
             orbit_partition(cand.spec, m, n)
         for cand in cands:
             assert _outcome(orbit_partition(cand.spec, m, n)) == cold[cand.name], cand.name
+
+
+def test_census_walk_misses_only_when_the_edge_permutations_change():
+    # the census order: every candidate of each shape, the swap variants at
+    # 2x2 and 3x3.  P's entry is rebuilt exactly when the edge permutations
+    # change and the shape's actions exactly when the shape does, the engine
+    # holds one of each after every call, and every outcome equals its cold
+    # computation
+    walk = [(m, n, cand.spec) for m, n in _CENSUS_SHAPES for cand in enumerate_candidate_groups(m == n)]
+    cold = []
+    for m, n, spec in walk:
+        _clear_orbit_caches()
+        cold.append(_outcome(orbit_partition(spec, m, n)))
+    _clear_orbit_caches()
+    last = (None, None)
+    for (m, n, spec), expected in zip(walk, cold):
+        before = [cache.cache_info().misses for cache in _ORBIT_CACHES]
+        actions = generators_for(spec, m, n)
+        key = ((m, n), tuple(a.axes for a in actions if not a.recolor))
+        assert _outcome(partition_from_actions(actions, m, n)) == expected
+        new_shape = key[0] != last[0]
+        assert [cache.cache_info().misses for cache in _ORBIT_CACHES] == [
+            before[0] + (key != last), before[1] + new_shape, before[2] + new_shape]
+        assert [cache.cache_info().currsize for cache in _ORBIT_CACHES] == [1, 1, 1]
+        last = key
+    assert orbits._edge_perm_orbits.cache_info().misses == 10
 
 
 def test_action_lists_are_fresh_on_every_call():
@@ -644,26 +673,25 @@ def test_recoloring_store_stays_under_the_cap(monkeypatch):
     assert max(sizes) == 5 and min(sizes) == 2  # filled to the cap, then dropped
 
 
-def test_both_entries_tables_share_one_allowance(monkeypatch):
-    # P trivial, then P = <swapL(0,1)>, then P trivial again, at K_{2,3} under
-    # a cap that leaves the trivial-P call room for five tables: after every
-    # call, its working set plus the tables both entries store fit the cap.
-    # Each entry bounded apart held 14,580 + 15,120 bytes of tables, twice
-    # what the trivial-P call may hold, and the third run went over.
+def test_alternating_edge_permutations_keep_one_entry_under_the_cap(monkeypatch):
+    # P trivial and P = <swapL(0,1)> in turn at K_{2,3}, under a cap that
+    # leaves the trivial-P call room for five tables: after every call the
+    # cache holds that call's entry alone, and its working set plus the
+    # entry's stored tables fit the cap
     m, n, ids = 2, 3, 3**6
     monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", 16 * ids + ids * (24 * 1 + 72) + 4 * ids * 5)
     _clear_orbit_caches()
     swap = vertex_perm_actions(m, n)[:1]
     assert swap[0].name == "swapL(0,1)"
     moves = [single_edge_action(m, n, 0, 0, s) for s in ALL_PERMS[1:]]
-    for perms in ([], swap, []):
+    for perms in ([], swap, [], swap):
         for first, second in zip(moves, moves[1:]):
             part = partition_from_actions(perms + [first, second], m, n)
             assert np.array_equal(part.labels, _reference_partition(perms + [first, second], m, n)[0])
-            reps = orbits._edge_perm_orbits(m * n, tuple(a.axes for a in perms))[1].size
-            stored = sum(table.nbytes for key in ((), (swap[0].axes,))
-                         for table in orbits._edge_perm_orbits(m * n, key)[-1].values())
-            assert 16 * ids + reps * (24 * 1 + 72) + stored <= orbits.ORBIT_MEMORY_CAP
+            assert orbits._edge_perm_orbits.cache_info().currsize == 1
+            _, reps, _, _, stored = orbits._edge_perm_orbits(m * n, tuple(a.axes for a in perms))
+            tables = sum(table.nbytes for table in stored.values())
+            assert 16 * ids + reps.size * (24 * 1 + 72) + tables <= orbits.ORBIT_MEMORY_CAP
 
 
 def _dense_refines(l1, l2):
@@ -693,7 +721,7 @@ def test_compact_comparisons_match_dense_labels(m, n):
 def test_compact_comparisons_across_an_evicted_entry():
     cands = enumerate_candidate_groups(with_swap=True)
     before = [orbit_partition(c.spec, 3, 3) for c in cands]
-    for m, n in ((2, 3), (3, 2)):  # two other shapes evict both 3x3 entries
+    for m, n in ((2, 3), (3, 2)):  # other shapes replace the 3x3 entry
         orbit_partition(cands[0].spec, m, n)
     after = [orbit_partition(c.spec, 3, 3) for c in cands]
     assert not {id(p.orbit_of) for p in before} & {id(p.orbit_of) for p in after}
@@ -735,8 +763,9 @@ def test_quotient_over_the_memory_cap_is_refused(monkeypatch):
 
 def test_working_set_stays_under_the_cap_multiplier():
     # ORBIT_MEMORY_CAP admits 3^(mn) ids at 32 bytes each; that must cover
-    # one call's peak with the cache's other entry held (the side swap makes
-    # ol_Sym_lr's P differ from Sym_lr's and Aut's)
+    # one call's peak with the cache's entry for the previous P still held
+    # while the next one propagates (the side swap makes ol_Sym_lr's P differ
+    # from Sym_lr's and Aut's)
     ids = 3**9
     gens = [generators_for(candidate_by_name(name).spec, 3, 3) for name in ("ol_Sym_lr", "Sym_lr", "Aut")]
     orbits._edge_perm_orbits.cache_clear()
