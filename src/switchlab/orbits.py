@@ -8,9 +8,12 @@ recolor them.  Orbit partitions come from min-label propagation to a
 fixpoint, which yields the same components as a closure BFS and numbers
 orbits by least member id, so results are bit-identical in any order.  The
 edge permutations' group P propagates over all ids by transposing the label
-cube (one cache entry, holding each recoloring's table over P's orbits), then
+cube (one cache entry, holding P's orbits, the base-3 digits of their least
+members, and each recoloring's P-conjugates and table over P's orbits), then
 the recolorings, closed under conjugation by P, over P's orbits through
-their least members, since s(pi x) = pi (pi^-1 s pi)(x).
+their least members, since s(pi x) = pi (pi^-1 s pi)(x).  Every label gather
+is an ``ndarray.take``: numpy serves ``a[index]`` with an int32 index through
+a slower path.
 
 Equality of orbit partitions is the finite surrogate for two candidate
 groups having the same invariant structure: the groups differ exactly in
@@ -23,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,9 +67,11 @@ __all__ = [
 DEFAULT_ORBIT_BUDGET = 12
 
 #: Byte cap on the orbit engine's working set, whatever the m*n budget: P's
-#: int32 propagation (at most 16 bytes per id) and the one cache entry's
+#: int32 propagation (at most 24 bytes per id: three int32 label arrays and
+#: the intp copy ``take`` makes of an int32 index) and the one cache entry's
 #: int32 P-orbit ids (4 per id) fit 4 * 8 bytes per id; the quotient and the
-#: entry's recoloring tables, sized by P's orbits, are checked apart.
+#: entry's digit rows and recoloring tables, sized by P's orbits, are checked
+#: apart.
 ORBIT_MEMORY_CAP = 2**29
 
 
@@ -97,13 +103,6 @@ def id_to_coloring(m: int, n: int, cid: int) -> ColoredBipartiteGraph:
         v //= 3
     flat = bytes(d + 1 for d in reversed(digits))
     return ColoredBipartiteGraph(m, n, tuple(flat[i * n:(i + 1) * n] for i in range(m)))
-
-
-def _recolored(ids: np.ndarray, k: int, positions, lut) -> np.ndarray:
-    """The ids with their base-3 digits at ``positions`` mapped through ``lut``."""
-    places = 3 ** (k - 1 - np.array(positions, dtype=np.int64))
-    moved = ids[:, None] // places % 3
-    return ids + (np.array(lut)[moved] - moved) @ places
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,7 +230,22 @@ class OrbitPartition:
     def labels(self) -> np.ndarray:
         """Dense int32 orbit ids over the whole coloring space, a fresh array
         on every access."""
-        return np.take(self.quotient, self.orbit_of)
+        return _take(self.quotient, self.orbit_of)
+
+
+#: Gathers of more labels than this run in chunks, so the intp copy that
+#: ``take`` makes of an int32 index stays at 8 * _CHUNK bytes.
+_CHUNK = 1 << 16
+
+
+def _take(a: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``a[index]`` for a 1-d ``index``, by ``ndarray.take`` in chunks."""
+    if index.size <= _CHUNK:
+        return a.take(index)
+    out = np.empty(index.size, a.dtype)
+    for start in range(0, index.size, _CHUNK):
+        a.take(index[start:start + _CHUNK], out=out[start:start + _CHUNK])
+    return out
 
 
 def _propagate(size: int, pulls) -> tuple[np.ndarray, int, int]:
@@ -248,28 +262,61 @@ def _propagate(size: int, pulls) -> tuple[np.ndarray, int, int]:
             np.minimum(labels, pull(labels), out=labels)
         while True:
             jumps += 1
-            jumped = labels[labels]
-            if np.array_equal(jumped, labels):
+            jumped = _take(labels, labels)
+            if (jumped == labels).all():
                 break
             labels = jumped
         del jumped  # an equal copy of labels; freed before the next round
-        if np.array_equal(labels, before):
+        if (labels == before).all():
             return labels, rounds, jumps
 
 
-@functools.lru_cache(maxsize=1)
-def _edge_perm_orbits(k: int, perms: tuple[tuple[int, ...], ...]) -> tuple:
-    """The group P that the edge permutations' ``axes`` generate on 3^k ids:
-    the int32 P-orbit of every id, numbered by least member, each P-orbit's
-    least member, P's rounds and jumps, and a store of each recoloring move's
-    table over P's orbits, filled on first use.  One entry is kept, so its
-    tables go with it when the next P replaces it; arrays read-only, shared
-    by candidates."""
-    labels, rounds, jumps = _propagate(3**k, [Action("P", axes).pull for axes in perms])
+def _numbered(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fixpoint labels renumbered 0, 1, ... by least member, and the mask of
+    the least members."""
     roots = labels == np.arange(labels.size, dtype=np.int32)
-    orbit_of, reps = (np.cumsum(roots, dtype=np.int32) - 1)[labels], np.flatnonzero(roots)
+    return _take(np.cumsum(roots, dtype=np.int32) - 1, labels), roots
+
+
+class _Entry(NamedTuple):
+    """P's cache entry: the int32 P-orbit of every id, numbered by least
+    member, each P-orbit's least member, P's rounds and jumps, and three
+    stores filled on first use: each position's uint8 base-3 digit of the
+    least members, each recoloring move's int32 table over P's orbits, and
+    each move's conjugates by P's generators."""
+
+    orbit_of: np.ndarray
+    reps: np.ndarray
+    rounds: int
+    jumps: int
+    rows: dict
+    tables: dict
+    conjugates: dict
+
+
+@functools.lru_cache(maxsize=1)
+def _edge_perm_orbits(k: int, perms: tuple[tuple[int, ...], ...]) -> _Entry:
+    """The group P that the edge permutations' ``axes`` generate on 3^k ids.
+    One entry is kept, so its rows, tables and conjugates go with it when the
+    next P replaces it; arrays read-only, shared by candidates."""
+    labels, rounds, jumps = _propagate(3**k, [Action("P", axes).pull for axes in perms])
+    orbit_of, roots = _numbered(labels)
+    reps = np.flatnonzero(roots)
     orbit_of.flags.writeable = reps.flags.writeable = False
-    return orbit_of, reps, rounds, jumps, {}
+    return _Entry(orbit_of, reps, rounds, jumps, {}, {}, {})
+
+
+def _digit_row(reps: np.ndarray, k: int, position: int) -> np.ndarray:
+    """The base-3 digit at ``position`` (first edge most significant) of
+    every least member, as uint8."""
+    return (reps // 3 ** (k - 1 - position) % 3).astype(np.uint8)
+
+
+def _conjugates(perms, move) -> tuple:
+    """The recoloring ``move`` conjugated by each edge permutation, distinct,
+    in generator order."""
+    positions, lut = move
+    return tuple(dict.fromkeys((tuple(sorted(axes[p] for p in positions)), lut) for axes in perms))
 
 
 def partition_from_actions(actions, m: int, n: int, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitPartition:
@@ -284,33 +331,43 @@ def partition_from_actions(actions, m: int, n: int, budget: int = DEFAULT_ORBIT_
         if a.recolor and a.axes != identity:
             raise ValueError(f"action {a.name} both permutes and recolors")
     perms = tuple(a.axes for a in actions if not a.recolor)
-    orbit_of, reps, rounds, jumps, stored = _edge_perm_orbits(k, perms)
+    orbit_of, reps, rounds, jumps, rows, tables, conjugates = _edge_perm_orbits(k, perms)
     closed = list(dict.fromkeys((tuple(sorted(a.recolor)), a.lut) for a in actions if a.recolor))
     seen = set(closed)
-    for positions, lut in closed:  # conjugates appended here are visited too
-        conjugates = dict.fromkeys((tuple(sorted(axes[p] for p in positions)), lut) for axes in perms)
-        fresh = [c for c in conjugates if c not in seen]
+    for move in closed:  # conjugates appended here are visited too
+        if move not in conjugates:
+            conjugates[move] = _conjugates(perms, move)
+        fresh = [c for c in conjugates[move] if c not in seen]
         seen.update(fresh)
         closed.extend(fresh)
-    # each table is 4 bytes per P-orbit: a call whose own tables do not fit
-    # next to its working set is refused, and the entry drops its stored
-    # tables when they and this call's would not fit
-    widest = max((len(positions) for positions, _ in closed), default=0)
-    working = 16 * 3**k + reps.size * (24 * widest + 72)
-    if working + 4 * reps.size * len(closed) > ORBIT_MEMORY_CAP:
+    # per P-orbit, the quotient stage takes 72 bytes, plus 24 of int64
+    # temporaries while tables are built, each table 4 and each digit row 1:
+    # a call whose own tables and rows do not fit next to its working set is
+    # refused, and the entry drops its stored tables and rows when they and
+    # this call's would not fit
+    positions = {p for move in closed for p in move[0]}
+    working = 16 * 3**k + reps.size * (96 if closed else 72)
+    if working + reps.size * (4 * len(closed) + len(positions)) > ORBIT_MEMORY_CAP:
         raise BudgetExceededError("the quotient by the edge permutations exceeds the orbit memory cap")
-    if working + 4 * reps.size * len(seen.union(stored)) > ORBIT_MEMORY_CAP:
-        stored.clear()
+    if working + reps.size * (4 * len(seen.union(tables)) + len(positions.union(rows))) > ORBIT_MEMORY_CAP:
+        tables.clear()
+        rows.clear()
     for move in closed:
-        if move not in stored:
-            table = stored[move] = orbit_of[_recolored(reps, k, *move)]
-            table.flags.writeable = False
-    tables = [stored[move] for move in closed]
-    labels, more_rounds, more_jumps = (_propagate(reps.size, [lambda x, t=t: x[t] for t in tables])
-                                       if tables else (np.arange(reps.size, dtype=np.int32), 0, 0))
-    roots = labels == np.arange(labels.size, dtype=np.int32)
-    return OrbitPartition(m, n, (np.cumsum(roots, dtype=np.int32) - 1)[labels], orbit_of,
-                          int(roots.sum()), len(actions), rounds + more_rounds, jumps + more_jumps)
+        if move not in tables:
+            ids = reps.copy()  # each least member, its digits at the move's positions moved by lut
+            for p in move[0]:
+                if p not in rows:
+                    rows[p] = _digit_row(reps, k, p)
+                    rows[p].flags.writeable = False
+                ids += (np.subtract(move[1], (0, 1, 2)) * 3 ** (k - 1 - p)).take(rows[p])
+            tables[move] = orbit_of.take(ids)
+            tables[move].flags.writeable = False
+    pulls = [lambda x, t=tables[move]: _take(x, t) for move in closed]
+    labels, more_rounds, more_jumps = (_propagate(reps.size, pulls) if pulls
+                                       else (np.arange(reps.size, dtype=np.int32), 0, 0))
+    quotient, roots = _numbered(labels)
+    return OrbitPartition(m, n, quotient, orbit_of, int(roots.sum()), len(actions),
+                          rounds + more_rounds, jumps + more_jumps)
 
 
 def orbit_partition(spec: GroupSpec, m: int, n: int, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitPartition:
@@ -340,14 +397,14 @@ def refines(p1: OrbitPartition, p2: OrbitPartition) -> bool:
         raise ValueError("dimension mismatch")
     l1, l2 = _comparable(p1, p2)
     _, first = np.unique(l1, return_index=True)
-    return bool(np.all(l2 == l2[first[l1]]))
+    return bool((l2 == _take(l2, _take(first, l1))).all())
 
 
 def _class_min(labels: np.ndarray, count: int):
     """The pull giving each index the least value over its class (0..count-1)."""
     def pull(x):
         np.minimum.at(least := np.full(count, labels.size, dtype=np.int32), labels, x)
-        return least[labels]
+        return _take(least, labels)
     return pull
 
 
@@ -362,9 +419,8 @@ def join(p1: OrbitPartition, p2: OrbitPartition) -> OrbitPartition:
     orbit_of = p1.orbit_of if p1.orbit_of is p2.orbit_of else np.arange(l1.size, dtype=np.int32)
     pulls = [_class_min(l1, p1.orbit_count), _class_min(l2, p2.orbit_count)]
     labels, rounds, jumps = _propagate(l1.size, pulls)
-    roots = labels == np.arange(labels.size, dtype=np.int32)
-    return OrbitPartition(p1.m, p1.n, (np.cumsum(roots, dtype=np.int32) - 1)[labels], orbit_of,
-                          int(roots.sum()), p1.actions + p2.actions,
+    quotient, roots = _numbered(labels)
+    return OrbitPartition(p1.m, p1.n, quotient, orbit_of, int(roots.sum()), p1.actions + p2.actions,
                           p1.rounds + p2.rounds + rounds, p1.jumps + p2.jumps + jumps)
 
 

@@ -11,7 +11,7 @@ tables built once at import, and they return the six shared instances of
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "S3Perm",
@@ -114,6 +114,7 @@ class Subgroup:
     """A subgroup of the color permutation group (order 1, 2, 3 or 6)."""
 
     elements: frozenset[S3Perm]
+    _generators: tuple[S3Perm, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if IDENTITY not in self.elements:
@@ -121,6 +122,13 @@ class Subgroup:
         for p, q in itertools.product(self.elements, repeat=2):
             if compose(p, q) not in self.elements:
                 raise ValueError("element set is not closed under composition")
+        if self.order == 1:
+            gens = ()
+        elif self.order == 6:
+            gens = (S3Perm.from_cycle_string("(12)"), S3Perm.from_cycle_string("(123)"))
+        else:
+            gens = (min(p for p in self.elements if not p.is_identity()),)
+        object.__setattr__(self, "_generators", gens)
 
     @property
     def order(self) -> int:
@@ -139,12 +147,8 @@ class Subgroup:
         return iter(sorted(self.elements))
 
     def generators(self) -> tuple[S3Perm, ...]:
-        """A canonical minimal generating set."""
-        if self.order == 1:
-            return ()
-        if self.order == 6:
-            return (S3Perm.from_cycle_string("(12)"), S3Perm.from_cycle_string("(123)"))
-        return (min(p for p in self.elements if not p.is_identity()),)
+        """A canonical minimal generating set, computed at construction."""
+        return self._generators
 
     def __repr__(self) -> str:
         return f"Subgroup<{self.label}>"

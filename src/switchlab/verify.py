@@ -33,6 +33,7 @@ from .orbits import (
     refines,
     single_edge_action,
     distinguish_candidates,
+    vertex_perm_actions,
 )
 from .randomlab import bound_ratio_check, estimate_failure_prob, random_graph, sfsp_bound
 from .s3 import (
@@ -146,9 +147,10 @@ def check_monochromatize() -> tuple[bool, str]:
     return True, "500 colorings of K_{4,4} monochromatized within bound"
 
 
-def _burnside_count(m: int, n: int) -> int:
-    """Independent orbit count for the vertex-permutation-only group: average
-    of 3^(edge cycles) over all side-preserving vertex permutation pairs."""
+def _burnside_count(m: int, n: int, colors: int = 3) -> int:
+    """Independent orbit count for the vertex-permutation-only group on
+    ``colors``-colorings: average of colors^(edge cycles) over all
+    side-preserving vertex permutation pairs."""
     total = 0
     pairs = 0
     for pl in itertools.permutations(range(m)):
@@ -163,9 +165,10 @@ def _burnside_count(m: int, n: int) -> int:
                 while cur not in seen:
                     seen.add(cur)
                     cur = (pl[cur[0]], pr[cur[1]])
-            total += 3**cycles
+            total += colors**cycles
             pairs += 1
-    assert total % pairs == 0
+    if total % pairs:
+        raise ArithmeticError("Burnside sum is not divisible by the group order")
     return total // pairs
 
 
@@ -181,6 +184,14 @@ def check_orbit_engine() -> tuple[bool, str]:
         full = orbit_partition(GroupSpec(FULL_SUBGROUP, FULL_SUBGROUP), m, n)
         if full.orbit_count != 1:
             return False, f"full group on K_{{{m},{n}}} has {full.orbit_count} orbits"
+    # one edge's (12) recoloring, closed under conjugation by the vertex
+    # permutations, recolors every edge, so the orbits are the colorings by
+    # "color 3 or not" up to vertex permutations
+    flip = single_edge_action(2, 2, 0, 0, _perm("(12)"))
+    flips = partition_from_actions(vertex_perm_actions(2, 2) + [flip], 2, 2).orbit_count
+    two_color = _burnside_count(2, 2, colors=2)
+    if flips != two_color:
+        return False, f"one edge recoloring under Aut gave {flips} orbits, oracle {two_color}"
     empty = partition_from_actions([], 2, 2)
     if empty.orbit_count != 81 or not np.array_equal(empty.labels, np.arange(81)):
         return False, "no-generator partition is not all singletons"

@@ -7,6 +7,7 @@ check survives today is a strict xfail with its reason: once a stronger
 check kills it, the row fails until it moves to the killed rows.
 """
 
+import functools
 import sys
 
 import pytest
@@ -51,6 +52,24 @@ def _without_swap(real):
     return lambda spec, m, n, *rest: real(GroupSpec(spec.h_left, spec.h_right), m, n, *rest)
 
 
+def entry_mutant(name, change):
+    """A mutant of the orbit helper ``orbits.name`` whose results fill P's
+    cache entry, planted with a fresh cache so that the entry is built by the
+    mutant and dropped with it."""
+    real = getattr(orbits, name)
+
+    def plant(mp):
+        mp.setattr(orbits, "_edge_perm_orbits", functools.lru_cache(maxsize=1)(orbits._edge_perm_orbits.__wrapped__))
+        mp.setattr(orbits, name, lambda *args: change(real(*args)))
+    return plant
+
+
+def _one_wrong_digit(row):
+    row = row.copy()
+    row[1] = (row[1] + 1) % 3  # the second least member's digit
+    return row
+
+
 _PAD = (left_switch(0, S3Perm.from_cycle_string("(12)")),) * 8  # cancels: (12) has order 2
 
 KILLED = [
@@ -63,6 +82,9 @@ KILLED = [
      replace(switches, "monochromatize", lambda g, target: SwitchWord(()))),
     ("orbit-engine", "no vertex permutations",
      replace(orbits, "vertex_perm_actions", lambda m, n: [])),
+    ("orbit-engine", "each stored conjugate list missing its last conjugate",
+     entry_mutant("_conjugates", lambda conjugates: conjugates[:-1])),
+    ("h12-closure", "each digit row with one wrong entry", entry_mutant("_digit_row", _one_wrong_digit)),
     ("h12-closure", "switch_actions keeps only the first sigma",
      wrap(orbits, "switch_actions", lambda actions, side_left, sigmas, m, n: actions[::max(1, len(sigmas))])),
     ("h12-closure", "join returns its first argument", replace(orbits, "join", lambda p1, p2: p1)),

@@ -294,11 +294,19 @@ def test_action_table_shape_validated():
         partition_from_actions([built_for_k23], 2, 2)
 
 
+def _recolored(ids, k, positions, lut):
+    """The ids with their base-3 digits at ``positions`` mapped through
+    ``lut``: the reference for the engine's recoloring tables."""
+    places = 3 ** (k - 1 - np.array(positions, dtype=np.int64))
+    moved = ids[:, None] // places % 3
+    return ids + (np.array(lut)[moved] - moved) @ places
+
+
 def moved_ids(action):
     """The image of every id under ``action``: its axis move, then its
     recoloring, composed from the engine's two ways of moving labels."""
     k = len(action.axes)
-    return action.pull(orbits._recolored(np.arange(3**k), k, action.recolor, action.lut))
+    return action.pull(_recolored(np.arange(3**k), k, action.recolor, action.lut))
 
 
 def test_action_moves_digits_as_documented():
@@ -642,6 +650,36 @@ def test_census_walk_misses_only_when_the_edge_permutations_change():
     assert orbits._edge_perm_orbits.cache_info().misses == 10
 
 
+def _assert_entry_matches_reference(k, perms):
+    # every digit row and table P's entry stores, against the reference
+    # recoloring of P's least members
+    entry = orbits._edge_perm_orbits(k, perms)
+    assert entry.tables and entry.rows
+    for p, row in entry.rows.items():
+        assert row.dtype == np.uint8 and np.array_equal(row, entry.reps // 3 ** (k - 1 - p) % 3)
+    for (positions, lut), table in entry.tables.items():
+        assert np.array_equal(table, entry.orbit_of[_recolored(entry.reps, k, positions, lut)])
+
+
+def test_stored_tables_equal_the_reference_recoloring():
+    # every census shape and candidate (swap variants at 2x2 and 3x3); then P
+    # trivial at K_{2,3}, where P's orbits are all 3^6 ids, with every
+    # single-edge recoloring; then that entry evicted by another P and rebuilt
+    _clear_orbit_caches()
+    for m, n in _CENSUS_SHAPES:
+        for cand in enumerate_candidate_groups(m == n):
+            actions = generators_for(cand.spec, m, n)
+            if any(a.recolor for a in actions):
+                partition_from_actions(actions, m, n)
+                _assert_entry_matches_reference(m * n, tuple(a.axes for a in actions if not a.recolor))
+    edges = [single_edge_action(2, 3, i, j, s) for i in range(2) for j in range(3) for s in ALL_PERMS[1:]]
+    for perms in ([], vertex_perm_actions(2, 3), []):
+        partition_from_actions(perms + edges, 2, 3)
+        _assert_entry_matches_reference(6, tuple(a.axes for a in perms))
+    assert orbits._edge_perm_orbits.cache_info().misses == 13
+    assert len(orbits._edge_perm_orbits(6, ()).tables) == 30
+
+
 def test_action_lists_are_fresh_on_every_call():
     spec = candidate_by_name("ol_Sym_lr").spec
     for build in (lambda: generators_for(spec, 2, 2), lambda: vertex_perm_actions(2, 2),
@@ -653,22 +691,25 @@ def test_action_lists_are_fresh_on_every_call():
 
 
 def test_recoloring_store_stays_under_the_cap(monkeypatch):
-    # with P trivial each table spans all 3^6 ids of K_{2,3}; the cap leaves
-    # room for five tables next to the working set, so consecutive pairs of 30
-    # distinct moves fill the store, drop it and refill it, and no call is refused
+    # with P trivial each table (4 bytes) and digit row (1 byte) spans all 3^6
+    # ids of K_{2,3}; the cap leaves room for five tables and the two rows of
+    # the edges they recolor next to the working set, so consecutive pairs of
+    # 30 distinct moves fill the store, drop it and refill it, and no call is
+    # refused
     m, n, reps = 2, 3, 3**6
     working = 16 * reps + reps * (24 * 1 + 72)
-    monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", working + 4 * reps * 5)
+    monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", working + reps * (4 * 5 + 2))
     _clear_orbit_caches()
     moves = [single_edge_action(m, n, i, j, s) for i in range(m) for j in range(n) for s in ALL_PERMS[1:]]
     assert len(moves) == 30
     sizes = []
     for first, second in zip(moves, moves[1:]):
         part = partition_from_actions([first, second], m, n)
-        stored = orbits._edge_perm_orbits(m * n, ())[-1]
+        entry = orbits._edge_perm_orbits(m * n, ())
+        stored = entry.tables
         sizes.append(len(stored))
-        assert working + 4 * reps * len(stored) <= orbits.ORBIT_MEMORY_CAP
-        assert all(not table.flags.writeable for table in stored.values())
+        assert working + reps * (4 * len(stored) + len(entry.rows)) <= orbits.ORBIT_MEMORY_CAP
+        assert all(not array.flags.writeable for array in [*stored.values(), *entry.rows.values()])
         assert np.array_equal(part.labels, _reference_partition([first, second], m, n)[0])
     assert max(sizes) == 5 and min(sizes) == 2  # filled to the cap, then dropped
 
@@ -677,7 +718,7 @@ def test_alternating_edge_permutations_keep_one_entry_under_the_cap(monkeypatch)
     # P trivial and P = <swapL(0,1)> in turn at K_{2,3}, under a cap that
     # leaves the trivial-P call room for five tables: after every call the
     # cache holds that call's entry alone, and its working set plus the
-    # entry's stored tables fit the cap
+    # entry's stored tables and digit rows fit the cap
     m, n, ids = 2, 3, 3**6
     monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", 16 * ids + ids * (24 * 1 + 72) + 4 * ids * 5)
     _clear_orbit_caches()
@@ -689,8 +730,9 @@ def test_alternating_edge_permutations_keep_one_entry_under_the_cap(monkeypatch)
             part = partition_from_actions(perms + [first, second], m, n)
             assert np.array_equal(part.labels, _reference_partition(perms + [first, second], m, n)[0])
             assert orbits._edge_perm_orbits.cache_info().currsize == 1
-            _, reps, _, _, stored = orbits._edge_perm_orbits(m * n, tuple(a.axes for a in perms))
-            tables = sum(table.nbytes for table in stored.values())
+            entry = orbits._edge_perm_orbits(m * n, tuple(a.axes for a in perms))
+            reps = entry.reps
+            tables = sum(array.nbytes for array in [*entry.tables.values(), *entry.rows.values()])
             assert 16 * ids + reps.size * (24 * 1 + 72) + tables <= orbits.ORBIT_MEMORY_CAP
 
 
@@ -742,7 +784,8 @@ def test_labels_are_a_fresh_int32_array_on_every_access():
 
 def test_cached_edge_permutation_orbits_are_read_only():
     perms = vertex_perm_actions(2, 2)
-    for array in orbits._edge_perm_orbits(4, tuple(a.axes for a in perms))[:2]:
+    entry = orbits._edge_perm_orbits(4, tuple(a.axes for a in perms))
+    for array in (entry.orbit_of, entry.reps):
         with pytest.raises(ValueError):
             array[0] = 1
     # a partition's labels are its own, even when P alone makes the orbits
@@ -777,3 +820,20 @@ def test_working_set_stays_under_the_cap_multiplier():
     finally:
         tracemalloc.stop()
     assert peak <= 32 * ids
+
+
+@pytest.mark.parametrize("m,n", [(2, 5), (3, 4)])
+def test_edge_permutation_orbits_peak_at_24_bytes_per_id(m, n):
+    # P's propagation and numbering over 3^(mn) ids: three int32 label arrays
+    # and the intp copy ``take`` makes of an int32 index (chunked above
+    # 2^16 ids), with the entry's int32 orbit ids among them
+    ids = 3 ** (m * n)
+    perms = tuple(a.axes for a in vertex_perm_actions(m, n))
+    orbits._edge_perm_orbits.cache_clear()
+    tracemalloc.start()
+    try:
+        orbits._edge_perm_orbits(m * n, perms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * ids
