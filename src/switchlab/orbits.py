@@ -8,12 +8,12 @@ recolor them.  Orbit partitions come from min-label propagation to a
 fixpoint, which yields the same components as a closure BFS and numbers
 orbits by least member id, so results are bit-identical in any order.  The
 edge permutations' group P propagates over all ids by transposing the label
-cube (one cache entry, holding P's orbits, the base-3 digits of their least
-members, and each recoloring's P-conjugates and table over P's orbits), then
-the recolorings, closed under conjugation by P, over P's orbits through
-their least members, since s(pi x) = pi (pi^-1 s pi)(x).  Every label gather
-is an ``ndarray.take``: numpy serves ``a[index]`` with an int32 index through
-a slower path.
+cube (P's orbits, the base-3 digits of their least members, and each
+recoloring's P-conjugates and table over P's orbits stay in a store while
+they fit ``ORBIT_MEMORY_CAP``), then the recolorings, closed under
+conjugation by P, over P's orbits through their least members, since
+s(pi x) = pi (pi^-1 s pi)(x).  Every label gather is an ``ndarray.take``:
+numpy serves ``a[index]`` with an int32 index through a slower path.
 
 Equality of orbit partitions is the finite surrogate for two candidate
 groups having the same invariant structure: the groups differ exactly in
@@ -23,8 +23,8 @@ group two groups generate, without their generators.
 
 from __future__ import annotations
 
-import functools
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -66,12 +66,12 @@ __all__ = [
 #: Default cap on m*n; 3^12 = 531441 colorings is still desk-scale.
 DEFAULT_ORBIT_BUDGET = 12
 
-#: Byte cap on the orbit engine's working set, whatever the m*n budget: P's
-#: int32 propagation (at most 24 bytes per id: three int32 label arrays and
-#: the intp copy ``take`` makes of an int32 index) and the one cache entry's
-#: int32 P-orbit ids (4 per id) fit 4 * 8 bytes per id; the quotient and the
-#: entry's digit rows and recoloring tables, sized by P's orbits, are checked
-#: apart.
+#: Byte cap on the orbit engine's working set plus the arrays its store keeps,
+#: whatever the m*n budget: P's int32 propagation (at most 24 bytes per id:
+#: three int32 label arrays and the intp copy ``take`` makes of an int32
+#: index) and its int32 P-orbit ids (4 per id) fit 4 * 8 bytes per id; the
+#: quotient, its digit rows and recoloring tables, sized by P's orbits, are
+#: checked apart.  Each check first evicts least recently used entries.
 ORBIT_MEMORY_CAP = 2**29
 
 
@@ -129,7 +129,6 @@ def _recolor_action(name: str, m: int, n: int, positions, sigma: S3Perm) -> Acti
     return Action(name, tuple(range(m * n)), tuple(positions), tuple(sigma(c) - 1 for c in (1, 2, 3)))
 
 
-@functools.lru_cache(maxsize=1)
 def _vertex_perms(m: int, n: int) -> tuple[Action, ...]:
     edges = np.arange(m * n).reshape(m, n)
     actions = []
@@ -147,29 +146,19 @@ def _vertex_perms(m: int, n: int) -> tuple[Action, ...]:
 def vertex_perm_actions(m: int, n: int) -> list[Action]:
     """Adjacent transpositions on each side; they generate all side-preserving
     vertex permutations.  Each is its own inverse, so the permuted edge grid
-    is also the move's ``axes``.  Built once per shape (the latest shape
-    kept); each call gets its own list."""
-    return list(_vertex_perms(m, n))
-
-
-@functools.lru_cache(maxsize=1)
-def _switch_store(m: int, n: int) -> dict:
-    """Shape (m, n)'s single-vertex switches by (side_left, sigma), one per
-    vertex, each built on first use."""
-    return {}
+    is also the move's ``axes``.  Kept in the store per shape; none without
+    edges, where every move is the identity.  Each call gets its own list."""
+    return list(_STORE.fetch((m, n, "swaps"), lambda: _vertex_perms(m, n) if m * n else ()))
 
 
 def switch_actions(side_left: bool, sigmas, m: int, n: int) -> list[Action]:
-    """One single-vertex switch action per (vertex, sigma), built once per
-    shape (the latest shape kept); each call gets its own list."""
-    store, tag = _switch_store(m, n), "L" if side_left else "R"
-    for sigma in sigmas:
-        if (side_left, sigma) not in store:
-            rows = np.arange(m * n).reshape(m, n)
-            store[side_left, sigma] = tuple(
-                _recolor_action(f"switch{tag}({v},{sigma.cycle_string()})", m, n, row.tolist(), sigma)
-                for v, row in enumerate(rows if side_left else rows.T))
-    return [store[side_left, sigma][v] for v in range(m if side_left else n) for sigma in sigmas]
+    """One single-vertex switch action per (vertex, sigma), kept in the store
+    per shape and sigma (none without edges); each call gets its own list."""
+    tag, rows = "L" if side_left else "R", np.arange(m * n).reshape(m, n)
+    per_sigma = [_STORE.fetch((m, n, side_left, sigma), lambda sigma=sigma: tuple(
+        _recolor_action(f"switch{tag}({v},{sigma.cycle_string()})", m, n, row.tolist(), sigma)
+        for v, row in enumerate(rows if side_left else rows.T)) if m * n else ()) for sigma in sigmas]
+    return [action for vertex in zip(*per_sigma) for action in vertex]
 
 
 def transpose_action(m: int, n: int) -> Action:
@@ -211,11 +200,11 @@ class OrbitPartition:
     """An orbit partition stored over P's orbits: ``quotient`` gives each
     P-orbit its int32 orbit id, numbered by least member id, and ``orbit_of``
     is the shape's read-only map from coloring id to P-orbit, shared by every
-    partition made from the same cache entry (``ORBIT_MEMORY_CAP`` keeps the
+    partition made from the same store entry (``ORBIT_MEMORY_CAP`` keeps the
     space below 3^15 < 2^31 ids).  ``orbit_of`` must be onto the P-orbits.
     The counters record the work: generator actions, fixpoint rounds and
     pointer-jump rounds (each final no-change round included) of P's
-    propagation, cached or not, plus the quotient's (none without recolorings)."""
+    propagation, stored or not, plus the quotient's (none without recolorings)."""
 
     m: int
     n: int
@@ -279,11 +268,11 @@ def _numbered(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Entry(NamedTuple):
-    """P's cache entry: the int32 P-orbit of every id, numbered by least
+    """P's store entry: the int32 P-orbit of every id, numbered by least
     member, each P-orbit's least member, P's rounds and jumps, and three
-    stores filled on first use: each position's uint8 base-3 digit of the
-    least members, each recoloring move's int32 table over P's orbits, and
-    each move's conjugates by P's generators."""
+    stores filled on first use and evicted with it: each position's uint8
+    base-3 digit of the least members, each recoloring move's int32 table
+    over P's orbits, and each move's conjugates by P's generators."""
 
     orbit_of: np.ndarray
     reps: np.ndarray
@@ -293,12 +282,45 @@ class _Entry(NamedTuple):
     tables: dict
     conjugates: dict
 
+    @property
+    def nbytes(self) -> int:
+        """The bytes of its orbit ids, least members, digit rows and tables."""
+        return sum(a.nbytes for a in (self.orbit_of, self.reps, *self.rows.values(), *self.tables.values()))
 
-@functools.lru_cache(maxsize=1)
+
+class _Store(OrderedDict):
+    """The orbit engine's store, least recently used first, of P's entries by ``(k, perms)``
+    and shape moves by ``(m, n)`` and kind; ``nbytes`` totals the P entries' arrays."""
+
+    nbytes = 0
+
+    def evict(self, need: int, keep=None) -> bool:
+        """Drop least recently used entries, up to ``keep``, until ``need``
+        fits beside the rest; True if it does."""
+        while self.nbytes + need > ORBIT_MEMORY_CAP and next(iter(self.values()), keep) is not keep:
+            self.nbytes -= getattr(self.popitem(last=False)[1], "nbytes", 0)
+        return self.nbytes + need <= ORBIT_MEMORY_CAP
+
+    def fetch(self, key, build, need: int = 0):
+        """The entry at ``key``; a miss evicts for its build's ``need`` bytes."""
+        if key not in self:
+            self.evict(need)
+            self[key] = build()
+            self.nbytes += getattr(self[key], "nbytes", 0)
+        self.move_to_end(key)
+        return self[key]
+
+    def clear(self) -> None:
+        super().clear()
+        self.nbytes = 0
+
+
+_STORE = _Store()
+
+
 def _edge_perm_orbits(k: int, perms: tuple[tuple[int, ...], ...]) -> _Entry:
-    """The group P that the edge permutations' ``axes`` generate on 3^k ids.
-    One entry is kept, so its rows, tables and conjugates go with it when the
-    next P replaces it; arrays read-only, shared by candidates."""
+    """The group P that the edge permutations' ``axes`` generate on 3^k ids;
+    arrays read-only, shared by candidates."""
     labels, rounds, jumps = _propagate(3**k, [Action("P", axes).pull for axes in perms])
     orbit_of, roots = _numbered(labels)
     reps = np.flatnonzero(roots)
@@ -331,7 +353,8 @@ def partition_from_actions(actions, m: int, n: int, budget: int = DEFAULT_ORBIT_
         if a.recolor and a.axes != identity:
             raise ValueError(f"action {a.name} both permutes and recolors")
     perms = tuple(a.axes for a in actions if not a.recolor)
-    orbit_of, reps, rounds, jumps, rows, tables, conjugates = _edge_perm_orbits(k, perms)
+    entry = _STORE.fetch((k, perms), lambda: _edge_perm_orbits(k, perms), 4 * 8 * 3**k)
+    orbit_of, reps, rounds, jumps, rows, tables, conjugates = entry
     closed = list(dict.fromkeys((tuple(sorted(a.recolor)), a.lut) for a in actions if a.recolor))
     seen = set(closed)
     for move in closed:  # conjugates appended here are visited too
@@ -343,13 +366,16 @@ def partition_from_actions(actions, m: int, n: int, budget: int = DEFAULT_ORBIT_
     # per P-orbit, the quotient stage takes 72 bytes, plus 24 of int64
     # temporaries while tables are built, each table 4 and each digit row 1:
     # a call whose own tables and rows do not fit next to its working set is
-    # refused, and the entry drops its stored tables and rows when they and
-    # this call's would not fit
+    # refused; else the store drops other entries, then this entry's stored
+    # tables and rows, until they fit beside the call (whose working set
+    # holds this entry's orbit ids and least members)
     positions = {p for move in closed for p in move[0]}
     working = 16 * 3**k + reps.size * (96 if closed else 72)
     if working + reps.size * (4 * len(closed) + len(positions)) > ORBIT_MEMORY_CAP:
         raise BudgetExceededError("the quotient by the edge permutations exceeds the orbit memory cap")
-    if working + reps.size * (4 * len(seen.union(tables)) + len(positions.union(rows))) > ORBIT_MEMORY_CAP:
+    new = reps.size * (4 * len(seen.difference(tables)) + len(positions.difference(rows)))
+    if not _STORE.evict(working + new - orbit_of.nbytes - reps.nbytes, keep=entry):
+        _STORE.nbytes -= reps.size * (4 * len(tables) + len(rows))
         tables.clear()
         rows.clear()
     for move in closed:
@@ -359,9 +385,13 @@ def partition_from_actions(actions, m: int, n: int, budget: int = DEFAULT_ORBIT_
                 if p not in rows:
                     rows[p] = _digit_row(reps, k, p)
                     rows[p].flags.writeable = False
+                    _STORE.nbytes += rows[p].nbytes
                 ids += (np.subtract(move[1], (0, 1, 2)) * 3 ** (k - 1 - p)).take(rows[p])
+            if ids.min() < 0:  # take would wrap it silently
+                raise ArithmeticError(f"recoloring {move} takes a least member below id 0")
             tables[move] = orbit_of.take(ids)
             tables[move].flags.writeable = False
+            _STORE.nbytes += tables[move].nbytes
     pulls = [lambda x, t=tables[move]: _take(x, t) for move in closed]
     labels, more_rounds, more_jumps = (_propagate(reps.size, pulls) if pulls
                                        else (np.arange(reps.size, dtype=np.int32), 0, 0))

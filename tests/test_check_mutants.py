@@ -7,7 +7,6 @@ check survives today is a strict xfail with its reason: once a stronger
 check kills it, the row fails until it moves to the killed rows.
 """
 
-import functools
 import sys
 
 import pytest
@@ -54,19 +53,22 @@ def _without_swap(real):
 
 def entry_mutant(name, change):
     """A mutant of the orbit helper ``orbits.name`` whose results fill P's
-    cache entry, planted with a fresh cache so that the entry is built by the
-    mutant and dropped with it."""
+    store entries, planted with a fresh store so that the entries are built
+    by the mutant and dropped with it."""
     real = getattr(orbits, name)
 
     def plant(mp):
-        mp.setattr(orbits, "_edge_perm_orbits", functools.lru_cache(maxsize=1)(orbits._edge_perm_orbits.__wrapped__))
+        mp.setattr(orbits, "_STORE", orbits._Store())
         mp.setattr(orbits, name, lambda *args: change(real(*args)))
     return plant
 
 
-def _one_wrong_digit(row):
+def _one_wrong_digit(row, at=-2):
+    # by default the second largest least member's digit, whose recolored ids
+    # stay in range, so only a check can see it; a wrong digit of id 0 or 1
+    # sends a recolored id below 0, which the engine refuses itself
     row = row.copy()
-    row[1] = (row[1] + 1) % 3  # the second least member's digit
+    row[at] = (row[at] + 1) % 3
     return row
 
 
@@ -150,3 +152,33 @@ def test_check_fails_under_mutant(monkeypatch, name, mutant):
 
 def test_every_check_has_a_killed_row():
     assert {name for name, _, _ in KILLED} == {name for name, _ in verify.CHECKS}
+
+
+_CENSUS_SHAPES = [(2, 2), (3, 3), (2, 3), (3, 2), (2, 4), (4, 2), (2, 5), (5, 2)]
+
+
+@pytest.mark.parametrize("m, n", _CENSUS_SHAPES)
+def test_first_digit_row_entry_wrong_raises(monkeypatch, m, n):
+    # id 0 is always a least member, and a digit of 1 moved by a lut taking
+    # 1 to 0 ((12) or (132)) makes its recolored id negative, which ``take``
+    # would wrap: every candidate with such a move raises, and the rest keep
+    # their orbit counts
+    cands = orbits.enumerate_candidate_groups(with_swap=m == n)
+    counts = {c.name: orbits.orbit_partition(c.spec, m, n).orbit_count for c in cands}
+    entry_mutant("_digit_row", lambda row: _one_wrong_digit(row, at=0))(monkeypatch)
+    raised = set()
+    for cand in cands:
+        if any(a.recolor and a.lut[1] == 0 for a in orbits.generators_for(cand.spec, m, n)):
+            with pytest.raises(ArithmeticError, match="below id 0"):
+                orbits.orbit_partition(cand.spec, m, n)
+            raised.add(cand.name)
+    assert {"S_l^(12)", "S_r^(12)", "Sym_lr"} <= raised
+
+
+@pytest.mark.parametrize("at", [0, 1])
+def test_digit_row_mutants_below_id_0_raise_inside_the_check(monkeypatch, at):
+    # the first and second least members' wrong digits: take used to wrap the
+    # first silently past every check; h12-closure killed the second
+    entry_mutant("_digit_row", lambda row: _one_wrong_digit(row, at))(monkeypatch)
+    with pytest.raises(ArithmeticError, match="below id 0"):
+        verify.run_check("h12-closure")

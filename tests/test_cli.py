@@ -322,6 +322,19 @@ def test_distinguish_at_the_default_budget_stays_within_its_stated_working_set()
     assert (peak - bare) * 1024 <= 32 * 3**12
 
 
+@pytest.mark.parametrize("argv", [("orbits", "--m", "0", "--n", "3000000", "--group", "Aut"),
+                                  ("distinguish", "--m", "0", "--n", "3000000")])
+def test_an_empty_side_builds_nothing_sized_by_the_other(capsys, argv):
+    # with no edges there is one coloring and every move is the identity, so
+    # none is built: the other side's n - 1 identity transpositions (and n
+    # switches per sigma) once took 1.2 GiB and 40 s for orbits
+    start = time.monotonic()
+    peak = _child_peak_kib(*argv)
+    assert peak <= 100 * 1024 and time.monotonic() - start < 2
+    code, data = run_json(capsys, *argv)
+    assert code == 0 and {g["orbit_count"] for g in data.get("groups", [data])} == {1}
+
+
 def test_check_theta_full_exact_scan_stays_within_16_mib(tmp_path):
     # a holding 500x500 graph at k = 1: every block runs, the large ones
     # packed; the scan keeps witness words, their byte-major copies and OR

@@ -2,9 +2,9 @@
 
 A ``global`` or ``nonlocal`` statement lets one call rebind state that later
 calls read, a policy no argument or return value shows.  State that must
-outlive a call lives in a cache entry of the function that builds it.  An
-``assert`` statement vanishes under ``python -O``, so a check the program
-relies on raises instead.
+outlive a call lives in a cache: an entry of the function that builds it, or
+of the orbit engine's store.  An ``assert`` statement vanishes under
+``python -O``, so a check the program relies on raises instead.
 """
 
 import ast

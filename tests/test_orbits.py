@@ -481,9 +481,15 @@ def _action_pool(m, n):
 
 
 _DRAWN_SHAPES = [(0, 2), (2, 0), (1, 1), (1, 4), (4, 1), (2, 2), (2, 3), (3, 2)]
-_DRAWN_LISTS = st.sampled_from(_DRAWN_SHAPES).flatmap(
-    lambda mn: st.tuples(st.just(mn), st.lists(st.sampled_from(sorted(_action_pool(*mn))), max_size=8))
-)
+
+
+def _drawn_list(m, n):
+    # without edges the pool is empty: every move is the identity, none built
+    names = sorted(_action_pool(m, n))
+    return st.lists(st.sampled_from(names), max_size=8) if names else st.just([])
+
+
+_DRAWN_LISTS = st.sampled_from(_DRAWN_SHAPES).flatmap(lambda mn: st.tuples(st.just(mn), _drawn_list(*mn)))
 
 
 @settings(max_examples=200)
@@ -508,9 +514,37 @@ def test_drawn_action_lists_equal_cold_and_after_every_move(drawn):
     actions = [pool[name] for name in names]
     _clear_orbit_caches()
     cold = _outcome(partition_from_actions(actions, m, n))
+    _assert_running_total()
     everything = [a for a in actions if not a.recolor] + [a for a in pool.values() if a.recolor]
     partition_from_actions(everything, m, n)
+    _assert_running_total()
     assert _outcome(partition_from_actions(actions, m, n)) == cold
+    _assert_running_total()
+
+
+#: Admits the largest drawn call, P trivial at K_{2,3} with 8 tables and 6
+#: digit rows over all 3^6 ids, and nothing beside it.
+_DRAWN_CAP = 16 * 3**6 + 3**6 * (96 + 4 * 8 + 6)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(_DRAWN_SHAPES).flatmap(
+    lambda mn: st.tuples(st.just(mn), st.lists(_drawn_list(*mn), min_size=2, max_size=6))))
+def test_drawn_action_list_sequences_under_a_tight_cap(drawn):
+    # lists run in turn against one store under a cap that evicts: each
+    # outcome matches the reference, and the kept bytes plus the call's
+    # working set stay within the cap
+    (m, n), lists = drawn
+    pool = _action_pool(m, n)
+    _clear_orbit_caches()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orbits, "ORBIT_MEMORY_CAP", _DRAWN_CAP)
+        for names in lists:
+            actions = [pool[name] for name in names]
+            part = partition_from_actions(actions, m, n)
+            assert np.array_equal(part.labels, _reference_partition(actions, m, n)[0]), names
+            _assert_running_total()
+            _assert_last_call_fits(m * n)
 
 
 _CENSUS_SHAPES = [(2, 2), (3, 3), (2, 3), (3, 2), (2, 4), (4, 2), (2, 5), (5, 2)]
@@ -591,23 +625,58 @@ def test_action_that_permutes_and_recolors_is_refused():
         partition_from_actions(iter([rot]), 1, 3)
 
 
-_ORBIT_CACHES = (orbits._edge_perm_orbits, orbits._vertex_perms, orbits._switch_store)
-
-
 def _clear_orbit_caches():
-    for cache in _ORBIT_CACHES:
-        cache.cache_clear()
+    orbits._STORE.clear()
+
+
+def _kept():
+    """The store's P entries by key, least recently used first."""
+    return {key: e for key, e in orbits._STORE.items() if isinstance(e, orbits._Entry)}
+
+
+def _assert_running_total():
+    # the store's running total is the bytes of the arrays its P entries keep
+    kept = sum(a.nbytes for e in _kept().values()
+               for a in (e.orbit_of, e.reps, *e.rows.values(), *e.tables.values()))
+    assert orbits._STORE.nbytes == kept <= orbits.ORBIT_MEMORY_CAP
+
+
+def _assert_last_call_fits(k):
+    # the last call's working set (at least 16 bytes per id and 72 per
+    # P-orbit), its entry's stored tables and rows and every other kept
+    # entry fit the cap together
+    *others, last = _kept().values()
+    kept = sum(a.nbytes for e in others for a in (e.orbit_of, e.reps, *e.rows.values(), *e.tables.values()))
+    stored = sum(a.nbytes for a in (*last.rows.values(), *last.tables.values()))
+    assert kept + 16 * 3**k + 72 * last.reps.size + stored <= orbits.ORBIT_MEMORY_CAP
+
+
+def _spy(monkeypatch, name):
+    """The arguments of every later call to ``orbits.name``, in order."""
+    calls, real = [], getattr(orbits, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(orbits, name, spy)
+    return calls
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The key of every P entry the store builds, in order."""
+    return _spy(monkeypatch, "_edge_perm_orbits")
 
 
 def _outcome(part):
     return part.labels.tobytes(), part.orbit_count, part.actions, part.rounds, part.jumps
 
 
-def test_counters_equal_on_cache_miss_and_hit():
-    # at each census shape, every candidate computed with every cache cleared
-    # equals its cache hit, and equals itself computed after all of its
-    # shape's candidates have filled the shared actions and tables
-    assert orbits._edge_perm_orbits.cache_info().maxsize == 1
+def test_counters_equal_on_cache_miss_and_hit(builds):
+    # at each census shape, every candidate computed with the store cleared
+    # equals its store hit, which builds nothing, and equals itself computed
+    # after all of its shape's candidates have filled the shared actions and
+    # tables
     for m, n in ((2, 2), (3, 3), (2, 3), (3, 2), (2, 5), (5, 2)):
         cands = enumerate_candidate_groups(with_swap=m == n)
         cold = {}
@@ -615,45 +684,100 @@ def test_counters_equal_on_cache_miss_and_hit():
             actions = generators_for(cand.spec, m, n)
             _clear_orbit_caches()
             cold[cand.name] = _outcome(partition_from_actions(actions, m, n))
-            hits = orbits._edge_perm_orbits.cache_info().hits
+            built = len(builds)
             assert _outcome(partition_from_actions(actions, m, n)) == cold[cand.name], cand.name
-            assert orbits._edge_perm_orbits.cache_info().hits == hits + 1
+            assert len(builds) == built
         for cand in cands:
             orbit_partition(cand.spec, m, n)
         for cand in cands:
             assert _outcome(orbit_partition(cand.spec, m, n)) == cold[cand.name], cand.name
 
 
-def test_census_walk_misses_only_when_the_edge_permutations_change():
-    # the census order: every candidate of each shape, the swap variants at
-    # 2x2 and 3x3.  P's entry is rebuilt exactly when the edge permutations
-    # change and the shape's actions exactly when the shape does, the engine
-    # holds one of each after every call, and every outcome equals its cold
-    # computation
-    walk = [(m, n, cand.spec) for m, n in _CENSUS_SHAPES for cand in enumerate_candidate_groups(m == n)]
+_CENSUS_WALK = [(m, n, cand.spec) for m, n in _CENSUS_SHAPES for cand in enumerate_candidate_groups(m == n)]
+
+
+@functools.lru_cache(maxsize=1)
+def _cold_census_walk():
+    """Each census job's outcome computed with the store cleared."""
     cold = []
-    for m, n, spec in walk:
+    for m, n, spec in _CENSUS_WALK:
         _clear_orbit_caches()
         cold.append(_outcome(orbit_partition(spec, m, n)))
+    return tuple(cold)
+
+
+#: The cap that admits the census's largest call, 3^10 ids at 32 bytes each,
+#: and no other entry beside it.
+_ONE_ENTRY_CAP = 32 * 3**10
+
+
+def test_census_walk_misses_only_when_the_edge_permutations_change(monkeypatch, builds):
+    # the census order: every candidate of each shape, the swap variants at
+    # 2x2 and 3x3, so each P's candidates come in one run.  Under the real
+    # cap and under one that fits the 2x5 call alone, P's entry is built
+    # exactly when the edge permutations change and the shape's actions
+    # exactly when the shape does, the store keeps the call's entry and its
+    # running total, and every outcome equals its cold computation
+    cold = _cold_census_walk()
+    swaps = _spy(monkeypatch, "_vertex_perms")
+    for cap in (orbits.ORBIT_MEMORY_CAP, _ONE_ENTRY_CAP):
+        monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", cap)
+        _clear_orbit_caches()
+        del builds[:], swaps[:]
+        last = (None, None)
+        for (m, n, spec), expected in zip(_CENSUS_WALK, cold):
+            built, swapped = len(builds), len(swaps)
+            actions = generators_for(spec, m, n)
+            key = ((m, n), tuple(a.axes for a in actions if not a.recolor))
+            assert len(swaps) == swapped + (key[0] != last[0])
+            assert _outcome(partition_from_actions(actions, m, n)) == expected
+            assert len(builds) == built + (key != last)
+            assert list(_kept())[-1] == (m * n, key[1]) and (m, n, "swaps") in orbits._STORE
+            _assert_running_total()
+            _assert_last_call_fits(m * n)
+            last = key
+        assert len(builds) == 10 and len(swaps) == 8
+
+
+def test_second_census_walk_builds_no_entry(builds):
+    # under the real cap the store keeps every census entry, so a second
+    # walk builds no P and no shape's moves (the store's keys stay the
+    # same), and its outcomes stay cold
+    cold = _cold_census_walk()
     _clear_orbit_caches()
-    last = (None, None)
-    for (m, n, spec), expected in zip(walk, cold):
-        before = [cache.cache_info().misses for cache in _ORBIT_CACHES]
-        actions = generators_for(spec, m, n)
-        key = ((m, n), tuple(a.axes for a in actions if not a.recolor))
-        assert _outcome(partition_from_actions(actions, m, n)) == expected
-        new_shape = key[0] != last[0]
-        assert [cache.cache_info().misses for cache in _ORBIT_CACHES] == [
-            before[0] + (key != last), before[1] + new_shape, before[2] + new_shape]
-        assert [cache.cache_info().currsize for cache in _ORBIT_CACHES] == [1, 1, 1]
-        last = key
-    assert orbits._edge_perm_orbits.cache_info().misses == 10
+    for m, n, spec in _CENSUS_WALK:
+        orbit_partition(spec, m, n)
+    del builds[:]
+    kept = list(orbits._STORE)
+    assert len(_kept()) == 10
+    for (m, n, spec), expected in zip(_CENSUS_WALK, cold):
+        assert _outcome(orbit_partition(spec, m, n)) == expected
+    assert builds == [] and sorted(orbits._STORE, key=repr) == sorted(kept, key=repr)
+
+
+def test_census_walk_under_a_one_entry_cap_stays_under_it(monkeypatch):
+    # two census walks under a cap that fits the 2x5 call alone: the second
+    # rebuilds what the first evicted, every outcome equals its cold one, and
+    # the traced peak of both walks stays within the cap (no partition is
+    # held past its comparison, so evicted orbit ids are freed)
+    cold = _cold_census_walk()
+    monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", _ONE_ENTRY_CAP)
+    _clear_orbit_caches()
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            for (m, n, spec), expected in zip(_CENSUS_WALK, cold):
+                assert _outcome(orbit_partition(spec, m, n)) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _ONE_ENTRY_CAP
 
 
 def _assert_entry_matches_reference(k, perms):
     # every digit row and table P's entry stores, against the reference
     # recoloring of P's least members
-    entry = orbits._edge_perm_orbits(k, perms)
+    entry = orbits._STORE[k, perms]
     assert entry.tables and entry.rows
     for p, row in entry.rows.items():
         assert row.dtype == np.uint8 and np.array_equal(row, entry.reps // 3 ** (k - 1 - p) % 3)
@@ -661,10 +785,11 @@ def _assert_entry_matches_reference(k, perms):
         assert np.array_equal(table, entry.orbit_of[_recolored(entry.reps, k, positions, lut)])
 
 
-def test_stored_tables_equal_the_reference_recoloring():
+def test_stored_tables_equal_the_reference_recoloring(monkeypatch, builds):
     # every census shape and candidate (swap variants at 2x2 and 3x3); then P
     # trivial at K_{2,3}, where P's orbits are all 3^6 ids, with every
-    # single-edge recoloring; then that entry evicted by another P and rebuilt
+    # single-edge recoloring; then that entry evicted by another P, under a
+    # cap that fits the trivial-P call alone, and rebuilt
     _clear_orbit_caches()
     for m, n in _CENSUS_SHAPES:
         for cand in enumerate_candidate_groups(m == n):
@@ -673,11 +798,16 @@ def test_stored_tables_equal_the_reference_recoloring():
                 partition_from_actions(actions, m, n)
                 _assert_entry_matches_reference(m * n, tuple(a.axes for a in actions if not a.recolor))
     edges = [single_edge_action(2, 3, i, j, s) for i in range(2) for j in range(3) for s in ALL_PERMS[1:]]
-    for perms in ([], vertex_perm_actions(2, 3), []):
+    ids = 3**6  # working set 16 * ids + 96 * ids, 30 tables and 6 digit rows
+    monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", 16 * ids + ids * (96 + 4 * 30 + 6))
+    swap = vertex_perm_actions(2, 3)[:1]
+    for perms in ([], swap, []):
         partition_from_actions(perms + edges, 2, 3)
         _assert_entry_matches_reference(6, tuple(a.axes for a in perms))
-    assert orbits._edge_perm_orbits.cache_info().misses == 13
-    assert len(orbits._edge_perm_orbits(6, ()).tables) == 30
+        assert list(_kept()) == [(6, tuple(a.axes for a in perms))]
+        _assert_running_total()
+    assert len(builds) == 13 and builds[-3] == builds[-1] == (6, ())
+    assert len(orbits._STORE[6, ()].tables) == 30
 
 
 def test_action_lists_are_fresh_on_every_call():
@@ -705,35 +835,43 @@ def test_recoloring_store_stays_under_the_cap(monkeypatch):
     sizes = []
     for first, second in zip(moves, moves[1:]):
         part = partition_from_actions([first, second], m, n)
-        entry = orbits._edge_perm_orbits(m * n, ())
+        entry = orbits._STORE[m * n, ()]
         stored = entry.tables
         sizes.append(len(stored))
         assert working + reps * (4 * len(stored) + len(entry.rows)) <= orbits.ORBIT_MEMORY_CAP
         assert all(not array.flags.writeable for array in [*stored.values(), *entry.rows.values()])
         assert np.array_equal(part.labels, _reference_partition([first, second], m, n)[0])
+        _assert_running_total()
     assert max(sizes) == 5 and min(sizes) == 2  # filled to the cap, then dropped
 
 
 def test_alternating_edge_permutations_keep_one_entry_under_the_cap(monkeypatch):
     # P trivial and P = <swapL(0,1)> in turn at K_{2,3}, under a cap that
-    # leaves the trivial-P call room for five tables: after every call the
-    # cache holds that call's entry alone, and its working set plus the
-    # entry's stored tables and digit rows fit the cap
+    # fits the trivial-P call's working set, two tables and a digit row: a
+    # trivial-P call keeps its entry alone, dropping the other P's entry
+    # before its own stored tables, and a swap-P call keeps both (its working
+    # set is smaller).  After every call the kept bytes plus the call's
+    # working set and stored tables fit the cap
     m, n, ids = 2, 3, 3**6
-    monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", 16 * ids + ids * (24 * 1 + 72) + 4 * ids * 5)
+    monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", 16 * ids + ids * (24 * 1 + 72) + ids * (4 * 2 + 1))
     _clear_orbit_caches()
     swap = vertex_perm_actions(m, n)[:1]
     assert swap[0].name == "swapL(0,1)"
     moves = [single_edge_action(m, n, 0, 0, s) for s in ALL_PERMS[1:]]
     for perms in ([], swap, [], swap):
+        key = (m * n, tuple(a.axes for a in perms))
         for first, second in zip(moves, moves[1:]):
             part = partition_from_actions(perms + [first, second], m, n)
             assert np.array_equal(part.labels, _reference_partition(perms + [first, second], m, n)[0])
-            assert orbits._edge_perm_orbits.cache_info().currsize == 1
-            entry = orbits._edge_perm_orbits(m * n, tuple(a.axes for a in perms))
-            reps = entry.reps
+            kept = _kept()
+            assert list(kept)[-1] == key and len(kept) == (2 if perms else 1)
+            others = sum(e.orbit_of.nbytes + e.reps.nbytes for k, e in kept.items() if k != key)
+            others += sum(a.nbytes for k, e in kept.items() if k != key
+                          for a in [*e.tables.values(), *e.rows.values()])
+            entry = kept[key]
             tables = sum(array.nbytes for array in [*entry.tables.values(), *entry.rows.values()])
-            assert 16 * ids + reps.size * (24 * 1 + 72) + tables <= orbits.ORBIT_MEMORY_CAP
+            assert others + 16 * ids + entry.reps.size * (24 * 1 + 72) + tables <= orbits.ORBIT_MEMORY_CAP
+            _assert_running_total()
 
 
 def _dense_refines(l1, l2):
@@ -760,12 +898,16 @@ def test_compact_comparisons_match_dense_labels(m, n):
     _assert_comparisons_match_dense(parts, parts)
 
 
-def test_compact_comparisons_across_an_evicted_entry():
+def test_compact_comparisons_across_an_evicted_entry(monkeypatch):
+    # under a cap that fits one 3x3 call alone, the swap candidates' P evicts
+    # the side-preserving one and back, so every partition after holds orbit
+    # ids rebuilt since those before
+    monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", 32 * 3**9)
+    _clear_orbit_caches()
     cands = enumerate_candidate_groups(with_swap=True)
     before = [orbit_partition(c.spec, 3, 3) for c in cands]
-    for m, n in ((2, 3), (3, 2)):  # other shapes replace the 3x3 entry
-        orbit_partition(cands[0].spec, m, n)
     after = [orbit_partition(c.spec, 3, 3) for c in cands]
+    assert len({id(p.orbit_of) for p in before}) == len({id(p.orbit_of) for p in after}) == 2
     assert not {id(p.orbit_of) for p in before} & {id(p.orbit_of) for p in after}
     _assert_comparisons_match_dense(before, after)
 
@@ -784,7 +926,8 @@ def test_labels_are_a_fresh_int32_array_on_every_access():
 
 def test_cached_edge_permutation_orbits_are_read_only():
     perms = vertex_perm_actions(2, 2)
-    entry = orbits._edge_perm_orbits(4, tuple(a.axes for a in perms))
+    partition_from_actions(perms, 2, 2)
+    entry = orbits._STORE[4, tuple(a.axes for a in perms)]
     for array in (entry.orbit_of, entry.reps):
         with pytest.raises(ValueError):
             array[0] = 1
@@ -806,12 +949,12 @@ def test_quotient_over_the_memory_cap_is_refused(monkeypatch):
 
 def test_working_set_stays_under_the_cap_multiplier():
     # ORBIT_MEMORY_CAP admits 3^(mn) ids at 32 bytes each; that must cover
-    # one call's peak with the cache's entry for the previous P still held
-    # while the next one propagates (the side swap makes ol_Sym_lr's P differ
-    # from Sym_lr's and Aut's)
+    # one call's peak with the store's entry for the other P still held while
+    # the next one propagates (the side swap makes ol_Sym_lr's P differ from
+    # Sym_lr's and Aut's)
     ids = 3**9
     gens = [generators_for(candidate_by_name(name).spec, 3, 3) for name in ("ol_Sym_lr", "Sym_lr", "Aut")]
-    orbits._edge_perm_orbits.cache_clear()
+    _clear_orbit_caches()
     tracemalloc.start()
     try:
         for actions in gens:
@@ -829,7 +972,7 @@ def test_edge_permutation_orbits_peak_at_24_bytes_per_id(m, n):
     # 2^16 ids), with the entry's int32 orbit ids among them
     ids = 3 ** (m * n)
     perms = tuple(a.axes for a in vertex_perm_actions(m, n))
-    orbits._edge_perm_orbits.cache_clear()
+    _clear_orbit_caches()
     tracemalloc.start()
     try:
         orbits._edge_perm_orbits(m * n, perms)
