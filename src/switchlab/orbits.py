@@ -66,12 +66,12 @@ __all__ = [
 #: Default cap on m*n; 3^12 = 531441 colorings is still desk-scale.
 DEFAULT_ORBIT_BUDGET = 12
 
-#: Byte cap on the orbit engine's working set plus the arrays its store keeps,
-#: whatever the m*n budget: P's int32 propagation (at most 24 bytes per id:
-#: three int32 label arrays and the intp copy ``take`` makes of an int32
-#: index) and its int32 P-orbit ids (4 per id) fit 4 * 8 bytes per id; the
-#: quotient, its digit rows and recoloring tables, sized by P's orbits, are
-#: checked apart.  Each check first evicts least recently used entries.
+#: Byte cap on the orbit engine's working set plus the arrays and moves its
+#: store keeps, whatever the m*n budget: P's int32 propagation (at most 24
+#: bytes per id: three int32 label arrays and the intp copy ``take`` makes of
+#: an int32 index) and its int32 P-orbit ids (4 per id) fit 4 * 8 bytes per
+#: id; the quotient, its digit rows and recoloring tables, sized by P's
+#: orbits, are checked apart.  Each check first evicts least recently used entries.
 ORBIT_MEMORY_CAP = 2**29
 
 
@@ -129,7 +129,13 @@ def _recolor_action(name: str, m: int, n: int, positions, sigma: S3Perm) -> Acti
     return Action(name, tuple(range(m * n)), tuple(positions), tuple(sigma(c) - 1 for c in (1, 2, 3)))
 
 
-def _vertex_perms(m: int, n: int) -> tuple[Action, ...]:
+class _Moves(tuple):
+    """A shape's moves in the store, charged 40 bytes per axes and recoloring
+    slot: the pointer and the int object ``tolist`` or ``range`` made for it."""
+    nbytes = property(lambda self: 40 * sum(len(a.axes) + len(a.recolor) for a in self))
+
+
+def _vertex_perms(m: int, n: int) -> _Moves:
     edges = np.arange(m * n).reshape(m, n)
     actions = []
     for t in range(m - 1):
@@ -140,7 +146,7 @@ def _vertex_perms(m: int, n: int) -> tuple[Action, ...]:
         moved = edges.copy()
         moved[:, [t, t + 1]] = edges[:, [t + 1, t]]
         actions.append(Action(f"swapR({t},{t + 1})", tuple(moved.ravel().tolist())))
-    return tuple(actions)
+    return _Moves(actions)
 
 
 def vertex_perm_actions(m: int, n: int) -> list[Action]:
@@ -148,16 +154,16 @@ def vertex_perm_actions(m: int, n: int) -> list[Action]:
     vertex permutations.  Each is its own inverse, so the permuted edge grid
     is also the move's ``axes``.  Kept in the store per shape; none without
     edges, where every move is the identity.  Each call gets its own list."""
-    return list(_STORE.fetch((m, n, "swaps"), lambda: _vertex_perms(m, n) if m * n else ()))
+    return list(_STORE.fetch((m, n, "swaps"), lambda: _vertex_perms(m, n) if m * n else _Moves()))
 
 
 def switch_actions(side_left: bool, sigmas, m: int, n: int) -> list[Action]:
     """One single-vertex switch action per (vertex, sigma), kept in the store
     per shape and sigma (none without edges); each call gets its own list."""
     tag, rows = "L" if side_left else "R", np.arange(m * n).reshape(m, n)
-    per_sigma = [_STORE.fetch((m, n, side_left, sigma), lambda sigma=sigma: tuple(
+    per_sigma = [_STORE.fetch((m, n, side_left, sigma), lambda sigma=sigma: _Moves(
         _recolor_action(f"switch{tag}({v},{sigma.cycle_string()})", m, n, row.tolist(), sigma)
-        for v, row in enumerate(rows if side_left else rows.T)) if m * n else ()) for sigma in sigmas]
+        for v, row in enumerate(rows if side_left else rows.T)) if m * n else _Moves()) for sigma in sigmas]
     return [action for vertex in zip(*per_sigma) for action in vertex]
 
 
@@ -290,7 +296,7 @@ class _Entry(NamedTuple):
 
 class _Store(OrderedDict):
     """The orbit engine's store, least recently used first, of P's entries by ``(k, perms)``
-    and shape moves by ``(m, n)`` and kind; ``nbytes`` totals the P entries' arrays."""
+    and shape moves by ``(m, n)`` and kind; ``nbytes`` totals their bytes."""
 
     nbytes = 0
 
@@ -298,7 +304,7 @@ class _Store(OrderedDict):
         """Drop least recently used entries, up to ``keep``, until ``need``
         fits beside the rest; True if it does."""
         while self.nbytes + need > ORBIT_MEMORY_CAP and next(iter(self.values()), keep) is not keep:
-            self.nbytes -= getattr(self.popitem(last=False)[1], "nbytes", 0)
+            self.nbytes -= self.popitem(last=False)[1].nbytes
         return self.nbytes + need <= ORBIT_MEMORY_CAP
 
     def fetch(self, key, build, need: int = 0):
@@ -306,7 +312,7 @@ class _Store(OrderedDict):
         if key not in self:
             self.evict(need)
             self[key] = build()
-            self.nbytes += getattr(self[key], "nbytes", 0)
+            self.nbytes += self[key].nbytes
         self.move_to_end(key)
         return self[key]
 

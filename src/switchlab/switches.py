@@ -4,14 +4,14 @@ A switch carries a support set of vertices and a color permutation sigma.
 An edge is recolored by sigma once per endpoint inside the support, so by
 sigma for one endpoint and sigma^2 for two.  Words compose switches first to
 last.  Operators never mutate their input graph.  Words may share op
-instances, which are immutable; each operator builds, checks, inverts or
-formats every distinct instance once per call, keyed by ``id`` while the word
-holds it.  ``left_switch`` and ``right_switch`` hand out one shared instance
+instances, which are immutable; an instance finds its inverse (for one vertex,
+the interned switch) and JSON fields once, and ``apply_word`` checks it once
+per call.  ``left_switch`` and ``right_switch`` hand out one shared instance
 per (vertex, sigma) while it stays in their bounded caches, so the words of
 ``edge_kill_word`` and ``monochromatize`` repeat instances, not equal copies.
 
 Word JSON format: ``[{"support": [{"side": "L", "i": 0}, ...], "sigma": "(12)"},
-...]``, applied first to last.
+...]``, applied first to last; each encoded entry is a fresh dict.
 """
 
 from __future__ import annotations
@@ -44,6 +44,20 @@ class SwitchOp:
 
     support: frozenset[VertexRef]
     sigma: S3Perm
+
+    @functools.cached_property
+    def _inverse(self) -> SwitchOp:
+        """The switch that undoes this one; for one vertex, the interned switch."""
+        if len(self.support) != 1:
+            return SwitchOp(self.support, inverse(self.sigma))
+        (v,) = self.support
+        return (left_switch if v.side is Side.LEFT else right_switch)(v.index, inverse(self.sigma))
+
+    @functools.cached_property
+    def _json(self) -> tuple:
+        """(side, i, cycle string) of one vertex, else sorted (side, i) pairs and cycle string."""
+        pairs = tuple((v.side.value, v.index) for v in sorted(self.support))
+        return (*pairs[0], self.sigma.cycle_string()) if len(pairs) == 1 else (pairs, self.sigma.cycle_string())
 
 
 @dataclass(frozen=True)
@@ -107,11 +121,7 @@ def apply_word(g: ColoredBipartiteGraph, word: SwitchWord) -> ColoredBipartiteGr
 
 def inverse_word(word: SwitchWord) -> SwitchWord:
     """Reversed word with inverted permutations; undoes ``word`` on any graph."""
-    inverted = {}  # id(op) -> its inverse
-    for op in word.ops:
-        if id(op) not in inverted:
-            inverted[id(op)] = SwitchOp(op.support, inverse(op.sigma))
-    return SwitchWord(tuple(inverted[id(op)] for op in reversed(word.ops)))
+    return SwitchWord(tuple([op._inverse for op in reversed(word.ops)]))
 
 
 def edge_kill_word(x: int, y: int, f: S3Perm, gp: S3Perm) -> SwitchWord:
@@ -165,16 +175,10 @@ def monochromatize(g: ColoredBipartiteGraph, target: int) -> SwitchWord:
 
 def word_to_json(word: SwitchWord) -> list:
     """Fresh dicts for every entry, so a caller may edit one without touching
-    the others; each distinct op is sorted and formatted once."""
-    fields = {}  # id(op) -> (support dicts to copy, cycle string)
-    for op in word.ops:
-        if id(op) not in fields:
-            support = [{"side": v.side.value, "i": v.index} for v in sorted(op.support)]
-            fields[id(op)] = (support, op.sigma.cycle_string())
-    return [
-        {"support": [v.copy() for v in support], "sigma": sigma}
-        for support, sigma in [fields[id(op)] for op in word.ops]
-    ]
+    the others; each op instance is sorted and formatted once."""
+    return [{"support": [{"side": f[0], "i": f[1]}], "sigma": f[2]} if len(f) == 3 else
+            {"support": [{"side": side, "i": i} for side, i in f[0]], "sigma": f[1]}
+            for f in [op._json for op in word.ops]]
 
 
 _SIDES = {side.value: side for side in Side}
@@ -184,7 +188,6 @@ def word_from_json(data) -> SwitchWord:
     if not isinstance(data, list):
         raise ValueError("word JSON must be a list of switch objects")
     built: dict[tuple, SwitchOp] = {}  # one op per distinct (sigma, support) entry
-    sigmas: dict[str, S3Perm] = {}  # one parse per distinct sigma string
     ops = []
     for entry in data:
         try:
@@ -193,8 +196,14 @@ def word_from_json(data) -> SwitchWord:
             raise ValueError('each switch needs keys "support" and "sigma"') from None
         if not isinstance(raw_support, list) or not isinstance(raw_sigma, str):
             raise ValueError(f"malformed switch entry: {entry!r}")
-        if raw_sigma not in sigmas:
-            sigmas[raw_sigma] = S3Perm.from_cycle_string(raw_sigma)
+        # a checked one-vertex entry is also kept by (sigma, side, i), so a
+        # repeat skips the checks; the exact types keep True off the key of 1
+        item = raw_support[0] if len(raw_support) == 1 else None
+        one = (raw_sigma, item.get("side"), item.get("i")) if type(item) is dict else None
+        if one and type(one[1]) is str and type(one[2]) is int and one in built:
+            ops.append(built[one])
+            continue
+        sigma = S3Perm.from_cycle_string(raw_sigma)
         support = []
         for item in raw_support:
             try:
@@ -209,6 +218,8 @@ def word_from_json(data) -> SwitchWord:
             support.append((side, index))
         key = (raw_sigma, tuple(support))
         if key not in built:
-            built[key] = SwitchOp(frozenset(VertexRef(*v) for v in support), sigmas[raw_sigma])
+            built[key] = SwitchOp(frozenset(VertexRef(*v) for v in support), sigma)
+        if one:
+            built[one] = built[key]
         ops.append(built[key])
     return SwitchWord(tuple(ops))

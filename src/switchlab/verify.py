@@ -13,6 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import (
+    ColoredBipartiteGraph,
+    Side,
+    VertexRef,
     constant_graph,
     graph_to_json,
     is_homogeneous,
@@ -50,7 +53,7 @@ from .s3 import (
     noncommuting_witness,
     subgroup_generated,
 )
-from .switches import apply_word, edge_kill_word, monochromatize
+from .switches import SwitchOp, SwitchWord, apply_word, edge_kill_word, monochromatize
 
 __all__ = ["CheckResult", "CHECKS", "run_all"]
 
@@ -109,27 +112,32 @@ def check_s3_table() -> tuple[bool, str]:
 
 
 def check_edge_kill() -> tuple[bool, str]:
-    """Four-switch words recolor exactly one edge, by the commutator."""
+    """Four-switch words recolor exactly one edge, by the commutator; each side size's
+    graphs sit side by side, each right switch widened to that column of every copy."""
     pairs = [(f, g) for f in ALL_PERMS for g in ALL_PERMS if not commutes(f, g)]
     if len(pairs) != 18:
         return False, f"expected 18 non-commuting pairs, got {len(pairs)}"
-    # each edge's 18 kill words and their commutators, built once per side size
-    kills = {
-        size: [(x, y, [(edge_kill_word(x, y, f, gp), commutator(f, gp)) for f, gp in pairs])
-               for x in range(size) for y in range(size)]
-        for size in (2, 3)
-    }
-    graphs = [(f"K22 id {cid}", id_to_coloring(2, 2, cid)) for cid in range(81)]
-    graphs += [(f"K33 seed {424200 + t}", random_graph(3, 3, seed=424200 + t)) for t in range(1000)]
+    tiles = {2: [(f"K22 id {cid}", id_to_coloring(2, 2, cid)) for cid in range(81)],
+             3: [(f"K33 seed {424200 + t}", random_graph(3, 3, seed=424200 + t)) for t in range(1000)]}
     applications = 0
-    for label, g in graphs:
-        for x, y, words in kills[g.m]:
-            head, row, tail = g.colors[:x], bytearray(g.colors[x]), g.colors[x + 1:]
-            for word, gamma in words:
-                row[y] = gamma(g.colors[x][y])
-                if apply_word(g, word).colors != (*head, bytes(row), *tail):
-                    return False, f"failure at {label}, edge ({x},{y})"
-                applications += 1
+    for size, graphs in tiles.items():
+        rows = [b"".join(g.colors[r] for _, g in graphs) for r in range(size)]
+        tiled = ColoredBipartiteGraph(size, size * len(graphs), rows)
+        cols = [frozenset(VertexRef(Side.RIGHT, y + c * size) for c in range(len(graphs))) for y in range(size)]
+        for x, y in itertools.product(range(size), repeat=2):
+            for f, gp in pairs:
+                gamma = bytes.maketrans(b"\1\2\3", bytes(commutator(f, gp).image))
+                row = bytearray(rows[x])  # edge (x, y) of every copy moves by the commutator
+                row[y::size] = row[y::size].translate(gamma)
+                want = (*rows[:x], bytes(row), *rows[x + 1:])
+                word = SwitchWord(tuple(SwitchOp(frozenset().union(*(
+                    cols[v.index] if v.side is Side.RIGHT else {v} for v in op.support)), op.sigma)
+                    for op in edge_kill_word(x, y, f, gp).ops))
+                got = apply_word(tiled, word).colors
+                if got != want:
+                    c = min(j for a, b in zip(got, want) for j in range(len(a)) if a[j] != b[j]) // size
+                    return False, f"failure at {graphs[c][0]}, edge ({x},{y})"
+                applications += len(graphs)
     return True, f"{applications} word applications, all local"
 
 

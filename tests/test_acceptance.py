@@ -40,6 +40,28 @@ def test_acceptance(name):
     assert result.detail == DETAILS[name]
 
 
+def test_edge_kill_check_applies_few_tiled_words(monkeypatch):
+    # the 167,832 (graph, edge, word) cases run as one word per (side size,
+    # edge, pair) on the side-by-side copies: 4 * 18 + 9 * 18 applications
+    calls, real = [], verify_mod.apply_word
+    monkeypatch.setattr(verify_mod, "apply_word", lambda g, w: calls.append(g.n) or real(g, w))
+    assert verify_mod.check_edge_kill() == (True, DETAILS["edge-kill-locality"])
+    assert sorted(set(calls)) == [162, 3000] and len(calls) == 234
+
+
+def test_edge_kill_failure_names_the_first_failing_copy(monkeypatch):
+    # one wrong edge in the 501st K_{3,3} copy of the tiled graph
+    real = verify_mod.apply_word
+
+    def wrong(g, word):
+        rows = [bytearray(r) for r in real(g, word).colors]
+        if g.n == 3000:
+            rows[2][1500] = rows[2][1500] % 3 + 1
+        return verify_mod.ColoredBipartiteGraph(g.m, g.n, rows)
+    monkeypatch.setattr(verify_mod, "apply_word", wrong)
+    assert verify_mod.check_edge_kill() == (False, "failure at K33 seed 424700, edge (0,0)")
+
+
 def test_collapse_trichotomy_failure_names_the_pair_as_color_lists(monkeypatch):
     monkeypatch.setattr(verify_mod, "collapse_witness", lambda c1, c2: None)
     passed, detail = verify_mod.check_collapse_trichotomy()

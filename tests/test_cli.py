@@ -288,9 +288,10 @@ def _child_peak_kib(*argv, timeout=60):
 
 
 def test_measured_child_timeout_kills_its_process_group(monkeypatch):
-    # verify-lemmas runs about 3 s in the forked, measured process; the
-    # timeout falls after the fork, and no process of the child's group,
-    # which the fork shares, outlives it
+    # 100,000 sfsp-estimate trials run for several seconds (15 s on a 2-vCPU
+    # host) in the forked, measured process; the timeout falls after the
+    # fork, and no process of the child's group, which the fork shares,
+    # outlives it
     groups = []
     popen = subprocess.Popen
 
@@ -301,7 +302,8 @@ def test_measured_child_timeout_kills_its_process_group(monkeypatch):
 
     monkeypatch.setattr(subprocess, "Popen", spy)
     with pytest.raises(subprocess.TimeoutExpired):
-        _child_peak_kib("verify-lemmas", timeout=1.5)
+        _child_peak_kib("sfsp-estimate", "--n", "24", "--k", "1", "--trials", "100000", "--seed", "1",
+                        timeout=1.5)
     (pid, pgid), = groups
     assert pgid == pid != os.getpgrp()
     # a killed process can still be signalled until it is reaped

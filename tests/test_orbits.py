@@ -636,9 +636,33 @@ def _kept():
 
 def _assert_running_total():
     # the store's running total is the bytes of the arrays its P entries keep
+    # plus 40 per axes and recoloring slot of the moves it keeps
     kept = sum(a.nbytes for e in _kept().values()
                for a in (e.orbit_of, e.reps, *e.rows.values(), *e.tables.values()))
+    kept += 40 * sum(len(a.axes) + len(a.recolor) for key, moves in orbits._STORE.items()
+                     if key not in _kept() for a in moves)
     assert orbits._STORE.nbytes == kept <= orbits.ORBIT_MEMORY_CAP
+
+
+def test_stored_moves_are_charged_and_evicted(monkeypatch):
+    # the moves of a 60x60 shape hold about 63 MiB: the store charges them,
+    # so under a small cap the next call's miss evicts them
+    _clear_orbit_caches()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        vertex_perm_actions(60, 60)
+        switch_actions(True, ALL_PERMS, 60, 60)
+        held = tracemalloc.get_traced_memory()[0] - start
+        assert 50 * 2**20 < held <= orbits._STORE.nbytes < 1.2 * held
+        monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", 2**20)
+        vertex_perm_actions(2, 2)
+        assert list(orbits._STORE) == [(2, 2, "swaps")]
+        assert tracemalloc.get_traced_memory()[0] - start < 2**16
+        _assert_running_total()
+    finally:
+        tracemalloc.stop()
+        _clear_orbit_caches()
 
 
 def _assert_last_call_fits(k):
@@ -711,16 +735,30 @@ def _cold_census_walk():
 _ONE_ENTRY_CAP = 32 * 3**10
 
 
+def _largest_moves_charge():
+    """The store's charge for every move a census shape generates, at its
+    largest over the shapes."""
+    charges = []
+    for shape in _CENSUS_SHAPES:
+        _clear_orbit_caches()
+        for m, n, spec in _CENSUS_WALK:
+            if (m, n) == shape:
+                generators_for(spec, m, n)
+        charges.append(orbits._STORE.nbytes)
+    return max(charges)
+
+
 def test_census_walk_misses_only_when_the_edge_permutations_change(monkeypatch, builds):
     # the census order: every candidate of each shape, the swap variants at
     # 2x2 and 3x3, so each P's candidates come in one run.  Under the real
-    # cap and under one that fits the 2x5 call alone, P's entry is built
-    # exactly when the edge permutations change and the shape's actions
-    # exactly when the shape does, the store keeps the call's entry and its
-    # running total, and every outcome equals its cold computation
+    # cap and under one that fits the 2x5 call and one shape's moves alone,
+    # P's entry is built exactly when the edge permutations change and the
+    # shape's actions exactly when the shape does, the store keeps the
+    # call's entry and its running total, and every outcome equals its cold
+    # computation
     cold = _cold_census_walk()
     swaps = _spy(monkeypatch, "_vertex_perms")
-    for cap in (orbits.ORBIT_MEMORY_CAP, _ONE_ENTRY_CAP):
+    for cap in (orbits.ORBIT_MEMORY_CAP, _ONE_ENTRY_CAP + _largest_moves_charge()):
         monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", cap)
         _clear_orbit_caches()
         del builds[:], swaps[:]

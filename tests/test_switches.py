@@ -428,7 +428,17 @@ _ENTRIES = st.one_of(
 )
 
 
+def _one(side, i, sigma="(12)", **extra):
+    return {"support": [{"side": side, "i": i}], "sigma": sigma, **extra}
+
+
 @given(st.lists(_ENTRIES, min_size=1, max_size=4), st.lists(st.integers(0, 3), min_size=1, max_size=8))
+# a repeat of a validated entry skips the checks only on an equal key, so
+# i=True never hits the key of i=1 and an unhashable side takes the checks
+@example([_one("L", 1), _one("L", True)], [0, 1])
+@example([_one("R", 0, "(123)"), _one(["L"], 0, "(123)")], [0, 1])
+@example([_one("L", 2, "(13)", note="x"), {"support": [{"side": "L", "i": 2, "x": 0}], "sigma": "(13)"}], [0, 1, 0])
+@example([_one("L", 0, "(13)"), _one("L", 0, " (13) ")], [0, 1, 1])
 def test_word_from_json_matches_reference(pool, picks):
     # entries repeat by reference and, after a JSON round trip, as equal
     # copies; the valid entries alone make a valid word
@@ -449,6 +459,26 @@ def test_monochromatize_matches_reference(g, target):
         off = [(i, j) for i, j in g.edges() if g.colors[i][j] != target]
         rows, cols = {i for i, _ in off}, {j for _, j in off}
         assert len({id(op) for op in got.ops}) == len(set(got.ops)) == 2 * len(rows) + len(cols)
+
+
+def test_word_from_json_repeats_refuse_what_the_checks_refuse():
+    for bad in (_one("L", True), _one(["L"], 1), _one("L", -1), _one("X", 1)):
+        with pytest.raises(ValueError, match="malformed support entry|negative vertex index"):
+            word_from_json([_one("L", 1), _one("L", 1), bad])
+
+
+def test_inverse_word_reuses_interned_switches():
+    word = monochromatize(random_graph(6, 6, seed=3), 2)
+    inv = inverse_word(word)
+    for op in inv.ops:
+        (v,) = op.support
+        assert op is (left_switch if v.side is Side.LEFT else right_switch)(v.index, op.sigma)
+    assert all(a is b for a, b in zip(inverse_word(inv).ops, word.ops, strict=True))
+    # a one-vertex switch built apart inverts to the interned instance, and a
+    # support of several vertices to an equal new switch
+    both = SwitchOp(frozenset({_L0, _R0}), c("(123)"))
+    several, one = inverse_word(SwitchWord((SwitchOp(frozenset({_R0}), c("(123)")), both))).ops
+    assert several == SwitchOp(both.support, c("(132)")) and one is right_switch(0, c("(132)"))
 
 
 def test_monochromatize_empty_side_builds_no_switch():
