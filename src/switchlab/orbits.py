@@ -8,11 +8,12 @@ recolor them.  Orbit partitions come from min-label propagation to a
 fixpoint, which yields the same components as a closure BFS and numbers
 orbits by least member id, so results are bit-identical in any order.  The
 edge permutations' group P propagates over all ids by transposing the label
-cube (P's orbits, the base-3 digits of their least members, and each
-recoloring's P-conjugates and table over P's orbits stay in a store while
-they fit ``ORBIT_MEMORY_CAP``), then the recolorings, closed under
-conjugation by P, over P's orbits through their least members, since
-s(pi x) = pi (pi^-1 s pi)(x).  Every label gather is an ``ndarray.take``:
+cube, then the recolorings, closed under conjugation by P, over P's orbits
+through their least members, since s(pi x) = pi (pi^-1 s pi)(x).  P's
+orbits, the base-3 digits of their least members, each recoloring's
+P-conjugates and table and each generator set's read-only quotient over P's
+orbits stay in a store while they fit ``ORBIT_MEMORY_CAP``, so a repeated
+generator set costs one lookup.  Every label gather is an ``ndarray.take``:
 numpy serves ``a[index]`` with an int32 index through a slower path.
 
 Equality of orbit partitions is the finite surrogate for two candidate
@@ -126,13 +127,19 @@ class Action:
 
 
 def _recolor_action(name: str, m: int, n: int, positions, sigma: S3Perm) -> Action:
-    return Action(name, tuple(range(m * n)), tuple(positions), tuple(sigma(c) - 1 for c in (1, 2, 3)))
+    return Action(name, _identity(m * n), tuple(positions), tuple(sigma(c) - 1 for c in (1, 2, 3)))
 
 
 class _Moves(tuple):
-    """A shape's moves in the store, charged 40 bytes per axes and recoloring
-    slot: the pointer and the int object ``tolist`` or ``range`` made for it."""
-    nbytes = property(lambda self: 40 * sum(len(a.axes) + len(a.recolor) for a in self))
+    """A shape's moves in the store, charged 40 bytes (a pointer and an int
+    object) per recoloring slot and per slot of each distinct axes tuple."""
+    nbytes = property(lambda self: 40 * sum(map(len, [*{id(a.axes): a.axes for a in self}.values(),
+                                                      *(a.recolor for a in self)])))
+
+
+def _identity(k: int) -> tuple[int, ...]:
+    """The identity axes on k edges: one object per k while the store keeps it."""
+    return _STORE.fetch((k, "identity"), lambda: _Moves([Action("identity", tuple(range(k)))]))[0].axes
 
 
 def _vertex_perms(m: int, n: int) -> _Moves:
@@ -274,11 +281,13 @@ def _numbered(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Entry(NamedTuple):
-    """P's store entry: the int32 P-orbit of every id, numbered by least
-    member, each P-orbit's least member, P's rounds and jumps, and three
-    stores filled on first use and evicted with it: each position's uint8
-    base-3 digit of the least members, each recoloring move's int32 table
-    over P's orbits, and each move's conjugates by P's generators."""
+    """P's store entry: the int32 P-orbit of every id, numbered by least member,
+    each P-orbit's least member, P's rounds and jumps, and four stores filled
+    on first use and evicted with it: each position's uint8 base-3 digit of
+    the least members, each recoloring move's int32 table over P's orbits,
+    each move's conjugates by P's generators, and each generator set's read-only
+    int32 quotient by its recoloring moves in call order, with its orbit count
+    and the rounds and jumps of both stages."""
 
     orbit_of: np.ndarray
     reps: np.ndarray
@@ -287,16 +296,18 @@ class _Entry(NamedTuple):
     rows: dict
     tables: dict
     conjugates: dict
+    quotients: dict
 
     @property
     def nbytes(self) -> int:
-        """The bytes of its orbit ids, least members, digit rows and tables."""
-        return sum(a.nbytes for a in (self.orbit_of, self.reps, *self.rows.values(), *self.tables.values()))
+        """The bytes of its orbit ids, least members, digit rows, tables and quotients."""
+        return sum(a.nbytes for a in (self.orbit_of, self.reps, *self.rows.values(), *self.tables.values(),
+                                      *(q[0] for q in self.quotients.values())))
 
 
 class _Store(OrderedDict):
-    """The orbit engine's store, least recently used first, of P's entries by ``(k, perms)``
-    and shape moves by ``(m, n)`` and kind; ``nbytes`` totals their bytes."""
+    """The orbit engine's store, least recently used first: P's entries by ``(k, perms)``, shape
+    moves by ``(m, n)`` and kind, identity axes by ``(k, "identity")``; ``nbytes`` totals their bytes."""
 
     nbytes = 0
 
@@ -331,7 +342,7 @@ def _edge_perm_orbits(k: int, perms: tuple[tuple[int, ...], ...]) -> _Entry:
     orbit_of, roots = _numbered(labels)
     reps = np.flatnonzero(roots)
     orbit_of.flags.writeable = reps.flags.writeable = False
-    return _Entry(orbit_of, reps, rounds, jumps, {}, {}, {})
+    return _Entry(orbit_of, reps, rounds, jumps, {}, {}, {}, {})
 
 
 def _digit_row(reps: np.ndarray, k: int, position: int) -> np.ndarray:
@@ -352,38 +363,50 @@ def partition_from_actions(actions, m: int, n: int, budget: int = DEFAULT_ORBIT_
     each an edge permutation or a recoloring (identity ``axes``)."""
     _check_budget(m, n, budget)
     actions, k = list(actions), m * n
-    identity = tuple(range(k))
+    identity = _identity(k)
     for a in actions:
         if len(a.axes) != k:
             raise ValueError("action does not match the coloring space")
-        if a.recolor and a.axes != identity:
+        if a.recolor and a.axes is not identity and a.axes != identity:
             raise ValueError(f"action {a.name} both permutes and recolors")
     perms = tuple(a.axes for a in actions if not a.recolor)
     entry = _STORE.fetch((k, perms), lambda: _edge_perm_orbits(k, perms), 4 * 8 * 3**k)
-    orbit_of, reps, rounds, jumps, rows, tables, conjugates = entry
-    closed = list(dict.fromkeys((tuple(sorted(a.recolor)), a.lut) for a in actions if a.recolor))
-    seen = set(closed)
+    key = tuple(dict.fromkeys((tuple(sorted(a.recolor)), a.lut) for a in actions if a.recolor))
+    # per P-orbit the quotient stage takes 72 bytes, plus 24 of int64 temporaries
+    # while tables are built; a stored quotient keeps its tables and rows, so it
+    # is served while this fits beside them (its call would be admitted again)
+    working = 16 * 3**k + entry.reps.size * (96 if key else 72)
+    stored = entry.quotients.get(key)
+    if not (stored and _STORE.evict(working - entry.orbit_of.nbytes - entry.reps.nbytes, keep=entry)):
+        stored = _quotient(entry, k, perms, key, working)
+    quotient, count, rounds, jumps = stored
+    return OrbitPartition(m, n, quotient, entry.orbit_of, count, len(actions), rounds, jumps)
+
+
+def _quotient(entry: _Entry, k: int, perms, key: tuple, working: int) -> tuple:
+    """The quotient stage of the recoloring moves ``key``, stored in P's entry by them."""
+    orbit_of, reps, rounds, jumps, rows, tables, conjugates, quotients = entry
+    closed, seen = list(key), set(key)
     for move in closed:  # conjugates appended here are visited too
         if move not in conjugates:
             conjugates[move] = _conjugates(perms, move)
         fresh = [c for c in conjugates[move] if c not in seen]
         seen.update(fresh)
         closed.extend(fresh)
-    # per P-orbit, the quotient stage takes 72 bytes, plus 24 of int64
-    # temporaries while tables are built, each table 4 and each digit row 1:
-    # a call whose own tables and rows do not fit next to its working set is
-    # refused; else the store drops other entries, then this entry's stored
-    # tables and rows, until they fit beside the call (whose working set
-    # holds this entry's orbit ids and least members)
+    # each table and quotient takes 4 bytes per P-orbit and each digit row 1:
+    # a call whose own tables and rows do not fit next to its working set
+    # (which holds this entry's orbit ids and least members) is refused; else
+    # the store drops other entries, then this entry's stored tables, rows
+    # and quotients, until they fit beside the call
     positions = {p for move in closed for p in move[0]}
-    working = 16 * 3**k + reps.size * (96 if closed else 72)
     if working + reps.size * (4 * len(closed) + len(positions)) > ORBIT_MEMORY_CAP:
         raise BudgetExceededError("the quotient by the edge permutations exceeds the orbit memory cap")
-    new = reps.size * (4 * len(seen.difference(tables)) + len(positions.difference(rows)))
+    new = reps.size * (4 * len(seen.difference(tables)) + len(positions.difference(rows)) + 4)
     if not _STORE.evict(working + new - orbit_of.nbytes - reps.nbytes, keep=entry):
-        _STORE.nbytes -= reps.size * (4 * len(tables) + len(rows))
+        _STORE.nbytes -= reps.size * (4 * (len(tables) + len(quotients)) + len(rows))
         tables.clear()
         rows.clear()
+        quotients.clear()
     for move in closed:
         if move not in tables:
             ids = reps.copy()  # each least member, its digits at the move's positions moved by lut
@@ -402,8 +425,10 @@ def partition_from_actions(actions, m: int, n: int, budget: int = DEFAULT_ORBIT_
     labels, more_rounds, more_jumps = (_propagate(reps.size, pulls) if pulls
                                        else (np.arange(reps.size, dtype=np.int32), 0, 0))
     quotient, roots = _numbered(labels)
-    return OrbitPartition(m, n, quotient, orbit_of, int(roots.sum()), len(actions),
-                          rounds + more_rounds, jumps + more_jumps)
+    quotient.flags.writeable = False
+    _STORE.nbytes += quotient.nbytes
+    quotients[key] = quotient, int(roots.sum()), rounds + more_rounds, jumps + more_jumps
+    return quotients[key]
 
 
 def orbit_partition(spec: GroupSpec, m: int, n: int, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitPartition:

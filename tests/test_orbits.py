@@ -508,17 +508,29 @@ def test_drawn_action_lists_match_reference(drawn):
 @given(_DRAWN_LISTS)
 def test_drawn_action_lists_equal_cold_and_after_every_move(drawn):
     # cold: every cache cleared; warm: after a list with the same edge
-    # permutations and every recoloring of the pool has stored its tables
+    # permutations and every recoloring of the pool has stored its tables,
+    # then twice more (its stored quotient), then with its recolorings in
+    # reverse order: same P entry and moves, but the counters of that
+    # order's cold computation, never those stored for the other order
     (m, n), names = drawn
     pool = _action_pool(m, n)
     actions = [pool[name] for name in names]
+    backwards = iter([a for a in actions if a.recolor][::-1])
+    reordered = [next(backwards) if a.recolor else a for a in actions]
+    reference = _reference_partition(actions, m, n)[0].astype(np.int32).tobytes()
+    _clear_orbit_caches()
+    cold_reordered = _outcome(partition_from_actions(reordered, m, n))
     _clear_orbit_caches()
     cold = _outcome(partition_from_actions(actions, m, n))
+    assert cold[0] == cold_reordered[0] == reference
     _assert_running_total()
     everything = [a for a in actions if not a.recolor] + [a for a in pool.values() if a.recolor]
     partition_from_actions(everything, m, n)
     _assert_running_total()
-    assert _outcome(partition_from_actions(actions, m, n)) == cold
+    for _ in range(2):
+        assert _outcome(partition_from_actions(actions, m, n)) == cold
+        _assert_running_total()
+    assert _outcome(partition_from_actions(reordered, m, n)) == cold_reordered
     _assert_running_total()
 
 
@@ -634,28 +646,37 @@ def _kept():
     return {key: e for key, e in orbits._STORE.items() if isinstance(e, orbits._Entry)}
 
 
+def _entry_arrays(e):
+    """Every array P's entry keeps: orbit ids, least members, digit rows,
+    tables and stored quotients."""
+    return (e.orbit_of, e.reps, *e.rows.values(), *e.tables.values(), *(q[0] for q in e.quotients.values()))
+
+
 def _assert_running_total():
     # the store's running total is the bytes of the arrays its P entries keep
-    # plus 40 per axes and recoloring slot of the moves it keeps
-    kept = sum(a.nbytes for e in _kept().values()
-               for a in (e.orbit_of, e.reps, *e.rows.values(), *e.tables.values()))
-    kept += 40 * sum(len(a.axes) + len(a.recolor) for key, moves in orbits._STORE.items()
-                     if key not in _kept() for a in moves)
+    # plus, for each move tuple it keeps, 40 per recoloring slot and per slot
+    # of each distinct axes tuple (a shared identity counts once per tuple)
+    kept = sum(a.nbytes for e in _kept().values() for a in _entry_arrays(e))
+    kept += 40 * sum(len(slots) for key, moves in orbits._STORE.items() if key not in _kept()
+                     for slots in [*{id(a.axes): a.axes for a in moves}.values(), *(a.recolor for a in moves)])
     assert orbits._STORE.nbytes == kept <= orbits.ORBIT_MEMORY_CAP
 
 
 def test_stored_moves_are_charged_and_evicted(monkeypatch):
-    # the moves of a 60x60 shape hold about 63 MiB: the store charges them,
-    # so under a small cap the next call's miss evicts them
+    # the moves of a 60x60 shape hold about 16.3 MiB, 15.3 of it the vertex
+    # swaps' axes: the 360 switches share one identity axes tuple.  The store
+    # charges them, so under a small cap the next call's miss evicts them
     _clear_orbit_caches()
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         vertex_perm_actions(60, 60)
-        switch_actions(True, ALL_PERMS, 60, 60)
+        swaps = tracemalloc.get_traced_memory()[0]
+        assert len(switch_actions(True, ALL_PERMS, 60, 60)) == 360
+        assert tracemalloc.get_traced_memory()[0] - swaps < 2 * 2**20
         held = tracemalloc.get_traced_memory()[0] - start
-        assert 50 * 2**20 < held <= orbits._STORE.nbytes < 1.2 * held
-        monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", 2**20)
+        assert 16 * 2**20 < held <= orbits._STORE.nbytes < 1.2 * held
+        monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", 2**16)
         vertex_perm_actions(2, 2)
         assert list(orbits._STORE) == [(2, 2, "swaps")]
         assert tracemalloc.get_traced_memory()[0] - start < 2**16
@@ -667,11 +688,11 @@ def test_stored_moves_are_charged_and_evicted(monkeypatch):
 
 def _assert_last_call_fits(k):
     # the last call's working set (at least 16 bytes per id and 72 per
-    # P-orbit), its entry's stored tables and rows and every other kept
-    # entry fit the cap together
+    # P-orbit), its entry's stored tables, rows and quotients and every
+    # other kept entry fit the cap together
     *others, last = _kept().values()
-    kept = sum(a.nbytes for e in others for a in (e.orbit_of, e.reps, *e.rows.values(), *e.tables.values()))
-    stored = sum(a.nbytes for a in (*last.rows.values(), *last.tables.values()))
+    kept = sum(a.nbytes for e in others for a in _entry_arrays(e))
+    stored = sum(a.nbytes for a in _entry_arrays(last)[2:])
     assert kept + 16 * 3**k + 72 * last.reps.size + stored <= orbits.ORBIT_MEMORY_CAP
 
 
@@ -793,6 +814,41 @@ def test_second_census_walk_builds_no_entry(builds):
     assert builds == [] and sorted(orbits._STORE, key=repr) == sorted(kept, key=repr)
 
 
+def test_warm_census_walk_propagates_nothing(monkeypatch):
+    # a census walk from an empty store, then the same walk again: the warm
+    # pass serves every quotient from the store, so it calls neither
+    # _propagate nor _digit_row, and its outcomes equal the first pass's and
+    # the cold ones.  Every stored quotient is read-only
+    cold = list(_cold_census_walk())
+    _clear_orbit_caches()
+    first = [_outcome(orbit_partition(spec, m, n)) for m, n, spec in _CENSUS_WALK]
+    propagated, rows = _spy(monkeypatch, "_propagate"), _spy(monkeypatch, "_digit_row")
+    warm = [_outcome(orbit_partition(spec, m, n)) for m, n, spec in _CENSUS_WALK]
+    assert propagated == [] and rows == []
+    assert warm == first == cold
+    quotients = [stored[0] for e in _kept().values() for stored in e.quotients.values()]
+    assert len(quotients) == len(_CENSUS_WALK)
+    for quotient in quotients:
+        with pytest.raises(ValueError, match="read-only"):
+            quotient[0] = 0
+
+
+def test_a_stored_quotient_is_refused_where_a_miss_is(monkeypatch):
+    # the lists of test_quotient_over_the_memory_cap_is_refused, stored under
+    # the real cap, then asked for again under the cap that refuses their
+    # quotient stage: each hit gives the miss's outcome or error
+    refused = ([], switch_actions(False, [c("(12)")], 1, 4))
+    _clear_orbit_caches()
+    for actions in (vertex_perm_actions(1, 4), *refused):
+        partition_from_actions(actions, 1, 4)
+    monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", 32 * 81)
+    assert partition_from_actions(vertex_perm_actions(1, 4), 1, 4).orbit_count == 15
+    for actions in refused:
+        with pytest.raises(BudgetExceededError, match="quotient"):
+            partition_from_actions(actions, 1, 4)
+    _assert_running_total()
+
+
 def test_census_walk_under_a_one_entry_cap_stays_under_it(monkeypatch):
     # two census walks under a cap that fits the 2x5 call alone: the second
     # rebuilds what the first evicted, every outcome equals its cold one, and
@@ -859,14 +915,15 @@ def test_action_lists_are_fresh_on_every_call():
 
 
 def test_recoloring_store_stays_under_the_cap(monkeypatch):
-    # with P trivial each table (4 bytes) and digit row (1 byte) spans all 3^6
-    # ids of K_{2,3}; the cap leaves room for five tables and the two rows of
-    # the edges they recolor next to the working set, so consecutive pairs of
-    # 30 distinct moves fill the store, drop it and refill it, and no call is
+    # with P trivial each table and quotient (4 bytes) and digit row (1 byte)
+    # spans all 3^6 ids of K_{2,3}; the cap leaves room for five tables, the
+    # quotients of the four calls that stored them and the two rows of the
+    # edges they recolor next to the working set, so consecutive pairs of 30
+    # distinct moves fill the store, drop it and refill it, and no call is
     # refused
     m, n, reps = 2, 3, 3**6
     working = 16 * reps + reps * (24 * 1 + 72)
-    monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", working + reps * (4 * 5 + 2))
+    monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", working + reps * (4 * (5 + 4) + 2))
     _clear_orbit_caches()
     moves = [single_edge_action(m, n, i, j, s) for i in range(m) for j in range(n) for s in ALL_PERMS[1:]]
     assert len(moves) == 30
@@ -876,8 +933,8 @@ def test_recoloring_store_stays_under_the_cap(monkeypatch):
         entry = orbits._STORE[m * n, ()]
         stored = entry.tables
         sizes.append(len(stored))
-        assert working + reps * (4 * len(stored) + len(entry.rows)) <= orbits.ORBIT_MEMORY_CAP
-        assert all(not array.flags.writeable for array in [*stored.values(), *entry.rows.values()])
+        assert working + reps * (4 * (len(stored) + len(entry.quotients)) + len(entry.rows)) <= orbits.ORBIT_MEMORY_CAP
+        assert all(not array.flags.writeable for array in _entry_arrays(entry))
         assert np.array_equal(part.labels, _reference_partition([first, second], m, n)[0])
         _assert_running_total()
     assert max(sizes) == 5 and min(sizes) == 2  # filled to the cap, then dropped
@@ -885,13 +942,13 @@ def test_recoloring_store_stays_under_the_cap(monkeypatch):
 
 def test_alternating_edge_permutations_keep_one_entry_under_the_cap(monkeypatch):
     # P trivial and P = <swapL(0,1)> in turn at K_{2,3}, under a cap that
-    # fits the trivial-P call's working set, two tables and a digit row: a
-    # trivial-P call keeps its entry alone, dropping the other P's entry
-    # before its own stored tables, and a swap-P call keeps both (its working
-    # set is smaller).  After every call the kept bytes plus the call's
-    # working set and stored tables fit the cap
+    # fits the trivial-P call's working set, two tables, a digit row and a
+    # quotient: a trivial-P call keeps its entry alone, dropping the other
+    # P's entry before its own stored tables, and a swap-P call keeps both
+    # (its working set is smaller).  After every call the kept bytes plus the
+    # call's working set and stored tables and quotients fit the cap
     m, n, ids = 2, 3, 3**6
-    monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", 16 * ids + ids * (24 * 1 + 72) + ids * (4 * 2 + 1))
+    monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", 16 * ids + ids * (24 * 1 + 72) + ids * (4 * 2 + 1 + 4))
     _clear_orbit_caches()
     swap = vertex_perm_actions(m, n)[:1]
     assert swap[0].name == "swapL(0,1)"
@@ -903,11 +960,9 @@ def test_alternating_edge_permutations_keep_one_entry_under_the_cap(monkeypatch)
             assert np.array_equal(part.labels, _reference_partition(perms + [first, second], m, n)[0])
             kept = _kept()
             assert list(kept)[-1] == key and len(kept) == (2 if perms else 1)
-            others = sum(e.orbit_of.nbytes + e.reps.nbytes for k, e in kept.items() if k != key)
-            others += sum(a.nbytes for k, e in kept.items() if k != key
-                          for a in [*e.tables.values(), *e.rows.values()])
+            others = sum(a.nbytes for k, e in kept.items() if k != key for a in _entry_arrays(e))
             entry = kept[key]
-            tables = sum(array.nbytes for array in [*entry.tables.values(), *entry.rows.values()])
+            tables = sum(array.nbytes for array in _entry_arrays(entry)[2:])
             assert others + 16 * ids + entry.reps.size * (24 * 1 + 72) + tables <= orbits.ORBIT_MEMORY_CAP
             _assert_running_total()
 
