@@ -11,10 +11,11 @@ edge permutations' group P propagates over all ids by transposing the label
 cube, then the recolorings, closed under conjugation by P, over P's orbits
 through their least members, since s(pi x) = pi (pi^-1 s pi)(x).  P's
 orbits, the base-3 digits of their least members, each recoloring's
-P-conjugates and table and each generator set's read-only quotient over P's
-orbits stay in a store while they fit ``ORBIT_MEMORY_CAP``, so a repeated
-generator set costs one lookup.  Every label gather is an ``ndarray.take``:
-numpy serves ``a[index]`` with an int32 index through a slower path.
+P-conjugates and table, each generator set's read-only quotient over P's
+orbits, each candidate's generator list and each checked action tuple's plan
+stay in a store while they fit ``ORBIT_MEMORY_CAP``, so a repeated request
+costs store lookups only.  Every label gather is an ``ndarray.take``: numpy
+serves ``a[index]`` with an int32 index through a slower path.
 
 Equality of orbit partitions is the finite surrogate for two candidate
 groups having the same invariant structure: the groups differ exactly in
@@ -131,8 +132,8 @@ def _recolor_action(name: str, m: int, n: int, positions, sigma: S3Perm) -> Acti
 
 
 class _Moves(tuple):
-    """A shape's moves in the store, charged 40 bytes (a pointer and an int
-    object) per recoloring slot and per slot of each distinct axes tuple."""
+    """A shape's moves or a candidate's generators in the store, charged 40 bytes (a
+    pointer and an int object) per recoloring slot and per slot of each distinct axes tuple."""
     nbytes = property(lambda self: 40 * sum(map(len, [*{id(a.axes): a.axes for a in self}.values(),
                                                       *(a.recolor for a in self)])))
 
@@ -143,17 +144,14 @@ def _identity(k: int) -> tuple[int, ...]:
 
 
 def _vertex_perms(m: int, n: int) -> _Moves:
-    edges = np.arange(m * n).reshape(m, n)
-    actions = []
-    for t in range(m - 1):
-        moved = edges.copy()
-        moved[[t, t + 1]] = edges[[t + 1, t]]
-        actions.append(Action(f"swapL({t},{t + 1})", tuple(moved.ravel().tolist())))
-    for t in range(n - 1):
-        moved = edges.copy()
-        moved[:, [t, t + 1]] = edges[:, [t + 1, t]]
-        actions.append(Action(f"swapR({t},{t + 1})", tuple(moved.ravel().tolist())))
-    return _Moves(actions)
+    def swapped(a: slice, b: slice) -> tuple[int, ...]:  # the row-major edge grid, a and b exchanged
+        edges = list(range(m * n))
+        edges[a], edges[b] = edges[b], edges[a]
+        return tuple(edges)
+    rows = [Action(f"swapL({t},{t + 1})", swapped(slice(t * n, t * n + n), slice(t * n + n, t * n + 2 * n)))
+            for t in range(m - 1)]
+    return _Moves(rows + [Action(f"swapR({t},{t + 1})", swapped(slice(t, None, n), slice(t + 1, None, n)))
+                          for t in range(n - 1)])
 
 
 def vertex_perm_actions(m: int, n: int) -> list[Action]:
@@ -167,10 +165,11 @@ def vertex_perm_actions(m: int, n: int) -> list[Action]:
 def switch_actions(side_left: bool, sigmas, m: int, n: int) -> list[Action]:
     """One single-vertex switch action per (vertex, sigma), kept in the store
     per shape and sigma (none without edges); each call gets its own list."""
-    tag, rows = "L" if side_left else "R", np.arange(m * n).reshape(m, n)
+    tag = "L" if side_left else "R"
     per_sigma = [_STORE.fetch((m, n, side_left, sigma), lambda sigma=sigma: _Moves(
-        _recolor_action(f"switch{tag}({v},{sigma.cycle_string()})", m, n, row.tolist(), sigma)
-        for v, row in enumerate(rows if side_left else rows.T)) if m * n else _Moves()) for sigma in sigmas]
+        _recolor_action(f"switch{tag}({v},{sigma.cycle_string()})", m, n,
+                        range(v * n, v * n + n) if side_left else range(v, m * n, n), sigma)
+        for v in range(m if side_left else n)) if m * n else _Moves()) for sigma in sigmas]
     return [action for vertex in zip(*per_sigma) for action in vertex]
 
 
@@ -199,13 +198,14 @@ class GroupSpec:
 
 
 def generators_for(spec: GroupSpec, m: int, n: int, budget: int = DEFAULT_ORBIT_BUDGET) -> list[Action]:
+    """The candidate's vertex swaps, switches and side swap, kept in the store
+    per ``(m, n, spec)`` and charged like a shape's moves; every call checks
+    the budget and gets its own list."""
     _check_budget(m, n, budget)
-    actions = vertex_perm_actions(m, n)
-    actions.extend(switch_actions(True, spec.h_left.generators(), m, n))
-    actions.extend(switch_actions(False, spec.h_right.generators(), m, n))
-    if spec.allow_swap:
-        actions.append(transpose_action(m, n))
-    return actions
+    return list(_STORE.fetch((m, n, spec), lambda: _Moves(
+        vertex_perm_actions(m, n) + switch_actions(True, spec.h_left.generators(), m, n)
+        + switch_actions(False, spec.h_right.generators(), m, n)
+        + ([transpose_action(m, n)] if spec.allow_swap else []))))
 
 
 @dataclass(eq=False)
@@ -307,7 +307,8 @@ class _Entry(NamedTuple):
 
 class _Store(OrderedDict):
     """The orbit engine's store, least recently used first: P's entries by ``(k, perms)``, shape
-    moves by ``(m, n)`` and kind, identity axes by ``(k, "identity")``; ``nbytes`` totals their bytes."""
+    moves by ``(m, n)`` and kind, generator lists by ``(m, n, spec)``, identity axes by
+    ``(k, "identity")``, plans by ``(k, "plan", actions)``; ``nbytes`` totals their bytes."""
 
     nbytes = 0
 
@@ -319,13 +320,17 @@ class _Store(OrderedDict):
         return self.nbytes + need <= ORBIT_MEMORY_CAP
 
     def fetch(self, key, build, need: int = 0):
-        """The entry at ``key``; a miss evicts for its build's ``need`` bytes."""
-        if key not in self:
+        """The entry at ``key``; a miss evicts for its build's ``need`` bytes, then for the entry's."""
+        value = self.get(key)
+        if value is None:
             self.evict(need)
-            self[key] = build()
-            self.nbytes += self[key].nbytes
-        self.move_to_end(key)
-        return self[key]
+            value = build()
+            self.evict(size := value.nbytes)
+            self[key] = value
+            self.nbytes += size
+        else:
+            self.move_to_end(key)
+        return value
 
     def clear(self) -> None:
         super().clear()
@@ -358,20 +363,35 @@ def _conjugates(perms, move) -> tuple:
     return tuple(dict.fromkeys((tuple(sorted(axes[p] for p in positions)), lut) for axes in perms))
 
 
-def partition_from_actions(actions, m: int, n: int, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitPartition:
-    """Connected components of the id space under the generator actions,
-    each an edge permutation or a recoloring (identity ``axes``)."""
-    _check_budget(m, n, budget)
-    actions, k = list(actions), m * n
+class _Plan(tuple):
+    """A checked action tuple, its edge permutations and its distinct recoloring
+    moves in call order, charged 40 bytes per slot of those and 400 per plan and
+    per action, which covers an action it alone keeps alive (about 290)."""
+    nbytes = property(lambda self: 40 * (sum(map(len, self[1])) + sum(len(move[0]) for move in self[2]))
+                      + 400 * (1 + len(self[0])))
+
+
+def _plan(actions: tuple, k: int) -> _Plan:
     identity = _identity(k)
     for a in actions:
         if len(a.axes) != k:
             raise ValueError("action does not match the coloring space")
         if a.recolor and a.axes is not identity and a.axes != identity:
             raise ValueError(f"action {a.name} both permutes and recolors")
-    perms = tuple(a.axes for a in actions if not a.recolor)
+    return _Plan((actions, tuple(a.axes for a in actions if not a.recolor),
+                  tuple(dict.fromkeys((tuple(sorted(a.recolor)), a.lut) for a in actions if a.recolor))))
+
+
+def partition_from_actions(actions, m: int, n: int, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitPartition:
+    """Connected components of the id space under the generator actions,
+    each an edge permutation or a recoloring (identity ``axes``).  The store
+    keeps each checked action tuple's plan under ``(k, "plan", actions)``:
+    ``Action`` hashes by identity and the key holds the actions, so a tuple
+    seen before skips the checks and goes to P's entry and its quotient."""
+    _check_budget(m, n, budget)
+    actions, k = tuple(actions), m * n
+    _, perms, key = _STORE.fetch((k, "plan", actions), lambda: _plan(actions, k))
     entry = _STORE.fetch((k, perms), lambda: _edge_perm_orbits(k, perms), 4 * 8 * 3**k)
-    key = tuple(dict.fromkeys((tuple(sorted(a.recolor)), a.lut) for a in actions if a.recolor))
     # per P-orbit the quotient stage takes 72 bytes, plus 24 of int64 temporaries
     # while tables are built; a stored quotient keeps its tables and rows, so it
     # is served while this fits beside them (its call would be admitted again)
@@ -395,13 +415,13 @@ def _quotient(entry: _Entry, k: int, perms, key: tuple, working: int) -> tuple:
         closed.extend(fresh)
     # each table and quotient takes 4 bytes per P-orbit and each digit row 1:
     # a call whose own tables and rows do not fit next to its working set
-    # (which holds this entry's orbit ids and least members) is refused; else
-    # the store drops other entries, then this entry's stored tables, rows
-    # and quotients, until they fit beside the call
+    # (which holds this entry's orbit ids and least members and the new
+    # quotient) is refused; else the store drops other entries, then this
+    # entry's stored tables, rows and quotients, until they fit beside the call
     positions = {p for move in closed for p in move[0]}
     if working + reps.size * (4 * len(closed) + len(positions)) > ORBIT_MEMORY_CAP:
         raise BudgetExceededError("the quotient by the edge permutations exceeds the orbit memory cap")
-    new = reps.size * (4 * len(seen.difference(tables)) + len(positions.difference(rows)) + 4)
+    new = reps.size * (4 * len(seen.difference(tables)) + len(positions.difference(rows)))
     if not _STORE.evict(working + new - orbit_of.nbytes - reps.nbytes, keep=entry):
         _STORE.nbytes -= reps.size * (4 * (len(tables) + len(quotients)) + len(rows))
         tables.clear()

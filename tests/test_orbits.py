@@ -1,3 +1,4 @@
+import builtins
 import functools
 import itertools
 import re
@@ -652,13 +653,27 @@ def _entry_arrays(e):
     return (e.orbit_of, e.reps, *e.rows.values(), *e.tables.values(), *(q[0] for q in e.quotients.values()))
 
 
+def _plans():
+    """The store's checked action tuples by key, least recently used first."""
+    return {key: key[2] for key in orbits._STORE if key[1:2] == ("plan",)}
+
+
 def _assert_running_total():
     # the store's running total is the bytes of the arrays its P entries keep
-    # plus, for each move tuple it keeps, 40 per recoloring slot and per slot
-    # of each distinct axes tuple (a shared identity counts once per tuple)
-    kept = sum(a.nbytes for e in _kept().values() for a in _entry_arrays(e))
-    kept += 40 * sum(len(slots) for key, moves in orbits._STORE.items() if key not in _kept()
-                     for slots in [*{id(a.axes): a.axes for a in moves}.values(), *(a.recolor for a in moves)])
+    # plus, for each move tuple or generator list it keeps, 40 per recoloring
+    # slot and per slot of each distinct axes tuple (a shared identity counts
+    # once per tuple), and for each checked action tuple, 40 per slot of its
+    # edge permutations and of its distinct recoloring moves and 400 per plan
+    # and per action
+    entries, plans = _kept(), _plans()
+    kept = sum(a.nbytes for e in entries.values() for a in _entry_arrays(e))
+    for key, moves in orbits._STORE.items():
+        if key not in entries | plans:
+            kept += 40 * sum(map(len, [*{id(a.axes): a.axes for a in moves}.values(), *(a.recolor for a in moves)]))
+    for actions in plans.values():
+        recolorings = {(tuple(sorted(a.recolor)), a.lut) for a in actions if a.recolor}
+        kept += 40 * (sum(len(a.axes) for a in actions if not a.recolor) + sum(len(r[0]) for r in recolorings))
+        kept += 400 * (1 + len(actions))
     assert orbits._STORE.nbytes == kept <= orbits.ORBIT_MEMORY_CAP
 
 
@@ -696,14 +711,15 @@ def _assert_last_call_fits(k):
     assert kept + 16 * 3**k + 72 * last.reps.size + stored <= orbits.ORBIT_MEMORY_CAP
 
 
-def _spy(monkeypatch, name):
-    """The arguments of every later call to ``orbits.name``, in order."""
-    calls, real = [], getattr(orbits, name)
+def _spy(monkeypatch, name, module=orbits):
+    """The positional arguments of every later call to ``module.name``, in
+    order; a builtin that ``orbits`` calls is spied on as a module global."""
+    calls, real = [], getattr(module, name) if hasattr(module, name) else getattr(builtins, name)
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         calls.append(args)
-        return real(*args)
-    monkeypatch.setattr(orbits, name, spy)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, spy, raising=False)
     return calls
 
 
@@ -816,16 +832,26 @@ def test_second_census_walk_builds_no_entry(builds):
 
 def test_warm_census_walk_propagates_nothing(monkeypatch):
     # a census walk from an empty store, then the same walk again: the warm
-    # pass serves every quotient from the store, so it calls neither
-    # _propagate nor _digit_row, and its outcomes equal the first pass's and
-    # the cold ones.  Every stored quotient is read-only
+    # pass serves every generator list, plan and quotient from the store, so
+    # it calls neither _propagate nor _digit_row, builds no move (no
+    # _vertex_perms, _recolor_action or np.arange, nor do the move builders
+    # asked again for stored moves), checks and sorts no action (no _plan or
+    # sorted), and its outcomes and counters equal the first pass's and the
+    # cold ones.  Every stored quotient is read-only
     cold = list(_cold_census_walk())
     _clear_orbit_caches()
     first = [_outcome(orbit_partition(spec, m, n)) for m, n, spec in _CENSUS_WALK]
-    propagated, rows = _spy(monkeypatch, "_propagate"), _spy(monkeypatch, "_digit_row")
+    spied = [_spy(monkeypatch, name) for name in ("_propagate", "_digit_row", "_vertex_perms",
+                                                  "_recolor_action", "_plan", "sorted")]
+    spied.append(_spy(monkeypatch, "arange", np))
     warm = [_outcome(orbit_partition(spec, m, n)) for m, n, spec in _CENSUS_WALK]
-    assert propagated == [] and rows == []
+    for m, n in _CENSUS_SHAPES:
+        vertex_perm_actions(m, n)
+        switch_actions(True, FULL_SUBGROUP.generators(), m, n)
+        switch_actions(False, FULL_SUBGROUP.generators(), m, n)
+    assert spied == [[]] * 7
     assert warm == first == cold
+    assert len(_plans()) == len(_CENSUS_WALK)
     quotients = [stored[0] for e in _kept().values() for stored in e.quotients.values()]
     assert len(quotients) == len(_CENSUS_WALK)
     for quotient in quotients:
@@ -847,6 +873,28 @@ def test_a_stored_quotient_is_refused_where_a_miss_is(monkeypatch):
         with pytest.raises(BudgetExceededError, match="quotient"):
             partition_from_actions(actions, 1, 4)
     _assert_running_total()
+
+
+def test_a_new_quotient_is_charged_once_when_its_call_makes_room(monkeypatch):
+    # P trivial at K_{2,2}: after a call that recolors edge (0, 0), a call
+    # that also recolors edge (1, 1) needs its working set, which holds its
+    # new quotient, and one new table and digit row beside P's entry.  Under
+    # exactly that cap the store evicts every other key and keeps the first
+    # call's table, row and quotient; one byte less drops them
+    first, second = (single_edge_action(2, 2, i, i, c("(12)")) for i in (0, 1))
+    real = orbits.ORBIT_MEMORY_CAP
+    for spare, quotients in ((0, 2), (-1, 1)):
+        monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", real)
+        _clear_orbit_caches()
+        partition_from_actions([first], 2, 2)
+        entry = orbits._STORE[4, ()]
+        stored, reps = entry.nbytes - entry.orbit_of.nbytes - entry.reps.nbytes, entry.reps.size
+        monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", stored + 16 * 81 + 96 * reps + (4 + 1) * reps + spare)
+        part = partition_from_actions([first, second], 2, 2)
+        assert np.array_equal(part.labels, _reference_partition([first, second], 2, 2)[0])
+        assert list(orbits._STORE) == [(4, ())] and orbits._STORE[4, ()] is entry
+        assert (len(entry.tables), len(entry.rows), len(entry.quotients)) == (2, 2, quotients)
+        _assert_running_total()
 
 
 def test_census_walk_under_a_one_entry_cap_stays_under_it(monkeypatch):
@@ -914,6 +962,80 @@ def test_action_lists_are_fresh_on_every_call():
         assert [a.name for a in build()] == names
 
 
+def test_equal_new_actions_are_checked_on_first_sight(monkeypatch):
+    # a stored plan is keyed by its actions' identities: new Action objects
+    # equal field by field to a stored list are checked and sorted once, then
+    # served from their own plan, with the stored list's outcome
+    actions = generators_for(candidate_by_name("ol_S_lr^(12)").spec, 2, 2)
+    expected = _outcome(partition_from_actions(actions, 2, 2))
+    copies = [Action(a.name, a.axes, a.recolor, a.lut) for a in actions]
+    checked, sorts = _spy(monkeypatch, "_plan"), _spy(monkeypatch, "sorted")
+    for _ in range(2):
+        assert _outcome(partition_from_actions(copies, 2, 2)) == expected
+        assert _outcome(partition_from_actions(actions, 2, 2)) == expected
+    assert [call[0] for call in checked] == [tuple(copies)] and len(sorts) == 4
+    _assert_running_total()
+
+
+def test_invalid_action_lists_raise_in_order_on_every_call():
+    # the budget first, then each action in turn: its axes length, then
+    # whether it both permutes and recolors; a list is refused on every call,
+    # also when its valid actions were checked before in another list
+    valid = generators_for(candidate_by_name("S_lr^(12)").spec, 1, 3)
+    partition_from_actions(valid, 1, 3)
+    short, rot = vertex_perm_actions(2, 2)[0], Action("rot", (1, 2, 0), (0,), (1, 2, 0))
+    for _ in range(2):
+        for actions, error, message in (
+                (valid + [short, rot], ValueError, "^action does not match the coloring space$"),
+                (valid + [rot, short], ValueError, "^action rot both permutes and recolors$"),
+                ([rot, short], ValueError, "^action rot both permutes and recolors$"),
+                ([short, rot], BudgetExceededError, "exceeds budget")):
+            with pytest.raises(error, match=message):
+                partition_from_actions(actions, 1, 3, budget=3 if error is ValueError else 2)
+    assert _outcome(partition_from_actions(valid, 1, 3)) == _outcome(partition_from_actions(list(valid), 1, 3))
+    _assert_running_total()
+
+
+def test_warm_calls_below_the_budget_are_refused():
+    spec = candidate_by_name("Sym_lr").spec
+    actions = generators_for(spec, 3, 3)
+    partition_from_actions(actions, 3, 3)
+    for budget in (8, 0):
+        with pytest.raises(BudgetExceededError, match=f"exceeds budget m\\*n <= {budget}$"):
+            generators_for(spec, 3, 3, budget)
+        with pytest.raises(BudgetExceededError, match=f"exceeds budget m\\*n <= {budget}$"):
+            partition_from_actions(actions, 3, 3, budget)
+    assert generators_for(spec, 3, 3, 9) == actions
+    assert partition_from_actions(actions, 3, 3, 9).orbit_count == 1
+
+
+def test_fresh_action_lists_stay_under_a_small_cap(monkeypatch):
+    # thousands of lists of new single-edge recolorings at K_{1,3} (P
+    # trivial, 27 ids), each checked once, under a 32 KiB cap: their 15
+    # distinct move sets keep P's entry small, so plans fill the store.  Every
+    # plan is charged, so after each call the running total matches what the
+    # store keeps and fits the cap, and old plans are evicted.  The charge
+    # covers what the kept plans hold, the new actions they keep alive included
+    monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", 2**15)
+    _clear_orbit_caches()
+    tracemalloc.start()
+    try:
+        for i in range(2000):
+            moves = [(i + d) % 15 for d in range(1 + i % 3)]
+            actions = [single_edge_action(1, 3, 0, move % 3, ALL_PERMS[1 + move // 3]) for move in moves]
+            assert partition_from_actions(actions, 1, 3).actions == len(actions)
+            _assert_running_total()
+        del actions
+        plans, before = _plans(), tracemalloc.get_traced_memory()[0]
+        charged = sum(orbits._STORE.pop(key).nbytes for key in plans)
+        del plans
+        freed = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        _clear_orbit_caches()
+    assert 2**13 < freed <= charged < orbits.ORBIT_MEMORY_CAP
+
+
 def test_recoloring_store_stays_under_the_cap(monkeypatch):
     # with P trivial each table and quotient (4 bytes) and digit row (1 byte)
     # spans all 3^6 ids of K_{2,3}; the cap leaves room for five tables, the
@@ -942,18 +1064,25 @@ def test_recoloring_store_stays_under_the_cap(monkeypatch):
 
 def test_alternating_edge_permutations_keep_one_entry_under_the_cap(monkeypatch):
     # P trivial and P = <swapL(0,1)> in turn at K_{2,3}, under a cap that
-    # fits the trivial-P call's working set, two tables, a digit row and a
-    # quotient: a trivial-P call keeps its entry alone, dropping the other
-    # P's entry before its own stored tables, and a swap-P call keeps both
-    # (its working set is smaller).  After every call the kept bytes plus the
-    # call's working set and stored tables and quotients fit the cap
+    # fits the trivial-P call's working set (its new quotient included), two
+    # tables and a digit row.  A swap-P pass also keeps the identity axes and
+    # its four checked action tuples after the trivial-P entry (40 bytes per
+    # slot of the swap and of a recoloring, 400 per plan and per action), so
+    # its cap adds them; in a trivial-P pass they would make room for more
+    # tables instead, since they are evicted first.  A trivial-P call keeps
+    # its entry alone, dropping the other P's entry before its own stored
+    # tables, and a swap-P call keeps both (its working set is smaller).
+    # After every call the kept bytes plus the call's working set and the
+    # tables and quotients stored beside it (its own quotient is part of its
+    # working set) fit the cap
     m, n, ids = 2, 3, 3**6
-    monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", 16 * ids + ids * (24 * 1 + 72) + ids * (4 * 2 + 1 + 4))
+    cap, swap_pass = 16 * ids + ids * (24 * 1 + 72) + ids * (4 * 2 + 1), 40 * 6 + 4 * (40 * (6 + 2) + 400 * 4)
     _clear_orbit_caches()
     swap = vertex_perm_actions(m, n)[:1]
     assert swap[0].name == "swapL(0,1)"
     moves = [single_edge_action(m, n, 0, 0, s) for s in ALL_PERMS[1:]]
     for perms in ([], swap, [], swap):
+        monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", cap + (swap_pass if perms else 0))
         key = (m * n, tuple(a.axes for a in perms))
         for first, second in zip(moves, moves[1:]):
             part = partition_from_actions(perms + [first, second], m, n)
@@ -962,7 +1091,7 @@ def test_alternating_edge_permutations_keep_one_entry_under_the_cap(monkeypatch)
             assert list(kept)[-1] == key and len(kept) == (2 if perms else 1)
             others = sum(a.nbytes for k, e in kept.items() if k != key for a in _entry_arrays(e))
             entry = kept[key]
-            tables = sum(array.nbytes for array in _entry_arrays(entry)[2:])
+            tables = sum(array.nbytes for array in _entry_arrays(entry)[2:]) - part.quotient.nbytes
             assert others + 16 * ids + entry.reps.size * (24 * 1 + 72) + tables <= orbits.ORBIT_MEMORY_CAP
             _assert_running_total()
 
