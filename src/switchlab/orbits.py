@@ -2,20 +2,23 @@
 
 The colorings of K_{m,n} are indexed by base-3 integers (row-major, first
 edge most significant), so labels over all colorings form a cube with one
-length-3 axis per edge.  A candidate group is a generator list of moves on
-that cube: vertex transpositions and the side swap permute axes, switches
-recolor them.  Orbit partitions come from min-label propagation to a
-fixpoint, which yields the same components as a closure BFS and numbers
-orbits by least member id, so results are bit-identical in any order.  The
-edge permutations' group P propagates over all ids by transposing the label
-cube, then the recolorings, closed under conjugation by P, over P's orbits
-through their least members, since s(pi x) = pi (pi^-1 s pi)(x).  P's
+length-3 axis per edge.  A candidate group is a generator list of moves of
+two kinds, neither with identity axes: an ``EdgePerm`` (vertex transposition
+or side swap) permutes the axes, a ``Recoloring`` (switch or edge recoloring)
+maps digits through a color lookup.  Orbit partitions come from min-label
+propagation to a fixpoint, which yields the same components as a closure BFS
+and numbers orbits by least member id, so results are bit-identical in any
+order.  The edge permutations' group P propagates over all ids by transposing
+the label cube, then the recolorings, closed under conjugation by P, over P's
+orbits through their least members, since s(pi x) = pi (pi^-1 s pi)(x).  P's
 orbits, the base-3 digits of their least members, each recoloring's
 P-conjugates and table, each generator set's read-only quotient over P's
 orbits, each candidate's generator list and each checked action tuple's plan
 stay in a store while they fit ``ORBIT_MEMORY_CAP``, so a repeated request
-costs store lookups only.  Every label gather is an ``ndarray.take``: numpy
-serves ``a[index]`` with an int32 index through a slower path.
+costs store lookups only; a stored quotient or conjugate list is charged a
+fixed overhead besides its array bytes.  Every label gather is an
+``ndarray.take``: numpy serves ``a[index]`` with an int32 index through a
+slower path.
 
 Equality of orbit partitions is the finite surrogate for two candidate
 groups having the same invariant structure: the groups differ exactly in
@@ -47,6 +50,8 @@ __all__ = [
     "BudgetExceededError",
     "GroupSpec",
     "Action",
+    "EdgePerm",
+    "Recoloring",
     "OrbitPartition",
     "CandidateGroup",
     "id_to_coloring",
@@ -108,39 +113,38 @@ def id_to_coloring(m: int, n: int, cid: int) -> ColoredBipartiteGraph:
 
 
 @dataclass(frozen=True, eq=False)
-class Action:
-    """A bijection of the coloring id space: an edge permutation, whose image
-    of a coloring has its digit q at position ``axes[q]``, or a recoloring
-    (identity ``axes``), which maps the digits at ``recolor`` through
-    ``lut``.  Vertex swaps and the side swap permute axes; switches and edge
-    recolorings recolor digits."""
+class EdgePerm:
+    """An edge permutation (a vertex swap or the side swap): its image of a
+    coloring has the coloring's digit q at position ``axes[q]``."""
 
     name: str
     axes: tuple[int, ...]
-    recolor: tuple[int, ...] = ()
-    lut: tuple[int, int, int] = (0, 1, 2)
-
-    def pull(self, labels: np.ndarray) -> np.ndarray:
-        """``labels[table]`` of the edge permutation: the label cube, axis p
-        being edge p, with its axes moved."""
-        k = len(self.axes)
-        return labels.reshape((3,) * k).transpose(self.axes).reshape(-1)
 
 
-def _recolor_action(name: str, m: int, n: int, positions, sigma: S3Perm) -> Action:
-    return Action(name, _identity(m * n), tuple(positions), tuple(sigma(c) - 1 for c in (1, 2, 3)))
+@dataclass(frozen=True, eq=False)
+class Recoloring:
+    """A recoloring (a switch or an edge recoloring): it maps a coloring's
+    digits at ``positions``, sorted when built, through ``lut``."""
+
+    name: str
+    positions: tuple[int, ...]
+    lut: tuple[int, int, int]
+
+    def __post_init__(self):
+        object.__setattr__(self, "positions", tuple(sorted(self.positions)))
+
+
+Action = EdgePerm | Recoloring
+
+
+def _recolor_action(name: str, positions, sigma: S3Perm) -> Recoloring:
+    return Recoloring(name, positions, tuple(sigma(c) - 1 for c in (1, 2, 3)))
 
 
 class _Moves(tuple):
-    """A shape's moves or a candidate's generators in the store, charged 40 bytes (a
-    pointer and an int object) per recoloring slot and per slot of each distinct axes tuple."""
-    nbytes = property(lambda self: 40 * sum(map(len, [*{id(a.axes): a.axes for a in self}.values(),
-                                                      *(a.recolor for a in self)])))
-
-
-def _identity(k: int) -> tuple[int, ...]:
-    """The identity axes on k edges: one object per k while the store keeps it."""
-    return _STORE.fetch((k, "identity"), lambda: _Moves([Action("identity", tuple(range(k)))]))[0].axes
+    """Moves in the store, charged 40 bytes (a pointer and an int) per axes or positions slot."""
+    nbytes = property(lambda self: 40 * sum(len(a.axes) if isinstance(a, EdgePerm) else len(a.positions)
+                                            for a in self))
 
 
 def _vertex_perms(m: int, n: int) -> _Moves:
@@ -148,9 +152,9 @@ def _vertex_perms(m: int, n: int) -> _Moves:
         edges = list(range(m * n))
         edges[a], edges[b] = edges[b], edges[a]
         return tuple(edges)
-    rows = [Action(f"swapL({t},{t + 1})", swapped(slice(t * n, t * n + n), slice(t * n + n, t * n + 2 * n)))
+    rows = [EdgePerm(f"swapL({t},{t + 1})", swapped(slice(t * n, t * n + n), slice(t * n + n, t * n + 2 * n)))
             for t in range(m - 1)]
-    return _Moves(rows + [Action(f"swapR({t},{t + 1})", swapped(slice(t, None, n), slice(t + 1, None, n)))
+    return _Moves(rows + [EdgePerm(f"swapR({t},{t + 1})", swapped(slice(t, None, n), slice(t + 1, None, n)))
                           for t in range(n - 1)])
 
 
@@ -167,24 +171,24 @@ def switch_actions(side_left: bool, sigmas, m: int, n: int) -> list[Action]:
     per shape and sigma (none without edges); each call gets its own list."""
     tag = "L" if side_left else "R"
     per_sigma = [_STORE.fetch((m, n, side_left, sigma), lambda sigma=sigma: _Moves(
-        _recolor_action(f"switch{tag}({v},{sigma.cycle_string()})", m, n,
+        _recolor_action(f"switch{tag}({v},{sigma.cycle_string()})",
                         range(v * n, v * n + n) if side_left else range(v, m * n, n), sigma)
         for v in range(m if side_left else n)) if m * n else _Moves()) for sigma in sigmas]
     return [action for vertex in zip(*per_sigma) for action in vertex]
 
 
-def transpose_action(m: int, n: int) -> Action:
+def transpose_action(m: int, n: int) -> EdgePerm:
     """The side swap; defined only on square dimensions."""
     if m != n:
         raise ValueError("side swap needs square dimensions")
-    return Action("swapSides", tuple(np.arange(m * n).reshape(m, n).T.ravel().tolist()))
+    return EdgePerm("swapSides", tuple(np.arange(m * n).reshape(m, n).T.ravel().tolist()))
 
 
-def single_edge_action(m: int, n: int, i: int, j: int, sigma: S3Perm) -> Action:
+def single_edge_action(m: int, n: int, i: int, j: int, sigma: S3Perm) -> Recoloring:
     """Recolor exactly edge (i, j) by sigma."""
     if not (0 <= i < m and 0 <= j < n):
         raise ValueError(f"edge ({i}, {j}) out of range")
-    return _recolor_action(f"edge({i},{j},{sigma.cycle_string()})", m, n, [i * n + j], sigma)
+    return _recolor_action(f"edge({i},{j},{sigma.cycle_string()})", [i * n + j], sigma)
 
 
 @dataclass(frozen=True)
@@ -300,15 +304,26 @@ class _Entry(NamedTuple):
 
     @property
     def nbytes(self) -> int:
-        """The bytes of its orbit ids, least members, digit rows, tables and quotients."""
+        """The bytes of its orbit ids, least members, digit rows, tables and quotients, plus
+        ``_STORED_OVERHEAD`` per stored quotient and conjugate list."""
         return sum(a.nbytes for a in (self.orbit_of, self.reps, *self.rows.values(), *self.tables.values(),
-                                      *(q[0] for q in self.quotients.values())))
+                                      *(q[0] for q in self.quotients.values()))) \
+            + _STORED_OVERHEAD * (len(self.quotients) + len(self.conjugates))
+
+
+#: What a stored quotient or conjugate list holds besides its array data: its
+#: dict slot, key and value tuples and array header.  At K_{1,3} with P
+#: trivial (Python 3.11, numpy 2.4), the quotient of a distinct list of 2 or
+#: 3 single-edge recolorings freed 506 or 577 bytes under tracemalloc, 108 of
+#: them data, when its entry was dropped after the plans and a collection
+#: emptied the free lists.
+_STORED_OVERHEAD = 512
 
 
 class _Store(OrderedDict):
     """The orbit engine's store, least recently used first: P's entries by ``(k, perms)``, shape
-    moves by ``(m, n)`` and kind, generator lists by ``(m, n, spec)``, identity axes by
-    ``(k, "identity")``, plans by ``(k, "plan", actions)``; ``nbytes`` totals their bytes."""
+    moves by ``(m, n)`` and kind, generator lists by ``(m, n, spec)`` and plans by
+    ``(k, "plan", actions)``; ``nbytes`` totals their bytes."""
 
     nbytes = 0
 
@@ -341,9 +356,10 @@ _STORE = _Store()
 
 
 def _edge_perm_orbits(k: int, perms: tuple[tuple[int, ...], ...]) -> _Entry:
-    """The group P that the edge permutations' ``axes`` generate on 3^k ids;
-    arrays read-only, shared by candidates."""
-    labels, rounds, jumps = _propagate(3**k, [Action("P", axes).pull for axes in perms])
+    """The group P that the edge permutations ``perms`` generate on 3^k ids, each moving
+    the axes of the label cube (axis p is edge p); arrays read-only, shared by candidates."""
+    pulls = [lambda x, axes=axes: x.reshape((3,) * k).transpose(axes).reshape(-1) for axes in perms]
+    labels, rounds, jumps = _propagate(3**k, pulls)
     orbit_of, roots = _numbered(labels)
     reps = np.flatnonzero(roots)
     orbit_of.flags.writeable = reps.flags.writeable = False
@@ -371,23 +387,32 @@ class _Plan(tuple):
                       + 400 * (1 + len(self[0])))
 
 
+#: The color lookups a recoloring may use: the permutations of (0, 1, 2).
+_LUTS = tuple(itertools.permutations(range(3)))
+
+
+def _fits(a, edges: set) -> bool:
+    """Whether ``a`` permutes the edges, or recolors distinct edges among them by a bijection."""
+    if isinstance(a, EdgePerm):
+        return len(a.axes) == len(edges) and set(a.axes) == edges
+    return isinstance(a, Recoloring) and 0 < len(edges.intersection(a.positions)) == len(a.positions) \
+        and a.lut in _LUTS
+
+
 def _plan(actions: tuple, k: int) -> _Plan:
-    identity = _identity(k)
+    edges = set(range(k))
     for a in actions:
-        if len(a.axes) != k:
+        if not _fits(a, edges):
             raise ValueError("action does not match the coloring space")
-        if a.recolor and a.axes is not identity and a.axes != identity:
-            raise ValueError(f"action {a.name} both permutes and recolors")
-    return _Plan((actions, tuple(a.axes for a in actions if not a.recolor),
-                  tuple(dict.fromkeys((tuple(sorted(a.recolor)), a.lut) for a in actions if a.recolor))))
+    return _Plan((actions, tuple(a.axes for a in actions if isinstance(a, EdgePerm)),
+                  tuple(dict.fromkeys((a.positions, a.lut) for a in actions if isinstance(a, Recoloring)))))
 
 
 def partition_from_actions(actions, m: int, n: int, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitPartition:
-    """Connected components of the id space under the generator actions,
-    each an edge permutation or a recoloring (identity ``axes``).  The store
-    keeps each checked action tuple's plan under ``(k, "plan", actions)``:
-    ``Action`` hashes by identity and the key holds the actions, so a tuple
-    seen before skips the checks and goes to P's entry and its quotient."""
+    """Connected components of the id space under the generator moves.  The
+    store keeps each checked move tuple's plan under ``(k, "plan", actions)``:
+    moves hash by identity and the key holds them, so a tuple seen before
+    skips the checks and goes to P's entry and its quotient."""
     _check_budget(m, n, budget)
     actions, k = tuple(actions), m * n
     _, perms, key = _STORE.fetch((k, "plan", actions), lambda: _plan(actions, k))
@@ -406,27 +431,31 @@ def partition_from_actions(actions, m: int, n: int, budget: int = DEFAULT_ORBIT_
 def _quotient(entry: _Entry, k: int, perms, key: tuple, working: int) -> tuple:
     """The quotient stage of the recoloring moves ``key``, stored in P's entry by them."""
     orbit_of, reps, rounds, jumps, rows, tables, conjugates, quotients = entry
-    closed, seen = list(key), set(key)
+    closed, seen, found = list(key), set(key), {}
     for move in closed:  # conjugates appended here are visited too
-        if move not in conjugates:
-            conjugates[move] = _conjugates(perms, move)
-        fresh = [c for c in conjugates[move] if c not in seen]
+        listed = conjugates[move] if move in conjugates else found.setdefault(move, _conjugates(perms, move))
+        fresh = [c for c in listed if c not in seen]
         seen.update(fresh)
         closed.extend(fresh)
-    # each table and quotient takes 4 bytes per P-orbit and each digit row 1:
-    # a call whose own tables and rows do not fit next to its working set
+    # each table and quotient takes 4 bytes per P-orbit and each digit row 1,
+    # and the quotient and each new conjugate list _STORED_OVERHEAD: a call
+    # whose own tables, rows and lists do not fit next to its working set
     # (which holds this entry's orbit ids and least members and the new
-    # quotient) is refused; else the store drops other entries, then this
-    # entry's stored tables, rows and quotients, until they fit beside the call
+    # quotient's data) is refused; else the store drops other entries, then
+    # this entry's stored tables, rows, lists and quotients, until they fit
+    # beside the call
     positions = {p for move in closed for p in move[0]}
-    if working + reps.size * (4 * len(closed) + len(positions)) > ORBIT_MEMORY_CAP:
+    own = reps.size * (4 * len(closed) + len(positions)) + _STORED_OVERHEAD * (1 + len(closed))
+    if working + own > ORBIT_MEMORY_CAP:
         raise BudgetExceededError("the quotient by the edge permutations exceeds the orbit memory cap")
-    new = reps.size * (4 * len(seen.difference(tables)) + len(positions.difference(rows)))
+    new = reps.size * (4 * len(seen.difference(tables)) + len(positions.difference(rows))) \
+        + _STORED_OVERHEAD * (1 + len(found))
     if not _STORE.evict(working + new - orbit_of.nbytes - reps.nbytes, keep=entry):
-        _STORE.nbytes -= reps.size * (4 * (len(tables) + len(quotients)) + len(rows))
-        tables.clear()
-        rows.clear()
-        quotients.clear()
+        _STORE.nbytes -= entry.nbytes - orbit_of.nbytes - reps.nbytes
+        for stored in (tables, rows, conjugates, quotients):
+            stored.clear()
+    conjugates.update(found)
+    _STORE.nbytes += _STORED_OVERHEAD * len(found)
     for move in closed:
         if move not in tables:
             ids = reps.copy()  # each least member, its digits at the move's positions moved by lut
@@ -446,7 +475,7 @@ def _quotient(entry: _Entry, k: int, perms, key: tuple, working: int) -> tuple:
                                        else (np.arange(reps.size, dtype=np.int32), 0, 0))
     quotient, roots = _numbered(labels)
     quotient.flags.writeable = False
-    _STORE.nbytes += quotient.nbytes
+    _STORE.nbytes += quotient.nbytes + _STORED_OVERHEAD
     quotients[key] = quotient, int(roots.sum()), rounds + more_rounds, jumps + more_jumps
     return quotients[key]
 

@@ -13,7 +13,7 @@ import pytest
 
 from switchlab import graphs, orbits, randomlab, s3, switches, verify
 from switchlab.graphs import constant_graph
-from switchlab.orbits import Action, CandidateGroup, GroupSpec
+from switchlab.orbits import CandidateGroup, EdgePerm, GroupSpec, Recoloring
 from switchlab.randomlab import BoundEval, BoundRatioReport, FailureEstimate
 from switchlab.s3 import S3Perm
 from switchlab.switches import SwitchWord, left_switch
@@ -93,6 +93,9 @@ KILLED = [
      replace(switches, "monochromatize", lambda g, target: SwitchWord(()))),
     ("orbit-engine", "no vertex permutations",
      with_fresh_store(replace(orbits, "vertex_perm_actions", lambda m, n: []))),
+    ("orbit-engine", "_recolor_action ignores sigma (identity lut)",
+     with_fresh_store(replace(orbits, "_recolor_action",
+                              lambda name, positions, sigma: Recoloring(name, positions, (0, 1, 2))))),
     ("orbit-engine", "each stored conjugate list missing its last conjugate",
      entry_mutant("_conjugates", lambda conjugates: conjugates[:-1])),
     ("h12-closure", "each digit row with one wrong entry", entry_mutant("_digit_row", _one_wrong_digit)),
@@ -102,7 +105,7 @@ KILLED = [
     ("h12-closure", "join returns its first argument", replace(orbits, "join", lambda p1, p2: p1)),
     ("h12-closure", "join returns its second argument", replace(orbits, "join", lambda p1, p2: p2)),
     ("redu-saturation", "generators_for without its switch actions",
-     wrap(orbits, "generators_for", lambda actions, *_: [a for a in actions if not a.recolor])),
+     wrap(orbits, "generators_for", lambda actions, *_: [a for a in actions if isinstance(a, EdgePerm)])),
     ("redu-saturation", "join returns its first argument", replace(orbits, "join", lambda p1, p2: p1)),
     ("redu-saturation", "join returns its second argument", replace(orbits, "join", lambda p1, p2: p2)),
     ("collapse-trichotomy", "collapse_witness finds nothing",
@@ -130,7 +133,7 @@ KILLED = [
     ("swap-duality", "generators_for drops the side swap",
      replace(orbits, "generators_for", _without_swap(orbits.generators_for))),
     ("swap-duality", "transpose_action gives the identity",
-     with_fresh_store(replace(orbits, "transpose_action", lambda m, n: Action("swapSides", tuple(range(m * n)))))),
+     with_fresh_store(replace(orbits, "transpose_action", lambda m, n: EdgePerm("swapSides", tuple(range(m * n)))))),
 ]
 
 SURVIVING = [
@@ -178,7 +181,7 @@ def test_first_digit_row_entry_wrong_raises(monkeypatch, m, n):
     entry_mutant("_digit_row", lambda row: _one_wrong_digit(row, at=0))(monkeypatch)
     raised = set()
     for cand in cands:
-        if any(a.recolor and a.lut[1] == 0 for a in orbits.generators_for(cand.spec, m, n)):
+        if any(isinstance(a, Recoloring) and a.lut[1] == 0 for a in orbits.generators_for(cand.spec, m, n)):
             with pytest.raises(ArithmeticError, match="below id 0"):
                 orbits.orbit_partition(cand.spec, m, n)
             raised.add(cand.name)

@@ -1,5 +1,7 @@
 import builtins
+import dataclasses
 import functools
+import gc
 import itertools
 import re
 import tracemalloc
@@ -12,8 +14,8 @@ from hypothesis import example, given, settings
 from switchlab import orbits, verify
 from switchlab.graphs import new_graph
 from switchlab.orbits import (
-    Action,
     BudgetExceededError,
+    EdgePerm,
     GroupSpec,
     OrbitPartition,
     distinguish_candidates,
@@ -25,6 +27,7 @@ from switchlab.orbits import (
     orbit_partition,
     partition_from_actions,
     partitions_equal,
+    Recoloring,
     refines,
     single_edge_action,
     switch_actions,
@@ -303,18 +306,23 @@ def _recolored(ids, k, positions, lut):
     return ids + (np.array(lut)[moved] - moved) @ places
 
 
-def moved_ids(action):
-    """The image of every id under ``action``: its axis move, then its
-    recoloring, composed from the engine's two ways of moving labels."""
-    k = len(action.axes)
-    return action.pull(_recolored(np.arange(3**k), k, action.recolor, action.lut))
+def moved_ids(action, k):
+    """The image of every id of k edges under ``action``: the label cube,
+    axis p being edge p, with its axes moved, or the ids recolored."""
+    ids = np.arange(3**k)
+    if isinstance(action, EdgePerm):
+        return ids.reshape((3,) * k).transpose(action.axes).reshape(-1)
+    return _recolored(ids, k, action.positions, action.lut)
 
 
 def test_action_moves_digits_as_documented():
-    # a 3-cycle of axes plus a recoloring: neither an involution nor one kind
-    action = Action("rot", (1, 2, 0), (0,), (1, 2, 0))
-    assert moved_ids(action)[9] == 12  # digits (1,0,0) -> (0,1,0) -> recolor axis 0 -> (1,1,0)
-    assert sorted(moved_ids(action).tolist()) == list(range(27))
+    # a 3-cycle of axes, then a recoloring by a 3-cycle: neither an involution
+    rot, shift = EdgePerm("rot", (1, 2, 0)), Recoloring("shift", (0,), (1, 2, 0))
+    both = moved_ids(shift, 3)[moved_ids(rot, 3)]
+    assert both[9] == 12  # digits (1,0,0) -> (0,1,0) -> recolor axis 0 -> (1,1,0)
+    assert sorted(both.tolist()) == list(range(27))
+    # a recoloring sorts its positions when it is built
+    assert Recoloring("pair", [2, 0], (1, 2, 0)).positions == (0, 2)
 
 
 # Oracle: the tabulated construction the label-cube moves replaced.  Each
@@ -393,7 +401,6 @@ def oracle_partition(tables, count):
 
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_cube_moves_match_table_oracle(m, n):
-    rng = np.random.default_rng(m * 10 + n)
     actions = {}
     for cand in enumerate_candidate_groups(with_swap=(m == n)):
         for action in generators_for(cand.spec, m, n):
@@ -405,13 +412,8 @@ def test_cube_moves_match_table_oracle(m, n):
     assert kinds == {"swapL", "swapR", "switchL", "switchR", "edge"} | (
         {"swapSides"} if m == n else set()
     )
-    count = 3 ** (m * n)
     for action in actions.values():
-        expected = oracle_table(action.name, m, n)
-        assert np.array_equal(moved_ids(action), expected), action.name
-        if not action.recolor:  # only edge permutations pull labels
-            x = rng.integers(0, 1 << 40, size=count)
-            assert np.array_equal(action.pull(x), x[expected]), action.name
+        assert np.array_equal(moved_ids(action, m * n), oracle_table(action.name, m, n)), action.name
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (3, 3)])
@@ -516,8 +518,8 @@ def test_drawn_action_lists_equal_cold_and_after_every_move(drawn):
     (m, n), names = drawn
     pool = _action_pool(m, n)
     actions = [pool[name] for name in names]
-    backwards = iter([a for a in actions if a.recolor][::-1])
-    reordered = [next(backwards) if a.recolor else a for a in actions]
+    backwards = iter([a for a in actions if isinstance(a, Recoloring)][::-1])
+    reordered = [next(backwards) if isinstance(a, Recoloring) else a for a in actions]
     reference = _reference_partition(actions, m, n)[0].astype(np.int32).tobytes()
     _clear_orbit_caches()
     cold_reordered = _outcome(partition_from_actions(reordered, m, n))
@@ -525,7 +527,8 @@ def test_drawn_action_lists_equal_cold_and_after_every_move(drawn):
     cold = _outcome(partition_from_actions(actions, m, n))
     assert cold[0] == cold_reordered[0] == reference
     _assert_running_total()
-    everything = [a for a in actions if not a.recolor] + [a for a in pool.values() if a.recolor]
+    everything = [a for a in actions if isinstance(a, EdgePerm)]
+    everything += [a for a in pool.values() if isinstance(a, Recoloring)]
     partition_from_actions(everything, m, n)
     _assert_running_total()
     for _ in range(2):
@@ -536,8 +539,9 @@ def test_drawn_action_lists_equal_cold_and_after_every_move(drawn):
 
 
 #: Admits the largest drawn call, P trivial at K_{2,3} with 8 tables and 6
-#: digit rows over all 3^6 ids, and nothing beside it.
-_DRAWN_CAP = 16 * 3**6 + 3**6 * (96 + 4 * 8 + 6)
+#: digit rows over all 3^6 ids, its quotient and 8 conjugate lists, and
+#: nothing beside it.
+_DRAWN_CAP = 16 * 3**6 + 3**6 * (96 + 4 * 8 + 6) + orbits._STORED_OVERHEAD * (1 + 8)
 
 
 @settings(max_examples=60)
@@ -565,8 +569,8 @@ _CENSUS_SHAPES = [(2, 2), (3, 3), (2, 3), (3, 2), (2, 4), (4, 2), (2, 5), (5, 2)
 
 def _edge_perms_and_recolorings(pool):
     # drawn apart, so that most pairs of lists differ in their edge permutations
-    perms = sorted(name for name, a in pool.items() if not a.recolor)
-    moves = sorted(name for name, a in pool.items() if a.recolor)
+    perms = sorted(name for name, a in pool.items() if isinstance(a, EdgePerm))
+    moves = sorted(name for name, a in pool.items() if isinstance(a, Recoloring))
     return st.builds(lambda p, r: p + r, st.lists(st.sampled_from(perms), max_size=2),
                      st.lists(st.sampled_from(moves), max_size=3))
 
@@ -629,15 +633,6 @@ def test_any_iterable_of_actions():
             part.orbit_count, part.actions, part.rounds, part.jumps)
 
 
-def test_action_that_permutes_and_recolors_is_refused():
-    rot = Action("rot", (1, 2, 0), (0,), (1, 2, 0))
-    assert sorted(moved_ids(rot).tolist()) == list(range(27))  # still a valid move
-    with pytest.raises(ValueError, match=r"action rot both permutes and recolors"):
-        partition_from_actions(vertex_perm_actions(1, 3) + [rot], 1, 3)
-    with pytest.raises(ValueError, match=r"action rot both permutes and recolors"):
-        partition_from_actions(iter([rot]), 1, 3)
-
-
 def _clear_orbit_caches():
     orbits._STORE.clear()
 
@@ -645,6 +640,16 @@ def _clear_orbit_caches():
 def _kept():
     """The store's P entries by key, least recently used first."""
     return {key: e for key, e in orbits._STORE.items() if isinstance(e, orbits._Entry)}
+
+
+def _edge_perms(actions):
+    """The axes of the edge permutations among ``actions``: their P's store key."""
+    return tuple(a.axes for a in actions if isinstance(a, EdgePerm))
+
+
+def _slots(a):
+    """The slots of a move's axes or positions tuple."""
+    return len(a.axes) if isinstance(a, EdgePerm) else len(a.positions)
 
 
 def _entry_arrays(e):
@@ -658,28 +663,33 @@ def _plans():
     return {key: key[2] for key in orbits._STORE if key[1:2] == ("plan",)}
 
 
+def _entry_charge(e):
+    """The bytes P's entry keeps: its arrays, plus the fixed overhead of each
+    stored quotient and conjugate list."""
+    return sum(a.nbytes for a in _entry_arrays(e)) + orbits._STORED_OVERHEAD * (len(e.quotients) + len(e.conjugates))
+
+
 def _assert_running_total():
-    # the store's running total is the bytes of the arrays its P entries keep
-    # plus, for each move tuple or generator list it keeps, 40 per recoloring
-    # slot and per slot of each distinct axes tuple (a shared identity counts
-    # once per tuple), and for each checked action tuple, 40 per slot of its
+    # the store's running total is what its P entries keep plus, for each
+    # move tuple or generator list it keeps, 40 per slot of each axes or
+    # positions tuple, and for each checked action tuple, 40 per slot of its
     # edge permutations and of its distinct recoloring moves and 400 per plan
     # and per action
     entries, plans = _kept(), _plans()
-    kept = sum(a.nbytes for e in entries.values() for a in _entry_arrays(e))
+    kept = sum(map(_entry_charge, entries.values()))
     for key, moves in orbits._STORE.items():
         if key not in entries | plans:
-            kept += 40 * sum(map(len, [*{id(a.axes): a.axes for a in moves}.values(), *(a.recolor for a in moves)]))
+            kept += 40 * sum(map(_slots, moves))
     for actions in plans.values():
-        recolorings = {(tuple(sorted(a.recolor)), a.lut) for a in actions if a.recolor}
-        kept += 40 * (sum(len(a.axes) for a in actions if not a.recolor) + sum(len(r[0]) for r in recolorings))
+        recolorings = {(a.positions, a.lut) for a in actions if isinstance(a, Recoloring)}
+        kept += 40 * (sum(map(len, _edge_perms(actions))) + sum(len(r[0]) for r in recolorings))
         kept += 400 * (1 + len(actions))
     assert orbits._STORE.nbytes == kept <= orbits.ORBIT_MEMORY_CAP
 
 
 def test_stored_moves_are_charged_and_evicted(monkeypatch):
     # the moves of a 60x60 shape hold about 16.3 MiB, 15.3 of it the vertex
-    # swaps' axes: the 360 switches share one identity axes tuple.  The store
+    # swaps' axes: the 360 switches hold 60 positions each.  The store
     # charges them, so under a small cap the next call's miss evicts them
     _clear_orbit_caches()
     tracemalloc.start()
@@ -803,7 +813,7 @@ def test_census_walk_misses_only_when_the_edge_permutations_change(monkeypatch, 
         for (m, n, spec), expected in zip(_CENSUS_WALK, cold):
             built, swapped = len(builds), len(swaps)
             actions = generators_for(spec, m, n)
-            key = ((m, n), tuple(a.axes for a in actions if not a.recolor))
+            key = ((m, n), _edge_perms(actions))
             assert len(swaps) == swapped + (key[0] != last[0])
             assert _outcome(partition_from_actions(actions, m, n)) == expected
             assert len(builds) == built + (key != last)
@@ -867,7 +877,7 @@ def test_a_stored_quotient_is_refused_where_a_miss_is(monkeypatch):
     _clear_orbit_caches()
     for actions in (vertex_perm_actions(1, 4), *refused):
         partition_from_actions(actions, 1, 4)
-    monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", 32 * 81)
+    monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", 32 * 81 + orbits._STORED_OVERHEAD)
     assert partition_from_actions(vertex_perm_actions(1, 4), 1, 4).orbit_count == 15
     for actions in refused:
         with pytest.raises(BudgetExceededError, match="quotient"):
@@ -878,7 +888,9 @@ def test_a_stored_quotient_is_refused_where_a_miss_is(monkeypatch):
 def test_a_new_quotient_is_charged_once_when_its_call_makes_room(monkeypatch):
     # P trivial at K_{2,2}: after a call that recolors edge (0, 0), a call
     # that also recolors edge (1, 1) needs its working set, which holds its
-    # new quotient, and one new table and digit row beside P's entry.  Under
+    # new quotient's data, one new table and digit row, and the fixed
+    # overhead of its quotient and of edge (1, 1)'s conjugate list beside
+    # P's entry.  Under
     # exactly that cap the store evicts every other key and keeps the first
     # call's table, row and quotient; one byte less drops them
     first, second = (single_edge_action(2, 2, i, i, c("(12)")) for i in (0, 1))
@@ -889,7 +901,8 @@ def test_a_new_quotient_is_charged_once_when_its_call_makes_room(monkeypatch):
         partition_from_actions([first], 2, 2)
         entry = orbits._STORE[4, ()]
         stored, reps = entry.nbytes - entry.orbit_of.nbytes - entry.reps.nbytes, entry.reps.size
-        monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", stored + 16 * 81 + 96 * reps + (4 + 1) * reps + spare)
+        monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", stored + 16 * 81 + 96 * reps + (4 + 1) * reps
+                            + 2 * orbits._STORED_OVERHEAD + spare)
         part = partition_from_actions([first, second], 2, 2)
         assert np.array_equal(part.labels, _reference_partition([first, second], 2, 2)[0])
         assert list(orbits._STORE) == [(4, ())] and orbits._STORE[4, ()] is entry
@@ -936,17 +949,17 @@ def test_stored_tables_equal_the_reference_recoloring(monkeypatch, builds):
     for m, n in _CENSUS_SHAPES:
         for cand in enumerate_candidate_groups(m == n):
             actions = generators_for(cand.spec, m, n)
-            if any(a.recolor for a in actions):
+            if any(isinstance(a, Recoloring) for a in actions):
                 partition_from_actions(actions, m, n)
-                _assert_entry_matches_reference(m * n, tuple(a.axes for a in actions if not a.recolor))
+                _assert_entry_matches_reference(m * n, _edge_perms(actions))
     edges = [single_edge_action(2, 3, i, j, s) for i in range(2) for j in range(3) for s in ALL_PERMS[1:]]
-    ids = 3**6  # working set 16 * ids + 96 * ids, 30 tables and 6 digit rows
-    monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", 16 * ids + ids * (96 + 4 * 30 + 6))
+    ids = 3**6  # working set 16 * ids + 96 * ids, 30 tables, 6 digit rows, a quotient and 30 conjugate lists
+    monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", 16 * ids + ids * (96 + 4 * 30 + 6) + orbits._STORED_OVERHEAD * 31)
     swap = vertex_perm_actions(2, 3)[:1]
     for perms in ([], swap, []):
         partition_from_actions(perms + edges, 2, 3)
-        _assert_entry_matches_reference(6, tuple(a.axes for a in perms))
-        assert list(_kept()) == [(6, tuple(a.axes for a in perms))]
+        _assert_entry_matches_reference(6, _edge_perms(perms))
+        assert list(_kept()) == [(6, _edge_perms(perms))]
         _assert_running_total()
     assert len(builds) == 13 and builds[-3] == builds[-1] == (6, ())
     assert len(orbits._STORE[6, ()].tables) == 30
@@ -963,13 +976,15 @@ def test_action_lists_are_fresh_on_every_call():
 
 
 def test_equal_new_actions_are_checked_on_first_sight(monkeypatch):
-    # a stored plan is keyed by its actions' identities: new Action objects
-    # equal field by field to a stored list are checked and sorted once, then
-    # served from their own plan, with the stored list's outcome
+    # a stored plan is keyed by its actions' identities: new moves equal
+    # field by field to a stored list are checked once, then served from
+    # their own plan, with the stored list's outcome; each new recoloring
+    # sorts its positions once, when it is built
     actions = generators_for(candidate_by_name("ol_S_lr^(12)").spec, 2, 2)
     expected = _outcome(partition_from_actions(actions, 2, 2))
-    copies = [Action(a.name, a.axes, a.recolor, a.lut) for a in actions]
     checked, sorts = _spy(monkeypatch, "_plan"), _spy(monkeypatch, "sorted")
+    copies = [dataclasses.replace(a) for a in actions]
+    assert len(sorts) == 4
     for _ in range(2):
         assert _outcome(partition_from_actions(copies, 2, 2)) == expected
         assert _outcome(partition_from_actions(actions, 2, 2)) == expected
@@ -978,21 +993,26 @@ def test_equal_new_actions_are_checked_on_first_sight(monkeypatch):
 
 
 def test_invalid_action_lists_raise_in_order_on_every_call():
-    # the budget first, then each action in turn: its axes length, then
-    # whether it both permutes and recolors; a list is refused on every call,
-    # also when its valid actions were checked before in another list
-    valid = generators_for(candidate_by_name("S_lr^(12)").spec, 1, 3)
-    partition_from_actions(valid, 1, 3)
-    short, rot = vertex_perm_actions(2, 2)[0], Action("rot", (1, 2, 0), (0,), (1, 2, 0))
+    # the budget first, then each action in turn: an edge permutation must
+    # permute range(k), a recoloring must recolor distinct positions in
+    # range(k), at least one, by a permutation of (0, 1, 2); a list is refused
+    # on every call, also when its valid actions were checked before in
+    # another list
+    valid = generators_for(candidate_by_name("S_lr^(12)").spec, 2, 2)
+    partition_from_actions(valid, 2, 2)
+    short, flip = vertex_perm_actions(2, 3)[0], (1, 0, 2)
+    malformed = [Recoloring("below", (-1,), flip), Recoloring("above", (4,), flip),
+                 Recoloring("twice", (0, 0), flip), EdgePerm("repeated", (0, 0, 1, 2)),
+                 Recoloring("collapse", (0,), (0, 0, 1)), Recoloring("nowhere", (), flip)]
+    mismatch = "^action does not match the coloring space$"
     for _ in range(2):
         for actions, error, message in (
-                (valid + [short, rot], ValueError, "^action does not match the coloring space$"),
-                (valid + [rot, short], ValueError, "^action rot both permutes and recolors$"),
-                ([rot, short], ValueError, "^action rot both permutes and recolors$"),
-                ([short, rot], BudgetExceededError, "exceeds budget")):
+                (valid + [short], ValueError, mismatch),
+                *((valid + [bad], ValueError, mismatch) for bad in malformed),
+                ([short, *malformed], BudgetExceededError, "exceeds budget")):
             with pytest.raises(error, match=message):
-                partition_from_actions(actions, 1, 3, budget=3 if error is ValueError else 2)
-    assert _outcome(partition_from_actions(valid, 1, 3)) == _outcome(partition_from_actions(list(valid), 1, 3))
+                partition_from_actions(actions, 2, 2, budget=4 if error is ValueError else 3)
+    assert _outcome(partition_from_actions(valid, 2, 2)) == _outcome(partition_from_actions(list(valid), 2, 2))
     _assert_running_total()
 
 
@@ -1011,12 +1031,13 @@ def test_warm_calls_below_the_budget_are_refused():
 
 def test_fresh_action_lists_stay_under_a_small_cap(monkeypatch):
     # thousands of lists of new single-edge recolorings at K_{1,3} (P
-    # trivial, 27 ids), each checked once, under a 32 KiB cap: their 15
-    # distinct move sets keep P's entry small, so plans fill the store.  Every
-    # plan is charged, so after each call the running total matches what the
-    # store keeps and fits the cap, and old plans are evicted.  The charge
-    # covers what the kept plans hold, the new actions they keep alive included
-    monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", 2**15)
+    # trivial, 27 ids), each checked once, under a 64 KiB cap: their 15
+    # distinct move sets keep P's entry at about 23 KiB, so plans fill the
+    # store.  Every plan is charged, so after each call the running total
+    # matches what the store keeps and fits the cap, and old plans are
+    # evicted.  The charge covers what the kept plans hold, the new actions
+    # they keep alive included
+    monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", 2**16)
     _clear_orbit_caches()
     tracemalloc.start()
     try:
@@ -1036,16 +1057,49 @@ def test_fresh_action_lists_stay_under_a_small_cap(monkeypatch):
     assert 2**13 < freed <= charged < orbits.ORBIT_MEMORY_CAP
 
 
+def test_stored_quotients_are_charged_what_they_hold():
+    # 600 distinct lists of 1-3 distinct single-edge recolorings at K_{1,3}
+    # (P trivial, 27 ids) under the real cap, each storing its own quotient
+    # in P's entry.  With the plans dropped, the entry's charge covers what
+    # tracemalloc sees it free, and exceeds that by at most half.  Each
+    # collection empties the free lists that keep freed tuples, so that the
+    # entry's tuples are allocated and freed where tracemalloc sees them
+    pool = [single_edge_action(1, 3, 0, j, s) for j in range(3) for s in ALL_PERMS[1:]]
+    lists = [list(drawn) for r in (1, 2, 3) for drawn in itertools.permutations(pool, r)][:600]
+    _clear_orbit_caches()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for actions in lists:
+            partition_from_actions(actions, 1, 3)
+        for key in _plans():
+            del orbits._STORE[key]
+        entry = orbits._STORE[3, ()]
+        charged, quotients = _entry_charge(entry), len(entry.quotients)
+        del entry
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        orbits._STORE.pop((3, ()))
+        gc.collect()
+        freed = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        _clear_orbit_caches()
+    assert quotients == 600
+    assert freed <= charged <= 1.5 * freed
+
+
 def test_recoloring_store_stays_under_the_cap(monkeypatch):
     # with P trivial each table and quotient (4 bytes) and digit row (1 byte)
-    # spans all 3^6 ids of K_{2,3}; the cap leaves room for five tables, the
-    # quotients of the four calls that stored them and the two rows of the
-    # edges they recolor next to the working set, so consecutive pairs of 30
-    # distinct moves fill the store, drop it and refill it, and no call is
-    # refused
+    # spans all 3^6 ids of K_{2,3}; the cap leaves room for five tables and
+    # their moves' conjugate lists, the quotients of the four calls that
+    # stored them and the two rows of the edges they recolor next to the
+    # working set, so consecutive pairs of 30 distinct moves fill the store,
+    # drop it and refill it, and no call is refused
     m, n, reps = 2, 3, 3**6
     working = 16 * reps + reps * (24 * 1 + 72)
-    monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", working + reps * (4 * (5 + 4) + 2))
+    monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP",
+                        working + reps * (4 * (5 + 4) + 2) + orbits._STORED_OVERHEAD * (5 + 4))
     _clear_orbit_caches()
     moves = [single_edge_action(m, n, i, j, s) for i in range(m) for j in range(n) for s in ALL_PERMS[1:]]
     assert len(moves) == 30
@@ -1055,7 +1109,7 @@ def test_recoloring_store_stays_under_the_cap(monkeypatch):
         entry = orbits._STORE[m * n, ()]
         stored = entry.tables
         sizes.append(len(stored))
-        assert working + reps * (4 * (len(stored) + len(entry.quotients)) + len(entry.rows)) <= orbits.ORBIT_MEMORY_CAP
+        assert working + _entry_charge(entry) - entry.orbit_of.nbytes - entry.reps.nbytes <= orbits.ORBIT_MEMORY_CAP
         assert all(not array.flags.writeable for array in _entry_arrays(entry))
         assert np.array_equal(part.labels, _reference_partition([first, second], m, n)[0])
         _assert_running_total()
@@ -1064,11 +1118,14 @@ def test_recoloring_store_stays_under_the_cap(monkeypatch):
 
 def test_alternating_edge_permutations_keep_one_entry_under_the_cap(monkeypatch):
     # P trivial and P = <swapL(0,1)> in turn at K_{2,3}, under a cap that
-    # fits the trivial-P call's working set (its new quotient included), two
-    # tables and a digit row.  A swap-P pass also keeps the identity axes and
-    # its four checked action tuples after the trivial-P entry (40 bytes per
-    # slot of the swap and of a recoloring, 400 per plan and per action), so
-    # its cap adds them; in a trivial-P pass they would make room for more
+    # fits the trivial-P call's working set (its new quotient's data
+    # included), two tables, a digit row, and the fixed overhead of its
+    # quotient and two conjugate lists.  A swap-P pass also keeps its four
+    # checked action tuples after the trivial-P entry (40 bytes per
+    # slot of the swap and of a recoloring, 400 per plan and per action), and
+    # its entry's four quotients and ten conjugate lists (edge (0, 0)'s five
+    # moves and their conjugates at edge (1, 0)), so its cap adds them; in a
+    # trivial-P pass they would make room for more
     # tables instead, since they are evicted first.  A trivial-P call keeps
     # its entry alone, dropping the other P's entry before its own stored
     # tables, and a swap-P call keeps both (its working set is smaller).
@@ -1076,14 +1133,15 @@ def test_alternating_edge_permutations_keep_one_entry_under_the_cap(monkeypatch)
     # tables and quotients stored beside it (its own quotient is part of its
     # working set) fit the cap
     m, n, ids = 2, 3, 3**6
-    cap, swap_pass = 16 * ids + ids * (24 * 1 + 72) + ids * (4 * 2 + 1), 40 * 6 + 4 * (40 * (6 + 2) + 400 * 4)
+    cap = 16 * ids + ids * (24 * 1 + 72) + ids * (4 * 2 + 1) + orbits._STORED_OVERHEAD * 3
+    swap_pass = 4 * (40 * (6 + 2) + 400 * 4) + orbits._STORED_OVERHEAD * (4 + 10)
     _clear_orbit_caches()
     swap = vertex_perm_actions(m, n)[:1]
     assert swap[0].name == "swapL(0,1)"
     moves = [single_edge_action(m, n, 0, 0, s) for s in ALL_PERMS[1:]]
     for perms in ([], swap, [], swap):
         monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", cap + (swap_pass if perms else 0))
-        key = (m * n, tuple(a.axes for a in perms))
+        key = (m * n, _edge_perms(perms))
         for first, second in zip(moves, moves[1:]):
             part = partition_from_actions(perms + [first, second], m, n)
             assert np.array_equal(part.labels, _reference_partition(perms + [first, second], m, n)[0])
@@ -1149,7 +1207,7 @@ def test_labels_are_a_fresh_int32_array_on_every_access():
 def test_cached_edge_permutation_orbits_are_read_only():
     perms = vertex_perm_actions(2, 2)
     partition_from_actions(perms, 2, 2)
-    entry = orbits._STORE[4, tuple(a.axes for a in perms)]
+    entry = orbits._STORE[4, _edge_perms(perms)]
     for array in (entry.orbit_of, entry.reps):
         with pytest.raises(ValueError):
             array[0] = 1
@@ -1160,9 +1218,10 @@ def test_cached_edge_permutation_orbits_are_read_only():
 
 
 def test_quotient_over_the_memory_cap_is_refused(monkeypatch):
-    # 32 bytes per id pass the cap check up front; S_4 leaves 15 orbits of
-    # the 81 colorings of K_{1,4}, but without it all 81 stay apart
-    monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", 32 * 81)
+    # 32 bytes per id pass the cap check up front, and the quotient's fixed
+    # overhead beside them; S_4 leaves 15 orbits of the 81 colorings of
+    # K_{1,4}, but without it all 81 stay apart
+    monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", 32 * 81 + orbits._STORED_OVERHEAD)
     assert partition_from_actions(vertex_perm_actions(1, 4), 1, 4).orbit_count == 15
     for actions in ([], switch_actions(False, [c("(12)")], 1, 4)):
         with pytest.raises(BudgetExceededError, match="quotient"):
@@ -1193,7 +1252,7 @@ def test_edge_permutation_orbits_peak_at_24_bytes_per_id(m, n):
     # and the intp copy ``take`` makes of an int32 index (chunked above
     # 2^16 ids), with the entry's int32 orbit ids among them
     ids = 3 ** (m * n)
-    perms = tuple(a.axes for a in vertex_perm_actions(m, n))
+    perms = _edge_perms(vertex_perm_actions(m, n))
     _clear_orbit_caches()
     tracemalloc.start()
     try:
