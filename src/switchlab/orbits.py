@@ -12,11 +12,11 @@ order.  The edge permutations' group P propagates over all ids by transposing
 the label cube, then the recolorings, closed under conjugation by P, over P's
 orbits through their least members, since s(pi x) = pi (pi^-1 s pi)(x).  P's
 orbits, the base-3 digits of their least members, each recoloring's
-P-conjugates and table, each generator set's read-only quotient over P's
-orbits, each candidate's generator list and each checked action tuple's plan
-stay in a store while they fit ``ORBIT_MEMORY_CAP``, so a repeated request
-costs store lookups only; a stored quotient or conjugate list is charged a
-fixed overhead besides its array bytes.  Every label gather is an
+P-conjugates and table, each candidate's generator list and each checked
+action tuple's answer (its read-only quotient over P's orbits and its
+counters) stay in a store while they fit ``ORBIT_MEMORY_CAP``, so a repeated
+request costs store lookups only; a stored answer or conjugate list is
+charged a fixed overhead besides its array bytes.  Every label gather is an
 ``ndarray.take``: numpy serves ``a[index]`` with an int32 index through a
 slower path.
 
@@ -286,12 +286,10 @@ def _numbered(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class _Entry(NamedTuple):
     """P's store entry: the int32 P-orbit of every id, numbered by least member,
-    each P-orbit's least member, P's rounds and jumps, and four stores filled
+    each P-orbit's least member, P's rounds and jumps, and three stores filled
     on first use and evicted with it: each position's uint8 base-3 digit of
-    the least members, each recoloring move's int32 table over P's orbits,
-    each move's conjugates by P's generators, and each generator set's read-only
-    int32 quotient by its recoloring moves in call order, with its orbit count
-    and the rounds and jumps of both stages."""
+    the least members, each recoloring move's int32 table over P's orbits and
+    each move's conjugates by P's generators."""
 
     orbit_of: np.ndarray
     reps: np.ndarray
@@ -300,30 +298,44 @@ class _Entry(NamedTuple):
     rows: dict
     tables: dict
     conjugates: dict
-    quotients: dict
 
     @property
     def nbytes(self) -> int:
-        """The bytes of its orbit ids, least members, digit rows, tables and quotients, plus
-        ``_STORED_OVERHEAD`` per stored quotient and conjugate list."""
-        return sum(a.nbytes for a in (self.orbit_of, self.reps, *self.rows.values(), *self.tables.values(),
-                                      *(q[0] for q in self.quotients.values()))) \
-            + _STORED_OVERHEAD * (len(self.quotients) + len(self.conjugates))
+        """The bytes of its orbit ids, least members, digit rows and tables, plus
+        ``_STORED_OVERHEAD`` per conjugate list."""
+        return sum(a.nbytes for a in (self.orbit_of, self.reps, *self.rows.values(), *self.tables.values())) \
+            + _STORED_OVERHEAD * len(self.conjugates)
 
 
-#: What a stored quotient or conjugate list holds besides its array data: its
-#: dict slot, key and value tuples and array header.  At K_{1,3} with P
-#: trivial (Python 3.11, numpy 2.4), the quotient of a distinct list of 2 or
-#: 3 single-edge recolorings freed 506 or 577 bytes under tracemalloc, 108 of
-#: them data, when its entry was dropped after the plans and a collection
-#: emptied the free lists.
+class _Answer(NamedTuple):
+    """A checked action tuple's answer: P's edge-permutation axes, the read-only
+    int32 quotient over P's orbits, its orbit count and the rounds and jumps of
+    both stages.  ``nbytes`` charges the quotient's bytes, 40 per axes slot,
+    ``_STORED_OVERHEAD`` and 400 per action, which covers an action that only
+    the answer's key keeps alive (about 290)."""
+
+    perms: tuple
+    quotient: np.ndarray
+    count: int
+    rounds: int
+    jumps: int
+    nbytes: int
+
+
+#: What a stored answer holds besides its quotient's data, its axes and its
+#: actions: its store slot, key, action and value tuples and array header.
+#: At K_{1,3} with P trivial (Python 3.11, numpy 2.4), the answer of a
+#: distinct list of 1, 2 or 3 single-edge recolorings freed 500, 508 or 516
+#: bytes under tracemalloc, 108 of them data, when it was dropped (its
+#: actions kept alive elsewhere) and a collection emptied the free lists.
+#: Each conjugate list in P's entry is charged the same.
 _STORED_OVERHEAD = 512
 
 
 class _Store(OrderedDict):
     """The orbit engine's store, least recently used first: P's entries by ``(k, perms)``, shape
-    moves by ``(m, n)`` and kind, generator lists by ``(m, n, spec)`` and plans by
-    ``(k, "plan", actions)``; ``nbytes`` totals their bytes."""
+    moves by ``(m, n)`` and kind, generator lists by ``(m, n, spec)`` and answers by
+    ``(k, "answer", actions)``; ``nbytes`` totals their bytes."""
 
     nbytes = 0
 
@@ -363,7 +375,7 @@ def _edge_perm_orbits(k: int, perms: tuple[tuple[int, ...], ...]) -> _Entry:
     orbit_of, roots = _numbered(labels)
     reps = np.flatnonzero(roots)
     orbit_of.flags.writeable = reps.flags.writeable = False
-    return _Entry(orbit_of, reps, rounds, jumps, {}, {}, {}, {})
+    return _Entry(orbit_of, reps, rounds, jumps, {}, {}, {})
 
 
 def _digit_row(reps: np.ndarray, k: int, position: int) -> np.ndarray:
@@ -379,14 +391,6 @@ def _conjugates(perms, move) -> tuple:
     return tuple(dict.fromkeys((tuple(sorted(axes[p] for p in positions)), lut) for axes in perms))
 
 
-class _Plan(tuple):
-    """A checked action tuple, its edge permutations and its distinct recoloring
-    moves in call order, charged 40 bytes per slot of those and 400 per plan and
-    per action, which covers an action it alone keeps alive (about 290)."""
-    nbytes = property(lambda self: 40 * (sum(map(len, self[1])) + sum(len(move[0]) for move in self[2]))
-                      + 400 * (1 + len(self[0])))
-
-
 #: The color lookups a recoloring may use: the permutations of (0, 1, 2).
 _LUTS = tuple(itertools.permutations(range(3)))
 
@@ -399,60 +403,56 @@ def _fits(a, edges: set) -> bool:
         and a.lut in _LUTS
 
 
-def _plan(actions: tuple, k: int) -> _Plan:
+def partition_from_actions(actions, m: int, n: int, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitPartition:
+    """Connected components of the id space under the generator moves.  The
+    store keeps each checked move tuple's answer under ``(k, "answer",
+    actions)``: moves hash by identity and the key holds them, so a tuple seen
+    before skips the checks and both stages and costs two lookups, its answer
+    and P's entry."""
+    _check_budget(m, n, budget)
+    actions, k = tuple(actions), m * n
+    answer = _STORE.fetch((k, "answer", actions), lambda: _answer(actions, k))
+    orbit_of = _STORE.fetch((k, answer.perms), lambda: _edge_perm_orbits(k, answer.perms), 4 * 8 * 3**k).orbit_of
+    return OrbitPartition(m, n, answer.quotient, orbit_of, answer.count, len(actions), answer.rounds, answer.jumps)
+
+
+def _answer(actions: tuple, k: int) -> _Answer:
+    """The answer of ``actions``, checked in turn: P's entry, then the quotient
+    stage of their distinct recoloring moves in call order, closed under
+    conjugation by P."""
     edges = set(range(k))
     for a in actions:
         if not _fits(a, edges):
             raise ValueError("action does not match the coloring space")
-    return _Plan((actions, tuple(a.axes for a in actions if isinstance(a, EdgePerm)),
-                  tuple(dict.fromkeys((a.positions, a.lut) for a in actions if isinstance(a, Recoloring)))))
-
-
-def partition_from_actions(actions, m: int, n: int, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitPartition:
-    """Connected components of the id space under the generator moves.  The
-    store keeps each checked move tuple's plan under ``(k, "plan", actions)``:
-    moves hash by identity and the key holds them, so a tuple seen before
-    skips the checks and goes to P's entry and its quotient."""
-    _check_budget(m, n, budget)
-    actions, k = tuple(actions), m * n
-    _, perms, key = _STORE.fetch((k, "plan", actions), lambda: _plan(actions, k))
-    entry = _STORE.fetch((k, perms), lambda: _edge_perm_orbits(k, perms), 4 * 8 * 3**k)
-    # per P-orbit the quotient stage takes 72 bytes, plus 24 of int64 temporaries
-    # while tables are built; a stored quotient keeps its tables and rows, so it
-    # is served while this fits beside them (its call would be admitted again)
-    working = 16 * 3**k + entry.reps.size * (96 if key else 72)
-    stored = entry.quotients.get(key)
-    if not (stored and _STORE.evict(working - entry.orbit_of.nbytes - entry.reps.nbytes, keep=entry)):
-        stored = _quotient(entry, k, perms, key, working)
-    quotient, count, rounds, jumps = stored
-    return OrbitPartition(m, n, quotient, entry.orbit_of, count, len(actions), rounds, jumps)
-
-
-def _quotient(entry: _Entry, k: int, perms, key: tuple, working: int) -> tuple:
-    """The quotient stage of the recoloring moves ``key``, stored in P's entry by them."""
-    orbit_of, reps, rounds, jumps, rows, tables, conjugates, quotients = entry
-    closed, seen, found = list(key), set(key), {}
+    perms = tuple(a.axes for a in actions if isinstance(a, EdgePerm))
+    closed = list(dict.fromkeys((a.positions, a.lut) for a in actions if isinstance(a, Recoloring)))
+    orbit_of, reps, rounds, jumps, rows, tables, conjugates = entry = \
+        _STORE.fetch((k, perms), lambda: _edge_perm_orbits(k, perms), 4 * 8 * 3**k)
+    # per P-orbit the quotient stage takes 72 bytes, its quotient's data
+    # included, plus 24 of int64 temporaries while tables are built
+    working = 16 * 3**k + reps.size * (96 if closed else 72)
+    seen, found = set(closed), {}
     for move in closed:  # conjugates appended here are visited too
         listed = conjugates[move] if move in conjugates else found.setdefault(move, _conjugates(perms, move))
         fresh = [c for c in listed if c not in seen]
         seen.update(fresh)
         closed.extend(fresh)
-    # each table and quotient takes 4 bytes per P-orbit and each digit row 1,
-    # and the quotient and each new conjugate list _STORED_OVERHEAD: a call
-    # whose own tables, rows and lists do not fit next to its working set
-    # (which holds this entry's orbit ids and least members and the new
-    # quotient's data) is refused; else the store drops other entries, then
-    # this entry's stored tables, rows, lists and quotients, until they fit
-    # beside the call
+    # a table takes 4 bytes per P-orbit, a digit row 1, a conjugate list
+    # _STORED_OVERHEAD and the answer its charge beyond its quotient's data.
+    # A call whose own tables, rows, lists and answer do not fit next to its
+    # working set (which holds this entry's orbit ids and least members) is
+    # refused; else the store drops other entries, then this entry's stored
+    # tables, rows and lists, until they fit beside the call
+    fixed = 40 * sum(map(len, perms)) + _STORED_OVERHEAD + 400 * len(actions)
     positions = {p for move in closed for p in move[0]}
-    own = reps.size * (4 * len(closed) + len(positions)) + _STORED_OVERHEAD * (1 + len(closed))
-    if working + own > ORBIT_MEMORY_CAP:
+    own = reps.size * (4 * len(closed) + len(positions)) + _STORED_OVERHEAD * len(closed)
+    if working + own + fixed > ORBIT_MEMORY_CAP:
         raise BudgetExceededError("the quotient by the edge permutations exceeds the orbit memory cap")
     new = reps.size * (4 * len(seen.difference(tables)) + len(positions.difference(rows))) \
-        + _STORED_OVERHEAD * (1 + len(found))
+        + _STORED_OVERHEAD * len(found) + fixed
     if not _STORE.evict(working + new - orbit_of.nbytes - reps.nbytes, keep=entry):
         _STORE.nbytes -= entry.nbytes - orbit_of.nbytes - reps.nbytes
-        for stored in (tables, rows, conjugates, quotients):
+        for stored in (tables, rows, conjugates):
             stored.clear()
     conjugates.update(found)
     _STORE.nbytes += _STORED_OVERHEAD * len(found)
@@ -475,9 +475,8 @@ def _quotient(entry: _Entry, k: int, perms, key: tuple, working: int) -> tuple:
                                        else (np.arange(reps.size, dtype=np.int32), 0, 0))
     quotient, roots = _numbered(labels)
     quotient.flags.writeable = False
-    _STORE.nbytes += quotient.nbytes + _STORED_OVERHEAD
-    quotients[key] = quotient, int(roots.sum()), rounds + more_rounds, jumps + more_jumps
-    return quotients[key]
+    return _Answer(perms, quotient, int(roots.sum()), rounds + more_rounds, jumps + more_jumps,
+                   quotient.nbytes + fixed)
 
 
 def orbit_partition(spec: GroupSpec, m: int, n: int, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitPartition:

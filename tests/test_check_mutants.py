@@ -63,6 +63,13 @@ def entry_mutant(name, change):
     return plant
 
 
+class _CountKeyedStore(orbits._Store):
+    """An orbit store that keys each answer by its action count in place of its actions."""
+
+    def fetch(self, key, build, need=0):
+        return super().fetch(key[:2] + (len(key[2]),) if key[1:2] == ("answer",) else key, build, need)
+
+
 def with_fresh_store(plant):
     """A mutant of a move builder planted with a fresh orbit store, so that the
     generator lists the store keeps are built by the mutant and dropped with it."""
@@ -128,6 +135,8 @@ KILLED = [
                                                                                groups[5].spec.h_right))])),
     ("candidate-census", "refines always True",
      replace(orbits, "refines", lambda p1, p2: True)),
+    ("candidate-census", "stored answers keyed by the action count alone",
+     lambda mp: mp.setattr(orbits, "_STORE", _CountKeyedStore())),
     ("swap-duality", "is_isomorphic ignores allow_swap",
      replace(graphs, "is_isomorphic", lambda g1, g2, allow_swap=False, real=graphs.is_isomorphic: real(g1, g2))),
     ("swap-duality", "generators_for drops the side swap",

@@ -512,7 +512,7 @@ def test_drawn_action_lists_match_reference(drawn):
 def test_drawn_action_lists_equal_cold_and_after_every_move(drawn):
     # cold: every cache cleared; warm: after a list with the same edge
     # permutations and every recoloring of the pool has stored its tables,
-    # then twice more (its stored quotient), then with its recolorings in
+    # then twice more (its stored answer), then with its recolorings in
     # reverse order: same P entry and moves, but the counters of that
     # order's cold computation, never those stored for the other order
     (m, n), names = drawn
@@ -539,9 +539,9 @@ def test_drawn_action_lists_equal_cold_and_after_every_move(drawn):
 
 
 #: Admits the largest drawn call, P trivial at K_{2,3} with 8 tables and 6
-#: digit rows over all 3^6 ids, its quotient and 8 conjugate lists, and
-#: nothing beside it.
-_DRAWN_CAP = 16 * 3**6 + 3**6 * (96 + 4 * 8 + 6) + orbits._STORED_OVERHEAD * (1 + 8)
+#: digit rows over all 3^6 ids, 8 conjugate lists and the charge of its
+#: 8-action answer beyond its quotient's data, and nothing beside it.
+_DRAWN_CAP = 16 * 3**6 + 3**6 * (96 + 4 * 8 + 6) + orbits._STORED_OVERHEAD * (8 + 1) + 400 * 8
 
 
 @settings(max_examples=60)
@@ -653,37 +653,39 @@ def _slots(a):
 
 
 def _entry_arrays(e):
-    """Every array P's entry keeps: orbit ids, least members, digit rows,
-    tables and stored quotients."""
-    return (e.orbit_of, e.reps, *e.rows.values(), *e.tables.values(), *(q[0] for q in e.quotients.values()))
+    """Every array P's entry keeps: orbit ids, least members, digit rows and
+    tables."""
+    return (e.orbit_of, e.reps, *e.rows.values(), *e.tables.values())
 
 
-def _plans():
-    """The store's checked action tuples by key, least recently used first."""
-    return {key: key[2] for key in orbits._STORE if key[1:2] == ("plan",)}
+def _answers():
+    """The store's answers by key, least recently used first."""
+    return {key: answer for key, answer in orbits._STORE.items() if key[1:2] == ("answer",)}
 
 
 def _entry_charge(e):
     """The bytes P's entry keeps: its arrays, plus the fixed overhead of each
-    stored quotient and conjugate list."""
-    return sum(a.nbytes for a in _entry_arrays(e)) + orbits._STORED_OVERHEAD * (len(e.quotients) + len(e.conjugates))
+    conjugate list."""
+    return sum(a.nbytes for a in _entry_arrays(e)) + orbits._STORED_OVERHEAD * len(e.conjugates)
+
+
+def _answer_charge(key, answer):
+    """The bytes an answer keeps: its quotient's, 40 per slot of its key's
+    edge permutations, the fixed overhead and 400 per action."""
+    actions = key[2]
+    return answer.quotient.nbytes + 40 * sum(map(len, _edge_perms(actions))) + orbits._STORED_OVERHEAD \
+        + 400 * len(actions)
 
 
 def _assert_running_total():
-    # the store's running total is what its P entries keep plus, for each
-    # move tuple or generator list it keeps, 40 per slot of each axes or
-    # positions tuple, and for each checked action tuple, 40 per slot of its
-    # edge permutations and of its distinct recoloring moves and 400 per plan
-    # and per action
-    entries, plans = _kept(), _plans()
-    kept = sum(map(_entry_charge, entries.values()))
+    # the store's running total is what its P entries and answers keep plus,
+    # for each move tuple or generator list it keeps, 40 per slot of each
+    # axes or positions tuple
+    entries, answers = _kept(), _answers()
+    kept = sum(map(_entry_charge, entries.values())) + sum(_answer_charge(*item) for item in answers.items())
     for key, moves in orbits._STORE.items():
-        if key not in entries | plans:
+        if key not in entries | answers:
             kept += 40 * sum(map(_slots, moves))
-    for actions in plans.values():
-        recolorings = {(a.positions, a.lut) for a in actions if isinstance(a, Recoloring)}
-        kept += 40 * (sum(map(len, _edge_perms(actions))) + sum(len(r[0]) for r in recolorings))
-        kept += 400 * (1 + len(actions))
     assert orbits._STORE.nbytes == kept <= orbits.ORBIT_MEMORY_CAP
 
 
@@ -713,8 +715,8 @@ def test_stored_moves_are_charged_and_evicted(monkeypatch):
 
 def _assert_last_call_fits(k):
     # the last call's working set (at least 16 bytes per id and 72 per
-    # P-orbit), its entry's stored tables, rows and quotients and every
-    # other kept entry fit the cap together
+    # P-orbit), its entry's stored tables and rows and every other kept entry
+    # fit the cap together
     *others, last = _kept().values()
     kept = sum(a.nbytes for e in others for a in _entry_arrays(e))
     stored = sum(a.nbytes for a in _entry_arrays(last)[2:])
@@ -842,71 +844,71 @@ def test_second_census_walk_builds_no_entry(builds):
 
 def test_warm_census_walk_propagates_nothing(monkeypatch):
     # a census walk from an empty store, then the same walk again: the warm
-    # pass serves every generator list, plan and quotient from the store, so
-    # it calls neither _propagate nor _digit_row, builds no move (no
-    # _vertex_perms, _recolor_action or np.arange, nor do the move builders
-    # asked again for stored moves), checks and sorts no action (no _plan or
-    # sorted), and its outcomes and counters equal the first pass's and the
-    # cold ones.  Every stored quotient is read-only
+    # pass serves every generator list and answer from the store, so it
+    # builds no answer (no _answer), calls neither _propagate, _digit_row nor
+    # _conjugates, builds no move (no _vertex_perms, _recolor_action or
+    # np.arange, nor do the move builders asked again for stored moves),
+    # sorts no action, and its outcomes and counters equal the first pass's
+    # and the cold ones.  Every stored quotient is read-only
     cold = list(_cold_census_walk())
     _clear_orbit_caches()
     first = [_outcome(orbit_partition(spec, m, n)) for m, n, spec in _CENSUS_WALK]
-    spied = [_spy(monkeypatch, name) for name in ("_propagate", "_digit_row", "_vertex_perms",
-                                                  "_recolor_action", "_plan", "sorted")]
+    spied = [_spy(monkeypatch, name) for name in ("_answer", "_propagate", "_digit_row", "_conjugates",
+                                                  "_vertex_perms", "_recolor_action", "sorted")]
     spied.append(_spy(monkeypatch, "arange", np))
     warm = [_outcome(orbit_partition(spec, m, n)) for m, n, spec in _CENSUS_WALK]
     for m, n in _CENSUS_SHAPES:
         vertex_perm_actions(m, n)
         switch_actions(True, FULL_SUBGROUP.generators(), m, n)
         switch_actions(False, FULL_SUBGROUP.generators(), m, n)
-    assert spied == [[]] * 7
+    assert spied == [[]] * 8
     assert warm == first == cold
-    assert len(_plans()) == len(_CENSUS_WALK)
-    quotients = [stored[0] for e in _kept().values() for stored in e.quotients.values()]
-    assert len(quotients) == len(_CENSUS_WALK)
-    for quotient in quotients:
+    answers = _answers()
+    assert len(answers) == len(_CENSUS_WALK)
+    for answer in answers.values():
         with pytest.raises(ValueError, match="read-only"):
-            quotient[0] = 0
+            answer.quotient[0] = 0
 
 
-def test_a_stored_quotient_is_refused_where_a_miss_is(monkeypatch):
-    # the lists of test_quotient_over_the_memory_cap_is_refused, stored under
-    # the real cap, then asked for again under the cap that refuses their
-    # quotient stage: each hit gives the miss's outcome or error
-    refused = ([], switch_actions(False, [c("(12)")], 1, 4))
+def test_a_stored_answer_is_served_under_a_cap_that_refuses_its_miss(monkeypatch, builds):
+    # a list's answer stored under the real cap, then asked for again under a
+    # cap that fits P's entry but refuses the list's quotient stage: the hit
+    # gives the miss's outcome and builds nothing, and a new tuple of moves
+    # equal to the list's is still refused
+    actions = switch_actions(False, [c("(12)")], 1, 4)
     _clear_orbit_caches()
-    for actions in (vertex_perm_actions(1, 4), *refused):
-        partition_from_actions(actions, 1, 4)
-    monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", 32 * 81 + orbits._STORED_OVERHEAD)
-    assert partition_from_actions(vertex_perm_actions(1, 4), 1, 4).orbit_count == 15
-    for actions in refused:
-        with pytest.raises(BudgetExceededError, match="quotient"):
-            partition_from_actions(actions, 1, 4)
-    _assert_running_total()
+    expected = _outcome(partition_from_actions(actions, 1, 4))
+    assert tuple(actions) in {key[2] for key in _answers()}
+    answered = _spy(monkeypatch, "_answer")
+    del builds[:]
+    monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", 32 * 81)
+    assert _outcome(partition_from_actions(actions, 1, 4)) == expected
+    assert answered == builds == []
+    with pytest.raises(BudgetExceededError, match="quotient"):
+        partition_from_actions([dataclasses.replace(a) for a in actions], 1, 4)
 
 
 def test_a_new_quotient_is_charged_once_when_its_call_makes_room(monkeypatch):
     # P trivial at K_{2,2}: after a call that recolors edge (0, 0), a call
-    # that also recolors edge (1, 1) needs its working set, which holds its
-    # new quotient's data, one new table and digit row, and the fixed
-    # overhead of its quotient and of edge (1, 1)'s conjugate list beside
-    # P's entry.  Under
-    # exactly that cap the store evicts every other key and keeps the first
-    # call's table, row and quotient; one byte less drops them
+    # that recolors edge (1, 1) needs its working set, which holds its new
+    # quotient's data, one new table, digit row and conjugate list, and its
+    # answer's fixed overhead and one action beside P's entry.  Under exactly
+    # that cap the store evicts the first call's answer and keeps its table,
+    # row and list; one byte less drops them too
     first, second = (single_edge_action(2, 2, i, i, c("(12)")) for i in (0, 1))
     real = orbits.ORBIT_MEMORY_CAP
-    for spare, quotients in ((0, 2), (-1, 1)):
+    for spare, tables in ((0, 2), (-1, 1)):
         monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", real)
         _clear_orbit_caches()
         partition_from_actions([first], 2, 2)
         entry = orbits._STORE[4, ()]
         stored, reps = entry.nbytes - entry.orbit_of.nbytes - entry.reps.nbytes, entry.reps.size
         monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", stored + 16 * 81 + 96 * reps + (4 + 1) * reps
-                            + 2 * orbits._STORED_OVERHEAD + spare)
-        part = partition_from_actions([first, second], 2, 2)
-        assert np.array_equal(part.labels, _reference_partition([first, second], 2, 2)[0])
-        assert list(orbits._STORE) == [(4, ())] and orbits._STORE[4, ()] is entry
-        assert (len(entry.tables), len(entry.rows), len(entry.quotients)) == (2, 2, quotients)
+                            + 2 * orbits._STORED_OVERHEAD + 400 + spare)
+        part = partition_from_actions([second], 2, 2)
+        assert np.array_equal(part.labels, _reference_partition([second], 2, 2)[0])
+        assert list(orbits._STORE) == [(4, "answer", (second,)), (4, ())] and orbits._STORE[4, ()] is entry
+        assert (len(entry.tables), len(entry.rows), len(entry.conjugates)) == (tables,) * 3
         _assert_running_total()
 
 
@@ -953,8 +955,9 @@ def test_stored_tables_equal_the_reference_recoloring(monkeypatch, builds):
                 partition_from_actions(actions, m, n)
                 _assert_entry_matches_reference(m * n, _edge_perms(actions))
     edges = [single_edge_action(2, 3, i, j, s) for i in range(2) for j in range(3) for s in ALL_PERMS[1:]]
-    ids = 3**6  # working set 16 * ids + 96 * ids, 30 tables, 6 digit rows, a quotient and 30 conjugate lists
-    monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", 16 * ids + ids * (96 + 4 * 30 + 6) + orbits._STORED_OVERHEAD * 31)
+    ids = 3**6  # working set 16 * ids + 96 * ids, 30 tables, 6 digit rows, 30 conjugate lists, a 30-action answer
+    monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP",
+                        16 * ids + ids * (96 + 4 * 30 + 6) + orbits._STORED_OVERHEAD * (30 + 1) + 400 * 30)
     swap = vertex_perm_actions(2, 3)[:1]
     for perms in ([], swap, []):
         partition_from_actions(perms + edges, 2, 3)
@@ -976,19 +979,22 @@ def test_action_lists_are_fresh_on_every_call():
 
 
 def test_equal_new_actions_are_checked_on_first_sight(monkeypatch):
-    # a stored plan is keyed by its actions' identities: new moves equal
+    # a stored answer is keyed by its actions' identities: new moves equal
     # field by field to a stored list are checked once, then served from
-    # their own plan, with the stored list's outcome; each new recoloring
-    # sorts its positions once, when it is built
+    # their own answer, with the stored list's outcome; each new recoloring
+    # sorts its positions once, when it is built, and only the answer's build
+    # sorts again (its conjugates' positions)
     actions = generators_for(candidate_by_name("ol_S_lr^(12)").spec, 2, 2)
     expected = _outcome(partition_from_actions(actions, 2, 2))
-    checked, sorts = _spy(monkeypatch, "_plan"), _spy(monkeypatch, "sorted")
+    checked, sorts = _spy(monkeypatch, "_answer"), _spy(monkeypatch, "sorted")
     copies = [dataclasses.replace(a) for a in actions]
     assert len(sorts) == 4
+    assert _outcome(partition_from_actions(copies, 2, 2)) == expected
+    built = len(sorts)
     for _ in range(2):
         assert _outcome(partition_from_actions(copies, 2, 2)) == expected
         assert _outcome(partition_from_actions(actions, 2, 2)) == expected
-    assert [call[0] for call in checked] == [tuple(copies)] and len(sorts) == 4
+    assert [call[0] for call in checked] == [tuple(copies)] and len(sorts) == built
     _assert_running_total()
 
 
@@ -1032,13 +1038,15 @@ def test_warm_calls_below_the_budget_are_refused():
 def test_fresh_action_lists_stay_under_a_small_cap(monkeypatch):
     # thousands of lists of new single-edge recolorings at K_{1,3} (P
     # trivial, 27 ids), each checked once, under a 64 KiB cap: their 15
-    # distinct move sets keep P's entry at about 23 KiB, so plans fill the
-    # store.  Every plan is charged, so after each call the running total
-    # matches what the store keeps and fits the cap, and old plans are
-    # evicted.  The charge covers what the kept plans hold, the new actions
-    # they keep alive included
+    # distinct moves keep P's entry at about 10 KiB, so answers fill the
+    # store.  Every answer is charged, so after each call the running total
+    # matches what the store keeps and fits the cap, and old answers are
+    # evicted.  The charge covers what the kept answers hold, the new
+    # actions they keep alive included.  Each collection empties the free
+    # lists that keep freed tuples, so that tracemalloc sees them freed
     monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", 2**16)
     _clear_orbit_caches()
+    gc.collect()
     tracemalloc.start()
     try:
         for i in range(2000):
@@ -1047,9 +1055,12 @@ def test_fresh_action_lists_stay_under_a_small_cap(monkeypatch):
             assert partition_from_actions(actions, 1, 3).actions == len(actions)
             _assert_running_total()
         del actions
-        plans, before = _plans(), tracemalloc.get_traced_memory()[0]
-        charged = sum(orbits._STORE.pop(key).nbytes for key in plans)
-        del plans
+        answers = _answers()
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        charged = sum(orbits._STORE.pop(key).nbytes for key in answers)
+        del answers
+        gc.collect()
         freed = before - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -1057,49 +1068,49 @@ def test_fresh_action_lists_stay_under_a_small_cap(monkeypatch):
     assert 2**13 < freed <= charged < orbits.ORBIT_MEMORY_CAP
 
 
-def test_stored_quotients_are_charged_what_they_hold():
+def test_stored_answers_are_charged_what_they_hold():
     # 600 distinct lists of 1-3 distinct single-edge recolorings at K_{1,3}
-    # (P trivial, 27 ids) under the real cap, each storing its own quotient
-    # in P's entry.  With the plans dropped, the entry's charge covers what
-    # tracemalloc sees it free, and exceeds that by at most half.  Each
-    # collection empties the free lists that keep freed tuples, so that the
-    # entry's tuples are allocated and freed where tracemalloc sees them
-    pool = [single_edge_action(1, 3, 0, j, s) for j in range(3) for s in ALL_PERMS[1:]]
-    lists = [list(drawn) for r in (1, 2, 3) for drawn in itertools.permutations(pool, r)][:600]
+    # (P trivial, 27 ids) under the real cap, each built fresh and kept alive
+    # by its answer alone.  Once every answer is dropped, their charge covers
+    # what tracemalloc sees them free, and exceeds that by at most half.
+    # Each collection empties the free lists that keep freed tuples, so that
+    # the answers' tuples are allocated and freed where tracemalloc sees them
+    moves = [(j, s) for j in range(3) for s in ALL_PERMS[1:]]
+    drawn = [picks for r in (1, 2, 3) for picks in itertools.permutations(moves, r)][:600]
     _clear_orbit_caches()
     gc.collect()
     tracemalloc.start()
     try:
-        for actions in lists:
-            partition_from_actions(actions, 1, 3)
-        for key in _plans():
-            del orbits._STORE[key]
-        entry = orbits._STORE[3, ()]
-        charged, quotients = _entry_charge(entry), len(entry.quotients)
-        del entry
+        for picks in drawn:
+            partition_from_actions([single_edge_action(1, 3, 0, j, s) for j, s in picks], 1, 3)
+        _assert_running_total()
+        answers = _answers()
+        charged, count = sum(answer.nbytes for answer in answers.values()), len(answers)
+        del answers
         gc.collect()
         before = tracemalloc.get_traced_memory()[0]
-        orbits._STORE.pop((3, ()))
+        for key in [key for key in orbits._STORE if key[1:2] == ("answer",)]:
+            del orbits._STORE[key]
         gc.collect()
         freed = before - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
         _clear_orbit_caches()
-    assert quotients == 600
+    assert count == 600
     assert freed <= charged <= 1.5 * freed
 
 
 def test_recoloring_store_stays_under_the_cap(monkeypatch):
-    # with P trivial each table and quotient (4 bytes) and digit row (1 byte)
-    # spans all 3^6 ids of K_{2,3}; the cap leaves room for five tables and
-    # their moves' conjugate lists, the quotients of the four calls that
-    # stored them and the two rows of the edges they recolor next to the
-    # working set, so consecutive pairs of 30 distinct moves fill the store,
-    # drop it and refill it, and no call is refused
+    # with P trivial each table (4 bytes) and digit row (1 byte) spans all 3^6
+    # ids of K_{2,3}; the cap leaves room for five tables and their moves'
+    # conjugate lists, the two rows of the edges they recolor and a 2-action
+    # answer's charge beyond its quotient's data next to the working set, so
+    # consecutive pairs of 30 distinct moves fill the store, drop it and
+    # refill it, and no call is refused
     m, n, reps = 2, 3, 3**6
     working = 16 * reps + reps * (24 * 1 + 72)
     monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP",
-                        working + reps * (4 * (5 + 4) + 2) + orbits._STORED_OVERHEAD * (5 + 4))
+                        working + reps * (4 * 5 + 2) + orbits._STORED_OVERHEAD * (5 + 1) + 400 * 2)
     _clear_orbit_caches()
     moves = [single_edge_action(m, n, i, j, s) for i in range(m) for j in range(n) for s in ALL_PERMS[1:]]
     assert len(moves) == 30
@@ -1119,22 +1130,21 @@ def test_recoloring_store_stays_under_the_cap(monkeypatch):
 def test_alternating_edge_permutations_keep_one_entry_under_the_cap(monkeypatch):
     # P trivial and P = <swapL(0,1)> in turn at K_{2,3}, under a cap that
     # fits the trivial-P call's working set (its new quotient's data
-    # included), two tables, a digit row, and the fixed overhead of its
-    # quotient and two conjugate lists.  A swap-P pass also keeps its four
-    # checked action tuples after the trivial-P entry (40 bytes per
-    # slot of the swap and of a recoloring, 400 per plan and per action), and
-    # its entry's four quotients and ten conjugate lists (edge (0, 0)'s five
-    # moves and their conjugates at edge (1, 0)), so its cap adds them; in a
-    # trivial-P pass they would make room for more
-    # tables instead, since they are evicted first.  A trivial-P call keeps
-    # its entry alone, dropping the other P's entry before its own stored
-    # tables, and a swap-P call keeps both (its working set is smaller).
-    # After every call the kept bytes plus the call's working set and the
-    # tables and quotients stored beside it (its own quotient is part of its
-    # working set) fit the cap
+    # included), two tables, a digit row, two conjugate lists, and its
+    # answer's fixed overhead and two actions.  A swap-P pass also keeps its
+    # four answers after the trivial-P entry (each its quotient over 378
+    # P-orbits, 40 bytes per slot of the swap, the fixed overhead and 400 per
+    # action) and its entry's ten conjugate lists (edge (0, 0)'s five moves
+    # and their conjugates at edge (1, 0)), so its cap adds them; in a
+    # trivial-P pass they would make room for more tables instead, since the
+    # answers are evicted first.  A trivial-P call keeps its entry alone,
+    # dropping the other P's entry before its own stored tables, and a swap-P
+    # call keeps both (its working set is smaller).  After every call the
+    # kept bytes plus the call's working set and the tables and rows stored
+    # beside it fit the cap
     m, n, ids = 2, 3, 3**6
-    cap = 16 * ids + ids * (24 * 1 + 72) + ids * (4 * 2 + 1) + orbits._STORED_OVERHEAD * 3
-    swap_pass = 4 * (40 * (6 + 2) + 400 * 4) + orbits._STORED_OVERHEAD * (4 + 10)
+    cap = 16 * ids + ids * (24 * 1 + 72) + ids * (4 * 2 + 1) + orbits._STORED_OVERHEAD * (2 + 1) + 400 * 2
+    swap_pass = 4 * (4 * 378 + 40 * 6 + orbits._STORED_OVERHEAD + 400 * 3) + orbits._STORED_OVERHEAD * 10
     _clear_orbit_caches()
     swap = vertex_perm_actions(m, n)[:1]
     assert swap[0].name == "swapL(0,1)"
@@ -1149,7 +1159,7 @@ def test_alternating_edge_permutations_keep_one_entry_under_the_cap(monkeypatch)
             assert list(kept)[-1] == key and len(kept) == (2 if perms else 1)
             others = sum(a.nbytes for k, e in kept.items() if k != key for a in _entry_arrays(e))
             entry = kept[key]
-            tables = sum(array.nbytes for array in _entry_arrays(entry)[2:]) - part.quotient.nbytes
+            tables = sum(array.nbytes for array in _entry_arrays(entry)[2:])
             assert others + 16 * ids + entry.reps.size * (24 * 1 + 72) + tables <= orbits.ORBIT_MEMORY_CAP
             _assert_running_total()
 
@@ -1218,10 +1228,11 @@ def test_cached_edge_permutation_orbits_are_read_only():
 
 
 def test_quotient_over_the_memory_cap_is_refused(monkeypatch):
-    # 32 bytes per id pass the cap check up front, and the quotient's fixed
-    # overhead beside them; S_4 leaves 15 orbits of the 81 colorings of
-    # K_{1,4}, but without it all 81 stay apart
-    monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", 32 * 81 + orbits._STORED_OVERHEAD)
+    # 32 bytes per id pass the cap check up front, and the S_4 answer's
+    # charge beyond its quotient's data beside them (three swaps of four
+    # axes); S_4 leaves 15 orbits of the 81 colorings of K_{1,4}, but without
+    # it all 81 stay apart
+    monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", 32 * 81 + 40 * 3 * 4 + orbits._STORED_OVERHEAD + 400 * 3)
     assert partition_from_actions(vertex_perm_actions(1, 4), 1, 4).orbit_count == 15
     for actions in ([], switch_actions(False, [c("(12)")], 1, 4)):
         with pytest.raises(BudgetExceededError, match="quotient"):
