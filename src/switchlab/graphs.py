@@ -9,6 +9,10 @@ A graph stores its coloring once, as m ``bytes`` rows of n values 1..3, so
 ``colors[i][j]`` is the color of edge (left i, right j) as an ``int`` and
 ``b"".join(colors)`` is the row-major buffer numpy reads.  Rows become lists
 only in ``graph_to_json``: ``{"m": int, "n": int, "colors": [[int, ...], ...]}``.
+
+The constructor, ``new_graph`` and ``graph_from_json`` validate a caller's
+coloring; only ``apply_word``, ``swap_sides``, ``random_graph`` and
+``id_to_coloring`` skip it, as their cells are in {1, 2, 3} by construction.
 """
 
 from __future__ import annotations
@@ -84,11 +88,18 @@ class ColoredBipartiteGraph:
     def side_size(self, side: Side) -> int:
         return self.m if side is Side.LEFT else self.n
 
-    def has_vertex(self, v: VertexRef) -> bool:
-        return v.index < self.side_size(v.side)
-
     def edges(self):
         return itertools.product(range(self.m), range(self.n))
+
+
+def _unchecked_graph(m: int, n: int, rows: tuple[bytes, ...]) -> ColoredBipartiteGraph:
+    """The graph of m ``bytes`` rows of n colors in 1..3 by construction, unvalidated.
+    Fields are set as ``__init__`` sets them, so attribute reads stay as fast."""
+    g = object.__new__(ColoredBipartiteGraph)
+    object.__setattr__(g, "m", m)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "colors", rows)
+    return g
 
 
 def _color_rows(rows, n: int) -> tuple[bytes, ...]:
@@ -130,7 +141,7 @@ def _columns(rows, n: int) -> tuple[bytes, ...]:
 
 def swap_sides(g: ColoredBipartiteGraph) -> ColoredBipartiteGraph:
     """Exchange the two sides; the coloring transposes.  An involution."""
-    return ColoredBipartiteGraph(g.n, g.m, _columns(g.colors, g.n))
+    return _unchecked_graph(g.n, g.m, _columns(g.colors, g.n))
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import ColoredBipartiteGraph
+from .graphs import ColoredBipartiteGraph, _unchecked_graph
 from .s3 import (
     FULL_SUBGROUP,
     S3Perm,
@@ -109,7 +109,7 @@ def id_to_coloring(m: int, n: int, cid: int) -> ColoredBipartiteGraph:
         digits.append(v % 3)
         v //= 3
     flat = bytes(d + 1 for d in reversed(digits))
-    return ColoredBipartiteGraph(m, n, tuple(flat[i * n:(i + 1) * n] for i in range(m)))
+    return _unchecked_graph(m, n, tuple([flat[i * n:i * n + n] for i in range(m)]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import ColoredBipartiteGraph, Side
+from .graphs import ColoredBipartiteGraph, Side, _unchecked_graph
 
 __all__ = [
     "DEFAULT_THETA_BUDGET",
@@ -144,7 +144,7 @@ def random_graph(m: int, n: int, seed: int) -> ColoredBipartiteGraph:
     h -= h // 3 * 3  # h % 3, by numpy's faster division by a constant
     h += 1
     flat = h.astype(np.uint8).tobytes()
-    return ColoredBipartiteGraph(m, n, tuple(flat[i * n:(i + 1) * n] for i in range(m)))
+    return _unchecked_graph(m, n, tuple([flat[i * n:i * n + n] for i in range(m)]))
 
 
 def _side_sizes(total: int) -> tuple[int, int]:

@@ -8,7 +8,10 @@ instances, which are immutable; an instance finds its inverse (for one vertex,
 the interned switch) and JSON fields once, and ``apply_word`` checks it once
 per call.  ``left_switch`` and ``right_switch`` hand out one shared instance
 per (vertex, sigma) while it stays in their bounded caches, so the words of
-``edge_kill_word`` and ``monochromatize`` repeat instances, not equal copies.
+``edge_kill_word``, ``monochromatize`` and ``word_from_json`` repeat
+instances, not equal copies.  ``apply_word`` checks supports, not the rows it
+derives: a caller's coloring is validated when its graph is built, and a
+translate by a permutation keeps every cell in {1, 2, 3}.
 
 Word JSON format: ``[{"support": [{"side": "L", "i": 0}, ...], "sigma": "(12)"},
 ...]``, applied first to last; each encoded entry is a fresh dict.
@@ -19,7 +22,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .graphs import ColoredBipartiteGraph, Side, VertexRef
+from .graphs import ColoredBipartiteGraph, Side, VertexRef, _unchecked_graph
 from .s3 import ALL_PERMS, S3Perm, commutator, commutes, inverse
 
 __all__ = [
@@ -94,29 +97,28 @@ def apply_word(g: ColoredBipartiteGraph, word: SwitchWord) -> ColoredBipartiteGr
 
     A switch translates the row slice of each left support vertex and the
     column slice (stride n) of each right one, so an edge with both endpoints
-    inside gets sigma twice.  Every support is checked, in word order, before
-    any is applied.
+    inside gets sigma twice.  An op's support is checked where the op first
+    appears, so the first bad switch in word order raises.
     """
     if not word.ops:
         return g
     m, n = g.m, g.n
-    plans = {}  # id(op) -> (translate table, slices of its support), once the support is checked
-    for op in word.ops:
-        if id(op) not in plans:
-            slices = []
-            for v in op.support:
-                if not g.has_vertex(v):
-                    raise ValueError(f"support vertex {v} not in K_{{{m},{n}}}")
-                i = v.index
-                slices.append(slice(i * n, i * n + n) if v.side is Side.LEFT else slice(i, None, n))
-            plans[id(op)] = (_TABLES[op.sigma.image], slices)
     flat = bytearray().join(g.colors)
+    plans = {}  # id(op) -> its (slice, translate table) steps, once its support is checked
     for op in word.ops:
-        table, slices = plans[id(op)]
-        for s in slices:
+        steps = plans.get(id(op))
+        if steps is None:
+            table, steps = _TABLES[op.sigma.image], []
+            for v in op.support:
+                i, left = v.index, v.side is Side.LEFT
+                if i >= (m if left else n):
+                    raise ValueError(f"support vertex {v} not in K_{{{m},{n}}}")
+                steps.append((slice(i * n, i * n + n) if left else slice(i, None, n), table))
+            plans[id(op)] = steps
+        for s, table in steps:
             flat[s] = flat[s].translate(table)
     data = bytes(flat)
-    return ColoredBipartiteGraph(m, n, [data[i * n:i * n + n] for i in range(m)])
+    return _unchecked_graph(m, n, tuple([data[i * n:i * n + n] for i in range(m)]))
 
 
 def inverse_word(word: SwitchWord) -> SwitchWord:
@@ -217,8 +219,9 @@ def word_from_json(data) -> SwitchWord:
                 VertexRef(side, index)  # raises its negative-index error
             support.append((side, index))
         key = (raw_sigma, tuple(support))
-        if key not in built:
-            built[key] = SwitchOp(frozenset(VertexRef(*v) for v in support), sigma)
+        if key not in built:  # one vertex, the loop's side and index: its interned switch
+            built[key] = ((left_switch if side is Side.LEFT else right_switch)(index, sigma) if len(support) == 1
+                          else SwitchOp(frozenset(VertexRef(*v) for v in support), sigma))
         if one:
             built[one] = built[key]
         ops.append(built[key])

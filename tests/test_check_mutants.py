@@ -88,6 +88,15 @@ def _one_wrong_digit(row, at=-2):
     return row
 
 
+def _plans_keyed_by_sigma(real):
+    """An ``apply_word`` whose per-op plans are keyed by the op's permutation:
+    each op replays the support of the first op with its sigma."""
+    def apply(g, word):
+        first = {}
+        return real(g, SwitchWord(tuple(first.setdefault(op.sigma, op) for op in word.ops)))
+    return apply
+
+
 _PAD = (left_switch(0, S3Perm.from_cycle_string("(12)")),) * 8  # cancels: (12) has order 2
 
 KILLED = [
@@ -98,6 +107,8 @@ KILLED = [
      wrap(switches, "monochromatize", lambda w, *_: SwitchWord(w.ops + _PAD))),
     ("monochromatization", "monochromatize returns the empty word",
      replace(switches, "monochromatize", lambda g, target: SwitchWord(()))),
+    ("monochromatization", "apply_word plans keyed by the op's permutation, not the op",
+     replace(switches, "apply_word", _plans_keyed_by_sigma(switches.apply_word))),
     ("orbit-engine", "no vertex permutations",
      with_fresh_store(replace(orbits, "vertex_perm_actions", lambda m, n: []))),
     ("orbit-engine", "_recolor_action ignores sigma (identity lut)",

@@ -14,6 +14,7 @@ from switchlab.graphs import (
     ColoredBipartiteGraph,
     Side,
     IsoWitness,
+    VertexRef,
     collapse_witness,
     graph_from_json,
     graph_to_json,
@@ -24,11 +25,12 @@ from switchlab.graphs import (
     swap_sides,
     verify_iso_witness,
 )
-from switchlab import graphs as graphs_mod
+from switchlab import graphs as graphs_mod, switches
 from switchlab.graphs import ISO_ROW_MAP_CAP, _profile_permutations, _row_profile
 from switchlab.orbits import id_to_coloring
 from switchlab.randomlab import ThetaCounterexample, random_graph, verify_counterexample
 from switchlab.s3 import ALL_PERMS, IDENTITY, S3Perm, inverse
+from switchlab.switches import SwitchOp, SwitchWord, apply_word
 
 from conftest import graphs
 
@@ -248,6 +250,38 @@ def test_swap_sides():
 @given(graphs())
 def test_swap_sides_involution(g):
     assert swap_sides(swap_sides(g)) == g
+
+
+def _assert_library_built(g):
+    # a graph the library derived without validation holds what the
+    # validating constructor would store for the same cells
+    assert type(g.colors) is tuple and len(g.colors) == g.m
+    assert all(type(row) is bytes and len(row) == g.n for row in g.colors)
+    try:
+        assert new_graph(g.m, g.n, g.colors) == g
+    except ValueError as exc:
+        raise AssertionError(f"invalid graph: {exc}") from None
+
+
+@given(graphs(max_m=5, max_n=5), st.data())
+def test_library_built_graphs_are_valid(g, data):
+    vertices = [VertexRef(Side.LEFT, i) for i in range(g.m)] + [VertexRef(Side.RIGHT, j) for j in range(g.n)]
+    ops = data.draw(st.lists(st.builds(SwitchOp, st.frozensets(st.sampled_from(vertices)) if vertices
+                                       else st.just(frozenset()), st.sampled_from(ALL_PERMS)), max_size=6))
+    m, n = data.draw(st.integers(0, 12)), data.draw(st.integers(0, 12))
+    k, l = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    built = [apply_word(g, SwitchWord(tuple(ops))), swap_sides(g), random_graph(m, n, data.draw(st.integers(0, 2**64))),
+             id_to_coloring(k, l, data.draw(st.integers(0, 3 ** (k * l) - 1)))]
+    for out in built:
+        _assert_library_built(out)
+
+
+def test_library_built_check_fails_on_an_out_of_range_translate(monkeypatch):
+    # a translate table that sends color 1 to 4 makes apply_word store a cell
+    # the constructor refuses, which the property test above must report
+    monkeypatch.setitem(switches._TABLES, c("(12)").image, bytes((0, 4, 1, 3, *range(4, 256))))
+    with pytest.raises(AssertionError, match="color out of range: 4"):
+        test_library_built_graphs_are_valid()
 
 
 def brute_iso(g1, g2):

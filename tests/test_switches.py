@@ -36,7 +36,7 @@ def _reference_apply_switch(g, op):
     # the three-branch rebuild that apply_word replaced: every switch builds
     # and validates a whole new grid
     for v in op.support:
-        if not g.has_vertex(v):
+        if v.index >= g.side_size(v.side):
             raise ValueError(f"support vertex {v} not in K_{{{g.m},{g.n}}}")
     left = {v.index for v in op.support if v.side is Side.LEFT}
     right = {v.index for v in op.support if v.side is Side.RIGHT}
@@ -465,6 +465,24 @@ def test_word_from_json_repeats_refuse_what_the_checks_refuse():
     for bad in (_one("L", True), _one(["L"], 1), _one("L", -1), _one("X", 1)):
         with pytest.raises(ValueError, match="malformed support entry|negative vertex index"):
             word_from_json([_one("L", 1), _one("L", 1), bad])
+
+
+def test_word_from_json_takes_one_vertex_switches_from_the_intern_caches():
+    several = {"support": [{"side": "L", "i": 1}, {"side": "R", "i": 2}], "sigma": "(123)"}
+    doc = json.loads(json.dumps([_one("L", 3), _one("R", 2, "(132)"), several, _one("L", 3)]))
+    left, right, multi, again = word_from_json(doc).ops
+    assert left is left_switch(3, c("(12)")) and again is left
+    assert right is right_switch(2, c("(132)"))
+    # a support of several vertices is a new switch, equal to the reference's
+    assert multi == _reference_word_from_json([several]).ops[0]
+    assert multi is not word_from_json([several]).ops[0]
+    # the refusals keep their messages, before and after a checked repeat
+    for bad, message in ((_one("L", True), "malformed support entry: {'side': 'L', 'i': True}"),
+                         (_one("R", -1), "negative vertex index: -1")):
+        for data in ([bad], [_one("L", 1), _one("L", 1), bad]):
+            with pytest.raises(ValueError) as exc:
+                word_from_json(data)
+            assert str(exc.value) == message
 
 
 def test_inverse_word_reuses_interned_switches():
