@@ -55,10 +55,13 @@ def _emit(obj) -> None:
 
 
 def _read_json(path: str):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise ValueError("JSON document nested too deeply") from None
 
 
 def _load_graph(path: str):
@@ -148,7 +151,7 @@ def _cmd_distinguish(args):
 
 
 def _cmd_verify_lemmas(args):
-    results = verify_mod.run_all(args.only.split(",") if args.only else None)
+    results = verify_mod.run_all(args.only.split(",") if args.only is not None else None)
     return (
         {
             "checks": [

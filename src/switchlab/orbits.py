@@ -11,11 +11,11 @@ and numbers orbits by least member id, so results are bit-identical in any
 order.  The edge permutations' group P propagates over all ids by transposing
 the label cube, then the recolorings, closed under conjugation by P, over P's
 orbits through their least members, since s(pi x) = pi (pi^-1 s pi)(x).  P's
-orbits, the base-3 digits of their least members, each recoloring's
-P-conjugates and table, each candidate's generator list and each checked
-action tuple's answer (its read-only quotient over P's orbits and its
-counters) stay in a store while they fit ``ORBIT_MEMORY_CAP``, so a repeated
-request costs store lookups only; a stored answer or conjugate list is
+orbits, the base-3 digits of their least members, each recoloring move's
+record (its table over P's orbits and its P-conjugates), each candidate's
+generator list and each checked action tuple's answer (its read-only quotient
+and its counters) stay in a store while they fit ``ORBIT_MEMORY_CAP``, so a
+repeated request costs store lookups only; a stored answer or move record is
 charged a fixed overhead besides its array bytes.  Every label gather is an
 ``ndarray.take``: numpy serves ``a[index]`` with an int32 index through a
 slower path.
@@ -286,25 +286,25 @@ def _numbered(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class _Entry(NamedTuple):
     """P's store entry: the int32 P-orbit of every id, numbered by least member,
-    each P-orbit's least member, P's rounds and jumps, and three stores filled
+    each P-orbit's least member, P's rounds and jumps, and two stores filled
     on first use and evicted with it: each position's uint8 base-3 digit of
-    the least members, each recoloring move's int32 table over P's orbits and
-    each move's conjugates by P's generators."""
+    the least members, and each recoloring move's record, its int32 table over
+    P's orbits and its conjugates by P's generators, stored together."""
 
     orbit_of: np.ndarray
     reps: np.ndarray
     rounds: int
     jumps: int
     rows: dict
-    tables: dict
-    conjugates: dict
+    moves: dict
 
-    @property
-    def nbytes(self) -> int:
-        """The bytes of its orbit ids, least members, digit rows and tables, plus
-        ``_STORED_OVERHEAD`` per conjugate list."""
-        return sum(a.nbytes for a in (self.orbit_of, self.reps, *self.rows.values(), *self.tables.values())) \
-            + _STORED_OVERHEAD * len(self.conjugates)
+    def charge(self, rows: int, moves: int) -> int:
+        """The bytes of ``rows`` digit rows, 1 per P-orbit, and ``moves`` moves,
+        each its table's 4 per P-orbit and ``_STORED_OVERHEAD`` for its list."""
+        return self.reps.size * (rows + 4 * moves) + _STORED_OVERHEAD * moves
+
+    nbytes = property(lambda self: self.orbit_of.nbytes + self.reps.nbytes
+                      + self.charge(len(self.rows), len(self.moves)))
 
 
 class _Answer(NamedTuple):
@@ -328,7 +328,7 @@ class _Answer(NamedTuple):
 #: distinct list of 1, 2 or 3 single-edge recolorings freed 500, 508 or 516
 #: bytes under tracemalloc, 108 of them data, when it was dropped (its
 #: actions kept alive elsewhere) and a collection emptied the free lists.
-#: Each conjugate list in P's entry is charged the same.
+#: Each move record in P's entry is charged the same for its conjugate list.
 _STORED_OVERHEAD = 512
 
 
@@ -375,7 +375,7 @@ def _edge_perm_orbits(k: int, perms: tuple[tuple[int, ...], ...]) -> _Entry:
     orbit_of, roots = _numbered(labels)
     reps = np.flatnonzero(roots)
     orbit_of.flags.writeable = reps.flags.writeable = False
-    return _Entry(orbit_of, reps, rounds, jumps, {}, {}, {})
+    return _Entry(orbit_of, reps, rounds, jumps, {}, {})
 
 
 def _digit_row(reps: np.ndarray, k: int, position: int) -> np.ndarray:
@@ -426,51 +426,46 @@ def _answer(actions: tuple, k: int) -> _Answer:
             raise ValueError("action does not match the coloring space")
     perms = tuple(a.axes for a in actions if isinstance(a, EdgePerm))
     closed = list(dict.fromkeys((a.positions, a.lut) for a in actions if isinstance(a, Recoloring)))
-    orbit_of, reps, rounds, jumps, rows, tables, conjugates = entry = \
+    orbit_of, reps, rounds, jumps, rows, moves = entry = \
         _STORE.fetch((k, perms), lambda: _edge_perm_orbits(k, perms), 4 * 8 * 3**k)
     # per P-orbit the quotient stage takes 72 bytes, its quotient's data
     # included, plus 24 of int64 temporaries while tables are built
     working = 16 * 3**k + reps.size * (96 if closed else 72)
-    seen, found = set(closed), {}
+    seen, lists = set(closed), {}  # every closed move's conjugate list, stored or new
     for move in closed:  # conjugates appended here are visited too
-        listed = conjugates[move] if move in conjugates else found.setdefault(move, _conjugates(perms, move))
+        lists[move] = listed = moves[move][1] if move in moves else _conjugates(perms, move)
         fresh = [c for c in listed if c not in seen]
         seen.update(fresh)
         closed.extend(fresh)
-    # a table takes 4 bytes per P-orbit, a digit row 1, a conjugate list
-    # _STORED_OVERHEAD and the answer its charge beyond its quotient's data.
-    # A call whose own tables, rows, lists and answer do not fit next to its
-    # working set (which holds this entry's orbit ids and least members) is
-    # refused; else the store drops other entries, then this entry's stored
-    # tables, rows and lists, until they fit beside the call
+    # a call whose own moves, rows and answer (its charge beyond its quotient's
+    # data) do not fit next to its working set, which holds this entry's orbit
+    # ids and least members, is refused; else the store drops other entries,
+    # then this entry's moves and rows, until the ones it lacks fit beside it
     fixed = 40 * sum(map(len, perms)) + _STORED_OVERHEAD + 400 * len(actions)
     positions = {p for move in closed for p in move[0]}
-    own = reps.size * (4 * len(closed) + len(positions)) + _STORED_OVERHEAD * len(closed)
-    if working + own + fixed > ORBIT_MEMORY_CAP:
+    if working + entry.charge(len(positions), len(closed)) + fixed > ORBIT_MEMORY_CAP:
         raise BudgetExceededError("the quotient by the edge permutations exceeds the orbit memory cap")
-    new = reps.size * (4 * len(seen.difference(tables)) + len(positions.difference(rows))) \
-        + _STORED_OVERHEAD * len(found) + fixed
-    if not _STORE.evict(working + new - orbit_of.nbytes - reps.nbytes, keep=entry):
-        _STORE.nbytes -= entry.nbytes - orbit_of.nbytes - reps.nbytes
-        for stored in (tables, rows, conjugates):
-            stored.clear()
-    conjugates.update(found)
-    _STORE.nbytes += _STORED_OVERHEAD * len(found)
+    new = entry.charge(len(positions.difference(rows)), len(seen.difference(moves)))
+    if not _STORE.evict(working + new + fixed - orbit_of.nbytes - reps.nbytes, keep=entry):
+        _STORE.nbytes -= entry.charge(len(rows), len(moves))
+        rows.clear()
+        moves.clear()
     for move in closed:
-        if move not in tables:
+        if move not in moves:
             ids = reps.copy()  # each least member, its digits at the move's positions moved by lut
             for p in move[0]:
                 if p not in rows:
                     rows[p] = _digit_row(reps, k, p)
                     rows[p].flags.writeable = False
-                    _STORE.nbytes += rows[p].nbytes
+                    _STORE.nbytes += entry.charge(1, 0)
                 ids += (np.subtract(move[1], (0, 1, 2)) * 3 ** (k - 1 - p)).take(rows[p])
             if ids.min() < 0:  # take would wrap it silently
                 raise ArithmeticError(f"recoloring {move} takes a least member below id 0")
-            tables[move] = orbit_of.take(ids)
-            tables[move].flags.writeable = False
-            _STORE.nbytes += tables[move].nbytes
-    pulls = [lambda x, t=tables[move]: _take(x, t) for move in closed]
+            table = orbit_of.take(ids)
+            table.flags.writeable = False
+            moves[move] = table, lists[move]
+            _STORE.nbytes += entry.charge(0, 1)
+    pulls = [lambda x, t=moves[move][0]: _take(x, t) for move in closed]
     labels, more_rounds, more_jumps = (_propagate(reps.size, pulls) if pulls
                                        else (np.arange(reps.size, dtype=np.int32), 0, 0))
     quotient, roots = _numbered(labels)

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import runpy
@@ -448,6 +449,38 @@ def test_verify_lemmas_unknown_check(capsys):
     assert "unknown check" in data["error"]
 
 
+@pytest.mark.parametrize("only", ["", ","])
+def test_verify_lemmas_empty_check_name_is_unknown(capsys, only):
+    # an explicitly empty list names the empty check and runs none
+    code, out = run_cli(capsys, "verify-lemmas", "--only", only)
+    assert (code, out) == (1, json.dumps({"error": "unknown check ''"}) + "\n")
+
+
+#: A JSON document nested past the interpreter's recursion limit.
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-theta", "--input", "{deep}", "--k", "1"],
+    ["check-theta", "--input", "-", "--k", "1"],
+    ["apply-word", "--input", "{deep}", "--word", "{word}"],
+    ["apply-word", "--input", "{graph}", "--word", "{deep}"],
+    ["apply-word", "--input", "{graph}", "--word", "-"],
+    ["monochromatize", "--input", "{deep}", "--target", "1"],
+    ["edge-kill", "--x", "0", "--y", "0", "--f", "(12)", "--g", "(13)", "--input", "{deep}"],
+])
+def test_deeply_nested_json_is_a_domain_error(tmp_path, capsys, monkeypatch, argv):
+    # from a file or from stdin: one error document, nothing on stderr
+    paths = {name: tmp_path / f"{name}.json" for name in ("deep", "graph", "word")}
+    paths["deep"].write_text(_DEEP)
+    paths["graph"].write_text(json.dumps(graph_to_json(new_graph(1, 1, [[1]]))))
+    paths["word"].write_text("[]")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(_DEEP))
+    code = main([arg.format(**paths) for arg in argv])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, json.dumps({"error": "JSON document nested too deeply"}) + "\n", "")
+
+
 def _cubic_with_first_column(q, color):
     rows = shifted_cubic_graph(q).colors
     return new_graph(q, q, [[color] + list(row[1:]) for row in rows])
@@ -805,10 +838,14 @@ _RAND150 = graph_to_json(random_graph(150, 150, 1))
 @example(["check-theta", "--input", "{graph}", "--k", "150", "--sampled", "--trials", "10",
           "--seed", "1"], _RAND150, [])
 @example(["sfsp-estimate", "--n", "2000", "--k", "1000", "--trials", "1", "--seed", "1"], {}, [])
+# JSON nested past the recursion limit, as the graph or the word
+@example(["check-theta", "--input", "{graph}", "--k", "1"], _DEEP, [])
+@example(["apply-word", "--input", "{graph}", "--word", "{word}"], {"m": 1, "n": 1, "colors": [[1]]}, _DEEP)
 def test_cli_fuzz_single_json_document(tmp_path, capsys, argv, doc, word):
+    # a str document is written as it is: json.dumps cannot nest that deep
     path, word_path = tmp_path / "g.json", tmp_path / "w.json"
-    path.write_text(json.dumps(doc))
-    word_path.write_text(json.dumps(word))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    word_path.write_text(word if isinstance(word, str) else json.dumps(word))
     argv = [arg.format(graph=path, word=word_path) for arg in argv]
     try:
         code = main(argv)

@@ -654,8 +654,8 @@ def _slots(a):
 
 def _entry_arrays(e):
     """Every array P's entry keeps: orbit ids, least members, digit rows and
-    tables."""
-    return (e.orbit_of, e.reps, *e.rows.values(), *e.tables.values())
+    its moves' tables."""
+    return (e.orbit_of, e.reps, *e.rows.values(), *(table for table, _ in e.moves.values()))
 
 
 def _answers():
@@ -665,8 +665,8 @@ def _answers():
 
 def _entry_charge(e):
     """The bytes P's entry keeps: its arrays, plus the fixed overhead of each
-    conjugate list."""
-    return sum(a.nbytes for a in _entry_arrays(e)) + orbits._STORED_OVERHEAD * len(e.conjugates)
+    move's conjugate list."""
+    return sum(a.nbytes for a in _entry_arrays(e)) + orbits._STORED_OVERHEAD * len(e.moves)
 
 
 def _answer_charge(key, answer):
@@ -842,6 +842,23 @@ def test_second_census_walk_builds_no_entry(builds):
     assert builds == [] and sorted(orbits._STORE, key=repr) == sorted(kept, key=repr)
 
 
+def test_cold_census_walk_charges_the_pinned_bytes():
+    # the census walk from an empty store under the real cap leaves P's 10
+    # entries with 224 moves, 1,193,432 bytes; the walk's answers, 890,232;
+    # and the shapes' moves and generator lists, 263,920.  A change to any
+    # charge shows here
+    _clear_orbit_caches()
+    for m, n, spec in _CENSUS_WALK:
+        orbit_partition(spec, m, n)
+    entries, answers = _kept(), _answers()
+    assert len(entries) == 10 and sum(len(e.moves) for e in entries.values()) == 224
+    assert sum(e.nbytes for e in entries.values()) == 1_193_432
+    assert len(answers) == len(_CENSUS_WALK) and sum(a.nbytes for a in answers.values()) == 890_232
+    rest = sum(v.nbytes for key, v in orbits._STORE.items() if key not in entries | answers)
+    assert rest == 263_920 and orbits._STORE.nbytes == 2_347_584
+    _assert_running_total()
+
+
 def test_warm_census_walk_propagates_nothing(monkeypatch):
     # a census walk from an empty store, then the same walk again: the warm
     # pass serves every generator list and answer from the store, so it
@@ -897,7 +914,7 @@ def test_a_new_quotient_is_charged_once_when_its_call_makes_room(monkeypatch):
     # row and list; one byte less drops them too
     first, second = (single_edge_action(2, 2, i, i, c("(12)")) for i in (0, 1))
     real = orbits.ORBIT_MEMORY_CAP
-    for spare, tables in ((0, 2), (-1, 1)):
+    for spare, records in ((0, 2), (-1, 1)):
         monkeypatch.setattr(orbits, "ORBIT_MEMORY_CAP", real)
         _clear_orbit_caches()
         partition_from_actions([first], 2, 2)
@@ -908,8 +925,35 @@ def test_a_new_quotient_is_charged_once_when_its_call_makes_room(monkeypatch):
         part = partition_from_actions([second], 2, 2)
         assert np.array_equal(part.labels, _reference_partition([second], 2, 2)[0])
         assert list(orbits._STORE) == [(4, "answer", (second,)), (4, ())] and orbits._STORE[4, ()] is entry
-        assert (len(entry.tables), len(entry.rows), len(entry.conjugates)) == (tables,) * 3
+        assert (len(entry.moves), len(entry.rows)) == (records,) * 2
         _assert_running_total()
+
+
+def test_a_build_that_raises_keeps_whole_move_records(monkeypatch):
+    # digit rows whose first entry is wrong send id 0 below 0 under a move
+    # taking 1 to 0, so a build raises midway.  The census candidates at
+    # K_{2,2} in turn, in a fresh store dropped with the mutant: after each
+    # call, raised or not, every move P's entries keep has its table and
+    # conjugate list, and the running total is what the store keeps
+    real = orbits._digit_row
+
+    def wrong_first(reps, k, position):
+        row = real(reps, k, position).copy()
+        row[0] = (row[0] + 1) % 3
+        return row
+    monkeypatch.setattr(orbits, "_digit_row", wrong_first)
+    monkeypatch.setattr(orbits, "_STORE", orbits._Store())
+    raised = set()
+    for cand in enumerate_candidate_groups(with_swap=True):
+        try:
+            orbit_partition(cand.spec, 2, 2)
+        except ArithmeticError:
+            raised.add(cand.name)
+        for e in _kept().values():
+            for table, conjugates in e.moves.values():
+                assert table.shape == e.reps.shape and isinstance(conjugates, tuple)
+        _assert_running_total()
+    assert "Sym_lr" in raised and any(e.moves for e in _kept().values())
 
 
 def test_census_walk_under_a_one_entry_cap_stays_under_it(monkeypatch):
@@ -932,14 +976,17 @@ def test_census_walk_under_a_one_entry_cap_stays_under_it(monkeypatch):
 
 
 def _assert_entry_matches_reference(k, perms):
-    # every digit row and table P's entry stores, against the reference
-    # recoloring of P's least members
+    # every digit row and move P's entry stores, against the reference
+    # recoloring of P's least members and the move's images under P's
+    # generators
     entry = orbits._STORE[k, perms]
-    assert entry.tables and entry.rows
+    assert entry.moves and entry.rows
     for p, row in entry.rows.items():
         assert row.dtype == np.uint8 and np.array_equal(row, entry.reps // 3 ** (k - 1 - p) % 3)
-    for (positions, lut), table in entry.tables.items():
+    for (positions, lut), (table, conjugates) in entry.moves.items():
         assert np.array_equal(table, entry.orbit_of[_recolored(entry.reps, k, positions, lut)])
+        assert len(set(conjugates)) == len(conjugates)
+        assert set(conjugates) == {(tuple(sorted(axes[p] for p in positions)), lut) for axes in perms}
 
 
 def test_stored_tables_equal_the_reference_recoloring(monkeypatch, builds):
@@ -965,7 +1012,7 @@ def test_stored_tables_equal_the_reference_recoloring(monkeypatch, builds):
         assert list(_kept()) == [(6, _edge_perms(perms))]
         _assert_running_total()
     assert len(builds) == 13 and builds[-3] == builds[-1] == (6, ())
-    assert len(orbits._STORE[6, ()].tables) == 30
+    assert len(orbits._STORE[6, ()].moves) == 30
 
 
 def test_action_lists_are_fresh_on_every_call():
@@ -1117,8 +1164,7 @@ def test_recoloring_store_stays_under_the_cap(monkeypatch):
     for first, second in zip(moves, moves[1:]):
         part = partition_from_actions([first, second], m, n)
         entry = orbits._STORE[m * n, ()]
-        stored = entry.tables
-        sizes.append(len(stored))
+        sizes.append(len(entry.moves))
         assert working + _entry_charge(entry) - entry.orbit_of.nbytes - entry.reps.nbytes <= orbits.ORBIT_MEMORY_CAP
         assert all(not array.flags.writeable for array in _entry_arrays(entry))
         assert np.array_equal(part.labels, _reference_partition([first, second], m, n)[0])
